@@ -8,7 +8,6 @@ hand-derived gradients, and a reproducible experiment CLI.
 
 from .config import RunConfig, load_config, parse_config_text
 from .core import (
-    GRADE_NAMES,
     EmbeddingMatrix,
     InputError,
     LabelVector,
@@ -32,12 +31,7 @@ from .evaluation import (
 from .losses import (
     LossConfig,
     LossReport,
-    grad_total_wrt_similarity,
-    image_to_text_loss,
-    main_loss,
     rank_directional_loss,
-    rank_loss,
-    text_to_image_loss,
     total_loss,
 )
 from .model import (
@@ -65,7 +59,6 @@ from .train import evaluate, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "GRADE_NAMES",
     "EmbeddingMatrix",
     "SimilarityMatrix",
     "LabelVector",
@@ -86,13 +79,8 @@ __all__ = [
     "calibrate_rows",
     "LossConfig",
     "LossReport",
-    "text_to_image_loss",
-    "image_to_text_loss",
-    "main_loss",
     "rank_directional_loss",
-    "rank_loss",
     "total_loss",
-    "grad_total_wrt_similarity",
     "ModelParams",
     "OptimizerState",
     "init_params",

@@ -10,9 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Ordinal grade names, index 0 is healthiest.
-GRADE_NAMES = ("normal", "mild", "moderate", "severe", "proliferative")
-
 # Floor applied to the second argument of the KL divergence.
 KL_EPS = 1e-12
 
@@ -59,14 +56,9 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """M x K matrix of image-vs-class scores.
-
-    ``calibrated`` distinguishes the raw inner-product matrix from its
-    calibrated form produced by the smoothing module.
-    """
+    """M x K matrix of image-vs-class scores."""
 
     data: np.ndarray
-    calibrated: bool = False
 
     def __post_init__(self):
         arr = _frozen_f64(self.data, "similarity matrix")
@@ -120,7 +112,7 @@ def similarity_matrix(images: EmbeddingMatrix, texts: EmbeddingMatrix) -> Simila
     """Inner-product scores between every image row and every text row."""
     if images.dim != texts.dim:
         raise InputError(f"embedding dims differ: images {images.dim} vs texts {texts.dim}")
-    return SimilarityMatrix(images.data @ texts.data.T, calibrated=False)
+    return SimilarityMatrix(images.data @ texts.data.T)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -137,7 +129,7 @@ def softmax_rows(s: SimilarityMatrix, tau: float) -> SimilarityMatrix:
     """Row-wise temperature softmax; each output row sums to 1."""
     if not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
-    return SimilarityMatrix(_softmax(s.data / tau), calibrated=s.calibrated)
+    return SimilarityMatrix(_softmax(s.data / tau))
 
 
 def kl_divergence_row(p, q) -> float:

@@ -1,10 +1,11 @@
 """Training objective over calibrated similarity matrices.
 
-Two ingredients: a bidirectional KL alignment loss (image rows against
-one-hot targets plus class columns against normalized batch presence) and
-a pairwise rank loss that pushes each row to decay strictly away from its
-true class in both directions.  Every term comes with a hand-derived
-analytic gradient with respect to the similarity matrix.
+Two ingredients: a bidirectional KL alignment loss (image-to-text: each
+image row against its one-hot target; text-to-image: each class column
+against the normalized batch presence) and a pairwise rank loss that
+pushes each row to decay strictly away from its true class in both
+directions.  Each term returns its value together with its hand-derived
+analytic gradient with respect to the similarity matrix, from one pass.
 """
 
 from __future__ import annotations
@@ -39,61 +40,36 @@ class LossReport:
     grad_similarity: np.ndarray
 
 
-def _check_pair(s: SimilarityMatrix, labels: LabelVector) -> None:
+def _check_length(s: SimilarityMatrix, labels: LabelVector) -> None:
     if len(labels) != s.m:
         raise InputError(f"got {len(labels)} labels for {s.m} similarity rows")
-    labels.validate_for(s.k)
 
 
-def text_to_image_loss(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> float:
-    """Mean KL(one-hot || row-softmax), i.e. mean cross-entropy of the true class."""
-    _check_pair(s_cal, labels)
+def image_to_text_term(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """Mean KL(one-hot || row-softmax), i.e. mean cross-entropy of the true
+    class, and its gradient."""
+    _check_length(s_cal, labels)
+    y = one_hot(labels, s_cal.k)
     logp = _log_softmax(s_cal.data / cfg.tau)
-    return float(-np.mean(logp[np.arange(s_cal.m), labels.labels]))
+    value = float(-np.mean(logp[np.arange(s_cal.m), labels.labels]))
+    return value, (np.exp(logp) - y) / (s_cal.m * cfg.tau)
 
 
-def grad_text_to_image(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> np.ndarray:
-    _check_pair(s_cal, labels)
-    p = np.exp(_log_softmax(s_cal.data / cfg.tau))
-    return (p - one_hot(labels, s_cal.k)) / (s_cal.m * cfg.tau)
-
-
-def _present_classes(labels: LabelVector, k: int) -> np.ndarray:
-    return np.flatnonzero(np.bincount(labels.labels, minlength=k) > 0)
-
-
-def image_to_text_loss(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> float:
+def text_to_image_term(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> tuple[float, np.ndarray]:
     """Transposed direction: KL of normalized class presence against the
     softmax of each class column over the batch, averaged over the classes
-    actually present in the batch (absent classes carry no target mass).
+    actually present in the batch (absent classes carry no target mass),
+    and its gradient.
     """
-    _check_pair(s_cal, labels)
-    present = _present_classes(labels, s_cal.k)
+    _check_length(s_cal, labels)
+    present = np.flatnonzero(np.bincount(labels.labels, minlength=s_cal.k) > 0)
     y = one_hot(labels, s_cal.k).T[present]
     y = y / y.sum(axis=1, keepdims=True)
     logq = _log_softmax(s_cal.data.T[present] / cfg.tau)
     kl = xlogy(y, y).sum(axis=1) - (y * logq).sum(axis=1)
-    return float(np.mean(kl))
-
-
-def grad_image_to_text(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> np.ndarray:
-    _check_pair(s_cal, labels)
-    present = _present_classes(labels, s_cal.k)
-    y = one_hot(labels, s_cal.k).T[present]
-    y = y / y.sum(axis=1, keepdims=True)
-    q = np.exp(_log_softmax(s_cal.data.T[present] / cfg.tau))
     g = np.zeros_like(s_cal.data)
-    g[:, present] = ((q - y) / (len(present) * cfg.tau)).T
-    return g
-
-
-def main_loss(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> float:
-    """Arithmetic mean of the two directional KL losses."""
-    return 0.5 * (image_to_text_loss(s_cal, labels, cfg) + text_to_image_loss(s_cal, labels, cfg))
-
-
-def grad_main(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> np.ndarray:
-    return 0.5 * (grad_image_to_text(s_cal, labels, cfg) + grad_text_to_image(s_cal, labels, cfg))
+    g[:, present] = ((np.exp(logq) - y) / (len(present) * cfg.tau)).T
+    return float(np.mean(kl)), g
 
 
 def rank_directional_loss(row, true_class: int, direction: str, tau: float) -> float:
@@ -122,51 +98,37 @@ def rank_directional_loss(row, true_class: int, direction: str, tau: float) -> f
     return float(np.logaddexp(0.0, -gaps / tau).sum())
 
 
-def _pair_signs(labels: LabelVector, k: int) -> np.ndarray:
-    """Sign of the wanted gap for each adjacent column pair (a, a+1).
+def rank_term(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """Mean over samples of the summed rightward and leftward losses, and
+    its gradient.
 
-    Pairs at or right of the true class want s[a] > s[a+1] (+1); pairs left
-    of it want s[a] < s[a+1] (-1).  Together they tile both directional
-    chains exactly once.
+    Pairs (a, a+1) at or right of the true class want s[a] > s[a+1]
+    (sign +1); pairs left of it want s[a] < s[a+1] (sign -1).  Together
+    they tile both directional chains exactly once.
     """
-    a = np.arange(k - 1)[None, :]
-    return np.where(a >= labels.labels[:, None], 1.0, -1.0)
-
-
-def rank_loss(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> float:
-    """Mean over samples of the summed rightward and leftward losses."""
-    _check_pair(s_cal, labels)
+    _check_length(s_cal, labels)
+    labels.validate_for(s_cal.k)
     d = s_cal.data[:, :-1] - s_cal.data[:, 1:]
-    sign = _pair_signs(labels, s_cal.k)
-    return float(np.logaddexp(0.0, -sign * d / cfg.tau).sum() / s_cal.m)
-
-
-def grad_rank(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> np.ndarray:
-    _check_pair(s_cal, labels)
-    d = s_cal.data[:, :-1] - s_cal.data[:, 1:]
-    sign = _pair_signs(labels, s_cal.k)
+    sign = np.where(np.arange(s_cal.k - 1)[None, :] >= labels.labels[:, None], 1.0, -1.0)
+    value = float(np.logaddexp(0.0, -sign * d / cfg.tau).sum() / s_cal.m)
     # d/dz of -ln(sigmoid(z)) is sigmoid(z) - 1, chained through z = sign*gap/tau
     dz = (expit(sign * d / cfg.tau) - 1.0) * sign / (cfg.tau * s_cal.m)
     g = np.zeros_like(s_cal.data)
     g[:, :-1] += dz
     g[:, 1:] -= dz
-    return g
+    return value, g
 
 
-def grad_total_wrt_similarity(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> np.ndarray:
-    """Analytic gradient of main + lambda_rank * rank for every entry."""
-    g = grad_main(s_cal, labels, cfg)
+def total_loss(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig, include_main: bool = True) -> LossReport:
+    """main = mean of the two alignment directions; total = main +
+    lambda_rank * rank; the gradient is that of total, or of the rank term
+    alone when ``include_main`` is False (the values still show every term).
+    """
+    i2t, g_i2t = image_to_text_term(s_cal, labels, cfg)
+    t2i, g_t2i = text_to_image_term(s_cal, labels, cfg)
+    rank, g_rank = rank_term(s_cal, labels, cfg)
+    main = 0.5 * (t2i + i2t)
+    g = 0.5 * (g_t2i + g_i2t) if include_main else np.zeros_like(s_cal.data)
     if cfg.lambda_rank != 0.0:
-        g = g + cfg.lambda_rank * grad_rank(s_cal, labels, cfg)
-    return g
-
-
-def total_loss(s_cal: SimilarityMatrix, labels: LabelVector, cfg: LossConfig) -> LossReport:
-    main = main_loss(s_cal, labels, cfg)
-    rank = rank_loss(s_cal, labels, cfg)
-    return LossReport(
-        main=main,
-        rank=rank,
-        total=main + cfg.lambda_rank * rank,
-        grad_similarity=grad_total_wrt_similarity(s_cal, labels, cfg),
-    )
+        g = g + cfg.lambda_rank * g_rank
+    return LossReport(main=main, rank=rank, total=main + cfg.lambda_rank * rank, grad_similarity=g)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses as L
+from . import sms
 from .core import EmbeddingMatrix, InputError, LabelVector, SimilarityMatrix, similarity_matrix
-from .sms import ClassStats, calibrate_rows, calibration_scale
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -111,14 +111,13 @@ class BackwardResult:
     grads: dict[str, np.ndarray]
     report: L.LossReport
     similarity_raw: SimilarityMatrix
-    similarity_cal: SimilarityMatrix
 
 
 def model_backward(
     params: ModelParams,
     features: np.ndarray,
     labels: LabelVector,
-    stats: ClassStats | None,
+    stats: sms.ClassStats | None,
     cfg: L.LossConfig,
     variant: str = "standard",
     normalize: bool = False,
@@ -139,22 +138,16 @@ def model_backward(
         t, t_norms = _unit_rows(params.text)
     else:
         x, t = x_raw, params.text
-    s_raw = SimilarityMatrix(x @ t.T, calibrated=False)
+    s_raw = SimilarityMatrix(x @ t.T)
     if stats is not None:
-        s_cal = calibrate_rows(s_raw, labels, stats, variant)
+        scale, offset = sms.calibration_map(s_raw, labels, stats, variant)
+        s_cal = SimilarityMatrix(scale * s_raw.data + offset)
     else:
-        s_cal = SimilarityMatrix(s_raw.data, calibrated=True)
+        s_cal = s_raw
 
-    report = L.total_loss(s_cal, labels, cfg)
-    g_cal = L.grad_main(s_cal, labels, cfg) if include_main else np.zeros_like(s_cal.data)
-    if cfg.lambda_rank != 0.0:
-        g_cal = g_cal + cfg.lambda_rank * L.grad_rank(s_cal, labels, cfg)
-
+    report = L.total_loss(s_cal, labels, cfg, include_main)
     # Through the frozen affine calibration: d(cal)/d(raw) is its scale.
-    if stats is not None:
-        g_s = g_cal * calibration_scale(stats, labels, s_raw.m, variant)
-    else:
-        g_s = g_cal
+    g_s = report.grad_similarity * scale if stats is not None else report.grad_similarity
 
     g_x = g_s @ t
     g_t = g_s.T @ x
@@ -171,7 +164,7 @@ def model_backward(
         "b2": g_x.sum(axis=0),
         "text": g_t,
     }
-    return BackwardResult(grads=grads, report=report, similarity_raw=s_raw, similarity_cal=s_cal)
+    return BackwardResult(grads=grads, report=report, similarity_raw=s_raw)
 
 
 @dataclass

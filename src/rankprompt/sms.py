@@ -88,10 +88,6 @@ class ClassStats:
     smoothed_var: np.ndarray | None = None
 
     @property
-    def count(self) -> np.ndarray:
-        return self.epoch_count
-
-    @property
     def mean(self) -> np.ndarray:
         """Running per-class means; NaN where a class has no samples yet."""
         out = np.full((self.k, self.dim), np.nan)
@@ -143,7 +139,7 @@ def accumulate_class_stats(stats: ClassStats, s: SimilarityMatrix, labels: Label
     return replace(stats, epoch_sum=total, epoch_sumsq=totalsq, epoch_count=n)
 
 
-def smooth_stats(stats: ClassStats, spec: KernelSpec | None = None) -> ClassStats:
+def smooth_stats(stats: ClassStats) -> ClassStats:
     """Fill smoothed_mean / smoothed_var from the running epoch statistics.
 
     Classes never observed this epoch are excluded from every weighted sum
@@ -151,7 +147,6 @@ def smooth_stats(stats: ClassStats, spec: KernelSpec | None = None) -> ClassStat
 
     Raises CalibrationDisabled when fewer than 2 classes were observed.
     """
-    spec = stats.kernel if spec is None else spec
     observed = stats.epoch_count > 0
     if int(observed.sum()) < 2:
         raise CalibrationDisabled(f"only {int(observed.sum())} classes observed, need at least 2")
@@ -159,7 +154,7 @@ def smooth_stats(stats: ClassStats, spec: KernelSpec | None = None) -> ClassStat
     var = stats.var
     sm = np.full((stats.k, stats.dim), np.nan)
     sv = np.full((stats.k, stats.dim), np.nan)
-    raw_spec = replace(spec, normalize=False)
+    raw_spec = replace(stats.kernel, normalize=False)
     for j in np.flatnonzero(observed):
         w = kernel_weights(raw_spec, int(j), stats.k)
         w = np.where(observed, w, 0.0)
@@ -169,7 +164,7 @@ def smooth_stats(stats: ClassStats, spec: KernelSpec | None = None) -> ClassStat
             sm[j] = mean[j]
             sv[j] = var[j]
             continue
-        if spec.normalize:
+        if stats.kernel.normalize:
             w = w / total
         sm[j] = w[observed] @ mean[observed]
         sv[j] = w[observed] @ var[observed]
@@ -205,15 +200,32 @@ def commit_epoch(stats: ClassStats) -> ClassStats:
     )
 
 
-def _row_affine(stats: ClassStats, labels: LabelVector, m: int, variant: str):
+def calibration_map(
+    s: SimilarityMatrix, labels: LabelVector, stats: ClassStats, variant: str = "standard"
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset.
 
-    Rows of classes that lack committed statistics get scale 1, offset 0.
+    standard: scale = sqrt(smoothed_var/var), offset = smoothed_mean - scale*mean
+    literal:  scale = sqrt(smoothed_var) * sqrt(|smoothed_mean|), same offset
+
+    with mean/var/smoothed_* the frozen per-class statistics of the row's
+    true class.  Before any commit the map is the identity (cold start);
+    rows of classes without committed statistics get scale 1, offset 0.
+    The scale is also d(calibrated)/d(raw) per entry.  Statistics holding
+    uncommitted accumulation are rejected: calibration must only ever see
+    values frozen at an epoch boundary.
     """
+    if s.k != stats.dim:
+        raise InputError(f"similarity width {s.k} does not match statistics dim {stats.dim}")
+    if len(labels) != s.m:
+        raise InputError(f"got {len(labels)} labels for {s.m} similarity rows")
+    labels.validate_for(stats.k)
+    if not stats.committed and int(stats.epoch_count.sum()) > 0:
+        raise StateError("statistics were accumulated but never committed; call commit_epoch first")
     if variant not in CALIBRATION_VARIANTS:
         raise InputError(f"unknown calibration variant {variant!r}")
-    scale = np.ones((m, stats.dim))
-    offset = np.zeros((m, stats.dim))
+    scale = np.ones((s.m, stats.dim))
+    offset = np.zeros((s.m, stats.dim))
     if not (stats.committed and stats.calibration_active):
         return scale, offset
     lab = labels.labels
@@ -235,32 +247,10 @@ def _row_affine(stats: ClassStats, labels: LabelVector, m: int, variant: str):
 def calibrate_rows(
     s: SimilarityMatrix, labels: LabelVector, stats: ClassStats, variant: str = "standard"
 ) -> SimilarityMatrix:
-    """Affine-map each row toward the smoothed statistics of its true class.
-
-    standard: out = sqrt(smoothed_var/var) * (s - mean) + smoothed_mean
-    literal:  out = sqrt(smoothed_var) * sqrt(|smoothed_mean|) * (s - mean) + smoothed_mean
-
-    with mean/var/smoothed_* the frozen per-class statistics of the row's
-    true class.  Before any commit the map is the identity (cold start);
-    rows of classes without committed statistics pass through unchanged.
-    Statistics holding uncommitted accumulation are rejected: calibration
-    must only ever see values frozen at an epoch boundary.
-    """
-    if s.k != stats.dim:
-        raise InputError(f"similarity width {s.k} does not match statistics dim {stats.dim}")
-    if len(labels) != s.m:
-        raise InputError(f"got {len(labels)} labels for {s.m} similarity rows")
-    labels.validate_for(stats.k)
-    if not stats.committed and int(stats.epoch_count.sum()) > 0:
-        raise StateError("statistics were accumulated but never committed; call commit_epoch first")
-    scale, offset = _row_affine(stats, labels, s.m, variant)
-    return SimilarityMatrix(scale * s.data + offset, calibrated=True)
-
-
-def calibration_scale(stats: ClassStats, labels: LabelVector, m: int, variant: str = "standard") -> np.ndarray:
-    """d(calibrated)/d(raw) per entry: the scale part of the frozen affine map."""
-    scale, _ = _row_affine(stats, labels, m, variant)
-    return scale
+    """Affine-map each row toward the smoothed statistics of its true class
+    through ``calibration_map``: out = scale * s + offset."""
+    scale, offset = calibration_map(s, labels, stats, variant)
+    return SimilarityMatrix(scale * s.data + offset)
 
 
 def stats_to_dict(stats: ClassStats) -> dict:

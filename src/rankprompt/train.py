@@ -101,7 +101,7 @@ def calibrated_similarity(
     s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings)
     if use_sms and cfg.sms_enabled and stats is not None:
         return sms.calibrate_rows(s_raw, labels, stats, cfg.sms_variant)
-    return SimilarityMatrix(s_raw.data, calibrated=True)
+    return s_raw
 
 
 def evaluate(

@@ -22,16 +22,7 @@ from rankprompt.cli import main
 from rankprompt.config import RunConfig
 from rankprompt.core import LabelVector, SimilarityMatrix, kl_divergence_row, one_hot
 from rankprompt.data import DatasetSpec, generate_synthetic, load_csv, write_csv
-from rankprompt.losses import (
-    LossConfig,
-    grad_main,
-    grad_rank,
-    grad_total_wrt_similarity,
-    main_loss,
-    rank_directional_loss,
-    rank_loss,
-    total_loss,
-)
+from rankprompt.losses import LossConfig, rank_directional_loss, rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
 from rankprompt.sms import (
     KernelSpec,
@@ -114,15 +105,18 @@ class TestA1GradientCertification:
             labels = LabelVector(rng.integers(0, k, size=m))
             cfg = LossConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.2, 2.0)))
 
-            for loss_fn, grad_fn in (
-                (main_loss, grad_main),
-                (rank_loss, grad_rank),
-                (lambda s, y, c: total_loss(s, y, c).total, grad_total_wrt_similarity),
-            ):
-                analytic = grad_fn(SimilarityMatrix(s_data, calibrated=True), labels, cfg)
-                fd = self.fd_wrt_similarity(
-                    lambda d: loss_fn(SimilarityMatrix(d, calibrated=True), labels, cfg), s_data
-                )
+            def main_term(s):
+                """The alignment part alone: total_loss with the rank weight at 0."""
+                r = total_loss(s, labels, replace(cfg, lambda_rank=0.0))
+                return r.main, r.grad_similarity
+
+            def total_term(s):
+                r = total_loss(s, labels, cfg)
+                return r.total, r.grad_similarity
+
+            for term in (main_term, lambda s: rank_term(s, labels, cfg), total_term):
+                analytic = term(SimilarityMatrix(s_data))[1]
+                fd = self.fd_wrt_similarity(lambda d: term(SimilarityMatrix(d))[0], s_data)
                 err = self.excess(analytic, fd, self.LOSS_RTOL)
                 worst_loss = max(worst_loss, err)
                 assert err <= 1.0, f"A1: FAIL - seed {seed} loss-level tolerance exceeded {err:.2f}x"
@@ -245,15 +239,15 @@ class TestA4LossOracles:
         got = kl_divergence_row(p, np.full(5, 0.2))
         checks.append(("KL(one-hot||uniform)", got, np.log(5.0)))
 
-        s = SimilarityMatrix(np.zeros((3, 2)), calibrated=True)
-        got = main_loss(s, LabelVector([0, 0, 1]), lcfg)
+        s = SimilarityMatrix(np.zeros((3, 2)))
+        got = total_loss(s, LabelVector([0, 0, 1]), lcfg).main
         checks.append(("all-zero main composite", got, 0.7225929394740411))
 
         got = rank_directional_loss(np.array([3.0, 2.0, 1.0, 0.0, -1.0]), 0, "rightward", 1.0)
         checks.append(("unit-gap directional rank", got, 1.2530467500728915))
 
-        s = SimilarityMatrix(np.zeros((2, 5)), calibrated=True)
-        got = rank_loss(s, LabelVector([1, 3]), lcfg)
+        s = SimilarityMatrix(np.zeros((2, 5)))
+        got, _ = rank_term(s, LabelVector([1, 3]), lcfg)
         checks.append(("all-zero rank loss", got, 4 * np.log(2.0)))
 
         got = kl_divergence_row(np.array([0.5, 0.5]), np.array([0.75, 0.25]))

@@ -63,7 +63,6 @@ class TestSimilarityMatrix:
         t = EmbeddingMatrix(np.ones((5, 4)))
         s = similarity_matrix(x, t)
         assert s.data.shape == (3, 5)
-        assert not s.calibrated
         np.testing.assert_array_equal(s.data, 0.0)
 
     def test_bilinear_in_images(self):

@@ -6,11 +6,10 @@ import pytest
 from rankprompt.core import InputError, LabelVector, SimilarityMatrix
 from rankprompt.losses import (
     LossConfig,
-    image_to_text_loss,
-    main_loss,
+    image_to_text_term,
     rank_directional_loss,
-    rank_loss,
-    text_to_image_loss,
+    rank_term,
+    text_to_image_term,
     total_loss,
 )
 
@@ -21,7 +20,23 @@ LN5 = 1.6094379124341003
 
 
 def smat(rows):
-    return SimilarityMatrix(np.asarray(rows, dtype=float), calibrated=True)
+    return SimilarityMatrix(np.asarray(rows, dtype=float))
+
+
+def image_to_text_loss(s, labels, cfg):
+    return image_to_text_term(s, labels, cfg)[0]
+
+
+def text_to_image_loss(s, labels, cfg):
+    return text_to_image_term(s, labels, cfg)[0]
+
+
+def main_loss(s, labels, cfg):
+    return total_loss(s, labels, cfg).main
+
+
+def rank_loss(s, labels, cfg):
+    return rank_term(s, labels, cfg)[0]
 
 
 def random_case(seed, m_hi=8, k_hi=6):
@@ -34,19 +49,22 @@ def random_case(seed, m_hi=8, k_hi=6):
 
 
 class TestTextToImage:
+    """Row softmax over the grades: the image-to-text term.  The class keeps
+    its earlier, swapped name so that its test ids stay stable."""
+
     def test_zero_scores_give_log_k(self):
         s = smat(np.zeros((3, 5)))
-        got = text_to_image_loss(s, LabelVector([0, 2, 4]), CFG)
+        got = image_to_text_loss(s, LabelVector([0, 2, 4]), CFG)
         np.testing.assert_allclose(got, LN5, atol=1e-12)
 
     def test_saturated_row_vanishes(self):
         row = np.zeros((1, 5))
         row[0, 1] = 50.0
-        assert text_to_image_loss(smat(row), LabelVector([1]), CFG) < 1e-20
+        assert image_to_text_loss(smat(row), LabelVector([1]), CFG) < 1e-20
 
     def test_two_row_hand_value(self):
         s = smat([[np.log(2.0), 0.0], [0.0, np.log(2.0)]])
-        got = text_to_image_loss(s, LabelVector([0, 0]), CFG)
+        got = image_to_text_loss(s, LabelVector([0, 0]), CFG)
         np.testing.assert_allclose(got, 0.7520386983881371, atol=1e-12)
 
     def test_row_shift_invariance(self):
@@ -54,19 +72,23 @@ class TestTextToImage:
         shifted = s.data.copy()
         shifted[0] += 3.7
         np.testing.assert_allclose(
-            text_to_image_loss(smat(shifted), labels, CFG),
-            text_to_image_loss(s, labels, CFG),
+            image_to_text_loss(smat(shifted), labels, CFG),
+            image_to_text_loss(s, labels, CFG),
             atol=1e-12,
         )
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError):
-            text_to_image_loss(smat(np.zeros((2, 3))), LabelVector([0]), CFG)
+            image_to_text_loss(smat(np.zeros((2, 3))), LabelVector([0]), CFG)
 
 
 class TestImageToText:
+    """Column softmax over the images of each present grade: the text-to-image
+    term.  The class keeps its earlier, swapped name so that its test ids stay
+    stable."""
+
     def test_zero_scores_hand_value(self):
-        got = image_to_text_loss(smat(np.zeros((3, 2))), LabelVector([0, 0, 1]), CFG)
+        got = text_to_image_loss(smat(np.zeros((3, 2))), LabelVector([0, 0, 1]), CFG)
         np.testing.assert_allclose(got, 0.7520386983881371, atol=1e-12)
 
     def test_single_class_batch_averages_over_one(self):
@@ -78,19 +100,19 @@ class TestImageToText:
         # KL(uniform || softmax(col)) = logsumexp(col) - mean(col) - ln(M)
         lse = float(np.log(np.exp(col - col.max()).sum()) + col.max())
         expected = lse - float(col.mean()) - np.log(4.0)
-        np.testing.assert_allclose(image_to_text_loss(s, labels, CFG), expected, atol=1e-12)
+        np.testing.assert_allclose(text_to_image_loss(s, labels, CFG), expected, atol=1e-12)
 
     def test_single_image_is_zero(self):
         s = smat([[0.3, -1.2, 0.7]])
-        assert image_to_text_loss(s, LabelVector([1]), CFG) == 0.0
+        assert text_to_image_loss(s, LabelVector([1]), CFG) == 0.0
 
     def test_column_shift_invariance(self):
         s, labels, rng = random_case(22)
         shifted = s.data.copy()
         shifted[:, 0] += 2.2
         np.testing.assert_allclose(
-            image_to_text_loss(smat(shifted), labels, CFG),
-            image_to_text_loss(s, labels, CFG),
+            text_to_image_loss(smat(shifted), labels, CFG),
+            text_to_image_loss(s, labels, CFG),
             atol=1e-12,
         )
 
@@ -108,7 +130,7 @@ class TestMainLoss:
     def test_is_mean_of_sub_losses(self):
         for seed in range(10):
             s, labels, _ = random_case(seed)
-            expected = 0.5 * (image_to_text_loss(s, labels, CFG) + text_to_image_loss(s, labels, CFG))
+            expected = 0.5 * (text_to_image_loss(s, labels, CFG) + image_to_text_loss(s, labels, CFG))
             assert main_loss(s, labels, CFG) == expected
 
 

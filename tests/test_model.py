@@ -1,9 +1,12 @@
 """Encoder, initialization, determinism, serialization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from rankprompt.core import InputError, LabelVector
+from rankprompt import losses, sms
+from rankprompt.core import InputError, LabelVector, SimilarityMatrix
 from rankprompt.losses import LossConfig
 from rankprompt.model import (
     PARAM_FIELDS,
@@ -90,7 +93,6 @@ class TestForwardSimilarity:
         s = forward_similarity(p, feats)
         manual = encode_images(p, feats).data @ p.text.T
         np.testing.assert_allclose(s.data, manual)
-        assert not s.calibrated
 
     def test_backward_report_is_consistent(self):
         rng = np.random.default_rng(3)
@@ -114,6 +116,43 @@ class TestForwardSimilarity:
             np.testing.assert_allclose(
                 lam_only.grads[name], full.grads[name] - zero_lam.grads[name], atol=1e-12
             )
+
+
+class TestBackwardSinglePass:
+    def test_each_term_and_the_calibration_map_run_once(self, monkeypatch):
+        """One step evaluates every loss term once, value and gradient
+        together, and builds the frozen calibration map once."""
+        calls = Counter()
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        rng = np.random.default_rng(6)
+        stats = sms.init_class_stats(5)
+        rows = SimilarityMatrix(rng.normal(size=(40, 5)))
+        stats = sms.commit_epoch(sms.accumulate_class_stats(stats, rows, LabelVector(np.arange(40) % 5)))
+        assert stats.calibration_active
+        p = init_params(4, 6, 3, 5, 7)
+        feats = rng.normal(size=(8, 4))
+        labels = LabelVector(rng.integers(0, 5, 8))
+
+        for name in ("image_to_text_term", "text_to_image_term", "rank_term", "total_loss"):
+            count(losses, name)
+        count(sms, "calibration_map")
+        model_backward(p, feats, labels, stats, LossConfig())
+        assert calls == {
+            "image_to_text_term": 1,
+            "text_to_image_term": 1,
+            "rank_term": 1,
+            "total_loss": 1,
+            "calibration_map": 1,
+        }
 
 
 class TestSerialization:
