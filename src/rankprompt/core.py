@@ -6,7 +6,7 @@ All values are float64 and immutable once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class LabelVector:
     """0-based class index per image."""
 
     labels: np.ndarray
+    # Largest label, fixed at construction so range checks are O(1).
+    max_label: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.labels, copy=True)
@@ -97,13 +99,14 @@ class LabelVector:
             raise InputError("labels must be non-negative class indices")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
+        object.__setattr__(self, "max_label", int(arr.max()))
 
     def __len__(self) -> int:
         return int(self.labels.size)
 
     def validate_for(self, k: int) -> None:
         """Reject any label outside [0, k-1]."""
-        if np.any(self.labels >= k):
+        if self.max_label >= k:
             bad = int(self.labels[np.argmax(self.labels >= k)])
             raise InputError(f"label {bad} out of range for {k} classes")
 

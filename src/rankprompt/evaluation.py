@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import InputError, LabelVector, SimilarityMatrix, softmax_rows
 
@@ -46,14 +45,11 @@ def confusion_matrix(predictions: LabelVector, truth: LabelVector, k: int) -> np
     _check_lengths(predictions, truth)
     predictions.validate_for(k)
     truth.validate_for(k)
-    out = np.zeros((k, k), dtype=np.int64)
-    np.add.at(out, (truth.labels, predictions.labels), 1)
-    return out
+    cells = truth.labels * k + predictions.labels
+    return np.bincount(cells, minlength=k * k).astype(np.int64, copy=False).reshape(k, k)
 
 
-def macro_f1(predictions: LabelVector, truth: LabelVector, k: int) -> float:
-    """Unweighted mean over all k classes of 2PR/(P+R); 0/0 counts as 0."""
-    cm = confusion_matrix(predictions, truth, k)
+def _macro_f1_from_confusion(cm: np.ndarray) -> float:
     tp = np.diag(cm).astype(np.float64)
     fp = cm.sum(axis=0) - tp
     fn = cm.sum(axis=1) - tp
@@ -64,12 +60,32 @@ def macro_f1(predictions: LabelVector, truth: LabelVector, k: int) -> float:
     return float(f1.mean())
 
 
-def _auc_binary(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Rank-sum AUC with midrank ties: P(score_pos > score_neg) + 0.5 P(=)."""
-    n_pos = int(positive.sum())
-    n_neg = positive.size - n_pos
-    ranks = rankdata(scores)
-    return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+def macro_f1(predictions: LabelVector, truth: LabelVector, k: int) -> float:
+    """Unweighted mean over all k classes of 2PR/(P+R); 0/0 counts as 0."""
+    return _macro_f1_from_confusion(confusion_matrix(predictions, truth, k))
+
+
+def midranks(scores: np.ndarray) -> np.ndarray:
+    """1-based rank of every entry within its column, tied entries sharing
+    the mean of the ranks they span (scipy's ``rankdata(scores, axis=0)``).
+
+    All columns are sorted in one pass over a contiguous K x M copy.  The
+    sort need not be stable: tied entries get the same mean rank whatever
+    order they come out in.
+    """
+    cols = np.ascontiguousarray(scores.T)
+    k, m = cols.shape
+    order = np.argsort(cols, axis=1)
+    ordered = np.take_along_axis(cols, order, axis=1)
+    new_value = np.ones((k, m), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_value[:, 1:])
+    # Every row opens a group, so no tie group spans two columns.
+    starts = np.flatnonzero(new_value)
+    counts = np.diff(starts, append=k * m)
+    group_rank = (starts % m + 1) + (counts - 1) / 2.0
+    ranks = np.empty((k, m))
+    np.put_along_axis(ranks, order, np.repeat(group_rank, counts).reshape(k, m), axis=1)
+    return ranks.T
 
 
 def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float, list]:
@@ -83,12 +99,20 @@ def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float
     if scores.ndim != 2 or scores.shape != (len(truth), k):
         raise InputError(f"scores must be {len(truth)} x {k}, got shape {scores.shape}")
     truth.validate_for(k)
-    present = np.unique(truth.labels)
-    if present.size < 2:
-        raise InputError(f"AUC needs at least 2 distinct classes present, got {present.size}")
-    per_class = np.full(k, np.nan)
-    for j in present:
-        per_class[j] = _auc_binary(scores[:, j], truth.labels == j)
+    n_pos = np.bincount(truth.labels, minlength=k)
+    n_present = int(np.count_nonzero(n_pos))
+    if n_present < 2:
+        raise InputError(f"AUC needs at least 2 distinct classes present, got {n_present}")
+    if np.isnan(scores).any():
+        raise InputError("scores contain NaN")
+    # Rank-sum AUC with midrank ties: P(score_pos > score_neg) + 0.5 P(=).
+    # Midranks are half-integers, so every sum below is exact in float64.
+    own_rank = midranks(scores)[np.arange(len(truth)), truth.labels]
+    rank_sum = np.bincount(truth.labels, weights=own_rank, minlength=k)
+    n_neg = len(truth) - n_pos
+    with np.errstate(invalid="ignore"):
+        auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    per_class = np.where(n_pos > 0, auc, np.nan)
     return float(np.nanmean(per_class)), per_class.tolist()
 
 
@@ -131,11 +155,12 @@ def metrics_report(s_cal: SimilarityMatrix, truth: LabelVector, k: int, tau: flo
     probs = softmax_rows(s_cal, tau).data
     pred = predict(s_cal)
     macro_auc, per_class = auc_macro_ovr(probs, truth, k)
+    confusion = confusion_matrix(pred, truth, k)
     return MetricsReport(
-        macro_f1=macro_f1(pred, truth, k),
+        macro_f1=_macro_f1_from_confusion(confusion),
         macro_auc=macro_auc,
         per_class_auc=per_class,
         rank_monotonicity=rank_monotonicity(s_cal, truth),
-        confusion=confusion_matrix(pred, truth, k),
+        confusion=confusion,
         n_eval=s_cal.m,
     )

@@ -85,10 +85,19 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms, norms
 
 
+def _mlp_forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(embeddings, hidden activations), with the bias adds and tanh in place."""
+    hidden = features @ params.w1
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
+    x = hidden @ params.w2
+    x += params.b2
+    return x, hidden
+
+
 def encode_images(params: ModelParams, features: np.ndarray, normalize: bool = False) -> EmbeddingMatrix:
     """X = tanh(features @ w1 + b1) @ w2 + b2, optionally unit-normalized rows."""
-    features = _check_features(params, features)
-    x = np.tanh(features @ params.w1 + params.b1) @ params.w2 + params.b2
+    x, _ = _mlp_forward(params, _check_features(params, features))
     if normalize:
         x, _ = _unit_rows(x)
     return EmbeddingMatrix(x)
@@ -131,8 +140,7 @@ def model_backward(
     rank term alone (the report still shows every term).
     """
     features = _check_features(params, features)
-    pre = np.tanh(features @ params.w1 + params.b1)
-    x_raw = pre @ params.w2 + params.b2
+    x_raw, pre = _mlp_forward(params, features)
     if normalize:
         x, x_norms = _unit_rows(x_raw)
         t, t_norms = _unit_rows(params.text)
@@ -230,18 +238,18 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ModelParams:
+    """Rebuild parameters, rejecting any tensor whose shape disagrees with ``hyper``."""
     hyper = d["hyper"]
-    return ModelParams(
-        w1=np.asarray(d["w1"], dtype=np.float64),
-        b1=np.asarray(d["b1"], dtype=np.float64),
-        w2=np.asarray(d["w2"], dtype=np.float64),
-        b2=np.asarray(d["b2"], dtype=np.float64),
-        text=np.asarray(d["text"], dtype=np.float64),
-        feature_dim=int(hyper["feature_dim"]),
-        hidden_dim=int(hyper["hidden_dim"]),
-        embed_dim=int(hyper["embed_dim"]),
-        classes=int(hyper["classes"]),
-    )
+    f, h, e, k = (int(hyper[name]) for name in ("feature_dim", "hidden_dim", "embed_dim", "classes"))
+    expected = {"w1": (f, h), "b1": (h,), "w2": (h, e), "b2": (e,), "text": (k, e)}
+    values = {}
+    for name in PARAM_FIELDS:
+        values[name] = np.asarray(d[name], dtype=np.float64)
+        if values[name].shape != expected[name]:
+            raise InputError(
+                f"parameter {name} has shape {values[name].shape}, hyper expects {expected[name]}"
+            )
+    return ModelParams(**values, feature_dim=f, hidden_dim=h, embed_dim=e, classes=k)
 
 
 def optimizer_to_dict(state: OptimizerState) -> dict:

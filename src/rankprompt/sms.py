@@ -224,24 +224,21 @@ def calibration_map(
         raise StateError("statistics were accumulated but never committed; call commit_epoch first")
     if variant not in CALIBRATION_VARIANTS:
         raise InputError(f"unknown calibration variant {variant!r}")
-    scale = np.ones((s.m, stats.dim))
-    offset = np.zeros((s.m, stats.dim))
-    if not (stats.committed and stats.calibration_active):
-        return scale, offset
-    lab = labels.labels
-    usable = (stats.frozen_count > 0)[lab]
-    if np.any(usable):
-        j = lab[usable]
-        mu = stats.frozen_mean[j]
-        smu = stats.smoothed_mean[j]
-        svar = stats.smoothed_var[j]
+    # One (scale, offset) row per grade; each similarity row takes its label's.
+    scale = np.ones((stats.k, stats.dim))
+    offset = np.zeros((stats.k, stats.dim))
+    if stats.committed and stats.calibration_active:
+        usable = stats.frozen_count > 0
+        mu = stats.frozen_mean[usable]
+        smu = stats.smoothed_mean[usable]
+        svar = stats.smoothed_var[usable]
         if variant == "standard":
-            sc = np.sqrt(svar) / np.sqrt(stats.frozen_var[j])
+            sc = np.sqrt(svar) / np.sqrt(stats.frozen_var[usable])
         else:
             sc = np.sqrt(svar) * np.sqrt(np.abs(smu))
         scale[usable] = sc
         offset[usable] = smu - sc * mu
-    return scale, offset
+    return scale[labels.labels], offset[labels.labels]
 
 
 def calibrate_rows(
@@ -281,7 +278,9 @@ def stats_to_dict(stats: ClassStats) -> dict:
 
 
 def stats_from_dict(d: dict) -> ClassStats:
-    """Rebuild committed statistics; the loaded object starts a fresh epoch."""
+    """Rebuild committed statistics; the loaded object starts a fresh epoch.
+
+    Per-class lists must hold ``k`` entries of length ``dim``."""
     k = int(d["k"])
     dim = int(d["dim"])
     kern = d["kernel"]
@@ -299,17 +298,22 @@ def stats_from_dict(d: dict) -> ClassStats:
     def from_per_class(rows):
         if rows is None:
             return None
+        if len(rows) != k:
+            raise InputError(f"calibration statistics cover {len(rows)} classes, expected {k}")
         out = np.full((k, dim), np.nan)
         for j, row in enumerate(rows):
             if row is not None:
                 out[j] = np.asarray(row, dtype=np.float64)
         return out
 
+    count = None if d["count"] is None else np.asarray(d["count"], dtype=np.int64)
+    if count is not None and count.shape != (k,):
+        raise InputError(f"calibration count has shape {count.shape}, expected ({k},)")
     return replace(
         stats,
         committed=bool(d["committed"]),
         calibration_active=bool(d["calibration_active"]),
-        frozen_count=None if d["count"] is None else np.asarray(d["count"], dtype=np.int64),
+        frozen_count=count,
         frozen_mean=from_per_class(d["mean"]),
         frozen_var=from_per_class(d["var"]),
         smoothed_mean=from_per_class(d["smoothed_mean"]),

@@ -18,7 +18,7 @@ from . import model as M
 from . import sms
 from .config import RunConfig, config_to_dict
 from .core import LabelVector, SimilarityMatrix
-from .data import Dataset, batch_iter
+from .data import Dataset, ParseError, batch_iter
 from .evaluation import MetricsReport, class_mean_similarity, metrics_report
 from .losses import LossConfig
 
@@ -142,11 +142,20 @@ def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[M.ModelParams, M.OptimizerState, sms.ClassStats, dict]:
+    """Read a checkpoint; a malformed file raises ParseError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return (
-        M.params_from_dict(doc["params"]),
-        M.optimizer_from_dict(doc["optimizer"]),
-        sms.stats_from_dict(doc["sms"]),
-        doc,
-    )
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not a JSON checkpoint: {exc}") from None
+    try:
+        return (
+            M.params_from_dict(doc["params"]),
+            M.optimizer_from_dict(doc["optimizer"]),
+            sms.stats_from_dict(doc["sms"]),
+            doc,
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: checkpoint is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint: {exc}") from None

@@ -209,6 +209,49 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
 
 
+class TestMalformedCheckpoint:
+    """`eval` on a broken checkpoint exits 3 with a message naming the file."""
+
+    def eval_with_checkpoint(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        ckpt = out / "checkpoint.json"
+        ckpt.write_text(text(json.loads(ckpt.read_text())))
+        capsys.readouterr()
+        code = main(["eval", "--config", cfg, "--out", str(out)])
+        return code, capsys.readouterr().err
+
+    def test_not_json_is_3(self, tmp_path, capsys):
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, lambda doc: "{not json")
+        assert code == 3
+        assert "checkpoint.json" in err
+
+    def test_missing_params_is_3(self, tmp_path, capsys):
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, lambda doc: "{}")
+        assert code == 3
+        assert "checkpoint.json" in err and "params" in err
+
+    def test_w1_shape_disagrees_with_hyper_is_3(self, tmp_path, capsys):
+        def drop_w1_row(doc):
+            doc["params"]["w1"] = doc["params"]["w1"][:-1]
+            return json.dumps(doc)
+
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, drop_w1_row)
+        assert code == 3
+        assert "checkpoint.json" in err and "w1" in err
+
+    def test_calibration_count_shorter_than_k_is_3(self, tmp_path, capsys):
+        def drop_count(doc):
+            doc["sms"]["count"] = doc["sms"]["count"][:-1]
+            return json.dumps(doc)
+
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, drop_count)
+        assert code == 3
+        assert "checkpoint.json" in err and "count" in err
+
+
 class TestSeedEnv:
     def test_env_overrides_config_seed(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -1,8 +1,18 @@
 """Metric oracles: macro F1, one-vs-rest AUC, ranking diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
+import rankprompt
 from rankprompt.core import InputError, LabelVector, SimilarityMatrix
 from rankprompt.evaluation import (
     auc_macro_ovr,
@@ -10,6 +20,7 @@ from rankprompt.evaluation import (
     confusion_matrix,
     macro_f1,
     metrics_report,
+    midranks,
     predict,
     rank_monotonicity,
 )
@@ -96,6 +107,66 @@ class TestAuc:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             auc_macro_ovr(np.zeros((2, 2)), LabelVector([0, 1, 0]), 2)
+
+    def test_nan_scores_rejected(self):
+        scores = np.array([[0.9, 0.1], [np.nan, 0.2], [0.1, 0.9]])
+        with pytest.raises(InputError, match="NaN"):
+            auc_macro_ovr(scores, LabelVector([0, 0, 1]), 2)
+
+
+@st.composite
+def score_matrices(draw, min_rows=1):
+    """M x K scores, either small integers (heavy ties) or continuous values."""
+    m = draw(st.integers(min_rows, 300))
+    k = draw(st.integers(2, 8))
+    elements = draw(
+        st.sampled_from(
+            [
+                st.integers(0, 3).map(float),
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            ]
+        )
+    )
+    return draw(hnp.arrays(np.float64, (m, k), elements=elements))
+
+
+def per_column_auc(scores, labels, k):
+    """The one-vs-rest AUC as one scipy ``rankdata`` call per present class."""
+    per_class = np.full(k, np.nan)
+    for j in np.unique(labels):
+        positive = labels == j
+        n_pos = int(positive.sum())
+        n_neg = positive.size - n_pos
+        ranks = rankdata(scores[:, j])
+        per_class[j] = float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(np.nanmean(per_class)), per_class
+
+
+class TestMidranksMatchScipy:
+    @settings(deadline=None, max_examples=50)
+    @given(score_matrices())
+    def test_ranks_equal_rankdata(self, scores):
+        np.testing.assert_array_equal(midranks(scores), rankdata(scores, axis=0))
+
+    @settings(deadline=None, max_examples=50)
+    @given(score_matrices(min_rows=2), st.data())
+    def test_auc_equals_per_column_formula(self, scores, data):
+        m, k = scores.shape
+        labels = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1)))
+        labels[:2] = data.draw(st.permutations(range(k)))[:2]  # at least two classes present
+        macro, per_class = auc_macro_ovr(scores, LabelVector(labels), k)
+        want_macro, want_per_class = per_column_auc(scores, labels, k)
+        assert macro == want_macro
+        np.testing.assert_array_equal(per_class, want_per_class)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(rankprompt.__file__).resolve().parents[1])
+    code = "import sys, rankprompt, rankprompt.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestRankMonotonicity:

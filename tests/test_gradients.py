@@ -71,10 +71,9 @@ class TestLossGradients:
             got = total_loss(smat(sdata), labels, cfg).grad_similarity
             np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
 
-    def test_text_to_image_grad_rows_sum_to_zero(self):
+    def test_image_to_text_grad_rows_sum_to_zero(self):
         """Softmax minus one-hot: every row of the image-to-text (row-softmax)
-        term's gradient sums to 0.  The test keeps its earlier, swapped name
-        so that its test id stays stable."""
+        term's gradient sums to 0."""
         for seed in range(10):
             sdata, labels, cfg = random_case(seed + 3000)
             _, g = image_to_text_term(smat(sdata), labels, cfg)

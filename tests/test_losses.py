@@ -48,9 +48,8 @@ def random_case(seed, m_hi=8, k_hi=6):
     return s, labels, rng
 
 
-class TestTextToImage:
-    """Row softmax over the grades: the image-to-text term.  The class keeps
-    its earlier, swapped name so that its test ids stay stable."""
+class TestImageToText:
+    """Row softmax over the grades: the image-to-text term."""
 
     def test_zero_scores_give_log_k(self):
         s = smat(np.zeros((3, 5)))
@@ -82,10 +81,9 @@ class TestTextToImage:
             image_to_text_loss(smat(np.zeros((2, 3))), LabelVector([0]), CFG)
 
 
-class TestImageToText:
+class TestTextToImage:
     """Column softmax over the images of each present grade: the text-to-image
-    term.  The class keeps its earlier, swapped name so that its test ids stay
-    stable."""
+    term."""
 
     def test_zero_scores_hand_value(self):
         got = text_to_image_loss(smat(np.zeros((3, 2))), LabelVector([0, 0, 1]), CFG)
