@@ -30,7 +30,6 @@ class RunConfig:
     tau: float = 1.0
     lambda_rank: float = 1.0
     sms_enabled: bool = True
-    sms_variant: str = "standard"
     # self-inclusive narrow kernel: self-excluded smoothing recenters every
     # row at statistics that its class deviations can never dominate (they
     # sum to zero), which diverges over long training runs
@@ -55,7 +54,6 @@ class RunConfig:
             (self.learning_rate > 0, "learning_rate must be positive"),
             (self.tau > 0, "tau must be positive"),
             (self.lambda_rank >= 0, "lambda_rank must be >= 0"),
-            (self.sms_variant in ("standard", "literal"), "sms_variant must be standard or literal"),
             (self.sms_sigma > 0, "sms_sigma must be positive"),
             (len(self.out_dir) > 0, "out_dir must be non-empty"),
         ]

@@ -153,7 +153,7 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
         ) or len(header) < 4:
             raise ParseError(f"{path}: line 1: header must be id,label,split,f0,... got {header}")
         width = len(header) - 3
-        ids, labels, split, feats = [], [], [], []
+        ids, labels, split, feats, linenos = [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -171,15 +171,19 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
                 feats.append([float(v) for v in row[3:]])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric feature cell") from None
-            k = expected_classes if expected_classes is not None else None
-            if labels[-1] < 0 or (k is not None and labels[-1] >= k):
+            linenos.append(lineno)
+            if labels[-1] < 0 or (expected_classes is not None and labels[-1] >= expected_classes):
                 raise ParseError(f"{path}: line {lineno}: label {labels[-1]} out of range")
     if not labels:
         raise ParseError(f"{path}: line 2: no data rows")
+    features = np.array(feats, dtype=np.float64).reshape(len(labels), width)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: line {linenos[bad[0]]}: non-finite feature cell")
     classes = expected_classes if expected_classes is not None else max(labels) + 1
     try:
         return Dataset(
-            features=np.array(feats, dtype=np.float64).reshape(len(labels), width),
+            features=features,
             labels=LabelVector(np.array(labels, dtype=np.int64)),
             split=np.array(split, dtype=object),
             ids=np.array(ids, dtype=np.int64),

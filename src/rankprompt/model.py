@@ -128,7 +128,6 @@ def model_backward(
     labels: LabelVector,
     stats: sms.ClassStats | None,
     cfg: L.LossConfig,
-    variant: str = "standard",
     normalize: bool = False,
     include_main: bool = True,
 ) -> BackwardResult:
@@ -148,7 +147,7 @@ def model_backward(
         x, t = x_raw, params.text
     s_raw = SimilarityMatrix(x @ t.T)
     if stats is not None:
-        scale, offset = sms.calibration_map(s_raw, labels, stats, variant)
+        scale, offset = sms.calibration_map(s_raw, labels, stats)
         s_cal = SimilarityMatrix(scale * s_raw.data + offset)
     else:
         s_cal = s_raw
@@ -238,7 +237,8 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ModelParams:
-    """Rebuild parameters, rejecting any tensor whose shape disagrees with ``hyper``."""
+    """Rebuild parameters, rejecting any tensor whose shape disagrees with
+    ``hyper`` or that holds a non-finite value."""
     hyper = d["hyper"]
     f, h, e, k = (int(hyper[name]) for name in ("feature_dim", "hidden_dim", "embed_dim", "classes"))
     expected = {"w1": (f, h), "b1": (h,), "w2": (h, e), "b2": (e,), "text": (k, e)}
@@ -249,6 +249,8 @@ def params_from_dict(d: dict) -> ModelParams:
             raise InputError(
                 f"parameter {name} has shape {values[name].shape}, hyper expects {expected[name]}"
             )
+        if not np.isfinite(values[name]).all():
+            raise InputError(f"parameter {name} has non-finite entries")
     return ModelParams(**values, feature_dim=f, hidden_dim=h, embed_dim=e, classes=k)
 
 

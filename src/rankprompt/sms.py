@@ -18,8 +18,6 @@ from .core import InputError, LabelVector, SimilarityMatrix, StateError
 # Variance floor: a single-sample class must still yield a usable scale.
 VAR_FLOOR = 1e-6
 
-CALIBRATION_VARIANTS = ("standard", "literal")
-
 
 class CalibrationDisabled(Exception):
     """Too few classes observed this epoch to smooth across."""
@@ -32,11 +30,8 @@ class KernelSpec:
     sigma: float = 1.0
     include_self: bool = False
     normalize: bool = True
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise InputError(f"unsupported kernel kind {self.kind!r}")
         if not self.sigma > 0:
             raise InputError(f"kernel sigma must be positive, got {self.sigma}")
 
@@ -70,7 +65,8 @@ class ClassStats:
     The ``epoch_*`` arrays accumulate the running epoch; ``commit_epoch``
     freezes their mean/variance plus smoothed versions into the
     ``frozen_*`` / ``smoothed_*`` fields and resets the accumulators.
-    Calibration only ever reads the frozen side.
+    Calibration only ever reads the frozen side.  ``committed`` and
+    ``calibration_active`` are derived from which of those arrays exist.
     """
 
     k: int
@@ -79,13 +75,21 @@ class ClassStats:
     epoch_sum: np.ndarray
     epoch_sumsq: np.ndarray
     epoch_count: np.ndarray
-    committed: bool = False
-    calibration_active: bool = False
     frozen_mean: np.ndarray | None = None
     frozen_var: np.ndarray | None = None
     frozen_count: np.ndarray | None = None
     smoothed_mean: np.ndarray | None = None
     smoothed_var: np.ndarray | None = None
+
+    @property
+    def committed(self) -> bool:
+        """True once an epoch with samples has been frozen."""
+        return self.frozen_count is not None
+
+    @property
+    def calibration_active(self) -> bool:
+        """True when smoothed statistics exist: the last commit saw at least two classes."""
+        return self.smoothed_mean is not None
 
     @property
     def mean(self) -> np.ndarray:
@@ -182,16 +186,14 @@ def commit_epoch(stats: ClassStats) -> ClassStats:
         return stats
     try:
         smoothed = smooth_stats(stats)
-        sm, sv, active = smoothed.smoothed_mean, smoothed.smoothed_var, True
+        sm, sv = smoothed.smoothed_mean, smoothed.smoothed_var
     except CalibrationDisabled:
-        sm, sv, active = None, None, False
+        sm, sv = None, None
     return replace(
         stats,
         epoch_sum=np.zeros_like(stats.epoch_sum),
         epoch_sumsq=np.zeros_like(stats.epoch_sumsq),
         epoch_count=np.zeros_like(stats.epoch_count),
-        committed=True,
-        calibration_active=active,
         frozen_mean=stats.mean,
         frozen_var=stats.var,
         frozen_count=stats.epoch_count.copy(),
@@ -200,14 +202,10 @@ def commit_epoch(stats: ClassStats) -> ClassStats:
     )
 
 
-def calibration_map(
-    s: SimilarityMatrix, labels: LabelVector, stats: ClassStats, variant: str = "standard"
-) -> tuple[np.ndarray, np.ndarray]:
+def calibration_map(s: SimilarityMatrix, labels: LabelVector, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset.
 
-    standard: scale = sqrt(smoothed_var/var), offset = smoothed_mean - scale*mean
-    literal:  scale = sqrt(smoothed_var) * sqrt(|smoothed_mean|), same offset
-
+    scale = sqrt(smoothed_var/var), offset = smoothed_mean - scale*mean,
     with mean/var/smoothed_* the frozen per-class statistics of the row's
     true class.  Before any commit the map is the identity (cold start);
     rows of classes without committed statistics get scale 1, offset 0.
@@ -222,31 +220,21 @@ def calibration_map(
     labels.validate_for(stats.k)
     if not stats.committed and int(stats.epoch_count.sum()) > 0:
         raise StateError("statistics were accumulated but never committed; call commit_epoch first")
-    if variant not in CALIBRATION_VARIANTS:
-        raise InputError(f"unknown calibration variant {variant!r}")
     # One (scale, offset) row per grade; each similarity row takes its label's.
     scale = np.ones((stats.k, stats.dim))
     offset = np.zeros((stats.k, stats.dim))
-    if stats.committed and stats.calibration_active:
+    if stats.calibration_active:
         usable = stats.frozen_count > 0
-        mu = stats.frozen_mean[usable]
-        smu = stats.smoothed_mean[usable]
-        svar = stats.smoothed_var[usable]
-        if variant == "standard":
-            sc = np.sqrt(svar) / np.sqrt(stats.frozen_var[usable])
-        else:
-            sc = np.sqrt(svar) * np.sqrt(np.abs(smu))
+        sc = np.sqrt(stats.smoothed_var[usable]) / np.sqrt(stats.frozen_var[usable])
         scale[usable] = sc
-        offset[usable] = smu - sc * mu
+        offset[usable] = stats.smoothed_mean[usable] - sc * stats.frozen_mean[usable]
     return scale[labels.labels], offset[labels.labels]
 
 
-def calibrate_rows(
-    s: SimilarityMatrix, labels: LabelVector, stats: ClassStats, variant: str = "standard"
-) -> SimilarityMatrix:
+def calibrate_rows(s: SimilarityMatrix, labels: LabelVector, stats: ClassStats) -> SimilarityMatrix:
     """Affine-map each row toward the smoothed statistics of its true class
     through ``calibration_map``: out = scale * s + offset."""
-    scale, offset = calibration_map(s, labels, stats, variant)
+    scale, offset = calibration_map(s, labels, stats)
     return SimilarityMatrix(scale * s.data + offset)
 
 
@@ -262,13 +250,10 @@ def stats_to_dict(stats: ClassStats) -> dict:
         "k": stats.k,
         "dim": stats.dim,
         "kernel": {
-            "kind": stats.kernel.kind,
             "sigma": stats.kernel.sigma,
             "include_self": stats.kernel.include_self,
             "normalize": stats.kernel.normalize,
         },
-        "committed": stats.committed,
-        "calibration_active": stats.calibration_active,
         "count": None if stats.frozen_count is None else stats.frozen_count.tolist(),
         "mean": per_class(stats.frozen_mean),
         "var": per_class(stats.frozen_var),
@@ -280,7 +265,11 @@ def stats_to_dict(stats: ClassStats) -> dict:
 def stats_from_dict(d: dict) -> ClassStats:
     """Rebuild committed statistics; the loaded object starts a fresh epoch.
 
-    Per-class lists must hold ``k`` entries of length ``dim``."""
+    ``count``/``mean``/``var`` are all null (nothing committed) or all
+    present, likewise ``smoothed_mean``/``smoothed_var``, which need the
+    frozen ones.  Per-class lists hold ``k`` entries of length ``dim``; a
+    class with a positive count needs a finite row, other rows may be null.
+    Keys this function does not read are ignored."""
     k = int(d["k"])
     dim = int(d["dim"])
     kern = d["kernel"]
@@ -290,32 +279,48 @@ def stats_from_dict(d: dict) -> ClassStats:
             sigma=float(kern["sigma"]),
             include_self=bool(kern["include_self"]),
             normalize=bool(kern["normalize"]),
-            kind=kern["kind"],
         ),
         dim=dim,
     )
 
-    def from_per_class(rows):
+    def present(keys) -> bool:
+        nulls = [d[key] is None for key in keys]
+        if any(nulls) and not all(nulls):
+            raise InputError(f"calibration statistics {'/'.join(keys)} must be all null or all present")
+        return not nulls[0]
+
+    frozen = present(("count", "mean", "var"))
+    smoothed = present(("smoothed_mean", "smoothed_var"))
+    if smoothed and not frozen:
+        raise InputError("smoothed calibration statistics need frozen count/mean/var")
+    if not frozen:
+        return stats
+    count = np.asarray(d["count"], dtype=np.int64)
+    if count.shape != (k,):
+        raise InputError(f"calibration count has shape {count.shape}, expected ({k},)")
+    seen = count > 0
+
+    def from_per_class(key):
+        rows = d[key]
         if rows is None:
             return None
         if len(rows) != k:
-            raise InputError(f"calibration statistics cover {len(rows)} classes, expected {k}")
+            raise InputError(f"calibration {key} covers {len(rows)} classes, expected {k}")
         out = np.full((k, dim), np.nan)
         for j, row in enumerate(rows):
             if row is not None:
                 out[j] = np.asarray(row, dtype=np.float64)
+            elif seen[j]:
+                raise InputError(f"calibration {key} has no row for observed class {j}")
+        if not np.isfinite(out[seen]).all():
+            raise InputError(f"calibration {key} has non-finite entries for an observed class")
         return out
 
-    count = None if d["count"] is None else np.asarray(d["count"], dtype=np.int64)
-    if count is not None and count.shape != (k,):
-        raise InputError(f"calibration count has shape {count.shape}, expected ({k},)")
     return replace(
         stats,
-        committed=bool(d["committed"]),
-        calibration_active=bool(d["calibration_active"]),
         frozen_count=count,
-        frozen_mean=from_per_class(d["mean"]),
-        frozen_var=from_per_class(d["var"]),
-        smoothed_mean=from_per_class(d["smoothed_mean"]),
-        smoothed_var=from_per_class(d["smoothed_var"]),
+        frozen_mean=from_per_class("mean"),
+        frozen_var=from_per_class("var"),
+        smoothed_mean=from_per_class("smoothed_mean"),
+        smoothed_var=from_per_class("smoothed_var"),
     )

@@ -59,7 +59,6 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
                 labels,
                 committed if cfg.sms_enabled else None,
                 lcfg,
-                variant=cfg.sms_variant,
                 normalize=cfg.normalize_embeddings,
                 include_main=include_main,
             )
@@ -100,7 +99,7 @@ def calibrated_similarity(
     """Inference pipeline: encode, inner products, then the frozen calibration."""
     s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings)
     if use_sms and cfg.sms_enabled and stats is not None:
-        return sms.calibrate_rows(s_raw, labels, stats, cfg.sms_variant)
+        return sms.calibrate_rows(s_raw, labels, stats)
     return s_raw
 
 

@@ -274,7 +274,7 @@ class TestA5CalibrationProperties:
         stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
         s = SimilarityMatrix(rng.normal(size=(12, 5)))
         labels = LabelVector(rng.integers(0, 5, size=12))
-        out = calibrate_rows(s, labels, stats, "standard")
+        out = calibrate_rows(s, labels, stats)
         identity_dev = float(np.max(np.abs(out.data - s.data)))
 
         # per-row affinity on 50 random cases
@@ -290,9 +290,9 @@ class TestA5CalibrationProperties:
             mu_s = np.asarray(cstats.smoothed_mean[c])
             lab = LabelVector([c])
             blended = calibrate_rows(
-                SimilarityMatrix(alpha * row + (1 - alpha) * mu), lab, cstats, "standard"
+                SimilarityMatrix(alpha * row + (1 - alpha) * mu), lab, cstats
             ).data[0]
-            direct = alpha * calibrate_rows(SimilarityMatrix(row), lab, cstats, "standard").data[0]
+            direct = alpha * calibrate_rows(SimilarityMatrix(row), lab, cstats).data[0]
             expect = direct + (1 - alpha) * mu_s
             affinity_dev = max(affinity_dev, float(np.max(np.abs(blended - expect))))
 
@@ -310,9 +310,9 @@ class TestA5CalibrationProperties:
 
         # epoch freeze: mid-epoch accumulation must not move committed stats
         frozen = self.committed(rng)
-        first = calibrate_rows(s, labels, frozen, "standard")
+        first = calibrate_rows(s, labels, frozen)
         poked = accumulate_class_stats(frozen, s, labels)
-        second = calibrate_rows(s, labels, poked, "standard")
+        second = calibrate_rows(s, labels, poked)
         freeze_ok = np.array_equal(first.data, second.data)
 
         ok = identity_dev <= 1e-12 and affinity_dev <= 1e-9 and kernel_dev <= 1e-9 and freeze_ok

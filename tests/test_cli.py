@@ -1,6 +1,8 @@
 """Config parsing and end-to-end CLI runs on tiny workloads."""
 
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -193,6 +195,11 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "warp_speed = 9\n")
         assert main(["generate", "--config", cfg]) == 2
 
+    def test_removed_sms_variant_key_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sms_variant = standard\n")
+        assert main(["generate", "--config", cfg]) == 2
+        assert "unknown config key 'sms_variant'" in capsys.readouterr().err
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 3
 
@@ -250,6 +257,25 @@ class TestMalformedCheckpoint:
         code, err = self.eval_with_checkpoint(tmp_path, capsys, drop_count)
         assert code == 3
         assert "checkpoint.json" in err and "count" in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("params", "w1", 0, 0), float("nan")),
+            (("sms", "smoothed_mean"), None),
+            (("sms", "count"), None),
+            (("sms", "var", 0, 0), float("nan")),  # grade 0 is observed in every epoch
+        ],
+    )
+    def test_bad_value_is_3(self, tmp_path, capsys, path, value):
+        def rewrite(doc):
+            *parents, last = path
+            functools.reduce(operator.getitem, parents, doc)[last] = value
+            return json.dumps(doc)
+
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, rewrite)
+        assert code == 3
+        assert "checkpoint.json" in err and path[1] in err
 
 
 class TestSeedEnv:

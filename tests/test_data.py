@@ -134,6 +134,13 @@ class TestLoadCsvValidation:
         with pytest.raises(ParseError, match="line 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(self.header() + f"0,0,train,1,2\n1,1,train,3,{cell}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_csv(p)
+
     def test_bad_split_tag(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text(self.header() + "0,0,dev,1,2\n")

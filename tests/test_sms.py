@@ -168,11 +168,10 @@ class TestCalibrateRows:
         rows = rng.normal(size=(40, 4))
         labels = rng.integers(0, 4, 40)
         stats = committed_from(rows, labels, 4)
-        for variant in ("standard", "literal"):
-            for c in range(4):
-                s = SimilarityMatrix(stats.frozen_mean[c][None, :])
-                out = calibrate_rows(s, LabelVector([c]), stats, variant)
-                np.testing.assert_allclose(out.data[0], stats.smoothed_mean[c], atol=1e-12)
+        for c in range(4):
+            s = SimilarityMatrix(stats.frozen_mean[c][None, :])
+            out = calibrate_rows(s, LabelVector([c]), stats)
+            np.testing.assert_allclose(out.data[0], stats.smoothed_mean[c], atol=1e-12)
 
     def test_scalar_standard_case(self):
         """mean 1, var 1, smoothed mean 3, smoothed var 4 sends 2 to 5.
@@ -251,11 +250,6 @@ class TestCalibrateRows:
         second = calibrate_rows(s, lab, stats).data
         assert np.array_equal(first, second)
 
-    def test_unknown_variant_rejected(self):
-        stats = committed_from(np.ones((4, 2)) + np.arange(4)[:, None], [0, 0, 1, 1], 2)
-        with pytest.raises(InputError):
-            calibrate_rows(SimilarityMatrix(np.ones((1, 2))), LabelVector([0]), stats, variant="robust")
-
 
 class TestCommitEpoch:
     def test_cold_start_not_committed(self):
@@ -318,3 +312,37 @@ class TestSerialization:
         loaded = stats_from_dict(stats_to_dict(stats))
         assert not loaded.committed
         assert loaded.k == 4 and loaded.dim == 4
+
+    def test_keys_of_older_checkpoints_are_ignored(self):
+        rng = np.random.default_rng(13)
+        stats = committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3)
+        doc = stats_to_dict(stats)
+        assert not {"committed", "calibration_active"} & set(doc) and "kind" not in doc["kernel"]
+        doc.update(committed=True, calibration_active=True)
+        doc["kernel"]["kind"] = "gaussian"
+        loaded = stats_from_dict(doc)
+        assert loaded.committed and loaded.calibration_active
+        assert np.array_equal(loaded.smoothed_var, stats.smoothed_var)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"mean": None},
+            {"smoothed_var": None},
+            {"count": None},
+            {"count": None, "mean": None, "var": None},  # smoothed rows without frozen ones
+            {"var": [[float("nan")] * 3, [1.0] * 3, [1.0] * 3]},
+        ],
+    )
+    def test_inconsistent_statistics_rejected(self, edit):
+        rng = np.random.default_rng(14)
+        doc = stats_to_dict(committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3))
+        doc.update(edit)
+        with pytest.raises(InputError):
+            stats_from_dict(doc)
+
+    def test_unseen_class_rows_stay_null(self):
+        doc = stats_to_dict(committed_from(np.arange(12.0).reshape(4, 3), [0, 0, 1, 1], 3))
+        assert doc["count"] == [2, 2, 0] and doc["mean"][2] is None
+        loaded = stats_from_dict(doc)
+        assert np.isnan(loaded.frozen_mean[2]).all() and loaded.calibration_active
