@@ -19,7 +19,7 @@ from statistics import mean, stdev
 from .config import RunConfig, config_to_dict, load_config
 from .core import InputError
 from .data import Dataset, DatasetSpec, ParseError, class_counts, generate_synthetic, load_csv, write_csv
-from .train import TrainResult, evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
+from .train import evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
 
 SEED_ENV = "RANKPROMPT_SEED"
 ABLATION_VARIANTS = ("full", "no_rank", "no_main", "no_sms")
@@ -88,7 +88,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def _inference_inputs(cfg: RunConfig, args, out: Path):
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.json"
-    params, opt, stats, _ = load_checkpoint(ckpt_path)
+    params, stats = load_checkpoint(ckpt_path, cfg)
     dataset = _load_dataset(cfg, args, out)
     feats, labels = dataset.subset(args.split)
     if feats.shape[0] == 0:

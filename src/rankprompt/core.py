@@ -1,7 +1,8 @@
 """Dense numeric primitives shared by every other module.
 
-Embeddings, similarity matrices, labels, row softmax and KL divergence.
-All values are float64 and immutable once constructed.
+The image-text inner product, similarity matrices, labels, row softmax
+and KL divergence.  Similarity matrices and labels are immutable once
+constructed; similarity values are float64.
 """
 
 from __future__ import annotations
@@ -25,35 +26,6 @@ class StateError(RuntimeError):
     """An operation was invoked on an object in the wrong state."""
 
 
-def _frozen_f64(a, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Row-major matrix of embeddings, one row per image or per class text."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_f64(self.data, "embedding matrix")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InputError(f"embedding matrix must be 2-D and non-empty, got shape {np.shape(self.data)}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """M x K matrix of image-vs-class scores."""
@@ -61,7 +33,10 @@ class SimilarityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_f64(self.data, "similarity matrix")
+        arr = np.array(self.data, dtype=np.float64, copy=True)
+        if not np.all(np.isfinite(arr)):
+            raise InputError("similarity matrix contains non-finite entries")
+        arr.setflags(write=False)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise InputError(
                 f"similarity matrix needs >= 1 row and >= 2 columns, got shape {np.shape(self.data)}"
@@ -111,11 +86,16 @@ class LabelVector:
             raise InputError(f"label {bad} out of range for {k} classes")
 
 
-def similarity_matrix(images: EmbeddingMatrix, texts: EmbeddingMatrix) -> SimilarityMatrix:
-    """Inner-product scores between every image row and every text row."""
-    if images.dim != texts.dim:
-        raise InputError(f"embedding dims differ: images {images.dim} vs texts {texts.dim}")
-    return SimilarityMatrix(images.data @ texts.data.T)
+def similarity_matrix(images: np.ndarray, texts: np.ndarray) -> SimilarityMatrix:
+    """Inner-product scores between every image row and every text row.
+
+    Both inputs are 2-D arrays of equal width.  A non-finite embedding makes
+    its row of scores non-finite, which ``SimilarityMatrix`` rejects."""
+    if images.ndim != 2 or texts.ndim != 2 or images.shape[1] != texts.shape[1]:
+        raise InputError(
+            f"embeddings must be 2-D with equal widths, got images {images.shape} and texts {texts.shape}"
+        )
+    return SimilarityMatrix(images @ texts.T)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -128,11 +108,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(z))
 
 
-def softmax_rows(s: SimilarityMatrix, tau: float) -> SimilarityMatrix:
+def softmax_rows(s: SimilarityMatrix, tau: float) -> np.ndarray:
     """Row-wise temperature softmax; each output row sums to 1."""
     if not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
-    return SimilarityMatrix(_softmax(s.data / tau))
+    return _softmax(s.data / tau)
 
 
 def kl_divergence_row(p, q) -> float:

@@ -152,7 +152,7 @@ def predict(s: SimilarityMatrix) -> LabelVector:
 def metrics_report(s_cal: SimilarityMatrix, truth: LabelVector, k: int, tau: float = 1.0) -> MetricsReport:
     if len(truth) != s_cal.m:
         raise InputError(f"got {len(truth)} labels for {s_cal.m} similarity rows")
-    probs = softmax_rows(s_cal, tau).data
+    probs = softmax_rows(s_cal, tau)
     pred = predict(s_cal)
     macro_auc, per_class = auc_macro_ovr(probs, truth, k)
     confusion = confusion_matrix(pred, truth, k)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import losses as L
 from . import sms
-from .core import EmbeddingMatrix, InputError, LabelVector, SimilarityMatrix, similarity_matrix
+from .core import InputError, LabelVector, SimilarityMatrix, similarity_matrix
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -71,48 +71,43 @@ def init_params(feature_dim: int, hidden_dim: int, embed_dim: int, classes: int,
     )
 
 
-def _check_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.feature_dim:
-        raise InputError(
-            f"features must be M x {params.feature_dim}, got shape {features.shape}"
-        )
-    return features
-
-
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), NORM_FLOOR)
     return x / norms, norms
 
 
-def _mlp_forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(embeddings, hidden activations), with the bias adds and tanh in place."""
+def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tuple:
+    """The forward pass up to the inner product, for training and inference:
+    (checked features, tanh activations, image rows, text rows, and the row
+    norms divided out when ``normalize``, else None).  Bias adds and tanh
+    run in place."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != params.feature_dim:
+        raise InputError(
+            f"features must be M x {params.feature_dim}, got shape {features.shape}"
+        )
     hidden = features @ params.w1
     hidden += params.b1
     np.tanh(hidden, out=hidden)
     x = hidden @ params.w2
     x += params.b2
-    return x, hidden
+    t, x_norms, t_norms = params.text, None, None
+    if normalize:
+        x, x_norms = _unit_rows(x)
+        t, t_norms = _unit_rows(t)
+    return features, hidden, x, t, x_norms, t_norms
 
 
-def encode_images(params: ModelParams, features: np.ndarray, normalize: bool = False) -> EmbeddingMatrix:
+def encode_images(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
     """X = tanh(features @ w1 + b1) @ w2 + b2, optionally unit-normalized rows."""
-    x, _ = _mlp_forward(params, _check_features(params, features))
-    if normalize:
-        x, _ = _unit_rows(x)
-    return EmbeddingMatrix(x)
-
-
-def text_embeddings(params: ModelParams, normalize: bool = False) -> EmbeddingMatrix:
-    t = params.text
-    if normalize:
-        t, _ = _unit_rows(t)
-    return EmbeddingMatrix(t)
+    _, _, x, _, _, _ = _forward(params, features, normalize)
+    return x
 
 
 def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> SimilarityMatrix:
-    """Raw (uncalibrated) image-text inner products."""
-    return similarity_matrix(encode_images(params, features, normalize), text_embeddings(params, normalize))
+    """Raw (uncalibrated) image-text inner products, as a training step computes them."""
+    _, _, x, t, _, _ = _forward(params, features, normalize)
+    return similarity_matrix(x, t)
 
 
 @dataclass(frozen=True)
@@ -138,14 +133,8 @@ def model_backward(
     map via its frozen scale only.  ``include_main=False`` optimizes the
     rank term alone (the report still shows every term).
     """
-    features = _check_features(params, features)
-    x_raw, pre = _mlp_forward(params, features)
-    if normalize:
-        x, x_norms = _unit_rows(x_raw)
-        t, t_norms = _unit_rows(params.text)
-    else:
-        x, t = x_raw, params.text
-    s_raw = SimilarityMatrix(x @ t.T)
+    features, pre, x, t, x_norms, t_norms = _forward(params, features, normalize)
+    s_raw = similarity_matrix(x, t)
     if stats is not None:
         scale, offset = sms.calibration_map(s_raw, labels, stats)
         s_cal = SimilarityMatrix(scale * s_raw.data + offset)
@@ -252,23 +241,3 @@ def params_from_dict(d: dict) -> ModelParams:
         if not np.isfinite(values[name]).all():
             raise InputError(f"parameter {name} has non-finite entries")
     return ModelParams(**values, feature_dim=f, hidden_dim=h, embed_dim=e, classes=k)
-
-
-def optimizer_to_dict(state: OptimizerState) -> dict:
-    return {
-        "kind": state.kind,
-        "learning_rate": state.learning_rate,
-        "step": state.step,
-        "m": None if state.m is None else {k: v.tolist() for k, v in state.m.items()},
-        "v": None if state.v is None else {k: v.tolist() for k, v in state.v.items()},
-    }
-
-
-def optimizer_from_dict(d: dict) -> OptimizerState:
-    return OptimizerState(
-        kind=d["kind"],
-        learning_rate=float(d["learning_rate"]),
-        step=int(d["step"]),
-        m=None if d["m"] is None else {k: np.asarray(v, dtype=np.float64) for k, v in d["m"].items()},
-        v=None if d["v"] is None else {k: np.asarray(v, dtype=np.float64) for k, v in d["v"].items()},
-    )

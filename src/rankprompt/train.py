@@ -17,7 +17,7 @@ import numpy as np
 from . import model as M
 from . import sms
 from .config import RunConfig, config_to_dict
-from .core import LabelVector, SimilarityMatrix
+from .core import InputError, LabelVector, SimilarityMatrix
 from .data import Dataset, ParseError, batch_iter
 from .evaluation import MetricsReport, class_mean_similarity, metrics_report
 from .losses import LossConfig
@@ -26,7 +26,6 @@ from .losses import LossConfig
 @dataclass
 class TrainResult:
     params: M.ModelParams
-    opt: M.OptimizerState
     stats: sms.ClassStats
     log: list
 
@@ -41,7 +40,7 @@ def loss_config(cfg: RunConfig) -> LossConfig:
 
 def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainResult:
     """Run cfg.epochs of training on the train split; returns the final
-    parameters, optimizer state, committed statistics, and per-epoch log."""
+    parameters, committed statistics, and per-epoch log."""
     params = M.init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
     opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
     lcfg = loss_config(cfg)
@@ -85,7 +84,7 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
                 "train_rank_monotonicity": report.rank_monotonicity,
             }
         )
-    return TrainResult(params=params, opt=opt, stats=committed, log=log)
+    return TrainResult(params=params, stats=committed, log=log)
 
 
 def calibrated_similarity(
@@ -131,7 +130,6 @@ def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
     doc = {
         "config": config_to_dict(cfg),
         "params": M.params_to_dict(result.params),
-        "optimizer": M.optimizer_to_dict(result.opt),
         "sms": sms.stats_to_dict(result.stats),
         "epochs_run": len(result.log),
     }
@@ -140,21 +138,32 @@ def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def load_checkpoint(path) -> tuple[M.ModelParams, M.OptimizerState, sms.ClassStats, dict]:
-    """Read a checkpoint; a malformed file raises ParseError naming it."""
+def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats]:
+    """Read the parameters and calibration statistics of a checkpoint; keys
+    not read here (an older file's optimizer state) are ignored.
+
+    A malformed file raises ParseError naming it, and one trained with
+    another ``normalize_embeddings`` than ``cfg`` raises InputError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
             raise ParseError(f"{path}: not a JSON checkpoint: {exc}") from None
     try:
-        return (
-            M.params_from_dict(doc["params"]),
-            M.optimizer_from_dict(doc["optimizer"]),
-            sms.stats_from_dict(doc["sms"]),
-            doc,
-        )
+        params = M.params_from_dict(doc["params"])
+        shape = (doc["sms"]["k"], doc["sms"]["dim"])
+        if shape != (params.classes, params.classes):
+            raise InputError(f"sms k, dim = {shape} disagree with the {params.classes} grades of params")
+        stats = sms.stats_from_dict(doc["sms"])
+        trained_normalized = doc["config"]["normalize_embeddings"]
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from None
+    if trained_normalized != cfg.normalize_embeddings:
+        raise InputError(
+            f"{path} was trained with normalize_embeddings = {trained_normalized}, "
+            f"the config sets {cfg.normalize_embeddings}"
+        )
+    return params, stats

@@ -10,6 +10,7 @@ import pytest
 from rankprompt.cli import main
 from rankprompt.config import RunConfig, config_to_dict, parse_config_text
 from rankprompt.core import InputError
+from rankprompt.model import PARAM_FIELDS, init_params, params_from_dict
 
 
 TINY = """
@@ -122,7 +123,7 @@ class TestTrainEval:
         entry = json.loads(log_lines[0])
         assert set(entry) >= {"epoch", "main", "rank", "total", "train_macro_f1"}
         ckpt = json.loads((out / "checkpoint.json").read_text())
-        assert set(ckpt) == {"config", "epochs_run", "optimizer", "params", "sms"}
+        assert set(ckpt) == {"config", "epochs_run", "params", "sms"}
         assert ckpt["epochs_run"] == 2
 
     def test_zero_epochs_keeps_init(self, tmp_path):
@@ -134,7 +135,11 @@ class TestTrainEval:
         assert (out0 / "train_log.jsonl").read_text() == ""
         ckpt = json.loads((out0 / "checkpoint.json").read_text())
         assert ckpt["epochs_run"] == 0
-        assert ckpt["optimizer"]["step"] == 0
+        run = parse_config_text(TINY)
+        init = init_params(run.feature_dim, run.hidden_dim, run.embed_dim, run.classes, run.seed)
+        saved = params_from_dict(ckpt["params"])
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(saved, name), getattr(init, name))
 
     def test_train_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -175,6 +180,29 @@ class TestTrainEval:
         row = lines[1].split(",")
         assert row[0] == "0" and len(row) == 4
         float(row[1])
+
+    def test_eval_ignores_optimizer_key(self, tmp_path):
+        """A checkpoint written with optimizer state, as older ones were, scores the same."""
+        cfg, out = self.run_pipeline(tmp_path)
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        without = (out / "metrics.json").read_bytes()
+        ckpt = out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc["optimizer"] = {"kind": "adam", "learning_rate": 0.01, "step": 8, "m": None, "v": None}
+        ckpt.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "metrics.json").read_bytes() == without
+
+    def test_normalize_disagreeing_with_checkpoint_is_2(self, tmp_path, capsys):
+        """Scoring a model trained on unit embeddings with raw inner products
+        (or the reverse) would grade it with the wrong similarity."""
+        _, out = self.run_pipeline(tmp_path, "normalize_embeddings = true\n")
+        plain = write_config(tmp_path, name="plain.cfg")
+        capsys.readouterr()
+        for command in ("eval", "heatmap"):
+            assert main([command, "--config", plain, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "normalize_embeddings" in err and "checkpoint.json" in err
 
     def test_no_sms_flag_changes_scores(self, tmp_path):
         cfg, out = self.run_pipeline(tmp_path)
@@ -265,6 +293,7 @@ class TestMalformedCheckpoint:
             (("sms", "smoothed_mean"), None),
             (("sms", "count"), None),
             (("sms", "var", 0, 0), float("nan")),  # grade 0 is observed in every epoch
+            (("sms", "dim"), 4),  # calibration rows wider than the model's 3 grades
         ],
     )
     def test_bad_value_is_3(self, tmp_path, capsys, path, value):

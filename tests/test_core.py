@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rankprompt.core import (
-    EmbeddingMatrix,
     InputError,
     LabelVector,
     SimilarityMatrix,
@@ -18,11 +17,13 @@ from rankprompt.core import (
 class TestTypes:
     def test_embedding_rejects_nonfinite(self):
         with pytest.raises(InputError):
-            EmbeddingMatrix(np.array([[1.0, np.inf]]))
+            similarity_matrix(np.array([[1.0, np.inf]]), np.ones((2, 2)))
 
     def test_embedding_rejects_wrong_ndim(self):
         with pytest.raises(InputError):
-            EmbeddingMatrix(np.ones(3))
+            similarity_matrix(np.ones(3), np.ones((2, 3)))
+        with pytest.raises(InputError):
+            similarity_matrix(np.ones((2, 3)), np.ones(3))
 
     def test_similarity_needs_two_columns(self):
         with pytest.raises(InputError):
@@ -50,17 +51,17 @@ class TestTypes:
 class TestSimilarityMatrix:
     def test_identity_embeddings(self):
         """Identity image and text embeddings give the identity matrix."""
-        eye = EmbeddingMatrix(np.eye(2))
+        eye = np.eye(2)
         np.testing.assert_array_equal(similarity_matrix(eye, eye).data, np.eye(2))
 
     def test_hand_inner_products(self):
-        x = EmbeddingMatrix([[1.0, 2.0]])
-        t = EmbeddingMatrix([[3.0, 4.0], [-1.0, 0.0]])
+        x = np.array([[1.0, 2.0]])
+        t = np.array([[3.0, 4.0], [-1.0, 0.0]])
         np.testing.assert_allclose(similarity_matrix(x, t).data, [[11.0, -1.0]])
 
     def test_zero_images(self):
-        x = EmbeddingMatrix(np.zeros((3, 4)))
-        t = EmbeddingMatrix(np.ones((5, 4)))
+        x = np.zeros((3, 4))
+        t = np.ones((5, 4))
         s = similarity_matrix(x, t)
         assert s.data.shape == (3, 5)
         np.testing.assert_array_equal(s.data, 0.0)
@@ -69,38 +70,38 @@ class TestSimilarityMatrix:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 3))
         t = rng.normal(size=(5, 3))
-        s1 = similarity_matrix(EmbeddingMatrix(x), EmbeddingMatrix(t)).data
-        s2 = similarity_matrix(EmbeddingMatrix(2.5 * x), EmbeddingMatrix(t)).data
+        s1 = similarity_matrix(x, t).data
+        s2 = similarity_matrix(2.5 * x, t).data
         np.testing.assert_allclose(s2, 2.5 * s1)
 
     def test_dim_mismatch(self):
         with pytest.raises(InputError):
-            similarity_matrix(EmbeddingMatrix(np.ones((2, 3))), EmbeddingMatrix(np.ones((2, 4))))
+            similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
         s = softmax_rows(SimilarityMatrix(np.zeros((1, 3))), 1.0)
-        np.testing.assert_allclose(s.data, [[1 / 3, 1 / 3, 1 / 3]])
+        np.testing.assert_allclose(s, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_large_magnitudes_stable(self):
         s = softmax_rows(SimilarityMatrix(np.array([[1000.0, 1000.0]])), 1.0)
-        np.testing.assert_allclose(s.data, [[0.5, 0.5]])
+        np.testing.assert_allclose(s, [[0.5, 0.5]])
 
     def test_hand_values(self):
         s = softmax_rows(SimilarityMatrix(np.array([[np.log(2.0), 0.0]])), 1.0)
-        np.testing.assert_allclose(s.data, [[2 / 3, 1 / 3]], atol=1e-15)
+        np.testing.assert_allclose(s, [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             z = rng.normal(0, 5, size=(4, 6))
             tau = float(rng.uniform(0.2, 3.0))
-            p = softmax_rows(SimilarityMatrix(z), tau).data
+            p = softmax_rows(SimilarityMatrix(z), tau)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
             shifted = z.copy()
             shifted[2] += 17.5
-            p2 = softmax_rows(SimilarityMatrix(shifted), tau).data
+            p2 = softmax_rows(SimilarityMatrix(shifted), tau)
             np.testing.assert_allclose(p2, p, atol=1e-12)
 
     def test_rejects_bad_tau(self):
