@@ -208,9 +208,10 @@ def main(argv=None) -> int:
         env_seed = os.environ.get(SEED_ENV)
         if env_seed is not None:
             try:
-                cfg = replace(cfg, seed=int(env_seed))
+                seed = int(env_seed)
             except ValueError:
                 raise InputError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
+            cfg = replace(cfg, seed=seed)
         return COMMANDS[args.command](cfg, args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

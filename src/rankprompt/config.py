@@ -40,6 +40,7 @@ class RunConfig:
 
     def __post_init__(self):
         checks = [
+            (self.seed >= 0, "seed must be >= 0"),
             (self.classes >= 2, "classes must be >= 2"),
             (self.samples >= self.classes, "samples must be >= classes"),
             (self.feature_dim >= 1, "feature_dim must be >= 1"),

@@ -19,17 +19,12 @@ from .core import InputError, LabelVector, SimilarityMatrix, StateError
 VAR_FLOOR = 1e-6
 
 
-class CalibrationDisabled(Exception):
-    """Too few classes observed this epoch to smooth across."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Gaussian weights over class-index distance |j - j'|."""
 
     sigma: float = 1.0
     include_self: bool = False
-    normalize: bool = True
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -37,11 +32,10 @@ class KernelSpec:
 
 
 def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
-    """Weight vector over k classes for smoothing class j's statistics.
-
-    Raw weights are exp(-(j-j')^2 / (2 sigma^2)) with the self weight
-    zeroed unless ``include_self``; if ``normalize`` they are rescaled to
-    sum to 1 (left untouched when everything underflowed to zero).
+    """Raw weight vector over k classes for smoothing class j's statistics:
+    exp(-(j-j')^2 / (2 sigma^2)), with the self weight zeroed unless
+    ``include_self``.  ``commit_epoch`` renormalizes them over the classes
+    observed in the epoch.
     """
     if k < 2:
         raise InputError(f"need at least 2 classes to smooth over, got {k}")
@@ -51,10 +45,6 @@ def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
     w = np.exp(-(d * d) / (2.0 * spec.sigma**2))
     if not spec.include_self:
         w[j] = 0.0
-    if spec.normalize:
-        total = w.sum()
-        if total > 0.0:
-            w = w / total
     return w
 
 
@@ -62,16 +52,15 @@ def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
 class ClassStats:
     """Per-class similarity-row statistics with an epoch-commit lifecycle.
 
-    The ``epoch_*`` arrays accumulate the running epoch; ``commit_epoch``
-    freezes their mean/variance plus smoothed versions into the
-    ``frozen_*`` / ``smoothed_*`` fields and resets the accumulators.
-    Calibration only ever reads the frozen side.  ``committed`` and
-    ``calibration_active`` are derived from which of those arrays exist.
+    Every row has one entry per class.  The ``epoch_*`` arrays accumulate
+    the running epoch; ``commit_epoch`` freezes their mean/variance plus
+    smoothed versions into the ``frozen_*`` / ``smoothed_*`` fields and
+    resets the accumulators.  Calibration only ever reads the frozen side.
+    ``committed`` and ``calibration_active`` are derived from which of
+    those arrays exist.
     """
 
     k: int
-    dim: int
-    kernel: KernelSpec
     epoch_sum: np.ndarray
     epoch_sumsq: np.ndarray
     epoch_count: np.ndarray
@@ -94,7 +83,7 @@ class ClassStats:
     @property
     def mean(self) -> np.ndarray:
         """Running per-class means; NaN where a class has no samples yet."""
-        out = np.full((self.k, self.dim), np.nan)
+        out = np.full((self.k, self.k), np.nan)
         seen = self.epoch_count > 0
         out[seen] = self.epoch_sum[seen] / self.epoch_count[seen, None]
         return out
@@ -102,7 +91,7 @@ class ClassStats:
     @property
     def var(self) -> np.ndarray:
         """Running per-class population variances, floored at VAR_FLOOR."""
-        out = np.full((self.k, self.dim), np.nan)
+        out = np.full((self.k, self.k), np.nan)
         seen = self.epoch_count > 0
         n = self.epoch_count[seen, None].astype(np.float64)
         m = self.epoch_sum[seen] / n
@@ -110,27 +99,22 @@ class ClassStats:
         return out
 
 
-def init_class_stats(k: int, kernel: KernelSpec | None = None, dim: int | None = None) -> ClassStats:
+def init_class_stats(k: int) -> ClassStats:
     """Pristine statistics: nothing accumulated, nothing committed."""
     if k < 2:
         raise InputError(f"need at least 2 classes, got {k}")
-    dim = k if dim is None else dim
-    if dim < 1:
-        raise InputError(f"similarity-row length must be >= 1, got {dim}")
     return ClassStats(
         k=k,
-        dim=dim,
-        kernel=kernel if kernel is not None else KernelSpec(),
-        epoch_sum=np.zeros((k, dim)),
-        epoch_sumsq=np.zeros((k, dim)),
+        epoch_sum=np.zeros((k, k)),
+        epoch_sumsq=np.zeros((k, k)),
         epoch_count=np.zeros(k, dtype=np.int64),
     )
 
 
 def accumulate_class_stats(stats: ClassStats, s: SimilarityMatrix, labels: LabelVector) -> ClassStats:
     """Fold a batch of raw similarity rows into the running epoch sums."""
-    if s.k != stats.dim:
-        raise InputError(f"similarity width {s.k} does not match statistics dim {stats.dim}")
+    if s.k != stats.k:
+        raise InputError(f"similarity width {s.k} does not match the {stats.k} classes of the statistics")
     if len(labels) != s.m:
         raise InputError(f"got {len(labels)} labels for {s.m} similarity rows")
     labels.validate_for(stats.k)
@@ -143,59 +127,41 @@ def accumulate_class_stats(stats: ClassStats, s: SimilarityMatrix, labels: Label
     return replace(stats, epoch_sum=total, epoch_sumsq=totalsq, epoch_count=n)
 
 
-def smooth_stats(stats: ClassStats) -> ClassStats:
-    """Fill smoothed_mean / smoothed_var from the running epoch statistics.
+def commit_epoch(stats: ClassStats, kernel: KernelSpec) -> ClassStats:
+    """Freeze the epoch's statistics, and their ``kernel``-smoothed
+    versions, for use throughout the next epoch.
 
     Classes never observed this epoch are excluded from every weighted sum
-    and the kernel weights are renormalized over the observed ones.
-
-    Raises CalibrationDisabled when fewer than 2 classes were observed.
-    """
-    observed = stats.epoch_count > 0
-    if int(observed.sum()) < 2:
-        raise CalibrationDisabled(f"only {int(observed.sum())} classes observed, need at least 2")
-    mean = stats.mean
-    var = stats.var
-    sm = np.full((stats.k, stats.dim), np.nan)
-    sv = np.full((stats.k, stats.dim), np.nan)
-    raw_spec = replace(stats.kernel, normalize=False)
-    for j in np.flatnonzero(observed):
-        w = kernel_weights(raw_spec, int(j), stats.k)
-        w = np.where(observed, w, 0.0)
-        total = w.sum()
-        if total <= 0.0:
-            # every candidate neighbor underflowed; keep the raw statistics
-            sm[j] = mean[j]
-            sv[j] = var[j]
-            continue
-        if stats.kernel.normalize:
-            w = w / total
-        sm[j] = w[observed] @ mean[observed]
-        sv[j] = w[observed] @ var[observed]
-    return replace(stats, smoothed_mean=sm, smoothed_var=sv)
-
-
-def commit_epoch(stats: ClassStats) -> ClassStats:
-    """Freeze the epoch's statistics for use throughout the next epoch.
-
-    No-op when nothing was accumulated.  When fewer than two classes were
-    seen the commit still happens but calibration is switched off until a
+    and the kernel weights are renormalized over the observed ones.  No-op
+    when nothing was accumulated.  When fewer than two classes were seen
+    the commit still happens but calibration is switched off until a
     richer epoch commits.
     """
     if int(stats.epoch_count.sum()) == 0:
         return stats
-    try:
-        smoothed = smooth_stats(stats)
-        sm, sv = smoothed.smoothed_mean, smoothed.smoothed_var
-    except CalibrationDisabled:
-        sm, sv = None, None
+    observed = stats.epoch_count > 0
+    mean, var = stats.mean, stats.var
+    sm = sv = None
+    if int(observed.sum()) >= 2:
+        sm = np.full((stats.k, stats.k), np.nan)
+        sv = np.full((stats.k, stats.k), np.nan)
+        for j in np.flatnonzero(observed):
+            w = np.where(observed, kernel_weights(kernel, int(j), stats.k), 0.0)
+            total = w.sum()
+            if total <= 0.0:
+                # every candidate neighbor underflowed; keep the raw statistics
+                sm[j], sv[j] = mean[j], var[j]
+                continue
+            w = w / total
+            sm[j] = w[observed] @ mean[observed]
+            sv[j] = w[observed] @ var[observed]
     return replace(
         stats,
         epoch_sum=np.zeros_like(stats.epoch_sum),
         epoch_sumsq=np.zeros_like(stats.epoch_sumsq),
         epoch_count=np.zeros_like(stats.epoch_count),
-        frozen_mean=stats.mean,
-        frozen_var=stats.var,
+        frozen_mean=mean,
+        frozen_var=var,
         frozen_count=stats.epoch_count.copy(),
         smoothed_mean=sm,
         smoothed_var=sv,
@@ -213,16 +179,16 @@ def calibration_map(s: SimilarityMatrix, labels: LabelVector, stats: ClassStats)
     uncommitted accumulation are rejected: calibration must only ever see
     values frozen at an epoch boundary.
     """
-    if s.k != stats.dim:
-        raise InputError(f"similarity width {s.k} does not match statistics dim {stats.dim}")
+    if s.k != stats.k:
+        raise InputError(f"similarity width {s.k} does not match the {stats.k} classes of the statistics")
     if len(labels) != s.m:
         raise InputError(f"got {len(labels)} labels for {s.m} similarity rows")
     labels.validate_for(stats.k)
     if not stats.committed and int(stats.epoch_count.sum()) > 0:
         raise StateError("statistics were accumulated but never committed; call commit_epoch first")
     # One (scale, offset) row per grade; each similarity row takes its label's.
-    scale = np.ones((stats.k, stats.dim))
-    offset = np.zeros((stats.k, stats.dim))
+    scale = np.ones((stats.k, stats.k))
+    offset = np.zeros((stats.k, stats.k))
     if stats.calibration_active:
         usable = stats.frozen_count > 0
         sc = np.sqrt(stats.smoothed_var[usable]) / np.sqrt(stats.frozen_var[usable])
@@ -247,13 +213,6 @@ def stats_to_dict(stats: ClassStats) -> dict:
         return [None if stats.frozen_count[j] == 0 else arr[j].tolist() for j in range(stats.k)]
 
     return {
-        "k": stats.k,
-        "dim": stats.dim,
-        "kernel": {
-            "sigma": stats.kernel.sigma,
-            "include_self": stats.kernel.include_self,
-            "normalize": stats.kernel.normalize,
-        },
         "count": None if stats.frozen_count is None else stats.frozen_count.tolist(),
         "mean": per_class(stats.frozen_mean),
         "var": per_class(stats.frozen_var),
@@ -262,26 +221,17 @@ def stats_to_dict(stats: ClassStats) -> dict:
     }
 
 
-def stats_from_dict(d: dict) -> ClassStats:
-    """Rebuild committed statistics; the loaded object starts a fresh epoch.
+def stats_from_dict(d: dict, k: int) -> ClassStats:
+    """Rebuild committed statistics over ``k`` classes; the loaded object
+    starts a fresh epoch.
 
     ``count``/``mean``/``var`` are all null (nothing committed) or all
     present, likewise ``smoothed_mean``/``smoothed_var``, which need the
-    frozen ones.  Per-class lists hold ``k`` entries of length ``dim``; a
-    class with a positive count needs a finite row, other rows may be null.
-    Keys this function does not read are ignored."""
-    k = int(d["k"])
-    dim = int(d["dim"])
-    kern = d["kernel"]
-    stats = init_class_stats(
-        k,
-        KernelSpec(
-            sigma=float(kern["sigma"]),
-            include_self=bool(kern["include_self"]),
-            normalize=bool(kern["normalize"]),
-        ),
-        dim=dim,
-    )
+    frozen ones.  ``count`` holds ``k`` non-negative integers and each
+    per-class list ``k`` rows of ``k`` numbers; a class with a positive
+    count needs a finite row, other rows may be null.  Keys this function
+    does not read are ignored."""
+    stats = init_class_stats(k)
 
     def present(keys) -> bool:
         nulls = [d[key] is None for key in keys]
@@ -295,9 +245,10 @@ def stats_from_dict(d: dict) -> ClassStats:
         raise InputError("smoothed calibration statistics need frozen count/mean/var")
     if not frozen:
         return stats
-    count = np.asarray(d["count"], dtype=np.int64)
-    if count.shape != (k,):
-        raise InputError(f"calibration count has shape {count.shape}, expected ({k},)")
+    counts = d["count"]
+    if len(counts) != k or not all(type(c) is int and 0 <= c < 2**63 for c in counts):
+        raise InputError(f"calibration count must hold {k} non-negative integers, got {counts!r}")
+    count = np.asarray(counts, dtype=np.int64)
     seen = count > 0
 
     def from_per_class(key):
@@ -306,10 +257,12 @@ def stats_from_dict(d: dict) -> ClassStats:
             return None
         if len(rows) != k:
             raise InputError(f"calibration {key} covers {len(rows)} classes, expected {k}")
-        out = np.full((k, dim), np.nan)
+        out = np.full((k, k), np.nan)
         for j, row in enumerate(rows):
             if row is not None:
-                out[j] = np.asarray(row, dtype=np.float64)
+                if len(row) != k or not all(type(v) in (int, float) for v in row):
+                    raise InputError(f"calibration {key} row of class {j} must hold {k} numbers, got {row!r}")
+                out[j] = row
             elif seen[j]:
                 raise InputError(f"calibration {key} has no row for observed class {j}")
         if not np.isfinite(out[seen]).all():

@@ -44,7 +44,8 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     params = M.init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
     opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
     lcfg = loss_config(cfg)
-    stats = sms.init_class_stats(cfg.classes, kernel_from_config(cfg))
+    kernel = kernel_from_config(cfg)
+    stats = sms.init_class_stats(cfg.classes)
     committed = stats
     log = []
     train_feats, train_labels = dataset.subset("train")
@@ -70,7 +71,7 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
             sums["rank"] += result.report.rank * m
             sums["total"] += result.report.total * m
         if cfg.sms_enabled:
-            stats = sms.commit_epoch(stats)
+            stats = sms.commit_epoch(stats, kernel)
             committed = stats
         report = evaluate(params, committed, train_feats, train_labels, cfg)
         log.append(
@@ -140,7 +141,8 @@ def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
 
 def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats]:
     """Read the parameters and calibration statistics of a checkpoint; keys
-    not read here (an older file's optimizer state) are ignored.
+    not read here (an older file's optimizer state, or the ``k``, ``dim``
+    and ``kernel`` of its ``sms`` object) are ignored.
 
     A malformed file raises ParseError naming it, and one trained with
     another ``normalize_embeddings`` than ``cfg`` raises InputError.
@@ -152,10 +154,7 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
             raise ParseError(f"{path}: not a JSON checkpoint: {exc}") from None
     try:
         params = M.params_from_dict(doc["params"])
-        shape = (doc["sms"]["k"], doc["sms"]["dim"])
-        if shape != (params.classes, params.classes):
-            raise InputError(f"sms k, dim = {shape} disagree with the {params.classes} grades of params")
-        stats = sms.stats_from_dict(doc["sms"])
+        stats = sms.stats_from_dict(doc["sms"], params.classes)
         trained_normalized = doc["config"]["normalize_embeddings"]
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint is missing key {exc}") from None

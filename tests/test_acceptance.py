@@ -83,10 +83,10 @@ class TestA1GradientCertification:
         return grad
 
     def committed_stats(self, rng, k, m_stat=12):
-        stats = init_class_stats(k, kernel=KernelSpec(sigma=1.0, include_self=True), dim=k)
+        stats = init_class_stats(k)
         s = SimilarityMatrix(rng.normal(size=(m_stat, k)))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)]))
-        return commit_epoch(accumulate_class_stats(stats, s, labels))
+        return commit_epoch(accumulate_class_stats(stats, s, labels), KernelSpec(sigma=1.0, include_self=True))
 
     def excess(self, analytic, fd, rtol):
         """Worst |analytic - fd| relative to the allowance rtol*|fd| + atol;
@@ -260,11 +260,11 @@ class TestA4LossOracles:
 
 
 class TestA5CalibrationProperties:
-    def committed(self, rng, k=5, kernel=None, m=40):
-        stats = init_class_stats(k, kernel=kernel, dim=k)
+    def committed(self, rng, k=5, kernel=KernelSpec(), m=40):
+        stats = init_class_stats(k)
         s = SimilarityMatrix(rng.normal(scale=2.0, size=(m, k)))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)]))
-        return commit_epoch(accumulate_class_stats(stats, s, labels))
+        return commit_epoch(accumulate_class_stats(stats, s, labels), kernel)
 
     def test_a5(self):
         rng = np.random.default_rng(0)
@@ -296,17 +296,19 @@ class TestA5CalibrationProperties:
             expect = direct + (1 - alpha) * mu_s
             affinity_dev = max(affinity_dev, float(np.max(np.abs(blended - expect))))
 
-        # kernel symmetry and normalization
+        # kernel symmetry and normalization: committing one-hot rows, one
+        # per grade, makes each smoothed-mean row that grade's weights as
+        # smoothing applies them, which must sum to 1
         kernel_dev = 0.0
         for sigma in (0.4, 1.0, 3.0):
             spec = KernelSpec(sigma=sigma, include_self=True)
-            raw = KernelSpec(sigma=sigma, include_self=True, normalize=False)
             for k in (2, 5, 7):
-                w = np.stack([kernel_weights(raw, j, k) for j in range(k)])
+                w = np.stack([kernel_weights(spec, j, k) for j in range(k)])
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(w - w.T))))
-                for j in range(k):
-                    total = float(kernel_weights(spec, j, k).sum())
-                    kernel_dev = max(kernel_dev, abs(total - 1.0))
+                eye = SimilarityMatrix(np.eye(k))
+                onehot = accumulate_class_stats(init_class_stats(k), eye, LabelVector(np.arange(k)))
+                totals = commit_epoch(onehot, spec).smoothed_mean.sum(axis=1)
+                kernel_dev = max(kernel_dev, float(np.max(np.abs(totals - 1.0))))
 
         # epoch freeze: mid-epoch accumulation must not move committed stats
         frozen = self.committed(rng)
@@ -330,7 +332,7 @@ class TestA6StatisticalNull:
         dataset = dataset_for(cfg, cfg.seed)
         feats, labels = dataset.subset("test")
         params = init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
-        stats = init_class_stats(cfg.classes, dim=cfg.classes)  # never committed: raw scores
+        stats = init_class_stats(cfg.classes)  # never committed: raw scores
         rep = evaluate(params, stats, feats, labels, cfg)
         ok = 0.45 <= rep.macro_auc <= 0.55 and rep.rank_monotonicity <= 0.2
         report(

@@ -1,16 +1,21 @@
 """Config parsing and end-to-end CLI runs on tiny workloads."""
 
+import copy
 import functools
 import json
 import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprompt.cli import main
 from rankprompt.config import RunConfig, config_to_dict, parse_config_text
 from rankprompt.core import InputError
+from rankprompt.data import ParseError
 from rankprompt.model import PARAM_FIELDS, init_params, params_from_dict
+from rankprompt.train import load_checkpoint
 
 
 TINY = """
@@ -193,6 +198,19 @@ class TestTrainEval:
         assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "metrics.json").read_bytes() == without
 
+    def test_eval_ignores_sms_keys_of_older_checkpoints(self, tmp_path):
+        """The grade count and kernel that older checkpoints stored in ``sms``
+        are not read: the statistics are sized by ``params.hyper.classes``."""
+        cfg, out = self.run_pipeline(tmp_path)
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        without = (out / "metrics.json").read_bytes()
+        ckpt = out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc["sms"].update(k=3, dim=3, kernel={"sigma": 0.4, "include_self": True, "normalize": True})
+        ckpt.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "metrics.json").read_bytes() == without
+
     def test_normalize_disagreeing_with_checkpoint_is_2(self, tmp_path, capsys):
         """Scoring a model trained on unit embeddings with raw inner products
         (or the reverse) would grade it with the wrong similarity."""
@@ -227,6 +245,11 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "sms_variant = standard\n")
         assert main(["generate", "--config", cfg]) == 2
         assert "unknown config key 'sms_variant'" in capsys.readouterr().err
+
+    def test_negative_seed_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "seed = -1\n")
+        assert main(["generate", "--config", cfg]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 3
@@ -293,7 +316,11 @@ class TestMalformedCheckpoint:
             (("sms", "smoothed_mean"), None),
             (("sms", "count"), None),
             (("sms", "var", 0, 0), float("nan")),  # grade 0 is observed in every epoch
-            (("sms", "dim"), 4),  # calibration rows wider than the model's 3 grades
+            (("sms", "mean", 0), [0.5]),  # would broadcast across the row
+            (("sms", "smoothed_var", 0), [1.0] * 4),  # wider than the model's 3 grades
+            (("sms", "count", 0), 1e30),
+            (("sms", "count", 0), -3),
+            (("sms", "count", 0), 1.5),
         ],
     )
     def test_bad_value_is_3(self, tmp_path, capsys, path, value):
@@ -305,6 +332,63 @@ class TestMalformedCheckpoint:
         code, err = self.eval_with_checkpoint(tmp_path, capsys, rewrite)
         assert code == 3
         assert "checkpoint.json" in err and path[1] in err
+
+
+SMS_KEYS = ("count", "mean", "var", "smoothed_mean", "smoothed_var")
+# (operation, key, grade, entry: the cell a "cell" edit overwrites or the
+# length "truncate" leaves, value for a "cell" edit)
+SMS_MUTATIONS = st.tuples(
+    st.sampled_from(("drop", "null", "truncate", "extend", "cell")),
+    st.sampled_from(SMS_KEYS),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.one_of(
+        st.floats(-2, 2).map(repr),  # numpy would parse "1.5" as a number
+        st.text("0123456789.-ex", max_size=4),
+        st.floats(),
+        st.lists(st.floats(-1, 1), min_size=1, max_size=3),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    cfg = write_config(out)
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "checkpoint.json").read_text())
+    assert all(doc["sms"]["count"])  # every grade has rows to mutate
+    return out, doc
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(mutation=SMS_MUTATIONS)
+    def test_mutated_sms_loads_or_raises_parse_error(self, tiny_checkpoint, mutation):
+        """Only a finite number written over a calibration row entry leaves a
+        loadable checkpoint; every other edit raises ParseError, nothing else."""
+        out, doc = tiny_checkpoint
+        op, key, grade, entry, value = mutation
+        sms = copy.deepcopy(doc["sms"])
+        target = sms[key] if key == "count" else sms[key][grade]
+        if op == "drop":
+            del sms[key]
+        elif op == "null":
+            sms[key] = None
+        elif op == "truncate":
+            del target[entry:]
+        elif op == "extend":
+            target.append(target[-1])
+        else:
+            target[grade if key == "count" else entry] = value
+        path = out / "mutated.json"
+        path.write_text(json.dumps(dict(doc, sms=sms)))
+        try:
+            load_checkpoint(path, parse_config_text(TINY))
+        except ParseError:
+            return
+        assert op == "cell" and key != "count" and isinstance(value, float) and np.isfinite(value), mutation
 
 
 class TestSeedEnv:
@@ -323,6 +407,12 @@ class TestSeedEnv:
         monkeypatch.setenv("RANKPROMPT_SEED", "lucky")
         assert main(["generate", "--config", cfg]) == 2
         assert "RANKPROMPT_SEED" in capsys.readouterr().err
+
+    def test_env_must_be_non_negative(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        monkeypatch.setenv("RANKPROMPT_SEED", "-5")
+        assert main(["generate", "--config", cfg]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -106,10 +106,10 @@ class TestLossGradients:
 
 
 def committed_stats(rng, k):
-    stats = init_class_stats(k, KernelSpec(sigma=1.0))
+    stats = init_class_stats(k)
     rows = SimilarityMatrix(rng.normal(0, 1, (10 * k, k)))
     labels = LabelVector(np.arange(10 * k) % k)
-    return commit_epoch(accumulate_class_stats(stats, rows, labels))
+    return commit_epoch(accumulate_class_stats(stats, rows, labels), KernelSpec(sigma=1.0))
 
 
 class TestFullChainGradients:

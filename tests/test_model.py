@@ -132,7 +132,7 @@ class TestBackwardSinglePass:
         rng = np.random.default_rng(6)
         stats = sms.init_class_stats(5)
         rows = SimilarityMatrix(rng.normal(size=(40, 5)))
-        stats = sms.commit_epoch(sms.accumulate_class_stats(stats, rows, LabelVector(np.arange(40) % 5)))
+        stats = sms.commit_epoch(sms.accumulate_class_stats(stats, rows, LabelVector(np.arange(40) % 5)), sms.KernelSpec())
         assert stats.calibration_active
         p = init_params(4, 6, 3, 5, 7)
         feats = rng.normal(size=(8, 4))

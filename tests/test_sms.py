@@ -6,41 +6,39 @@ import pytest
 from rankprompt.core import InputError, LabelVector, SimilarityMatrix, StateError
 from rankprompt.sms import (
     VAR_FLOOR,
-    CalibrationDisabled,
     KernelSpec,
     accumulate_class_stats,
     calibrate_rows,
     commit_epoch,
     init_class_stats,
     kernel_weights,
-    smooth_stats,
     stats_from_dict,
     stats_to_dict,
 )
 
 
-def committed_from(rows, labels, k, kernel=None):
+def committed_from(rows, labels, k, kernel=KernelSpec()):
     """One accumulate + commit round, the normal route to usable stats."""
-    stats = init_class_stats(k, kernel)
+    stats = init_class_stats(k)
     stats = accumulate_class_stats(stats, SimilarityMatrix(np.asarray(rows, dtype=float)), LabelVector(labels))
-    return commit_epoch(stats)
+    return commit_epoch(stats, kernel)
 
 
 class TestKernelWeights:
     def test_flat_limit_excludes_self(self):
-        """Huge sigma makes both neighbors equal; the self weight stays 0."""
+        """Huge sigma makes both neighbors weigh 1; the self weight stays 0."""
         w = kernel_weights(KernelSpec(sigma=1e6), 1, 3)
-        np.testing.assert_allclose(w, [0.5, 0.0, 0.5], atol=1e-9)
+        np.testing.assert_allclose(w, [1.0, 0.0, 1.0], atol=1e-9)
 
     def test_two_classes_single_neighbor(self):
-        np.testing.assert_allclose(kernel_weights(KernelSpec(sigma=1.0), 0, 2), [0.0, 1.0])
+        np.testing.assert_allclose(kernel_weights(KernelSpec(sigma=1.0), 0, 2), [0.0, np.exp(-0.5)])
 
     def test_unit_sigma_three_classes(self):
         w = kernel_weights(KernelSpec(sigma=1.0), 0, 3)
-        np.testing.assert_allclose(w, [0.0, 0.8175744761936437, 0.18242552380635635], atol=1e-12)
+        np.testing.assert_allclose(w, [0.0, 0.6065306597126334, 0.1353352832366127], atol=1e-12)
 
     def test_raw_weights_symmetric(self):
-        spec = KernelSpec(sigma=1.7, normalize=False, include_self=True)
+        spec = KernelSpec(sigma=1.7, include_self=True)
         k = 6
         for a in range(k):
             wa = kernel_weights(spec, a, k)
@@ -49,10 +47,13 @@ class TestKernelWeights:
                 assert wa[b] == wb[a]
 
     def test_normalized_weights_sum_to_one(self):
+        """One-hot rows, one per class, turn each smoothed-mean row into
+        that class's weights as smoothing applies them."""
         for sigma in (0.3, 1.0, 4.0):
-            for j in range(5):
-                w = kernel_weights(KernelSpec(sigma=sigma), j, 5)
-                np.testing.assert_allclose(w.sum(), 1.0, atol=1e-9)
+            stats = committed_from(np.eye(5), np.arange(5), 5, KernelSpec(sigma=sigma))
+            np.testing.assert_allclose(stats.smoothed_mean.sum(axis=1), 1.0, atol=1e-9)
+            raw = kernel_weights(KernelSpec(sigma=sigma), 0, 5)
+            np.testing.assert_allclose(stats.smoothed_mean[0], raw / raw.sum(), atol=1e-12)
 
     def test_rejects_single_class(self):
         with pytest.raises(InputError):
@@ -78,7 +79,7 @@ class TestAccumulate:
         np.testing.assert_allclose(stats.var[0], [VAR_FLOOR, VAR_FLOOR])
 
     def test_empty_class_is_undefined(self):
-        stats = init_class_stats(3, dim=3)
+        stats = init_class_stats(3)
         stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 3))), LabelVector([0, 0]))
         assert stats.epoch_count[1] == 0
         assert np.isnan(stats.mean[1]).all()
@@ -102,7 +103,7 @@ class TestAccumulate:
         np.testing.assert_allclose(one.var, two.var, atol=1e-12)
 
     def test_rejects_shape_mismatch(self):
-        stats = init_class_stats(3, dim=3)
+        stats = init_class_stats(3)
         with pytest.raises(InputError):
             accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 4))), LabelVector([0, 1]))
         with pytest.raises(InputError):
@@ -110,44 +111,45 @@ class TestAccumulate:
 
 
 class TestSmoothStats:
+    """Kernel smoothing as ``commit_epoch`` applies it."""
+
     def test_symmetric_neighbors_average(self):
         """With flat weights the middle class lands on the neighbor mean.
         Smoothing is element-wise, so the scalar case rides in column 0."""
-        stats = init_class_stats(3, KernelSpec(sigma=1e6), dim=2)
-        rows = np.array([[0.0, 5.0], [1.0, 7.0], [2.0, 9.0]])
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows), LabelVector([0, 1, 2]))
-        smoothed = smooth_stats(stats)
-        np.testing.assert_allclose(smoothed.smoothed_mean[1], [1.0, 7.0], atol=1e-9)
+        rows = np.array([[0.0, 5.0, -1.0], [1.0, 7.0, 0.0], [2.0, 9.0, 1.0]])
+        smoothed = committed_from(rows, [0, 1, 2], 3, KernelSpec(sigma=1e6))
+        np.testing.assert_allclose(smoothed.smoothed_mean[1], [1.0, 7.0, 0.0], atol=1e-9)
 
     def test_unit_sigma_value(self):
-        stats = init_class_stats(3, KernelSpec(sigma=1.0), dim=2)
-        rows = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows), LabelVector([0, 1, 2]))
-        smoothed = smooth_stats(stats)
-        np.testing.assert_allclose(smoothed.smoothed_mean[0], [1.1824255238063563] * 2, atol=1e-12)
+        rows = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        smoothed = committed_from(rows, [0, 1, 2], 3, KernelSpec(sigma=1.0))
+        np.testing.assert_allclose(smoothed.smoothed_mean[0], [1.1824255238063563] * 3, atol=1e-12)
 
     def test_constant_field_fixed_point(self):
-        stats = init_class_stats(3, dim=2)
-        rows = np.full((3, 2), 4.25)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows), LabelVector([0, 1, 2]))
-        smoothed = smooth_stats(stats)
+        smoothed = committed_from(np.full((3, 3), 4.25), [0, 1, 2], 3)
         for j in range(3):
-            np.testing.assert_allclose(smoothed.smoothed_mean[j], [4.25, 4.25], atol=1e-12)
+            np.testing.assert_allclose(smoothed.smoothed_mean[j], [4.25] * 3, atol=1e-12)
 
     def test_absent_class_renormalization(self):
         """A class never seen contributes nothing; weights renormalize."""
-        stats = init_class_stats(3, KernelSpec(sigma=1e6), dim=2)
-        rows = np.array([[0.0, 0.5], [2.0, 4.5]])
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows), LabelVector([0, 2]))
-        smoothed = smooth_stats(stats)
+        rows = np.array([[0.0, 0.5, 1.0], [2.0, 4.5, 3.0]])
+        smoothed = committed_from(rows, [0, 2], 3, KernelSpec(sigma=1e6))
         # class 0's only observed non-self neighbor is class 2
-        np.testing.assert_allclose(smoothed.smoothed_mean[0], [2.0, 4.5], atol=1e-9)
+        np.testing.assert_allclose(smoothed.smoothed_mean[0], [2.0, 4.5, 3.0], atol=1e-9)
+        assert np.isnan(smoothed.smoothed_mean[1]).all()
+
+    def test_underflowed_neighbors_keep_raw_statistics(self):
+        """When every neighbor weight underflows to 0 the class keeps its own statistics."""
+        rng = np.random.default_rng(2)
+        rows = rng.normal(size=(12, 3))
+        smoothed = committed_from(rows, np.arange(12) % 3, 3, KernelSpec(sigma=0.02))
+        assert np.array_equal(smoothed.smoothed_mean, smoothed.frozen_mean)
+        assert np.array_equal(smoothed.smoothed_var, smoothed.frozen_var)
 
     def test_too_few_classes_signals(self):
-        stats = init_class_stats(3, dim=3)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((4, 3)) * 2), LabelVector([1, 1, 1, 1]))
-        with pytest.raises(CalibrationDisabled):
-            smooth_stats(stats)
+        stats = committed_from(np.ones((4, 3)) * 2, [1, 1, 1, 1], 3)
+        assert stats.committed and not stats.calibration_active
+        assert stats.smoothed_var is None
 
 
 class TestCalibrateRows:
@@ -176,13 +178,13 @@ class TestCalibrateRows:
     def test_scalar_standard_case(self):
         """mean 1, var 1, smoothed mean 3, smoothed var 4 sends 2 to 5.
         Calibration is element-wise, so the scalar case rides in column 0."""
-        stats = init_class_stats(2, KernelSpec(sigma=1.0), dim=2)
+        stats = init_class_stats(2)
         # class 0 rows give mean 1 var 1 in column 0; class 1 mean 3 var 4
         rows0 = np.array([[0.0, 0.0], [2.0, 2.0]])
         rows1 = np.array([[1.0, 1.0], [5.0, 5.0]])
         stats = accumulate_class_stats(stats, SimilarityMatrix(rows0), LabelVector([0, 0]))
         stats = accumulate_class_stats(stats, SimilarityMatrix(rows1), LabelVector([1, 1]))
-        stats = commit_epoch(stats)
+        stats = commit_epoch(stats, KernelSpec(sigma=1.0))
         # the only non-self neighbor of class 0 is class 1
         np.testing.assert_allclose(stats.smoothed_mean[0], [3.0, 3.0])
         np.testing.assert_allclose(stats.smoothed_var[0], [4.0, 4.0])
@@ -221,9 +223,7 @@ class TestCalibrateRows:
             calibrate_rows(SimilarityMatrix(np.ones((1, 2))), LabelVector([0]), stats)
 
     def test_disabled_commit_passes_through(self):
-        stats = init_class_stats(3, dim=3)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((3, 3))), LabelVector([1, 1, 1]))
-        stats = commit_epoch(stats)
+        stats = committed_from(np.ones((3, 3)), [1, 1, 1], 3)
         assert stats.committed and not stats.calibration_active
         s = SimilarityMatrix(np.array([[1.0, 2.0, 3.0]]))
         out = calibrate_rows(s, LabelVector([1]), stats)
@@ -258,7 +258,7 @@ class TestCommitEpoch:
 
     def test_commit_on_empty_epoch_is_noop(self):
         stats = init_class_stats(5)
-        assert commit_epoch(stats) is stats
+        assert commit_epoch(stats, KernelSpec()) is stats
 
     def test_commit_freezes_and_resets(self):
         rng = np.random.default_rng(9)
@@ -274,9 +274,7 @@ class TestCommitEpoch:
         rows = rng.normal(size=(18, 4))
         labels = rng.integers(0, 4, 18)
         first = committed_from(rows, labels, 4)
-        second = commit_epoch(
-            accumulate_class_stats(first, SimilarityMatrix(rows), LabelVector(labels))
-        )
+        second = commit_epoch(accumulate_class_stats(first, SimilarityMatrix(rows), LabelVector(labels)), KernelSpec())
         assert np.array_equal(first.frozen_mean, second.frozen_mean)
         assert np.array_equal(first.smoothed_mean, second.smoothed_mean)
         assert np.array_equal(first.smoothed_var, second.smoothed_var)
@@ -302,27 +300,29 @@ class TestSerialization:
         rows = rng.normal(size=(30, 5))
         labels = rng.integers(0, 5, 30)
         stats = committed_from(rows, labels, 5)
-        loaded = stats_from_dict(json.loads(json.dumps(stats_to_dict(stats))))
+        loaded = stats_from_dict(json.loads(json.dumps(stats_to_dict(stats))), 5)
         s = SimilarityMatrix(rng.normal(size=(7, 5)))
         lab = LabelVector(rng.integers(0, 5, 7))
         assert np.array_equal(calibrate_rows(s, lab, stats).data, calibrate_rows(s, lab, loaded).data)
 
     def test_round_trip_pristine(self):
         stats = init_class_stats(4)
-        loaded = stats_from_dict(stats_to_dict(stats))
+        loaded = stats_from_dict(stats_to_dict(stats), 4)
         assert not loaded.committed
-        assert loaded.k == 4 and loaded.dim == 4
+        assert loaded.k == 4
 
     def test_keys_of_older_checkpoints_are_ignored(self):
         rng = np.random.default_rng(13)
         stats = committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3)
         doc = stats_to_dict(stats)
-        assert not {"committed", "calibration_active"} & set(doc) and "kind" not in doc["kernel"]
-        doc.update(committed=True, calibration_active=True)
-        doc["kernel"]["kind"] = "gaussian"
-        loaded = stats_from_dict(doc)
-        assert loaded.committed and loaded.calibration_active
-        assert np.array_equal(loaded.smoothed_var, stats.smoothed_var)
+        assert set(doc) == {"count", "mean", "var", "smoothed_mean", "smoothed_var"}
+        # what earlier formats also wrote; the grade count now comes from the caller
+        doc.update(committed=True, calibration_active=True, k=4, dim=4)
+        doc["kernel"] = {"sigma": 9.0, "include_self": False, "normalize": False, "kind": "gaussian"}
+        loaded = stats_from_dict(doc, 3)
+        assert loaded.k == 3 and loaded.committed and loaded.calibration_active
+        for name in ("frozen_count", "frozen_mean", "frozen_var", "smoothed_mean", "smoothed_var"):
+            assert np.array_equal(getattr(loaded, name), getattr(stats, name))
 
     @pytest.mark.parametrize(
         "edit",
@@ -332,6 +332,12 @@ class TestSerialization:
             {"count": None},
             {"count": None, "mean": None, "var": None},  # smoothed rows without frozen ones
             {"var": [[float("nan")] * 3, [1.0] * 3, [1.0] * 3]},
+            {"mean": [[0.5], [1.0] * 3, [1.0] * 3]},  # would broadcast across the row
+            {"smoothed_var": [[1.0] * 3, [1.0] * 4, [1.0] * 3]},
+            {"var": [[1.0] * 3, [1.0, "1.0", 1.0], [1.0] * 3]},
+            {"count": [7, -1, 7]},
+            {"count": [7, 6.5, 7]},
+            {"count": [7, 7, 7, 0]},
         ],
     )
     def test_inconsistent_statistics_rejected(self, edit):
@@ -339,10 +345,10 @@ class TestSerialization:
         doc = stats_to_dict(committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3))
         doc.update(edit)
         with pytest.raises(InputError):
-            stats_from_dict(doc)
+            stats_from_dict(doc, 3)
 
     def test_unseen_class_rows_stay_null(self):
         doc = stats_to_dict(committed_from(np.arange(12.0).reshape(4, 3), [0, 0, 1, 1], 3))
         assert doc["count"] == [2, 2, 0] and doc["mean"][2] is None
-        loaded = stats_from_dict(doc)
+        loaded = stats_from_dict(doc, 3)
         assert np.isnan(loaded.frozen_mean[2]).all() and loaded.calibration_active
