@@ -1,8 +1,9 @@
 """Dense numeric primitives shared by every other module.
 
-The image-text inner product, similarity matrices, labels, row softmax
-and KL divergence.  Similarity matrices and labels are immutable once
-constructed; similarity values are float64.
+The image-text inner product, similarity matrices, labels and the row
+softmax.  Similarity matrices and labels are immutable once constructed;
+similarity values are float64.  They are the checked types of the
+boundaries: a training step passes their plain arrays.
 """
 
 from __future__ import annotations
@@ -10,13 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Floor applied to the second argument of the KL divergence.
-KL_EPS = 1e-12
-
-# Tolerance for "sums to one" checks on probability vectors.
-PROB_TOL = 1e-9
-
 
 class InputError(ValueError):
     """An operation rejected its input."""
@@ -33,9 +27,7 @@ class SimilarityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, copy=True)
-        if not np.all(np.isfinite(arr)):
-            raise InputError("similarity matrix contains non-finite entries")
+        arr = require_finite(np.array(self.data, dtype=np.float64, copy=True))
         arr.setflags(write=False)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise InputError(
@@ -86,6 +78,13 @@ class LabelVector:
             raise InputError(f"label {bad} out of range for {k} classes")
 
 
+def require_finite(s: np.ndarray) -> np.ndarray:
+    """Return the similarity array ``s``, or raise if any entry is NaN or infinite."""
+    if not np.isfinite(s).all():
+        raise InputError("similarity matrix contains non-finite entries")
+    return s
+
+
 def similarity_matrix(images: np.ndarray, texts: np.ndarray) -> SimilarityMatrix:
     """Inner-product scores between every image row and every text row.
 
@@ -113,31 +112,3 @@ def softmax_rows(s: SimilarityMatrix, tau: float) -> np.ndarray:
     if not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
     return _softmax(s.data / tau)
-
-
-def kl_divergence_row(p, q) -> float:
-    """KL(p || q) for two probability vectors, with 0*ln(0) := 0.
-
-    ``q`` is floored at ``KL_EPS`` so underflowed entries cannot produce
-    infinities.  Both inputs must sum to 1 within ``PROB_TOL``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise InputError(f"p and q must be 1-D vectors of equal length, got {p.shape} and {q.shape}")
-    if np.any(p < 0) or np.any(q < 0):
-        raise InputError("probability vectors must be non-negative")
-    for name, v in (("p", p), ("q", q)):
-        if abs(float(v.sum()) - 1.0) > PROB_TOL:
-            raise InputError(f"{name} must sum to 1 within {PROB_TOL}, got {float(v.sum())!r}")
-    support = p > 0
-    qf = np.maximum(q[support], KL_EPS)
-    return float(np.sum(p[support] * np.log(p[support] / qf)))
-
-
-def one_hot(labels: LabelVector, k: int) -> np.ndarray:
-    """M x K indicator matrix with exactly one 1 per row."""
-    labels.validate_for(k)
-    out = np.zeros((len(labels), k), dtype=np.float64)
-    out[np.arange(len(labels)), labels.labels] = 1.0
-    return out

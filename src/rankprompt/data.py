@@ -194,7 +194,7 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
 
 
 def batch_iter(dataset: Dataset, split: str, batch_size: int, seed: int, epoch: int):
-    """Yield (features, labels) batches of the split, shuffled per (seed, epoch)."""
+    """Yield (features, plain label array) batches of the split, shuffled per (seed, epoch)."""
     if batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {batch_size}")
     feats, labels = dataset.subset(split)
@@ -204,4 +204,4 @@ def batch_iter(dataset: Dataset, split: str, batch_size: int, seed: int, epoch: 
     order = np.random.default_rng([seed, epoch]).permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield feats[idx], LabelVector(labels.labels[idx])
+        yield feats[idx], labels.labels[idx]

@@ -4,18 +4,20 @@ A two-layer tanh MLP maps raw feature vectors to D-dimensional image
 embeddings; the text side is a free K x D matrix of class embeddings.
 Backward chains the loss gradient through the frozen per-row calibration
 map, the inner product, optional unit-normalization, and the MLP, all by
-hand.  SGD and Adam updates included.
+hand.  Parameters and gradients are flat vectors with named views; SGD and
+Adam update the parameter vector in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses as L
 from . import sms
-from .core import InputError, LabelVector, SimilarityMatrix, similarity_matrix
+from .core import InputError, SimilarityMatrix, require_finite, similarity_matrix
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -23,52 +25,66 @@ PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 NORM_FLOOR = 1e-12
 
 
+def param_shapes(f: int, h: int, e: int, k: int) -> dict[str, tuple]:
+    """Every tensor's shape, in ``PARAM_FIELDS`` order: their order in the flat vector."""
+    return {"w1": (f, h), "b1": (h,), "w2": (h, e), "b2": (e,), "text": (k, e)}
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    text: np.ndarray
+    """Every tensor in one contiguous float64 vector, ``flat``, in
+    ``PARAM_FIELDS`` order; ``w1`` ... ``text`` are views of it, so writing
+    ``flat`` writes them.  A gradient is held the same way."""
+
+    flat: np.ndarray
     feature_dim: int
     hidden_dim: int
     embed_dim: int
     classes: int
+    w1: np.ndarray = field(init=False, repr=False)
+    b1: np.ndarray = field(init=False, repr=False)
+    w2: np.ndarray = field(init=False, repr=False)
+    b2: np.ndarray = field(init=False, repr=False)
+    text: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = param_shapes(self.feature_dim, self.hidden_dim, self.embed_dim, self.classes)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if self.flat.shape != (size,) or self.flat.dtype != np.float64:
+            raise InputError(f"parameters need {size} float64 entries, got {self.flat.dtype} {self.flat.shape}")
+        start = 0
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, self.flat[start : start + math.prod(shape)].reshape(shape))
+            start += math.prod(shape)
+
+    def like(self, flat: np.ndarray) -> ModelParams:
+        """Another vector, ``flat``, with this layout: a gradient, or a copy."""
+        return ModelParams(flat, self.feature_dim, self.hidden_dim, self.embed_dim, self.classes)
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
-    def with_values(self, values: dict[str, np.ndarray]) -> "ModelParams":
-        return replace(self, **values)
+    def with_values(self, values: dict[str, np.ndarray]) -> ModelParams:
+        """A copy with the named tensors replaced; each keeps its shape."""
+        out = self.like(self.flat.copy())
+        for name, value in values.items():
+            if np.shape(value) != getattr(out, name).shape:
+                raise InputError(f"{name} must keep shape {getattr(out, name).shape}, got {np.shape(value)}")
+            getattr(out, name)[...] = value
+        return out
 
 
 def init_params(feature_dim: int, hidden_dim: int, embed_dim: int, classes: int, seed: int) -> ModelParams:
     """Seeded uniform init in (-1/sqrt(fan_in), 1/sqrt(fan_in)) per tensor."""
-    for name, v in (
-        ("feature_dim", feature_dim),
-        ("hidden_dim", hidden_dim),
-        ("embed_dim", embed_dim),
-        ("classes", classes),
-    ):
+    dims = {"feature_dim": feature_dim, "hidden_dim": hidden_dim, "embed_dim": embed_dim, "classes": classes}
+    for name, v in dims.items():
         if v < 1:
             raise InputError(f"{name} must be >= 1, got {v}")
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return ModelParams(
-        w1=uniform((feature_dim, hidden_dim), feature_dim),
-        b1=uniform((hidden_dim,), feature_dim),
-        w2=uniform((hidden_dim, embed_dim), hidden_dim),
-        b2=uniform((embed_dim,), hidden_dim),
-        text=uniform((classes, embed_dim), embed_dim),
-        feature_dim=feature_dim,
-        hidden_dim=hidden_dim,
-        embed_dim=embed_dim,
-        classes=classes,
-    )
+    bounds = [1.0 / np.sqrt(fan_in) for fan_in in (feature_dim, feature_dim, hidden_dim, hidden_dim, embed_dim)]
+    shapes = param_shapes(feature_dim, hidden_dim, embed_dim, classes).values()
+    flat = np.concatenate([rng.uniform(-b, b, size=shape).ravel() for b, shape in zip(bounds, shapes)])
+    return ModelParams(flat, feature_dim, hidden_dim, embed_dim, classes)
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +128,15 @@ def forward_similarity(params: ModelParams, features: np.ndarray, normalize: boo
 
 @dataclass(frozen=True)
 class BackwardResult:
-    grads: dict[str, np.ndarray]
+    grads: ModelParams  # the gradient, in the parameters' layout
     report: L.LossReport
-    similarity_raw: SimilarityMatrix
+    similarity_raw: np.ndarray
 
 
 def model_backward(
     params: ModelParams,
     features: np.ndarray,
-    labels: LabelVector,
+    labels: np.ndarray,
     stats: sms.ClassStats | None,
     cfg: L.LossConfig,
     normalize: bool = False,
@@ -128,16 +144,17 @@ def model_backward(
 ) -> BackwardResult:
     """Forward encode -> similarity -> calibrate -> loss, then hand backward.
 
-    ``stats=None`` skips calibration entirely.  Committed statistics are
-    treated as constants: the gradient passes through the per-row affine
-    map via its frozen scale only.  ``include_main=False`` optimizes the
-    rank term alone (the report still shows every term).
+    ``labels`` are M class indices already checked against K.  ``stats=None``
+    skips calibration entirely.  Committed statistics are treated as
+    constants: the gradient passes through the per-row affine map via its
+    frozen scale only.  ``include_main=False`` optimizes the rank term alone
+    (the report still shows every term).
     """
     features, pre, x, t, x_norms, t_norms = _forward(params, features, normalize)
-    s_raw = similarity_matrix(x, t)
+    s_raw = require_finite(x @ t.T)
     if stats is not None:
         scale, offset = sms.calibration_map(s_raw, labels, stats)
-        s_cal = SimilarityMatrix(scale * s_raw.data + offset)
+        s_cal = require_finite(scale * s_raw + offset)
     else:
         s_cal = s_raw
 
@@ -153,13 +170,12 @@ def model_backward(
         g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
 
     g_pre = (g_x @ params.w2.T) * (1.0 - pre * pre)
-    grads = {
-        "w1": features.T @ g_pre,
-        "b1": g_pre.sum(axis=0),
-        "w2": pre.T @ g_x,
-        "b2": g_x.sum(axis=0),
-        "text": g_t,
-    }
+    grads = params.like(np.empty_like(params.flat))
+    np.matmul(features.T, g_pre, out=grads.w1)
+    g_pre.sum(axis=0, out=grads.b1)
+    np.matmul(pre.T, g_x, out=grads.w2)
+    g_x.sum(axis=0, out=grads.b2)
+    grads.text[...] = g_t
     return BackwardResult(grads=grads, report=report, similarity_raw=s_raw)
 
 
@@ -168,8 +184,8 @@ class OptimizerState:
     kind: str
     learning_rate: float
     step: int = 0
-    m: dict[str, np.ndarray] | None = None
-    v: dict[str, np.ndarray] | None = None
+    m: np.ndarray | None = None  # Adam's moments, flat like the parameters
+    v: np.ndarray | None = None
 
 
 ADAM_BETA1 = 0.9
@@ -182,40 +198,34 @@ def init_optimizer(kind: str, learning_rate: float, params: ModelParams) -> Opti
         raise InputError(f"optimizer must be 'sgd' or 'adam', got {kind!r}")
     if not learning_rate > 0:
         raise InputError(f"learning_rate must be positive, got {learning_rate}")
-    state = OptimizerState(kind=kind, learning_rate=learning_rate)
-    if kind == "adam":
-        state.m = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-        state.v = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-    return state
+    if kind == "sgd":
+        return OptimizerState(kind=kind, learning_rate=learning_rate)
+    return OptimizerState(kind, learning_rate, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def optimizer_step(
-    params: ModelParams, grads: dict[str, np.ndarray], state: OptimizerState
+    params: ModelParams, grads: ModelParams, state: OptimizerState
 ) -> tuple[ModelParams, OptimizerState]:
-    """One in-place-style update; returns new params and advanced state."""
-    values = params.as_dict()
-    for name, g in grads.items():
-        if name not in values or g.shape != values[name].shape:
-            raise InputError(f"gradient for {name!r} does not match parameter shapes")
+    """Update ``params.flat`` (and Adam's moments) in place from a gradient
+    of the same layout; returns the same params and the advanced state."""
+    if any(getattr(grads, name).shape != getattr(params, name).shape for name in PARAM_FIELDS):
+        raise InputError("gradient layout does not match the parameters")
     state.step += 1
-    updated = {}
+    flat, g = params.flat, grads.flat
     if state.kind == "sgd":
-        for name in PARAM_FIELDS:
-            updated[name] = values[name] - state.learning_rate * grads[name]
-    else:
-        t = state.step
-        for name in PARAM_FIELDS:
-            g = grads[name]
-            state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-            state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-            mhat = state.m[name] / (1.0 - ADAM_BETA1**t)
-            vhat = state.v[name] / (1.0 - ADAM_BETA2**t)
-            updated[name] = values[name] - state.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    return params.with_values(updated), state
+        flat -= state.learning_rate * g
+        return params, state
+    t, m, v = state.step, state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    flat -= state.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    return params, state
 
 
 def params_to_dict(params: ModelParams) -> dict:
-    out = {name: getattr(params, name).tolist() for name in PARAM_FIELDS}
+    out = {name: view.tolist() for name, view in params.as_dict().items()}
     out["hyper"] = {
         "feature_dim": params.feature_dim,
         "hidden_dim": params.hidden_dim,
@@ -230,14 +240,12 @@ def params_from_dict(d: dict) -> ModelParams:
     ``hyper`` or that holds a non-finite value."""
     hyper = d["hyper"]
     f, h, e, k = (int(hyper[name]) for name in ("feature_dim", "hidden_dim", "embed_dim", "classes"))
-    expected = {"w1": (f, h), "b1": (h,), "w2": (h, e), "b2": (e,), "text": (k, e)}
-    values = {}
-    for name in PARAM_FIELDS:
-        values[name] = np.asarray(d[name], dtype=np.float64)
-        if values[name].shape != expected[name]:
-            raise InputError(
-                f"parameter {name} has shape {values[name].shape}, hyper expects {expected[name]}"
-            )
-        if not np.isfinite(values[name]).all():
+    parts = []
+    for name, shape in param_shapes(f, h, e, k).items():
+        value = np.asarray(d[name], dtype=np.float64)
+        if value.shape != shape:
+            raise InputError(f"parameter {name} has shape {value.shape}, hyper expects {shape}")
+        if not np.isfinite(value).all():
             raise InputError(f"parameter {name} has non-finite entries")
-    return ModelParams(**values, feature_dim=f, hidden_dim=h, embed_dim=e, classes=k)
+        parts.append(value.ravel())
+    return ModelParams(np.concatenate(parts), f, h, e, k)

@@ -10,6 +10,7 @@ the first commit calibration is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,23 @@ class ClassStats:
         out[seen] = np.maximum(self.epoch_sumsq[seen] / n - m * m, VAR_FLOOR)
         return out
 
+    @cached_property
+    def calibration_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """K x K (scale, offset) of the frozen calibration map, one row per
+        grade: scale = sqrt(smoothed_var/var), offset = smoothed_mean -
+        scale*mean; identity for grades without committed statistics and
+        while calibration is off.  Built once: the frozen arrays never change."""
+        scale = np.ones((self.k, self.k))
+        offset = np.zeros((self.k, self.k))
+        if self.calibration_active:
+            usable = self.frozen_count > 0
+            sc = np.sqrt(self.smoothed_var[usable]) / np.sqrt(self.frozen_var[usable])
+            scale[usable] = sc
+            offset[usable] = self.smoothed_mean[usable] - sc * self.frozen_mean[usable]
+        scale.setflags(write=False)
+        offset.setflags(write=False)
+        return scale, offset
+
 
 def init_class_stats(k: int) -> ClassStats:
     """Pristine statistics: nothing accumulated, nothing committed."""
@@ -111,19 +129,24 @@ def init_class_stats(k: int) -> ClassStats:
     )
 
 
-def accumulate_class_stats(stats: ClassStats, s: SimilarityMatrix, labels: LabelVector) -> ClassStats:
-    """Fold a batch of raw similarity rows into the running epoch sums."""
-    if s.k != stats.k:
-        raise InputError(f"similarity width {s.k} does not match the {stats.k} classes of the statistics")
-    if len(labels) != s.m:
-        raise InputError(f"got {len(labels)} labels for {s.m} similarity rows")
-    labels.validate_for(stats.k)
+def _check_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> None:
+    if s.shape[1] != stats.k:
+        raise InputError(f"similarity width {s.shape[1]} does not match the {stats.k} classes of the statistics")
+    if len(labels) != s.shape[0]:
+        raise InputError(f"got {len(labels)} labels for {s.shape[0]} similarity rows")
+
+
+def accumulate_class_stats(stats: ClassStats, s: np.ndarray, labels: np.ndarray) -> ClassStats:
+    """Fold a batch of raw similarity rows (M x K array, M checked labels)
+    into the running epoch sums."""
+    _check_rows(s, labels, stats)
     total = stats.epoch_sum.copy()
     totalsq = stats.epoch_sumsq.copy()
-    n = stats.epoch_count.copy()
-    np.add.at(total, labels.labels, s.data)
-    np.add.at(totalsq, labels.labels, s.data * s.data)
-    np.add.at(n, labels.labels, 1)
+    # add.at on the flat K*K cells: each cell sums its rows in batch order, on numpy's fast 1-D path
+    cells = (labels[:, None] * stats.k + np.arange(stats.k)).ravel()
+    np.add.at(total.reshape(-1), cells, s.ravel())
+    np.add.at(totalsq.reshape(-1), cells, (s * s).ravel())
+    n = stats.epoch_count + np.bincount(labels, minlength=stats.k)
     return replace(stats, epoch_sum=total, epoch_sumsq=totalsq, epoch_count=n)
 
 
@@ -168,39 +191,26 @@ def commit_epoch(stats: ClassStats, kernel: KernelSpec) -> ClassStats:
     )
 
 
-def calibration_map(s: SimilarityMatrix, labels: LabelVector, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset.
-
-    scale = sqrt(smoothed_var/var), offset = smoothed_mean - scale*mean,
-    with mean/var/smoothed_* the frozen per-class statistics of the row's
-    true class.  Before any commit the map is the identity (cold start);
-    rows of classes without committed statistics get scale 1, offset 0.
+def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset
+    for an M x K array and M checked labels: each row takes its true class's
+    row of ``stats.calibration_table`` (the identity before any commit).
     The scale is also d(calibrated)/d(raw) per entry.  Statistics holding
     uncommitted accumulation are rejected: calibration must only ever see
     values frozen at an epoch boundary.
     """
-    if s.k != stats.k:
-        raise InputError(f"similarity width {s.k} does not match the {stats.k} classes of the statistics")
-    if len(labels) != s.m:
-        raise InputError(f"got {len(labels)} labels for {s.m} similarity rows")
-    labels.validate_for(stats.k)
+    _check_rows(s, labels, stats)
     if not stats.committed and int(stats.epoch_count.sum()) > 0:
         raise StateError("statistics were accumulated but never committed; call commit_epoch first")
-    # One (scale, offset) row per grade; each similarity row takes its label's.
-    scale = np.ones((stats.k, stats.k))
-    offset = np.zeros((stats.k, stats.k))
-    if stats.calibration_active:
-        usable = stats.frozen_count > 0
-        sc = np.sqrt(stats.smoothed_var[usable]) / np.sqrt(stats.frozen_var[usable])
-        scale[usable] = sc
-        offset[usable] = stats.smoothed_mean[usable] - sc * stats.frozen_mean[usable]
-    return scale[labels.labels], offset[labels.labels]
+    scale, offset = stats.calibration_table
+    return scale[labels], offset[labels]
 
 
 def calibrate_rows(s: SimilarityMatrix, labels: LabelVector, stats: ClassStats) -> SimilarityMatrix:
     """Affine-map each row toward the smoothed statistics of its true class
     through ``calibration_map``: out = scale * s + offset."""
-    scale, offset = calibration_map(s, labels, stats)
+    labels.validate_for(stats.k)
+    scale, offset = calibration_map(s.data, labels.labels, stats)
     return SimilarityMatrix(scale * s.data + offset)
 
 

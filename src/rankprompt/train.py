@@ -40,7 +40,11 @@ def loss_config(cfg: RunConfig) -> LossConfig:
 
 def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainResult:
     """Run cfg.epochs of training on the train split; returns the final
-    parameters, committed statistics, and per-epoch log."""
+    parameters, committed statistics, and per-epoch log.
+
+    The train split is checked against ``cfg`` once, here; after that a
+    non-finite similarity or parameter means training diverged, and the
+    InputError names the epoch, the 0-based batch and the first bad tensor."""
     params = M.init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
     opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
     lcfg = loss_config(cfg)
@@ -49,20 +53,32 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     committed = stats
     log = []
     train_feats, train_labels = dataset.subset("train")
+    train_labels.validate_for(cfg.classes)
+    if train_feats.shape[1] != cfg.feature_dim:
+        raise InputError(f"features must be M x {cfg.feature_dim}, got shape {train_feats.shape}")
+    if not np.isfinite(train_feats).all():
+        raise InputError("train features contain non-finite entries")
     for epoch in range(cfg.epochs):
         seen = 0
         sums = {"main": 0.0, "rank": 0.0, "total": 0.0}
-        for feats, labels in batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch):
-            result = M.model_backward(
-                params,
-                feats,
-                labels,
-                committed if cfg.sms_enabled else None,
-                lcfg,
-                normalize=cfg.normalize_embeddings,
-                include_main=include_main,
-            )
+        for batch, (feats, labels) in enumerate(batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
+            diverged = f"training diverged at epoch {epoch}, batch {batch}"
+            try:
+                result = M.model_backward(
+                    params,
+                    feats,
+                    labels,
+                    committed if cfg.sms_enabled else None,
+                    lcfg,
+                    normalize=cfg.normalize_embeddings,
+                    include_main=include_main,
+                )
+            except InputError as exc:  # its inputs passed the checks above
+                raise InputError(f"{diverged}: {exc}") from None
             params, opt = M.optimizer_step(params, result.grads, opt)
+            if not np.isfinite(params.flat).all():
+                bad = next(name for name, v in params.as_dict().items() if not np.isfinite(v).all())
+                raise InputError(f"{diverged}: the optimizer step made parameter {bad} non-finite")
             if cfg.sms_enabled:
                 stats = sms.accumulate_class_stats(stats, result.similarity_raw, labels)
             m = feats.shape[0]
@@ -73,7 +89,10 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
         if cfg.sms_enabled:
             stats = sms.commit_epoch(stats, kernel)
             committed = stats
-        report = evaluate(params, committed, train_feats, train_labels, cfg)
+        try:
+            report = evaluate(params, committed, train_feats, train_labels, cfg)
+        except InputError as exc:
+            raise InputError(f"training diverged at epoch {epoch}, in the train-split evaluation: {exc}") from None
         log.append(
             {
                 "epoch": epoch,

@@ -17,12 +17,13 @@ from statistics import mean
 
 import numpy as np
 import pytest
+from oracles import kl_divergence_row, one_hot, rank_directional_loss
 
 from rankprompt.cli import main
 from rankprompt.config import RunConfig
-from rankprompt.core import LabelVector, SimilarityMatrix, kl_divergence_row, one_hot
+from rankprompt.core import LabelVector, SimilarityMatrix
 from rankprompt.data import DatasetSpec, generate_synthetic, load_csv, write_csv
-from rankprompt.losses import LossConfig, rank_directional_loss, rank_term, total_loss
+from rankprompt.losses import LossConfig, rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
 from rankprompt.sms import (
     KernelSpec,
@@ -86,7 +87,9 @@ class TestA1GradientCertification:
         stats = init_class_stats(k)
         s = SimilarityMatrix(rng.normal(size=(m_stat, k)))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)]))
-        return commit_epoch(accumulate_class_stats(stats, s, labels), KernelSpec(sigma=1.0, include_self=True))
+        return commit_epoch(
+            accumulate_class_stats(stats, s.data, labels.labels), KernelSpec(sigma=1.0, include_self=True)
+        )
 
     def excess(self, analytic, fd, rtol):
         """Worst |analytic - fd| relative to the allowance rtol*|fd| + atol;
@@ -102,7 +105,7 @@ class TestA1GradientCertification:
             m = int(rng.integers(1, 9))
             k = int(rng.integers(2, 7))
             s_data = rng.normal(scale=1.5, size=(m, k))
-            labels = LabelVector(rng.integers(0, k, size=m))
+            labels = LabelVector(rng.integers(0, k, size=m)).labels
             cfg = LossConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.2, 2.0)))
 
             def main_term(s):
@@ -115,8 +118,8 @@ class TestA1GradientCertification:
                 return r.total, r.grad_similarity
 
             for term in (main_term, lambda s: rank_term(s, labels, cfg), total_term):
-                analytic = term(SimilarityMatrix(s_data))[1]
-                fd = self.fd_wrt_similarity(lambda d: term(SimilarityMatrix(d))[0], s_data)
+                analytic = term(SimilarityMatrix(s_data).data)[1]
+                fd = self.fd_wrt_similarity(lambda d: term(SimilarityMatrix(d).data)[0], s_data)
                 err = self.excess(analytic, fd, self.LOSS_RTOL)
                 worst_loss = max(worst_loss, err)
                 assert err <= 1.0, f"A1: FAIL - seed {seed} loss-level tolerance exceeded {err:.2f}x"
@@ -131,7 +134,7 @@ class TestA1GradientCertification:
 
             bw = model_backward(params, feats, labels, stats, cfg, normalize=normalize)
             packed = np.concatenate([getattr(params, f).ravel() for f in PARAM_FIELDS])
-            analytic = np.concatenate([bw.grads[f].ravel() for f in PARAM_FIELDS])
+            analytic = np.concatenate([getattr(bw.grads, f).ravel() for f in PARAM_FIELDS])
 
             def chain_total(vec):
                 shapes = [getattr(params, f).shape for f in PARAM_FIELDS]
@@ -240,14 +243,14 @@ class TestA4LossOracles:
         checks.append(("KL(one-hot||uniform)", got, np.log(5.0)))
 
         s = SimilarityMatrix(np.zeros((3, 2)))
-        got = total_loss(s, LabelVector([0, 0, 1]), lcfg).main
+        got = total_loss(s.data, LabelVector([0, 0, 1]).labels, lcfg).main
         checks.append(("all-zero main composite", got, 0.7225929394740411))
 
         got = rank_directional_loss(np.array([3.0, 2.0, 1.0, 0.0, -1.0]), 0, "rightward", 1.0)
         checks.append(("unit-gap directional rank", got, 1.2530467500728915))
 
         s = SimilarityMatrix(np.zeros((2, 5)))
-        got, _ = rank_term(s, LabelVector([1, 3]), lcfg)
+        got, _ = rank_term(s.data, LabelVector([1, 3]).labels, lcfg)
         checks.append(("all-zero rank loss", got, 4 * np.log(2.0)))
 
         got = kl_divergence_row(np.array([0.5, 0.5]), np.array([0.75, 0.25]))
@@ -264,7 +267,7 @@ class TestA5CalibrationProperties:
         stats = init_class_stats(k)
         s = SimilarityMatrix(rng.normal(scale=2.0, size=(m, k)))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)]))
-        return commit_epoch(accumulate_class_stats(stats, s, labels), kernel)
+        return commit_epoch(accumulate_class_stats(stats, s.data, labels.labels), kernel)
 
     def test_a5(self):
         rng = np.random.default_rng(0)
@@ -306,14 +309,14 @@ class TestA5CalibrationProperties:
                 w = np.stack([kernel_weights(spec, j, k) for j in range(k)])
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(w - w.T))))
                 eye = SimilarityMatrix(np.eye(k))
-                onehot = accumulate_class_stats(init_class_stats(k), eye, LabelVector(np.arange(k)))
+                onehot = accumulate_class_stats(init_class_stats(k), eye.data, np.arange(k))
                 totals = commit_epoch(onehot, spec).smoothed_mean.sum(axis=1)
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(totals - 1.0))))
 
         # epoch freeze: mid-epoch accumulation must not move committed stats
         frozen = self.committed(rng)
         first = calibrate_rows(s, labels, frozen)
-        poked = accumulate_class_stats(frozen, s, labels)
+        poked = accumulate_class_stats(frozen, s.data, labels.labels)
         second = calibrate_rows(s, labels, poked)
         freeze_ok = np.array_equal(first.data, second.data)
 

@@ -251,6 +251,19 @@ class TestExitCodes:
         assert main(["generate", "--config", cfg]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_diverging_training_is_2(self, tmp_path, capsys):
+        """SGD with a step of 1e300 drives the parameters to about 1e298,
+        so the next step's similarities overflow; the error names that
+        step.  numpy warns about the overflow first."""
+        text = TINY.replace("learning_rate = 0.01", "learning_rate = 1e300") + "optimizer = sgd\n"
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert main(["generate", "--config", cfg, "--out", out]) == 0
+        with pytest.warns(RuntimeWarning):
+            assert main(["train", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: training diverged at epoch 0, batch 1: similarity matrix contains non-finite entries" in err
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 3
 

@@ -1,14 +1,13 @@
-"""Numeric primitives: similarity, softmax, KL, one-hot."""
+"""Numeric primitives: similarity, softmax, and the KL and one-hot oracles."""
 
 import numpy as np
 import pytest
+from oracles import kl_divergence_row, one_hot
 
 from rankprompt.core import (
     InputError,
     LabelVector,
     SimilarityMatrix,
-    kl_divergence_row,
-    one_hot,
     similarity_matrix,
     softmax_rows,
 )

@@ -178,14 +178,14 @@ class TestBatchIter:
 
     def test_deterministic_for_seed_epoch(self):
         ds = self.make()
-        a = [lab.labels.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=2)]
-        b = [lab.labels.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=2)]
+        a = [lab.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=2)]
+        b = [lab.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=2)]
         assert a == b
 
     def test_epochs_reshuffle(self):
         ds = self.make()
-        a = [lab.labels.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=0)]
-        b = [lab.labels.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=1)]
+        a = [lab.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=0)]
+        b = [lab.tolist() for _, lab in batch_iter(ds, "train", 7, seed=5, epoch=1)]
         assert a != b
 
     def test_batches_partition_split(self):
@@ -193,7 +193,7 @@ class TestBatchIter:
         feats, labels = ds.subset("train")
         seen = []
         for bf, bl in batch_iter(ds, "train", 13, seed=1, epoch=4):
-            assert bf.shape[0] == bl.labels.shape[0] <= 13
+            assert bf.shape[0] == bl.shape[0] <= 13
             seen.extend(bf[:, 0].tolist())
         assert sorted(seen) == sorted(feats[:, 0].tolist())
 

@@ -8,6 +8,9 @@ import pytest
 from rankprompt.core import InputError, LabelVector, SimilarityMatrix
 from rankprompt.losses import LossConfig, image_to_text_term, rank_term, total_loss
 from rankprompt.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PARAM_FIELDS,
     init_optimizer,
     init_params,
@@ -20,7 +23,8 @@ H = 1e-5
 
 
 def smat(rows):
-    return SimilarityMatrix(np.asarray(rows, dtype=float))
+    """A checked similarity matrix's plain array, as the loss functions take it."""
+    return SimilarityMatrix(np.asarray(rows, dtype=float)).data
 
 
 def fd_grad_wrt_similarity(fn, sdata, labels, cfg, h=H):
@@ -40,7 +44,7 @@ def random_case(seed):
     m = int(rng.integers(1, 9))
     k = int(rng.integers(2, 7))
     sdata = rng.normal(0, 2, (m, k))
-    labels = LabelVector(rng.integers(0, k, m))
+    labels = LabelVector(rng.integers(0, k, m)).labels
     cfg = LossConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.0, 2.0)))
     return sdata, labels, cfg
 
@@ -89,26 +93,26 @@ class TestLossGradients:
             sdata, labels, cfg = random_case(seed + 4000)
             _, g = image_to_text_term(smat(sdata), labels, cfg)
             rows = np.arange(sdata.shape[0])
-            assert np.all(g[rows, labels.labels] < 0)
+            assert np.all(g[rows, labels] < 0)
         for seed in range(10):
             rng = np.random.default_rng(seed + 5000)
             k = int(rng.integers(2, 7))
             sdata = rng.normal(0, 2, (1, k))
-            labels = LabelVector(rng.integers(0, k, 1))
+            labels = LabelVector(rng.integers(0, k, 1)).labels
             cfg = LossConfig(lambda_rank=float(rng.uniform(0.0, 2.0)))
             g = total_loss(smat(sdata), labels, cfg).grad_similarity
-            assert g[0, labels.labels[0]] < 0
+            assert g[0, labels[0]] < 0
 
     def test_rank_gradient_saturates_at_large_margins(self):
         row = np.array([[500.0, 400.0, 300.0, 200.0, 100.0]])
-        _, g = rank_term(smat(row), LabelVector([0]), LossConfig())
+        _, g = rank_term(smat(row), LabelVector([0]).labels, LossConfig())
         assert np.max(np.abs(g)) < 1e-12
 
 
 def committed_stats(rng, k):
     stats = init_class_stats(k)
-    rows = SimilarityMatrix(rng.normal(0, 1, (10 * k, k)))
-    labels = LabelVector(np.arange(10 * k) % k)
+    rows = smat(rng.normal(0, 1, (10 * k, k)))
+    labels = LabelVector(np.arange(10 * k) % k).labels
     return commit_epoch(accumulate_class_stats(stats, rows, labels), KernelSpec(sigma=1.0))
 
 
@@ -127,7 +131,7 @@ class TestFullChainGradients:
             use_sms = bool((seed // 2) % 2)
             params = init_params(f, hid, d, k, seed)
             feats = rng.normal(0, 1, (m, f))
-            labels = LabelVector(rng.integers(0, k, m))
+            labels = LabelVector(rng.integers(0, k, m)).labels
             cfg = LossConfig(tau=1.0, lambda_rank=float(rng.uniform(0.0, 2.0)))
             stats = committed_stats(rng, k) if use_sms else None
 
@@ -148,7 +152,7 @@ class TestFullChainGradients:
                     dn = {name: arr.copy()}
                     dn[name][idx] -= H
                     fd[idx] = (value(params.with_values(up)) - value(params.with_values(dn))) / (2 * H)
-                np.testing.assert_allclose(res.grads[name], fd, rtol=1e-3, atol=1e-6)
+                np.testing.assert_allclose(getattr(res.grads, name), fd, rtol=1e-3, atol=1e-6)
 
     def test_sms_disabled_equals_raw_pipeline(self):
         """A pristine statistics object calibrates as identity, so backward
@@ -156,13 +160,13 @@ class TestFullChainGradients:
         rng = np.random.default_rng(99)
         params = init_params(4, 6, 3, 5, 0)
         feats = rng.normal(size=(6, 4))
-        labels = LabelVector(rng.integers(0, 5, 6))
+        labels = LabelVector(rng.integers(0, 5, 6)).labels
         cfg = LossConfig()
         cold = init_class_stats(5)
         with_cold = model_backward(params, feats, labels, cold, cfg)
         without = model_backward(params, feats, labels, None, cfg)
         for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(with_cold.grads[name], without.grads[name])
+            np.testing.assert_array_equal(getattr(with_cold.grads, name), getattr(without.grads, name))
         assert with_cold.report.total == without.report.total
 
     def test_saturated_optimum_has_tiny_gradients(self):
@@ -178,9 +182,13 @@ class TestFullChainGradients:
             }
         )
         feats = np.random.default_rng(2).normal(size=(1, 3))
-        res = model_backward(params, feats, LabelVector([0]), None, LossConfig(lambda_rank=0.0))
+        res = model_backward(params, feats, LabelVector([0]).labels, None, LossConfig(lambda_rank=0.0))
         for name in PARAM_FIELDS:
-            assert np.max(np.abs(res.grads[name])) < 1e-8
+            assert np.max(np.abs(getattr(res.grads, name))) < 1e-8
+
+
+def zero_grads(params):
+    return params.like(np.zeros_like(params.flat))
 
 
 class TestOptimizer:
@@ -188,29 +196,38 @@ class TestOptimizer:
         params = init_params(2, 2, 2, 2, 0)
         params = params.with_values({"b2": np.array([1.0, 1.0])})
         state = init_optimizer("sgd", 0.1, params)
-        grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
-        grads["b2"] = np.array([2.0, 2.0])
+        grads = zero_grads(params)
+        grads.b2[:] = [2.0, 2.0]
         updated, _ = optimizer_step(params, grads, state)
         np.testing.assert_allclose(updated.b2, [0.8, 0.8])
 
     def test_zero_gradient_keeps_parameters(self):
         params = init_params(3, 3, 3, 3, 1)
-        grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
+        before = {name: value.copy() for name, value in params.as_dict().items()}
         for kind in ("sgd", "adam"):
-            updated, _ = optimizer_step(params, grads, init_optimizer(kind, 0.05, params))
+            updated, _ = optimizer_step(params, zero_grads(params), init_optimizer(kind, 0.05, params))
             for name in PARAM_FIELDS:
-                np.testing.assert_array_equal(getattr(updated, name), getattr(params, name))
+                np.testing.assert_array_equal(getattr(updated, name), before[name])
 
     def test_adam_first_step_magnitude(self):
         """Bias correction makes the first Adam step about lr regardless of
         the gradient's scale."""
         params = init_params(2, 2, 2, 2, 3)
         for c in (1e-4, 1.0, 1e4):
-            state = init_optimizer("adam", 0.01, params)
-            grads = {name: np.full_like(getattr(params, name), c) for name in PARAM_FIELDS}
-            updated, _ = optimizer_step(params, grads, state)
+            fresh = params.with_values({})  # the step updates its params in place
+            state = init_optimizer("adam", 0.01, fresh)
+            grads = fresh.like(np.full_like(fresh.flat, c))
+            updated, _ = optimizer_step(fresh, grads, state)
             step = params.b1 - updated.b1
             np.testing.assert_allclose(step, 0.01, rtol=1e-3)
+
+    def test_updates_in_place(self):
+        params = init_params(2, 3, 2, 2, 4)
+        flat = params.flat
+        grads = params.like(np.ones_like(params.flat))
+        updated, _ = optimizer_step(params, grads, init_optimizer("adam", 0.1, params))
+        assert updated is params and updated.flat is flat
+        assert np.shares_memory(updated.w2, flat)
 
     def test_small_sgd_step_descends(self):
         """A tiny step along the analytic gradient lowers the total loss."""
@@ -218,7 +235,7 @@ class TestOptimizer:
             rng = np.random.default_rng(seed + 50)
             params = init_params(4, 5, 3, 4, seed)
             feats = rng.normal(size=(5, 4))
-            labels = LabelVector(rng.integers(0, 4, 5))
+            labels = LabelVector(rng.integers(0, 4, 5)).labels
             cfg = LossConfig()
             res = model_backward(params, feats, labels, None, cfg)
             state = init_optimizer("sgd", 1e-4, params)
@@ -228,7 +245,52 @@ class TestOptimizer:
 
     def test_rejects_mismatched_shapes(self):
         params = init_params(2, 2, 2, 2, 0)
-        grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
-        grads["b2"] = np.zeros(5)
-        with pytest.raises(InputError):
-            optimizer_step(params, grads, init_optimizer("sgd", 0.1, params))
+        # more classes; and the same 16 entries cut into other shapes
+        for other in (init_params(2, 2, 2, 3, 0), init_params(1, 2, 2, 3, 0)):
+            with pytest.raises(InputError):
+                optimizer_step(params, zero_grads(other), init_optimizer("sgd", 0.1, params))
+        assert init_params(1, 2, 2, 3, 0).flat.size == params.flat.size
+
+
+def reference_step(values, grads, state, kind, lr, t):
+    """The per-tensor SGD and Adam updates, one array at a time, written out
+    as the flat optimizer must reproduce them bit for bit."""
+    updated = {}
+    for name in PARAM_FIELDS:
+        g = grads[name]
+        if kind == "sgd":
+            updated[name] = values[name] - lr * g
+            continue
+        state["m"][name] = ADAM_BETA1 * state["m"][name] + (1.0 - ADAM_BETA1) * g
+        state["v"][name] = ADAM_BETA2 * state["v"][name] + (1.0 - ADAM_BETA2) * g * g
+        mhat = state["m"][name] / (1.0 - ADAM_BETA1**t)
+        vhat = state["v"][name] / (1.0 - ADAM_BETA2**t)
+        updated[name] = values[name] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    return updated
+
+
+class TestFlatOptimizerBitIdentity:
+    STEPS = 60
+
+    def test_matches_per_tensor_formulas(self):
+        """SGD and Adam on the flat vector give the same bytes as the
+        per-tensor formulas, step after step, on random layouts including
+        two classes and a hidden width of 1."""
+        layouts = [(3, 1, 2, 2), (1, 1, 1, 2), (5, 7, 3, 2)]
+        rng = np.random.default_rng(77)
+        layouts += [tuple(int(x) for x in rng.integers(1, 9, 3)) + (int(rng.integers(2, 8)),) for _ in range(5)]
+        for case, dims in enumerate(layouts):
+            for kind in ("sgd", "adam"):
+                lr = float(10.0 ** rng.uniform(-4, 0))
+                params = init_params(*dims, seed=case)
+                values = {name: v.copy() for name, v in params.as_dict().items()}
+                ref_state = {key: {n: np.zeros_like(v) for n, v in values.items()} for key in ("m", "v")}
+                state = init_optimizer(kind, lr, params)
+                for t in range(1, self.STEPS + 1):
+                    scale = 10.0 ** rng.uniform(-6, 3)
+                    grads = params.like(rng.normal(scale=scale, size=params.flat.size))
+                    ref_grads = {name: g.copy() for name, g in grads.as_dict().items()}
+                    params, state = optimizer_step(params, grads, state)
+                    values = reference_step(values, ref_grads, ref_state, kind, lr, t)
+                    for name in PARAM_FIELDS:
+                        assert getattr(params, name).tobytes() == values[name].tobytes(), (dims, kind, t, name)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import rank_directional_loss
+
 from rankprompt.core import InputError, LabelVector, SimilarityMatrix
 from rankprompt.losses import (
     LossConfig,
     image_to_text_term,
-    rank_directional_loss,
     rank_term,
     text_to_image_term,
     total_loss,
@@ -23,20 +24,21 @@ def smat(rows):
     return SimilarityMatrix(np.asarray(rows, dtype=float))
 
 
+# The loss functions take the plain arrays of the checked types.
 def image_to_text_loss(s, labels, cfg):
-    return image_to_text_term(s, labels, cfg)[0]
+    return image_to_text_term(s.data, labels.labels, cfg)[0]
 
 
 def text_to_image_loss(s, labels, cfg):
-    return text_to_image_term(s, labels, cfg)[0]
+    return text_to_image_term(s.data, labels.labels, cfg)[0]
 
 
 def main_loss(s, labels, cfg):
-    return total_loss(s, labels, cfg).main
+    return total_loss(s.data, labels.labels, cfg).main
 
 
 def rank_loss(s, labels, cfg):
-    return rank_term(s, labels, cfg)[0]
+    return rank_term(s.data, labels.labels, cfg)[0]
 
 
 def random_case(seed, m_hi=8, k_hi=6):
@@ -205,11 +207,11 @@ class TestRankLoss:
 class TestTotalLoss:
     def test_lambda_zero_is_main_only(self):
         s, labels, _ = random_case(26)
-        report = total_loss(s, labels, LossConfig(lambda_rank=0.0))
+        report = total_loss(s.data, labels.labels, LossConfig(lambda_rank=0.0))
         assert report.total == report.main
 
     def test_zero_scores_composite(self):
-        report = total_loss(smat(np.zeros((2, 5))), LabelVector([0, 2]), CFG)
+        report = total_loss(smat(np.zeros((2, 5))).data, LabelVector([0, 2]).labels, CFG)
         np.testing.assert_allclose(report.rank, 4 * LN2, atol=1e-12)
         np.testing.assert_allclose(report.total, report.main + 4 * LN2, atol=1e-12)
 
@@ -217,12 +219,12 @@ class TestTotalLoss:
         for seed in range(20):
             s, labels, rng = random_case(seed + 100)
             cfg = LossConfig(lambda_rank=float(rng.uniform(0, 3)))
-            report = total_loss(s, labels, cfg)
+            report = total_loss(s.data, labels.labels, cfg)
             assert abs(report.total - (report.main + cfg.lambda_rank * report.rank)) <= 1e-12
 
     def test_all_terms_nonnegative_and_finite(self):
         for seed in range(30):
             s, labels, _ = random_case(seed + 200)
-            report = total_loss(s, labels, CFG)
+            report = total_loss(s.data, labels.labels, CFG)
             assert report.main >= 0 and report.rank >= 0 and report.total >= 0
             assert np.isfinite(report.grad_similarity).all()

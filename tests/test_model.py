@@ -94,23 +94,25 @@ class TestForwardSimilarity:
         rng = np.random.default_rng(3)
         p = init_params(4, 6, 3, 5, 3)
         feats = rng.normal(size=(7, 4))
-        labels = LabelVector(rng.integers(0, 5, 7))
+        labels = LabelVector(rng.integers(0, 5, 7)).labels
         res = model_backward(p, feats, labels, None, LossConfig())
         assert res.report.total == res.report.main + res.report.rank
-        np.testing.assert_allclose(res.similarity_raw.data, forward_similarity(p, feats).data)
+        np.testing.assert_allclose(res.similarity_raw, forward_similarity(p, feats).data)
 
     def test_rank_only_objective_drops_main_gradient(self):
         """include_main=False leaves exactly the rank part of the gradient."""
         rng = np.random.default_rng(4)
         p = init_params(4, 6, 3, 5, 5)
         feats = rng.normal(size=(6, 4))
-        labels = LabelVector(rng.integers(0, 5, 6))
+        labels = LabelVector(rng.integers(0, 5, 6)).labels
         lam_only = model_backward(p, feats, labels, None, LossConfig(), include_main=False)
         full = model_backward(p, feats, labels, None, LossConfig())
         zero_lam = model_backward(p, feats, labels, None, LossConfig(lambda_rank=0.0))
         for name in PARAM_FIELDS:
             np.testing.assert_allclose(
-                lam_only.grads[name], full.grads[name] - zero_lam.grads[name], atol=1e-12
+                getattr(lam_only.grads, name),
+                getattr(full.grads, name) - getattr(zero_lam.grads, name),
+                atol=1e-12,
             )
 
 
@@ -131,12 +133,12 @@ class TestBackwardSinglePass:
 
         rng = np.random.default_rng(6)
         stats = sms.init_class_stats(5)
-        rows = SimilarityMatrix(rng.normal(size=(40, 5)))
-        stats = sms.commit_epoch(sms.accumulate_class_stats(stats, rows, LabelVector(np.arange(40) % 5)), sms.KernelSpec())
+        rows = SimilarityMatrix(rng.normal(size=(40, 5))).data
+        stats = sms.commit_epoch(sms.accumulate_class_stats(stats, rows, np.arange(40) % 5), sms.KernelSpec())
         assert stats.calibration_active
         p = init_params(4, 6, 3, 5, 7)
         feats = rng.normal(size=(8, 4))
-        labels = LabelVector(rng.integers(0, 5, 8))
+        labels = LabelVector(rng.integers(0, 5, 8)).labels
 
         for name in ("image_to_text_term", "text_to_image_term", "rank_term", "total_loss"):
             count(losses, name)

@@ -20,7 +20,8 @@ from rankprompt.sms import (
 def committed_from(rows, labels, k, kernel=KernelSpec()):
     """One accumulate + commit round, the normal route to usable stats."""
     stats = init_class_stats(k)
-    stats = accumulate_class_stats(stats, SimilarityMatrix(np.asarray(rows, dtype=float)), LabelVector(labels))
+    rows = SimilarityMatrix(np.asarray(rows, dtype=float)).data
+    stats = accumulate_class_stats(stats, rows, LabelVector(labels).labels)
     return commit_epoch(stats, kernel)
 
 
@@ -68,19 +69,19 @@ class TestAccumulate:
     def test_hand_mean_and_variance(self):
         stats = init_class_stats(2)
         s = SimilarityMatrix(np.array([[1.0, 3.0], [3.0, 5.0]]))
-        stats = accumulate_class_stats(stats, s, LabelVector([1, 1]))
+        stats = accumulate_class_stats(stats, s.data, LabelVector([1, 1]).labels)
         np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
         np.testing.assert_allclose(stats.var[1], [1.0, 1.0])
 
     def test_single_row_floors_variance(self):
         stats = init_class_stats(2)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.array([[7.0, 7.0]])), LabelVector([0]))
+        stats = accumulate_class_stats(stats, SimilarityMatrix(np.array([[7.0, 7.0]])).data, LabelVector([0]).labels)
         np.testing.assert_allclose(stats.mean[0], [7.0, 7.0])
         np.testing.assert_allclose(stats.var[0], [VAR_FLOOR, VAR_FLOOR])
 
     def test_empty_class_is_undefined(self):
         stats = init_class_stats(3)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 3))), LabelVector([0, 0]))
+        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 3))).data, LabelVector([0, 0]).labels)
         assert stats.epoch_count[1] == 0
         assert np.isnan(stats.mean[1]).all()
 
@@ -88,8 +89,8 @@ class TestAccumulate:
         stats = init_class_stats(2)
         a = SimilarityMatrix(np.array([[1.0, 3.0]]))
         b = SimilarityMatrix(np.array([[3.0, 5.0]]))
-        stats = accumulate_class_stats(stats, a, LabelVector([1]))
-        stats = accumulate_class_stats(stats, b, LabelVector([1]))
+        stats = accumulate_class_stats(stats, a.data, LabelVector([1]).labels)
+        stats = accumulate_class_stats(stats, b.data, LabelVector([1]).labels)
         np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
 
     def test_order_invariance(self):
@@ -97,17 +98,36 @@ class TestAccumulate:
         rows = rng.normal(size=(40, 5))
         labels = rng.integers(0, 5, 40)
         perm = rng.permutation(40)
-        one = accumulate_class_stats(init_class_stats(5), SimilarityMatrix(rows), LabelVector(labels))
-        two = accumulate_class_stats(init_class_stats(5), SimilarityMatrix(rows[perm]), LabelVector(labels[perm]))
+        one = accumulate_class_stats(init_class_stats(5), rows, labels)
+        two = accumulate_class_stats(init_class_stats(5), rows[perm], labels[perm])
         np.testing.assert_allclose(one.mean, two.mean, atol=1e-12)
         np.testing.assert_allclose(one.var, two.var, atol=1e-12)
+
+    def test_sums_match_row_by_row_accumulation_bit_for_bit(self):
+        """The running sums equal, byte for byte, adding each row to its
+        label's row in batch order, over several batches."""
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            k = int(rng.integers(2, 9))
+            stats = init_class_stats(k)
+            total, totalsq = np.zeros((k, k)), np.zeros((k, k))
+            for _ in range(3):
+                m = int(rng.integers(1, 300))
+                rows = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(m, k))
+                labels = rng.integers(0, k, m)
+                stats = accumulate_class_stats(stats, rows, labels)
+                for row, c in zip(rows, labels):
+                    total[c] += row
+                    totalsq[c] += row * row
+            assert stats.epoch_sum.tobytes() == total.tobytes()
+            assert stats.epoch_sumsq.tobytes() == totalsq.tobytes()
 
     def test_rejects_shape_mismatch(self):
         stats = init_class_stats(3)
         with pytest.raises(InputError):
-            accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 4))), LabelVector([0, 1]))
+            accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 4))).data, LabelVector([0, 1]).labels)
         with pytest.raises(InputError):
-            accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 3))), LabelVector([0]))
+            accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 3))).data, LabelVector([0]).labels)
 
 
 class TestSmoothStats:
@@ -182,8 +202,8 @@ class TestCalibrateRows:
         # class 0 rows give mean 1 var 1 in column 0; class 1 mean 3 var 4
         rows0 = np.array([[0.0, 0.0], [2.0, 2.0]])
         rows1 = np.array([[1.0, 1.0], [5.0, 5.0]])
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows0), LabelVector([0, 0]))
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows1), LabelVector([1, 1]))
+        stats = accumulate_class_stats(stats, SimilarityMatrix(rows0).data, LabelVector([0, 0]).labels)
+        stats = accumulate_class_stats(stats, SimilarityMatrix(rows1).data, LabelVector([1, 1]).labels)
         stats = commit_epoch(stats, KernelSpec(sigma=1.0))
         # the only non-self neighbor of class 0 is class 1
         np.testing.assert_allclose(stats.smoothed_mean[0], [3.0, 3.0])
@@ -218,7 +238,7 @@ class TestCalibrateRows:
 
     def test_uncommitted_accumulation_rejected(self):
         stats = init_class_stats(2)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 2))), LabelVector([0, 1]))
+        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 2))).data, LabelVector([0, 1]).labels)
         with pytest.raises(StateError):
             calibrate_rows(SimilarityMatrix(np.ones((1, 2))), LabelVector([0]), stats)
 
@@ -274,7 +294,7 @@ class TestCommitEpoch:
         rows = rng.normal(size=(18, 4))
         labels = rng.integers(0, 4, 18)
         first = committed_from(rows, labels, 4)
-        second = commit_epoch(accumulate_class_stats(first, SimilarityMatrix(rows), LabelVector(labels)), KernelSpec())
+        second = commit_epoch(accumulate_class_stats(first, rows, np.asarray(labels)), KernelSpec())
         assert np.array_equal(first.frozen_mean, second.frozen_mean)
         assert np.array_equal(first.smoothed_mean, second.smoothed_mean)
         assert np.array_equal(first.smoothed_var, second.smoothed_var)
@@ -287,7 +307,7 @@ class TestCommitEpoch:
         s = SimilarityMatrix(rng.normal(size=(4, 3)))
         lab = LabelVector(rng.integers(0, 3, 4))
         before = calibrate_rows(s, lab, stats).data
-        mid_epoch = accumulate_class_stats(stats, SimilarityMatrix(rng.normal(size=(5, 3))), LabelVector([0] * 5))
+        mid_epoch = accumulate_class_stats(stats, rng.normal(size=(5, 3)), np.zeros(5, dtype=np.int64))
         after = calibrate_rows(s, lab, mid_epoch).data
         assert np.array_equal(before, after)
 
