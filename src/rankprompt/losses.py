@@ -44,17 +44,14 @@ def _check_length(s: np.ndarray, labels: np.ndarray) -> None:
         raise InputError(f"got {len(labels)} labels for {s.shape[0]} similarity rows")
 
 
-def image_to_text_term(
-    s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig, scaled: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def image_to_text_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
     """Mean KL(one-hot || row-softmax), i.e. mean cross-entropy of the true
-    class, and its gradient.  ``scaled`` is ``s_cal / cfg.tau`` when the
-    caller has it already."""
+    class, and its gradient."""
     _check_length(s_cal, labels)
     m = s_cal.shape[0]
     rows = np.arange(m)
-    logp = _log_softmax(s_cal / cfg.tau if scaled is None else scaled)
-    value = float(-np.mean(logp[rows, labels]))
+    logp = _log_softmax(s_cal / cfg.tau)
+    value = float(-(logp[rows, labels].sum() / m))  # np.mean's arithmetic, without its call overhead
     # softmax minus the one-hot target: 1 comes off each row's true class
     g = np.exp(logp)
     g[rows, labels] -= 1.0
@@ -62,25 +59,22 @@ def image_to_text_term(
     return value, g
 
 
-def text_to_image_term(
-    s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig, scaled: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def text_to_image_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
     """Transposed direction: KL of normalized class presence against the
     softmax of each class column over the batch, averaged over the classes
     actually present in the batch (absent classes carry no target mass),
-    and its gradient.  ``scaled`` is ``s_cal / cfg.tau`` when the caller has
-    it already.
+    and its gradient.
     """
     _check_length(s_cal, labels)
     counts = np.bincount(labels, minlength=s_cal.shape[1])
     present = np.flatnonzero(counts > 0)
     # row c: 1/count on the images of present class c, 0 elsewhere
     y = (labels == present[:, None]) / counts[present, None]
-    logq = _log_softmax((s_cal / cfg.tau if scaled is None else scaled).T[present])
+    logq = _log_softmax(s_cal.T[present] / cfg.tau)
     kl = xlogy(y, y).sum(axis=1) - (y * logq).sum(axis=1)
     g = np.zeros_like(s_cal)
     g[:, present] = ((np.exp(logq) - y) / (len(present) * cfg.tau)).T
-    return float(np.mean(kl)), g
+    return float(kl.sum() / len(present)), g
 
 
 def rank_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
@@ -111,9 +105,8 @@ def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig, include_m
     lambda_rank * rank; the gradient is that of total, or of the rank term
     alone when ``include_main`` is False (the values still show every term).
     """
-    scaled = s_cal / cfg.tau
-    i2t, g_i2t = image_to_text_term(s_cal, labels, cfg, scaled)
-    t2i, g_t2i = text_to_image_term(s_cal, labels, cfg, scaled)
+    i2t, g_i2t = image_to_text_term(s_cal, labels, cfg)
+    t2i, g_t2i = text_to_image_term(s_cal, labels, cfg)
     rank, g_rank = rank_term(s_cal, labels, cfg)
     main = 0.5 * (t2i + i2t)
     g = 0.5 * (g_t2i + g_i2t) if include_main else np.zeros_like(s_cal)

@@ -10,7 +10,6 @@ Adam update the parameter vector in place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,11 @@ def param_shapes(f: int, h: int, e: int, k: int) -> dict[str, tuple]:
 class ModelParams:
     """Every tensor in one contiguous float64 vector, ``flat``, in
     ``PARAM_FIELDS`` order; ``w1`` ... ``text`` are views of it, so writing
-    ``flat`` writes them.  A gradient is held the same way."""
+    ``flat`` writes them.  A gradient is held the same way.
+
+    Frozen means the fields stay bound to the same arrays, not that the
+    values are fixed: ``optimizer_step`` overwrites ``flat`` in place, so
+    take a snapshot with ``with_values({})`` before stepping."""
 
     flat: np.ndarray
     feature_dim: int
@@ -49,13 +52,13 @@ class ModelParams:
 
     def __post_init__(self):
         shapes = param_shapes(self.feature_dim, self.hidden_dim, self.embed_dim, self.classes)
-        size = sum(math.prod(shape) for shape in shapes.values())
-        if self.flat.shape != (size,) or self.flat.dtype != np.float64:
-            raise InputError(f"parameters need {size} float64 entries, got {self.flat.dtype} {self.flat.shape}")
+        sizes = [shape[0] * (shape[1] if len(shape) == 2 else 1) for shape in shapes.values()]
+        if self.flat.shape != (sum(sizes),) or self.flat.dtype != np.float64:
+            raise InputError(f"parameters need {sum(sizes)} float64 entries, got {self.flat.dtype} {self.flat.shape}")
         start = 0
-        for name, shape in shapes.items():
-            object.__setattr__(self, name, self.flat[start : start + math.prod(shape)].reshape(shape))
-            start += math.prod(shape)
+        for (name, shape), n in zip(shapes.items(), sizes):
+            object.__setattr__(self, name, self.flat[start : start + n].reshape(shape))
+            start += n
 
     def like(self, flat: np.ndarray) -> ModelParams:
         """Another vector, ``flat``, with this layout: a gradient, or a copy."""
@@ -144,12 +147,15 @@ def model_backward(
 ) -> BackwardResult:
     """Forward encode -> similarity -> calibrate -> loss, then hand backward.
 
-    ``labels`` are M class indices already checked against K.  ``stats=None``
+    ``labels`` are M class indices in [0, K), checked here with one
+    min/max; the other step functions trust them.  ``stats=None``
     skips calibration entirely.  Committed statistics are treated as
     constants: the gradient passes through the per-row affine map via its
     frozen scale only.  ``include_main=False`` optimizes the rank term alone
     (the report still shows every term).
     """
+    if len(labels) and (labels.min() < 0 or labels.max() >= params.classes):
+        raise InputError(f"labels must lie in [0, {params.classes}), got {labels.min()}..{labels.max()}")
     features, pre, x, t, x_norms, t_norms = _forward(params, features, normalize)
     s_raw = require_finite(x @ t.T)
     if stats is not None:
@@ -203,25 +209,22 @@ def init_optimizer(kind: str, learning_rate: float, params: ModelParams) -> Opti
     return OptimizerState(kind, learning_rate, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def optimizer_step(
-    params: ModelParams, grads: ModelParams, state: OptimizerState
-) -> tuple[ModelParams, OptimizerState]:
-    """Update ``params.flat`` (and Adam's moments) in place from a gradient
-    of the same layout; returns the same params and the advanced state."""
+def optimizer_step(params: ModelParams, grads: ModelParams, state: OptimizerState) -> None:
+    """Update ``params.flat``, Adam's moments and ``state.step`` in place
+    from a gradient of the same layout; like ``list.sort``, returns None."""
     if any(getattr(grads, name).shape != getattr(params, name).shape for name in PARAM_FIELDS):
         raise InputError("gradient layout does not match the parameters")
     state.step += 1
     flat, g = params.flat, grads.flat
     if state.kind == "sgd":
         flat -= state.learning_rate * g
-        return params, state
+        return
     t, m, v = state.step, state.m, state.v
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
     flat -= state.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
-    return params, state
 
 
 def params_to_dict(params: ModelParams) -> dict:

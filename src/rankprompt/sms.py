@@ -137,8 +137,8 @@ def _check_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> None:
 
 
 def accumulate_class_stats(stats: ClassStats, s: np.ndarray, labels: np.ndarray) -> ClassStats:
-    """Fold a batch of raw similarity rows (M x K array, M checked labels)
-    into the running epoch sums."""
+    """Fold a batch of raw similarity rows (M x K array, M labels in
+    [0, K), not checked here) into the running epoch sums."""
     _check_rows(s, labels, stats)
     total = stats.epoch_sum.copy()
     totalsq = stats.epoch_sumsq.copy()
@@ -193,8 +193,10 @@ def commit_epoch(stats: ClassStats, kernel: KernelSpec) -> ClassStats:
 
 def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset
-    for an M x K array and M checked labels: each row takes its true class's
+    for an M x K array and M labels in [0, K): each row takes its true class's
     row of ``stats.calibration_table`` (the identity before any commit).
+    Labels are not range-checked here (a negative one would wrap to a grade
+    from the end); ``calibrate_rows`` and ``model.model_backward`` check them.
     The scale is also d(calibrated)/d(raw) per entry.  Statistics holding
     uncommitted accumulation are rejected: calibration must only ever see
     values frozen at an epoch boundary.

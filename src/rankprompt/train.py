@@ -75,7 +75,7 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
                 )
             except InputError as exc:  # its inputs passed the checks above
                 raise InputError(f"{diverged}: {exc}") from None
-            params, opt = M.optimizer_step(params, result.grads, opt)
+            M.optimizer_step(params, result.grads, opt)
             if not np.isfinite(params.flat).all():
                 bad = next(name for name, v in params.as_dict().items() if not np.isfinite(v).all())
                 raise InputError(f"{diverged}: the optimizer step made parameter {bad} non-finite")

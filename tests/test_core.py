@@ -8,6 +8,7 @@ from rankprompt.core import (
     InputError,
     LabelVector,
     SimilarityMatrix,
+    _log_softmax,
     similarity_matrix,
     softmax_rows,
 )
@@ -106,6 +107,17 @@ class TestSoftmaxRows:
     def test_rejects_bad_tau(self):
         with pytest.raises(InputError):
             softmax_rows(SimilarityMatrix(np.zeros((1, 2))), 0.0)
+
+    def test_log_softmax_matches_row_max_form_bit_for_bit(self):
+        """A tall matrix takes its row max from a transposed copy; the
+        result must equal the plain row-wise form byte for byte, ties and
+        signed zeros included."""
+        rng = np.random.default_rng(9)
+        for shape in [(7,), (1, 5), (5, 1), (256, 5), (5, 256), (4096, 8), (3, 3), (40, 2)]:
+            for z in (rng.normal(0, 5, size=shape), np.round(rng.normal(size=shape)), -np.zeros(shape)):
+                shifted = z - np.max(z, axis=-1, keepdims=True)
+                want = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+                assert _log_softmax(z).tobytes() == want.tobytes(), shape
 
 
 class TestKLDivergenceRow:

@@ -115,6 +115,19 @@ class TestForwardSimilarity:
                 atol=1e-12,
             )
 
+    def test_rejects_labels_out_of_range(self):
+        """A negative label would wrap to a grade from the end in the loss
+        and calibration gathers; the step refuses it, and K itself, with or
+        without statistics."""
+        p = init_params(4, 6, 3, 5, 3)
+        feats = np.random.default_rng(8).normal(size=(3, 4))
+        stats = sms.init_class_stats(5)
+        for bad in ([0, -1, 2], [0, 5, 2]):
+            for s in (None, stats):
+                with pytest.raises(InputError, match=r"labels must lie in \[0, 5\)"):
+                    model_backward(p, feats, np.array(bad), s, LossConfig())
+        model_backward(p, feats, np.array([0, 4, 2]), stats, LossConfig())
+
 
 class TestBackwardSinglePass:
     def test_each_term_and_the_calibration_map_run_once(self, monkeypatch):
