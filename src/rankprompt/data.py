@@ -9,7 +9,11 @@ byte-reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -18,6 +22,15 @@ from .core import InputError, LabelVector
 SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
 MIN_PER_CLASS = 2
+WRITE_BLOCK_ROWS = 4096
+
+# numpy's number reader strips these ASCII separators as whitespace; float() rejects them.
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+# Characters that int() and float() read and numpy's reader does not, or the reverse.
+_OUTSIDE_NUMPY_GRAMMAR = re.compile("[_\x1c-\x1f\x80-\U0010ffff]")
+_INT64 = np.iinfo(np.int64)
+# One character wider than the longest tag, so a truncated bad tag never reads as a good one.
+_TAG_DTYPE = f"U{max(map(len, SPLITS)) + 1}"
 
 
 class ParseError(InputError):
@@ -63,10 +76,11 @@ class Dataset:
         if self.split.shape != (len(self.labels),) or self.ids.shape != (len(self.labels),):
             raise InputError("split and ids must be one entry per sample")
         self.labels.validate_for(self.classes)
-        bad = set(np.unique(self.split)) - set(SPLITS)
-        if bad:
-            raise InputError(f"unknown split tags {sorted(bad)}")
-        object.__setattr__(self, "_masks", {name: self.split == name for name in SPLITS})
+        masks = {name: self.split == name for name in SPLITS}
+        unknown = ~(masks["train"] | masks["test"])
+        if unknown.any():
+            raise InputError(f"unknown split tags {sorted(set(self.split[unknown].tolist()))}")
+        object.__setattr__(self, "_masks", masks)
         train_classes = set(self.labels.labels[self._masks["train"]].tolist())
         missing = [c for c in range(self.classes) if c not in train_classes]
         if missing:
@@ -131,18 +145,29 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
 
 def write_csv(dataset: Dataset, path) -> None:
     """Schema: id,label,split,f0..f{F-1}; floats at 17 significant digits, LF."""
-    header = ["id", "label", "split"] + [f"f{i}" for i in range(dataset.feature_dim)]
+    width = dataset.feature_dim
+    template = ",".join(["%d", "%d", "%s"] + ["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [int(dataset.ids[i]), int(dataset.labels.labels[i]), dataset.split[i]]
-            row += [f"{v:.17g}" for v in dataset.features[i]]
-            writer.writerow(row)
+        fh.write(",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)]) + "\n")
+        # One block of rows at a time: the whole file's row strings would triple the peak memory.
+        for start in range(0, dataset.n, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            rows = zip(
+                dataset.ids[block].tolist(),
+                dataset.labels.labels[block].tolist(),
+                dataset.split[block].tolist(),
+                dataset.features[block].tolist(),
+            )
+            fh.write("".join([template % (i, label, tag, *feats) for i, label, tag, feats in rows]))
 
 
 def load_csv(path, expected_classes: int | None = None) -> Dataset:
-    """Parse and validate a dataset file; errors carry the offending line number."""
+    """Parse and validate a dataset file; errors carry the offending line number.
+
+    numpy's C reader parses the body in one call.  Only a file it rejects,
+    or whose rows fail the split, label or finiteness check, is read again
+    row by row, to name its first bad line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -153,45 +178,106 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
             name != f"f{i}" for i, name in enumerate(header[3:])
         ) or len(header) < 4:
             raise ParseError(f"{path}: line 1: header must be id,label,split,f0,... got {header}")
-        width = len(header) - 3
-        ids, labels, split, feats, linenos = [], [], [], [], []
+        # np.loadtxt only warns on a body without data, so find a non-blank line first.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            raise ParseError(f"{path}: line 2: no data rows")
+        rows = None
+        if _numpy_reads_as_python(path):
+            try:
+                rows = np.loadtxt(
+                    itertools.chain([first], fh),
+                    dtype=[
+                        ("id", np.int64),
+                        ("label", np.int64),
+                        ("split", _TAG_DTYPE),
+                        ("f", np.float64, (len(header) - 3,)),
+                    ],
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=1,
+                )
+            except ValueError:
+                pass
+    if rows is None or not _rows_pass(rows, expected_classes):
+        _raise_first_error(path, expected_classes)
+    labels = rows["label"]
+    try:
+        return Dataset(
+            features=np.ascontiguousarray(rows["f"]),
+            labels=LabelVector(labels),
+            split=np.array(SPLITS, dtype=object)[(rows["split"] == "test").astype(np.intp)],
+            ids=rows["id"].copy(),
+            classes=expected_classes if expected_classes is not None else int(labels.max()) + 1,
+        )
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _numpy_reads_as_python(path) -> bool:
+    """False when the file holds a byte on which numpy's number reader is looser
+    than Python's int() and float(): a non-ASCII byte (numpy's integer reader
+    takes "1\\u01fe" for a number) or one of _SEPARATORS."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
+                return False
+    return True
+
+
+def _rows_pass(rows: np.ndarray, expected_classes: int | None) -> bool:
+    tags, labels = rows["split"], rows["label"]
+    return bool(
+        ((tags == "train") | (tags == "test")).all()
+        and labels.min() >= 0
+        and (expected_classes is None or labels.max() < expected_classes)
+        and np.isfinite(rows["f"]).all()
+    )
+
+
+def _number(cell: str, kind):
+    """kind(cell) for kind int or float, in the grammar numpy's reader shares
+    with Python: no underscore ("1_0"), no non-ASCII digit, no separator."""
+    if _OUTSIDE_NUMPY_GRAMMAR.search(cell):
+        raise ValueError(cell)
+    return kind(cell)
+
+
+def _raise_first_error(path, expected_classes: int | None) -> NoReturn:
+    """Walk the rows with csv and raise a ParseError naming the first bad line.
+
+    The per-row checks run in file order; a non-finite cell is reported only
+    when no row has any other fault.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        nonfinite = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}")
+            if len(row) != width:
+                raise ParseError(f"{path}: line {lineno}: expected {width} cells, got {len(row)}")
             try:
-                ids.append(int(row[0]))
-                labels.append(int(row[1]))
+                ident, label = _number(row[0], int), _number(row[1], int)
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-integer id or label") from None
             if row[2] not in SPLITS:
                 raise ParseError(f"{path}: line {lineno}: split must be train or test, got {row[2]!r}")
-            split.append(row[2])
             try:
-                feats.append([float(v) for v in row[3:]])
+                feats = [_number(v, float) for v in row[3:]]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric feature cell") from None
-            linenos.append(lineno)
-            if labels[-1] < 0 or (expected_classes is not None and labels[-1] >= expected_classes):
-                raise ParseError(f"{path}: line {lineno}: label {labels[-1]} out of range")
-    if not labels:
-        raise ParseError(f"{path}: line 2: no data rows")
-    features = np.array(feats, dtype=np.float64).reshape(len(labels), width)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise ParseError(f"{path}: line {linenos[bad[0]]}: non-finite feature cell")
-    classes = expected_classes if expected_classes is not None else max(labels) + 1
-    try:
-        return Dataset(
-            features=features,
-            labels=LabelVector(np.array(labels, dtype=np.int64)),
-            split=np.array(split, dtype=object),
-            ids=np.array(ids, dtype=np.int64),
-            classes=classes,
-        )
-    except InputError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+            if label < 0 or (expected_classes is not None and label >= expected_classes):
+                raise ParseError(f"{path}: line {lineno}: label {label} out of range")
+            if not (_INT64.min <= ident <= _INT64.max and label <= _INT64.max):
+                raise ParseError(f"{path}: line {lineno}: id or label outside the int64 range")
+            if nonfinite is None and not all(map(math.isfinite, feats)):
+                nonfinite = lineno
+    if nonfinite is not None:
+        raise ParseError(f"{path}: line {nonfinite}: non-finite feature cell")
+    raise ParseError(f"{path}: numpy's reader rejected a row that the row-by-row checks accept")
 
 
 def batch_iter(dataset: Dataset, split: str, batch_size: int, seed: int, epoch: int):

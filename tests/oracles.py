@@ -5,9 +5,12 @@ row or one sample at a time, so tests can check the vectorized code in
 ``rankprompt`` against it.
 """
 
+import csv
+
 import numpy as np
 
 from rankprompt.core import InputError, LabelVector
+from rankprompt.data import SPLITS, Dataset, ParseError
 
 # Floor applied to the second argument of the KL divergence.
 KL_EPS = 1e-12
@@ -70,3 +73,64 @@ def rank_directional_loss(row, true_class: int, direction: str, tau: float) -> f
         gaps = row[1 : true_class + 1] - row[0:true_class]
     # -ln(sigmoid(z)) computed stably as ln(1 + exp(-z))
     return float(np.logaddexp(0.0, -gaps / tau).sum())
+
+
+def load_csv_rows(path, expected_classes=None) -> Dataset:
+    """``load_csv`` one csv row at a time, converting cells with Python's
+    ``int`` and ``float``.
+
+    Python's converters also read ``1_0`` and non-ASCII digits, which
+    ``load_csv`` rejects; on every other file the two must agree, down to
+    the line an error names.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: line 1: empty file") from None
+        if header[:3] != ["id", "label", "split"] or any(
+            name != f"f{i}" for i, name in enumerate(header[3:])
+        ) or len(header) < 4:
+            raise ParseError(f"{path}: line 1: header must be id,label,split,f0,... got {header}")
+        width = len(header) - 3
+        ids, labels, split, feats, linenos = [], [], [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}")
+            try:
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-integer id or label") from None
+            if row[2] not in SPLITS:
+                raise ParseError(f"{path}: line {lineno}: split must be train or test, got {row[2]!r}")
+            split.append(row[2])
+            try:
+                feats.append([float(v) for v in row[3:]])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric feature cell") from None
+            linenos.append(lineno)
+            if labels[-1] < 0 or (expected_classes is not None and labels[-1] >= expected_classes):
+                raise ParseError(f"{path}: line {lineno}: label {labels[-1]} out of range")
+            if not (-(2**63) <= ids[-1] < 2**63 and labels[-1] < 2**63):
+                raise ParseError(f"{path}: line {lineno}: id or label outside the int64 range")
+    if not labels:
+        raise ParseError(f"{path}: line 2: no data rows")
+    features = np.array(feats, dtype=np.float64).reshape(len(labels), width)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: line {linenos[bad[0]]}: non-finite feature cell")
+    classes = expected_classes if expected_classes is not None else max(labels) + 1
+    try:
+        return Dataset(
+            features=features,
+            labels=LabelVector(np.array(labels, dtype=np.int64)),
+            split=np.array(split, dtype=object),
+            ids=np.array(ids, dtype=np.int64),
+            classes=classes,
+        )
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None

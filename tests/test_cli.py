@@ -279,6 +279,14 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_id_beyond_int64_is_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset.csv").write_text("id,label,split,f0,f1,f2,f3\n99999999999999999999,0,train,1,2,3,4\n")
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert "line 2: id or label outside the int64 range" in capsys.readouterr().err
+
 
 class TestMalformedCheckpoint:
     """`eval` on a broken checkpoint exits 3 with a message naming the file."""

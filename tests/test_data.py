@@ -1,9 +1,14 @@
 """Synthetic generation, CSV round trips, batch iteration."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankprompt.core import InputError
+from oracles import load_csv_rows
+from rankprompt.core import InputError, LabelVector
 from rankprompt.data import (
     Dataset,
     DatasetSpec,
@@ -99,6 +104,25 @@ class TestCsvRoundTrip:
         assert b"\r" not in raw
         assert raw.decode("utf-8").splitlines()[0] == "id,label,split,f0,f1"
 
+    def test_golden_text(self, tmp_path):
+        """The exact bytes of a file whose floats cover the awkward cases of
+        17-digit formatting: a rounded decimal, negative zero, the smallest
+        subnormal, a large power of ten and a negative exponent."""
+        row = [0.1, -0.0, 5e-324, 1e22, -1.2345678901234567e-05]
+        ds = Dataset(
+            features=np.array([row, [-v for v in row]]),
+            labels=LabelVector([0, 0]),
+            split=np.array(["train", "test"], dtype=object),
+            ids=np.array([10, 11]),
+            classes=1,
+        )
+        write_csv(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"id,label,split,f0,f1,f2,f3,f4\n"
+            b"10,0,train,0.10000000000000001,-0,4.9406564584124654e-324,1e+22,-1.2345678901234568e-05\n"
+            b"11,0,test,-0.10000000000000001,0,-4.9406564584124654e-324,-1e+22,1.2345678901234568e-05\n"
+        )
+
     def test_write_is_deterministic(self, tmp_path):
         ds = generate_synthetic(spec(samples=30))
         write_csv(ds, tmp_path / "a.csv")
@@ -165,6 +189,145 @@ class TestLoadCsvValidation:
         with pytest.raises(ParseError):
             load_csv(p)
 
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+    def test_header_only_file(self, tmp_path, body):
+        p = tmp_path / "d.csv"
+        p.write_text(self.header() + body)
+        with pytest.raises(ParseError, match="line 2: no data rows"):
+            load_csv(p)
+
+
+def outcome(loader, path, expected_classes):
+    """(dataset, None) when the loader accepts the file, (None, message) when it raises ParseError."""
+    try:
+        return loader(path, expected_classes), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+def named_line(message):
+    found = re.search(r": line (\d+): ", message)
+    return int(found.group(1)) if found else None
+
+
+def assert_same_dataset(a, b):
+    assert a.classes == b.classes
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels.labels, b.labels.labels)
+    assert a.split.tolist() == b.split.tolist()
+    assert np.array_equal(a.ids, b.ids)
+
+
+# Characters the Python converters of the reference read and load_csv rejects
+# in a numeric cell, or numpy's reader would read and the reference rejects.
+TIGHTENED = re.compile("[_\x1c-\x1f\x80-\U0010ffff]")
+EDITS = list(',"\n\r \t0123456789.-+eE_#xnaift') + ["\x1c", "\xa0", "\u0661", "\u01fe", "nan", "-inf", "1e999"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid three-grade file, optionally quoted, with random line endings,
+    then up to three short edits anywhere in it."""
+    width = draw(st.integers(1, 3))
+    lines = [",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)])]
+    for i in range(draw(st.integers(3, 6))):
+        label = i if i < 3 else draw(st.integers(0, 2))
+        tag = "train" if i < 3 else draw(st.sampled_from(["train", "test"]))
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width))
+        cells = [str(i), str(label), tag] + [repr(v) for v in values]
+        if draw(st.booleans()):
+            cells = [f'"{c}"' for c in cells]
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        edit = draw(st.sampled_from(EDITS))
+        text = text[:pos] + (edit if op != "delete" else "") + text[pos + (op != "insert") :]
+    return text
+
+
+class TestLoadCsvGrammar:
+    """load_csv against the row-by-row reference in tests/oracles.py."""
+
+    HEADER = "id,label,split,f0,f1\n"
+
+    def compare(self, tmp_path, text, expected_classes=None):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        return outcome(load_csv, p, expected_classes), outcome(load_csv_rows, p, expected_classes)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '"0","0","train","1.5","2"\n"1",1,train,"-3e-2",4\n',
+            "0,0,train,1.5,2\r\n1,1,train,-3e-2,4\r\n",
+            "0,0,train,1.5,2\n\n1,1,train,-3e-2,4\n",
+            "0,0,train,1.5,2\n1,1,train,-3e-2,4",
+            " 0 ,0,train, 1.5 ,2\n1 , 1,train,\t-3e-2, 4\n",
+        ],
+        ids=["quoted", "crlf", "blank-line", "no-trailing-newline", "spaces"],
+    )
+    def test_accepted_like_reference(self, tmp_path, body):
+        (got, _), (want, _) = self.compare(tmp_path, self.HEADER + body)
+        assert want is not None and got is not None
+        assert_same_dataset(got, want)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0,0,train,1,2\n#1,1,train,3,4\n", 3),
+            ("0,0,train,1,2\n\n1,1,train,x,4\n", 4),
+            ("0,0,train,1,2\n1,1,dev,3,4\n1,1,train,x,4\n", 3),
+            ("0,0,train,1,2\n1,1,train,3\n1,1,dev,3,4\n", 3),
+            ('0,0,train,1,2\n1,1,"train\n",3,4\n1,1,train,3,x\n', 3),
+            ("0,0,train,1,2\n1,1,train,3,4\x1c\n", 3),
+            ("0,0,train,nan,2\n1,1,dev,3,4\n", 3),
+        ],
+        ids=[
+            "hash-row",
+            "after-blank-line",
+            "split-before-cell",
+            "width-before-split",
+            "quoted-newline",
+            "separator",
+            "non-finite-checked-last",
+        ],
+    )
+    def test_rejected_at_reference_line(self, tmp_path, body, line):
+        (_, got), (_, want) = self.compare(tmp_path, self.HEADER + body)
+        assert got == want
+        assert named_line(got) == line
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "1\xa0"])
+    def test_tightened_cell_names_line(self, tmp_path, cell):
+        """The reference reads these with float(); load_csv names their line."""
+        (got, message), (want, _) = self.compare(tmp_path, self.HEADER + f"0,0,train,1,2\n1,1,train,3,{cell}\n")
+        assert want is not None and got is None
+        assert named_line(message) == 3
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts(), expected_classes=st.sampled_from([None, 3]))
+    def test_fuzzed_text_matches_reference(self, tmp_path_factory, text, expected_classes):
+        """load_csv returns a Dataset or raises ParseError, nothing else.  On
+        text without a tightened character it agrees with the reference in
+        full: the same arrays, or the same message.  With one, it names a
+        line, no later than the reference's first bad row; a non-finite
+        cell is the exception, as both report it only after every other
+        row check has passed."""
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        (got, message), (want, reason) = self.compare(tmp_path, text, expected_classes)
+        if got is not None:
+            assert want is not None
+            assert_same_dataset(got, want)
+        elif not TIGHTENED.search(text):
+            assert message == reason
+        else:
+            assert named_line(message) is not None or message == reason
+            if want is None and named_line(reason) is not None and not reason.endswith("non-finite feature cell"):
+                assert named_line(message) <= named_line(reason)
+
 
 class TestBatchIter:
     def make(self):
@@ -216,13 +379,11 @@ class TestDatasetInvariants:
             )
 
     def test_rejects_unknown_split(self):
-        from rankprompt.core import LabelVector
-
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^unknown split tags \['dev', 'val'\]$"):
             Dataset(
-                features=np.zeros((1, 2)),
-                labels=LabelVector([0]),
-                split=np.array(["dev"], dtype=object),
-                ids=np.arange(1),
+                features=np.zeros((4, 2)),
+                labels=LabelVector([0, 0, 0, 0]),
+                split=np.array(["val", "train", "dev", "val"], dtype=object),
+                ids=np.arange(4),
                 classes=1,
             )
