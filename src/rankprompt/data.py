@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -24,8 +25,10 @@ TEST_FRACTION = 0.2
 MIN_PER_CLASS = 2
 WRITE_BLOCK_ROWS = 4096
 
-# numpy's number reader strips these ASCII separators as whitespace; float() rejects them.
-_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+# Bytes numpy's reader reads more loosely than Python: its number reader strips the
+# separators 0x1c-0x1f as whitespace where float() rejects them, and its fixed-width
+# split field drops trailing NULs, so "train\x00" would read as "train".
+_NUMPY_LOOSE_BYTES = b"\x00\x1c\x1d\x1e\x1f"
 # Characters that int() and float() read and numpy's reader does not, or the reverse.
 _OUTSIDE_NUMPY_GRAMMAR = re.compile("[_\x1c-\x1f\x80-\U0010ffff]")
 _INT64 = np.iinfo(np.int64)
@@ -185,19 +188,23 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
         rows = None
         if _numpy_reads_as_python(path):
             try:
-                rows = np.loadtxt(
-                    itertools.chain([first], fh),
-                    dtype=[
-                        ("id", np.int64),
-                        ("label", np.int64),
-                        ("split", _TAG_DTYPE),
-                        ("f", np.float64, (len(header) - 3,)),
-                    ],
-                    delimiter=",",
-                    comments=None,
-                    quotechar='"',
-                    ndmin=1,
-                )
+                with warnings.catch_warnings():
+                    # numpy versions that read an integer cell such as "1.5" through
+                    # float only warn before truncating it; as an error it is a ValueError.
+                    warnings.simplefilter("error", DeprecationWarning)
+                    rows = np.loadtxt(
+                        itertools.chain([first], fh),
+                        dtype=[
+                            ("id", np.int64),
+                            ("label", np.int64),
+                            ("split", _TAG_DTYPE),
+                            ("f", np.float64, (len(header) - 3,)),
+                        ],
+                        delimiter=",",
+                        comments=None,
+                        quotechar='"',
+                        ndmin=1,
+                    )
             except ValueError:
                 pass
     if rows is None or not _rows_pass(rows, expected_classes):
@@ -216,12 +223,12 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
 
 
 def _numpy_reads_as_python(path) -> bool:
-    """False when the file holds a byte on which numpy's number reader is looser
-    than Python's int() and float(): a non-ASCII byte (numpy's integer reader
-    takes "1\\u01fe" for a number) or one of _SEPARATORS."""
+    """False when the file holds a byte that numpy's reader reads more loosely
+    than the row-by-row checks: a non-ASCII byte (numpy's integer reader takes
+    "1\\u01fe" for a number) or one of _NUMPY_LOOSE_BYTES."""
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
+            if not chunk.isascii() or any(byte in chunk for byte in _NUMPY_LOOSE_BYTES):
                 return False
     return True
 

@@ -189,6 +189,15 @@ class TestLoadCsvValidation:
         with pytest.raises(ParseError):
             load_csv(p)
 
+    # Python's default filter ignores DeprecationWarning outside __main__, as when the CLI runs.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("row", ["1,1.5,train,3,4", "1.0,1,train,3,4", "1,2e0,train,3,4", "1,nan,train,3,4"])
+    def test_non_integer_id_or_label_names_line(self, tmp_path, row):
+        p = tmp_path / "d.csv"
+        p.write_text(self.header() + f"0,0,train,1,2\n{row}\n")
+        with pytest.raises(ParseError, match="line 3: non-integer id or label"):
+            load_csv(p)
+
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
     def test_header_only_file(self, tmp_path, body):
         p = tmp_path / "d.csv"
@@ -221,7 +230,7 @@ def assert_same_dataset(a, b):
 # Characters the Python converters of the reference read and load_csv rejects
 # in a numeric cell, or numpy's reader would read and the reference rejects.
 TIGHTENED = re.compile("[_\x1c-\x1f\x80-\U0010ffff]")
-EDITS = list(',"\n\r \t0123456789.-+eE_#xnaift') + ["\x1c", "\xa0", "\u0661", "\u01fe", "nan", "-inf", "1e999"]
+EDITS = list(',"\n\r \t0123456789.-+eE_#xnaift') + ["\x00", "\x1c", "\xa0", "\u0661", "\u01fe", "nan", "-inf", "1e999"]
 
 
 @st.composite
@@ -284,6 +293,8 @@ class TestLoadCsvGrammar:
             ('0,0,train,1,2\n1,1,"train\n",3,4\n1,1,train,3,x\n', 3),
             ("0,0,train,1,2\n1,1,train,3,4\x1c\n", 3),
             ("0,0,train,nan,2\n1,1,dev,3,4\n", 3),
+            ("0,0,train,1,2\n1,1,train\x00,3,4\n", 3),
+            ("0,0,test\x00\x00,1,2\n1,1,train,3,4\n0,0,train,1,2\n", 2),
         ],
         ids=[
             "hash-row",
@@ -293,6 +304,8 @@ class TestLoadCsvGrammar:
             "quoted-newline",
             "separator",
             "non-finite-checked-last",
+            "nul-after-tag",
+            "nuls-after-test-tag",
         ],
     )
     def test_rejected_at_reference_line(self, tmp_path, body, line):
