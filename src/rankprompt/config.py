@@ -106,7 +106,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_config_text(text, source=str(path))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

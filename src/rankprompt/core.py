@@ -1,9 +1,9 @@
 """Dense numeric primitives shared by every other module.
 
-The image-text inner product, similarity matrices, labels and the row
-softmax.  Similarity matrices and labels are immutable once constructed;
-similarity values are float64.  They are the checked types of the
-boundaries: a training step passes their plain arrays.
+The image-text inner product, labels and the row softmax.  A similarity
+matrix is a plain M x K float64 array, finite-checked where
+``similarity_matrix`` computes it; labels are an immutable, checked
+``LabelVector`` where they enter, and a training step passes its plain array.
 """
 
 from __future__ import annotations
@@ -18,30 +18,6 @@ class InputError(ValueError):
 
 class StateError(RuntimeError):
     """An operation was invoked on an object in the wrong state."""
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """M x K matrix of image-vs-class scores."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = require_finite(np.array(self.data, dtype=np.float64, copy=True))
-        arr.setflags(write=False)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
-            raise InputError(
-                f"similarity matrix needs >= 1 row and >= 2 columns, got shape {np.shape(self.data)}"
-            )
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -85,16 +61,17 @@ def require_finite(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def similarity_matrix(images: np.ndarray, texts: np.ndarray) -> SimilarityMatrix:
-    """Inner-product scores between every image row and every text row.
+def similarity_matrix(images: np.ndarray, texts: np.ndarray) -> np.ndarray:
+    """Inner-product scores between every image row and every text row: the
+    one image-text inner product, for training and inference alike.
 
     Both inputs are 2-D arrays of equal width.  A non-finite embedding makes
-    its row of scores non-finite, which ``SimilarityMatrix`` rejects."""
+    its row of scores non-finite, which ``require_finite`` rejects."""
     if images.ndim != 2 or texts.ndim != 2 or images.shape[1] != texts.shape[1]:
         raise InputError(
             f"embeddings must be 2-D with equal widths, got images {images.shape} and texts {texts.shape}"
         )
-    return SimilarityMatrix(images @ texts.T)
+    return require_finite(images @ texts.T)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -105,12 +82,8 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
-
-
-def softmax_rows(s: SimilarityMatrix, tau: float) -> np.ndarray:
-    """Row-wise temperature softmax; each output row sums to 1."""
+def softmax_rows(s: np.ndarray, tau: float) -> np.ndarray:
+    """Row-wise temperature softmax of an M x K array; each output row sums to 1."""
     if not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
-    return _softmax(s.data / tau)
+    return np.exp(_log_softmax(s / tau))

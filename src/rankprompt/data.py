@@ -31,6 +31,8 @@ WRITE_BLOCK_ROWS = 4096
 _NUMPY_LOOSE_BYTES = b"\x00\x1c\x1d\x1e\x1f"
 # Characters that int() and float() read and numpy's reader does not, or the reverse.
 _OUTSIDE_NUMPY_GRAMMAR = re.compile("[_\x1c-\x1f\x80-\U0010ffff]")
+# Bytes that are not UTF-8, as the "surrogateescape" error handler decodes them.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _INT64 = np.iinfo(np.int64)
 # One character wider than the longest tag, so a truncated bad tag never reads as a good one.
 _TAG_DTYPE = f"U{max(map(len, SPLITS)) + 1}"
@@ -171,12 +173,10 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
     or whose rows fail the split, label or finiteness check, is read again
     row by row, to name its first bad line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: empty file") from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        _, header = next(_csv_rows(path, fh), (1, None))
+        if header is None:
+            raise ParseError(f"{path}: line 1: empty file")
         if header[:3] != ["id", "label", "split"] or any(
             name != f"f{i}" for i, name in enumerate(header[3:])
         ) or len(header) < 4:
@@ -243,6 +243,20 @@ def _rows_pass(rows: np.ndarray, expected_classes: int | None) -> bool:
     )
 
 
+def _csv_rows(path, fh):
+    """Yield (line number, cells) for each row of ``fh``, counted from 1; a
+    row that is not UTF-8 or that csv rejects (a field over its size limit)
+    raises ParseError at its line."""
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if any(_NOT_UTF8.search(cell) for cell in row):
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 text")
+            yield lineno, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {lineno + 1}: {exc}") from None
+
+
 def _number(cell: str, kind):
     """kind(cell) for kind int or float, in the grammar numpy's reader shares
     with Python: no underscore ("1_0"), no non-ASCII digit, no separator."""
@@ -257,11 +271,11 @@ def _raise_first_error(path, expected_classes: int | None) -> NoReturn:
     The per-row checks run in file order; a non-finite cell is reported only
     when no row has any other fault.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        width = len(next(reader))
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        rows = _csv_rows(path, fh)
+        width = len(next(rows)[1])
         nonfinite = None
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != width:

@@ -4,6 +4,10 @@ Macro F1, one-vs-rest macro AUC with midrank tie handling, the
 rank-monotonicity rate (fraction of rows strictly unimodal about their
 true class, ties counting as violations), confusion matrix, and the
 per-class mean similarity table used for heatmaps.
+
+A similarity matrix is a plain M x K float64 array.  ``metrics_report``
+and ``class_mean_similarity`` are the entry points: each checks the shape
+and the label range once, and the helpers they call trust their inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, LabelVector, SimilarityMatrix, softmax_rows
+from .core import InputError, LabelVector, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -35,21 +39,22 @@ class MetricsReport:
         }
 
 
-def _check_lengths(a: LabelVector, b: LabelVector) -> None:
-    if len(a) != len(b):
-        raise InputError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
-def confusion_matrix(predictions: LabelVector, truth: LabelVector, k: int) -> np.ndarray:
-    """K x K counts, rows indexed by true class, columns by prediction."""
-    _check_lengths(predictions, truth)
-    predictions.validate_for(k)
+def _check_entry(s: np.ndarray, truth: LabelVector, k: int) -> None:
+    """The evaluation entry check: ``s`` is M x k for M labels in [0, k)."""
+    if np.shape(s) != (len(truth), k):
+        raise InputError(f"similarity matrix must be {len(truth)} x {k}, got shape {np.shape(s)}")
     truth.validate_for(k)
-    cells = truth.labels * k + predictions.labels
+
+
+def confusion_matrix(predictions: np.ndarray, truth: LabelVector, k: int) -> np.ndarray:
+    """K x K counts, rows indexed by true class, columns by prediction (M
+    grades in [0, k), not checked here)."""
+    cells = truth.labels * k + predictions
     return np.bincount(cells, minlength=k * k).astype(np.int64, copy=False).reshape(k, k)
 
 
 def _macro_f1_from_confusion(cm: np.ndarray) -> float:
+    """Unweighted mean over all k classes of 2PR/(P+R); 0/0 counts as 0."""
     tp = np.diag(cm).astype(np.float64)
     fp = cm.sum(axis=0) - tp
     fn = cm.sum(axis=1) - tp
@@ -58,11 +63,6 @@ def _macro_f1_from_confusion(cm: np.ndarray) -> float:
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
         f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
     return float(f1.mean())
-
-
-def macro_f1(predictions: LabelVector, truth: LabelVector, k: int) -> float:
-    """Unweighted mean over all k classes of 2PR/(P+R); 0/0 counts as 0."""
-    return _macro_f1_from_confusion(confusion_matrix(predictions, truth, k))
 
 
 def midranks(scores: np.ndarray) -> np.ndarray:
@@ -89,22 +89,17 @@ def midranks(scores: np.ndarray) -> np.ndarray:
 
 
 def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float, list]:
-    """One-vs-rest AUC per class from its score column; macro over present classes.
+    """One-vs-rest AUC per class from its score column (finite M x k scores,
+    labels in [0, k), not checked here); macro over present classes.
 
     Classes absent from the truth get NaN and are excluded from the macro
     mean.  Fewer than 2 distinct classes present is an error (no negatives
     exist for any one-vs-rest problem).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape != (len(truth), k):
-        raise InputError(f"scores must be {len(truth)} x {k}, got shape {scores.shape}")
-    truth.validate_for(k)
     n_pos = np.bincount(truth.labels, minlength=k)
     n_present = int(np.count_nonzero(n_pos))
     if n_present < 2:
         raise InputError(f"AUC needs at least 2 distinct classes present, got {n_present}")
-    if np.isnan(scores).any():
-        raise InputError("scores contain NaN")
     # Rank-sum AUC with midrank ties: P(score_pos > score_neg) + 0.5 P(=).
     # Midranks are half-integers, so every sum below is exact in float64.
     own_rank = midranks(scores)[np.arange(len(truth)), truth.labels]
@@ -116,51 +111,44 @@ def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float
     return float(np.nanmean(per_class)), per_class.tolist()
 
 
-def rank_monotonicity(s: SimilarityMatrix, truth: LabelVector) -> float:
+def rank_monotonicity(s: np.ndarray, truth: LabelVector) -> float:
     """Fraction of rows strictly decreasing away from the true class on both
-    sides, with any tie anywhere in the row counting as a violation."""
-    if len(truth) != s.m:
-        raise InputError(f"got {len(truth)} labels for {s.m} similarity rows")
-    truth.validate_for(s.k)
-    d = s.data[:, :-1] - s.data[:, 1:]
-    a = np.arange(s.k - 1)[None, :]
+    sides, with any tie anywhere in the row counting as a violation (M x K
+    scores, M labels in [0, K), not checked here)."""
+    d = s[:, :-1] - s[:, 1:]
+    a = np.arange(s.shape[1] - 1)[None, :]
     c = truth.labels[:, None]
     chains_ok = np.all(np.where(a >= c, d > 0, d < 0), axis=1)
-    distinct = np.all(np.diff(np.sort(s.data, axis=1), axis=1) > 0, axis=1)
+    distinct = np.all(np.diff(np.sort(s, axis=1), axis=1) > 0, axis=1)
     return float(np.mean(chains_ok & distinct))
 
 
-def class_mean_similarity(s: SimilarityMatrix, truth: LabelVector, k: int) -> np.ndarray:
+def class_mean_similarity(s: np.ndarray, truth: LabelVector, k: int) -> np.ndarray:
     """Row c = mean similarity row over samples of true class c; NaN rows
-    flag classes absent from the truth."""
-    if len(truth) != s.m:
-        raise InputError(f"got {len(truth)} labels for {s.m} similarity rows")
-    truth.validate_for(k)
-    out = np.full((k, s.k), np.nan)
+    flag classes absent from the truth.  Checks that ``s`` is M x k for M
+    labels in [0, k)."""
+    _check_entry(s, truth, k)
+    out = np.full((k, k), np.nan)
     for c in range(k):
         mask = truth.labels == c
         if mask.any():
-            out[c] = s.data[mask].mean(axis=0)
+            out[c] = s[mask].mean(axis=0)
     return out
 
 
-def predict(s: SimilarityMatrix) -> LabelVector:
-    """Argmax per row; ties resolve to the lowest class index."""
-    return LabelVector(np.argmax(s.data, axis=1))
-
-
-def metrics_report(s_cal: SimilarityMatrix, truth: LabelVector, k: int, tau: float = 1.0) -> MetricsReport:
-    if len(truth) != s_cal.m:
-        raise InputError(f"got {len(truth)} labels for {s_cal.m} similarity rows")
+def metrics_report(s_cal: np.ndarray, truth: LabelVector, k: int, tau: float = 1.0) -> MetricsReport:
+    """Every metric of an M x k similarity matrix against M labels in [0, k),
+    checked here once.  Predictions are the row argmax; ties resolve to the
+    lowest grade."""
+    _check_entry(s_cal, truth, k)
     probs = softmax_rows(s_cal, tau)
-    pred = predict(s_cal)
     macro_auc, per_class = auc_macro_ovr(probs, truth, k)
-    confusion = confusion_matrix(pred, truth, k)
+    confusion = confusion_matrix(np.argmax(s_cal, axis=1), truth, k)
     return MetricsReport(
         macro_f1=_macro_f1_from_confusion(confusion),
         macro_auc=macro_auc,
         per_class_auc=per_class,
         rank_monotonicity=rank_monotonicity(s_cal, truth),
         confusion=confusion,
-        n_eval=s_cal.m,
+        n_eval=len(truth),
     )

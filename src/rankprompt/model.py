@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses as L
 from . import sms
-from .core import InputError, SimilarityMatrix, require_finite, similarity_matrix
+from .core import InputError, require_finite, similarity_matrix
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -117,14 +117,10 @@ def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tupl
     return features, hidden, x, t, x_norms, t_norms
 
 
-def encode_images(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """X = tanh(features @ w1 + b1) @ w2 + b2, optionally unit-normalized rows."""
-    _, _, x, _, _, _ = _forward(params, features, normalize)
-    return x
-
-
-def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> SimilarityMatrix:
-    """Raw (uncalibrated) image-text inner products, as a training step computes them."""
+def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
+    """Raw (uncalibrated) image-text inner products, as a training step computes
+    them: the image rows are X = tanh(features @ w1 + b1) @ w2 + b2, unit-normalized
+    with the text rows when ``normalize``."""
     _, _, x, t, _, _ = _forward(params, features, normalize)
     return similarity_matrix(x, t)
 
@@ -157,7 +153,7 @@ def model_backward(
     if len(labels) and (labels.min() < 0 or labels.max() >= params.classes):
         raise InputError(f"labels must lie in [0, {params.classes}), got {labels.min()}..{labels.max()}")
     features, pre, x, t, x_norms, t_norms = _forward(params, features, normalize)
-    s_raw = require_finite(x @ t.T)
+    s_raw = similarity_matrix(x, t)
     if stats is not None:
         scale, offset = sms.calibration_map(s_raw, labels, stats)
         s_cal = require_finite(scale * s_raw + offset)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import InputError, LabelVector, SimilarityMatrix, StateError
+from .core import InputError, LabelVector, StateError, require_finite
 
 # Variance floor: a single-sample class must still yield a usable scale.
 VAR_FLOOR = 1e-6
@@ -208,12 +208,13 @@ def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tup
     return scale[labels], offset[labels]
 
 
-def calibrate_rows(s: SimilarityMatrix, labels: LabelVector, stats: ClassStats) -> SimilarityMatrix:
-    """Affine-map each row toward the smoothed statistics of its true class
-    through ``calibration_map``: out = scale * s + offset."""
+def calibrate_rows(s: np.ndarray, labels: LabelVector, stats: ClassStats) -> np.ndarray:
+    """Affine-map each row of an M x K array toward the smoothed statistics of
+    its true class through ``calibration_map``: out = scale * s + offset,
+    finite-checked."""
     labels.validate_for(stats.k)
-    scale, offset = calibration_map(s.data, labels.labels, stats)
-    return SimilarityMatrix(scale * s.data + offset)
+    scale, offset = calibration_map(s, labels.labels, stats)
+    return require_finite(scale * s + offset)
 
 
 def stats_to_dict(stats: ClassStats) -> dict:

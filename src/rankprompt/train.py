@@ -17,7 +17,7 @@ import numpy as np
 from . import model as M
 from . import sms
 from .config import RunConfig, config_to_dict
-from .core import InputError, LabelVector, SimilarityMatrix
+from .core import InputError, LabelVector
 from .data import Dataset, ParseError, batch_iter
 from .evaluation import MetricsReport, class_mean_similarity, metrics_report
 from .losses import LossConfig
@@ -114,8 +114,9 @@ def calibrated_similarity(
     labels: LabelVector,
     cfg: RunConfig,
     use_sms: bool = True,
-) -> SimilarityMatrix:
-    """Inference pipeline: encode, inner products, then the frozen calibration."""
+) -> np.ndarray:
+    """Inference pipeline: encode, inner products, then the frozen calibration;
+    an M x K finite array."""
     s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings)
     if use_sms and cfg.sms_enabled and stats is not None:
         return sms.calibrate_rows(s_raw, labels, stats)
@@ -164,7 +165,8 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
     and ``kernel`` of its ``sms`` object) are ignored.
 
     A malformed file raises ParseError naming it, and one trained with
-    another ``normalize_embeddings`` than ``cfg`` raises InputError.
+    another class count or ``normalize_embeddings`` than ``cfg`` raises
+    InputError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -179,6 +181,8 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
         raise ParseError(f"{path}: checkpoint is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from None
+    if params.classes != cfg.classes:
+        raise InputError(f"{path} was trained with classes = {params.classes}, the config sets {cfg.classes}")
     if trained_normalized != cfg.normalize_embeddings:
         raise InputError(
             f"{path} was trained with normalize_embeddings = {trained_normalized}, "

@@ -21,7 +21,7 @@ from oracles import kl_divergence_row, one_hot, rank_directional_loss
 
 from rankprompt.cli import main
 from rankprompt.config import RunConfig
-from rankprompt.core import LabelVector, SimilarityMatrix
+from rankprompt.core import LabelVector
 from rankprompt.data import DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import LossConfig, rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
@@ -85,10 +85,10 @@ class TestA1GradientCertification:
 
     def committed_stats(self, rng, k, m_stat=12):
         stats = init_class_stats(k)
-        s = SimilarityMatrix(rng.normal(size=(m_stat, k)))
+        s = rng.normal(size=(m_stat, k))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)]))
         return commit_epoch(
-            accumulate_class_stats(stats, s.data, labels.labels), KernelSpec(sigma=1.0, include_self=True)
+            accumulate_class_stats(stats, s, labels.labels), KernelSpec(sigma=1.0, include_self=True)
         )
 
     def excess(self, analytic, fd, rtol):
@@ -118,8 +118,8 @@ class TestA1GradientCertification:
                 return r.total, r.grad_similarity
 
             for term in (main_term, lambda s: rank_term(s, labels, cfg), total_term):
-                analytic = term(SimilarityMatrix(s_data).data)[1]
-                fd = self.fd_wrt_similarity(lambda d: term(SimilarityMatrix(d).data)[0], s_data)
+                analytic = term(s_data)[1]
+                fd = self.fd_wrt_similarity(lambda d: term(d)[0], s_data)
                 err = self.excess(analytic, fd, self.LOSS_RTOL)
                 worst_loss = max(worst_loss, err)
                 assert err <= 1.0, f"A1: FAIL - seed {seed} loss-level tolerance exceeded {err:.2f}x"
@@ -242,15 +242,15 @@ class TestA4LossOracles:
         got = kl_divergence_row(p, np.full(5, 0.2))
         checks.append(("KL(one-hot||uniform)", got, np.log(5.0)))
 
-        s = SimilarityMatrix(np.zeros((3, 2)))
-        got = total_loss(s.data, LabelVector([0, 0, 1]).labels, lcfg).main
+        s = np.zeros((3, 2))
+        got = total_loss(s, LabelVector([0, 0, 1]).labels, lcfg).main
         checks.append(("all-zero main composite", got, 0.7225929394740411))
 
         got = rank_directional_loss(np.array([3.0, 2.0, 1.0, 0.0, -1.0]), 0, "rightward", 1.0)
         checks.append(("unit-gap directional rank", got, 1.2530467500728915))
 
-        s = SimilarityMatrix(np.zeros((2, 5)))
-        got, _ = rank_term(s.data, LabelVector([1, 3]).labels, lcfg)
+        s = np.zeros((2, 5))
+        got, _ = rank_term(s, LabelVector([1, 3]).labels, lcfg)
         checks.append(("all-zero rank loss", got, 4 * np.log(2.0)))
 
         got = kl_divergence_row(np.array([0.5, 0.5]), np.array([0.75, 0.25]))
@@ -265,9 +265,9 @@ class TestA4LossOracles:
 class TestA5CalibrationProperties:
     def committed(self, rng, k=5, kernel=KernelSpec(), m=40):
         stats = init_class_stats(k)
-        s = SimilarityMatrix(rng.normal(scale=2.0, size=(m, k)))
+        s = rng.normal(scale=2.0, size=(m, k))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)]))
-        return commit_epoch(accumulate_class_stats(stats, s.data, labels.labels), kernel)
+        return commit_epoch(accumulate_class_stats(stats, s, labels.labels), kernel)
 
     def test_a5(self):
         rng = np.random.default_rng(0)
@@ -275,10 +275,10 @@ class TestA5CalibrationProperties:
         # identity under degenerate smoothing: self-only kernel makes the
         # smoothed statistics equal the raw ones
         stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
-        s = SimilarityMatrix(rng.normal(size=(12, 5)))
+        s = rng.normal(size=(12, 5))
         labels = LabelVector(rng.integers(0, 5, size=12))
         out = calibrate_rows(s, labels, stats)
-        identity_dev = float(np.max(np.abs(out.data - s.data)))
+        identity_dev = float(np.max(np.abs(out - s)))
 
         # per-row affinity on 50 random cases
         affinity_dev = 0.0
@@ -293,9 +293,9 @@ class TestA5CalibrationProperties:
             mu_s = np.asarray(cstats.smoothed_mean[c])
             lab = LabelVector([c])
             blended = calibrate_rows(
-                SimilarityMatrix(alpha * row + (1 - alpha) * mu), lab, cstats
-            ).data[0]
-            direct = alpha * calibrate_rows(SimilarityMatrix(row), lab, cstats).data[0]
+                alpha * row + (1 - alpha) * mu, lab, cstats
+            )[0]
+            direct = alpha * calibrate_rows(row, lab, cstats)[0]
             expect = direct + (1 - alpha) * mu_s
             affinity_dev = max(affinity_dev, float(np.max(np.abs(blended - expect))))
 
@@ -308,17 +308,17 @@ class TestA5CalibrationProperties:
             for k in (2, 5, 7):
                 w = np.stack([kernel_weights(spec, j, k) for j in range(k)])
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(w - w.T))))
-                eye = SimilarityMatrix(np.eye(k))
-                onehot = accumulate_class_stats(init_class_stats(k), eye.data, np.arange(k))
+                eye = np.eye(k)
+                onehot = accumulate_class_stats(init_class_stats(k), eye, np.arange(k))
                 totals = commit_epoch(onehot, spec).smoothed_mean.sum(axis=1)
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(totals - 1.0))))
 
         # epoch freeze: mid-epoch accumulation must not move committed stats
         frozen = self.committed(rng)
         first = calibrate_rows(s, labels, frozen)
-        poked = accumulate_class_stats(frozen, s.data, labels.labels)
+        poked = accumulate_class_stats(frozen, s, labels.labels)
         second = calibrate_rows(s, labels, poked)
-        freeze_ok = np.array_equal(first.data, second.data)
+        freeze_ok = np.array_equal(first, second)
 
         ok = identity_dev <= 1e-12 and affinity_dev <= 1e-9 and kernel_dev <= 1e-9 and freeze_ok
         report(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankprompt.cli import main
-from rankprompt.config import RunConfig, config_to_dict, parse_config_text
+from rankprompt.config import RunConfig, config_to_dict, load_config, parse_config_text
 from rankprompt.core import InputError
 from rankprompt.data import ParseError
 from rankprompt.model import PARAM_FIELDS, init_params, params_from_dict
@@ -91,6 +91,36 @@ class TestConfigParsing:
         d = config_to_dict(cfg)
         assert d["seed"] == 9 and d["tau"] == 0.25
         assert set(d) == {f for f in RunConfig.__dataclass_fields__}
+
+
+# "key = value" lines over every config key plus an unknown one, with values
+# that are arbitrary text or number-like edge cases.
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["nan", "-inf", "1e400", "-1", "0", "1_0", "0x10", "\u0663", "true", "9" * 5000]),
+)
+CONFIG_TEXT = st.lists(
+    st.tuples(st.sampled_from([*RunConfig.__dataclass_fields__, "warp_speed"]), CONFIG_VALUES),
+    max_size=4,
+).map(lambda pairs: "".join(f"{key} = {value}\n" for key, value in pairs).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=64), CONFIG_TEXT))
+    def test_any_bytes_load_or_raise_input_error(self, config_dir, raw):
+        """Any file gives a RunConfig or an InputError (exit 2), never another exception."""
+        path = config_dir / "fuzz.cfg"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except InputError:
+            pass
 
 
 class TestGenerate:
@@ -222,6 +252,20 @@ class TestTrainEval:
             err = capsys.readouterr().err
             assert "normalize_embeddings" in err and "checkpoint.json" in err
 
+    def test_class_count_disagreeing_with_checkpoint_is_2(self, tmp_path, capsys):
+        """A 3-grade checkpoint scored under a 2-grade config would give
+        3-wide similarity rows under a 2-column heatmap header."""
+        _, out = self.run_pipeline(tmp_path)
+        ckpt = str(out / "checkpoint.json")
+        two = write_config(tmp_path, TINY.replace("classes = 3", "classes = 2"), name="two.cfg")
+        other = tmp_path / "two"
+        assert main(["generate", "--config", two, "--out", str(other)]) == 0
+        capsys.readouterr()
+        for command in ("eval", "heatmap"):
+            assert main([command, "--config", two, "--out", str(other), "--checkpoint", ckpt]) == 2
+            assert f"error: {ckpt} was trained with classes = 3, the config sets 2" in capsys.readouterr().err
+        assert not (other / "metrics.json").exists() and not (other / "heatmap.csv").exists()
+
     def test_no_sms_flag_changes_scores(self, tmp_path):
         cfg, out = self.run_pipeline(tmp_path)
         main(["heatmap", "--config", cfg, "--out", str(out)])
@@ -264,6 +308,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: training diverged at epoch 0, batch 1: similarity matrix contains non-finite entries" in err
 
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\xff\n")
+        assert main(["generate", "--config", str(path)]) == 2
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 3
 
@@ -286,6 +336,23 @@ class TestExitCodes:
         (out / "dataset.csv").write_text("id,label,split,f0,f1,f2,f3\n99999999999999999999,0,train,1,2,3,4\n")
         assert main(["train", "--config", cfg, "--out", str(out)]) == 3
         assert "line 2: id or label outside the int64 range" in capsys.readouterr().err
+
+    def test_non_utf8_dataset_is_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset.csv").write_bytes(b"id,label,split,f0,f1,f2,f3\n0,0,train,1,2,3,4\n1,1,train,1,2,3,\xff\n")
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert f"error: {out / 'dataset.csv'}: line 3: not UTF-8 text" in capsys.readouterr().err
+
+    def test_field_over_csv_limit_is_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        big = '"' + "1" * 200_000 + '"'
+        (out / "dataset.csv").write_text(f"id,label,split,f0,f1,f2,f3\n0,0,train,1,2,3,4\n1,1,train,1,2,3,{big}\n")
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert "line 3: field larger than field limit (131072)" in capsys.readouterr().err
 
 
 class TestMalformedCheckpoint:

@@ -7,7 +7,6 @@ from oracles import kl_divergence_row, one_hot
 from rankprompt.core import (
     InputError,
     LabelVector,
-    SimilarityMatrix,
     _log_softmax,
     similarity_matrix,
     softmax_rows,
@@ -24,15 +23,6 @@ class TestTypes:
             similarity_matrix(np.ones(3), np.ones((2, 3)))
         with pytest.raises(InputError):
             similarity_matrix(np.ones((2, 3)), np.ones(3))
-
-    def test_similarity_needs_two_columns(self):
-        with pytest.raises(InputError):
-            SimilarityMatrix(np.ones((2, 1)))
-
-    def test_similarity_data_is_readonly(self):
-        s = SimilarityMatrix(np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            s.data[0, 0] = 1.0
 
     def test_labels_reject_negative(self):
         with pytest.raises(InputError):
@@ -52,26 +42,26 @@ class TestSimilarityMatrix:
     def test_identity_embeddings(self):
         """Identity image and text embeddings give the identity matrix."""
         eye = np.eye(2)
-        np.testing.assert_array_equal(similarity_matrix(eye, eye).data, np.eye(2))
+        np.testing.assert_array_equal(similarity_matrix(eye, eye), np.eye(2))
 
     def test_hand_inner_products(self):
         x = np.array([[1.0, 2.0]])
         t = np.array([[3.0, 4.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(similarity_matrix(x, t).data, [[11.0, -1.0]])
+        np.testing.assert_allclose(similarity_matrix(x, t), [[11.0, -1.0]])
 
     def test_zero_images(self):
         x = np.zeros((3, 4))
         t = np.ones((5, 4))
         s = similarity_matrix(x, t)
-        assert s.data.shape == (3, 5)
-        np.testing.assert_array_equal(s.data, 0.0)
+        assert s.shape == (3, 5)
+        np.testing.assert_array_equal(s, 0.0)
 
     def test_bilinear_in_images(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 3))
         t = rng.normal(size=(5, 3))
-        s1 = similarity_matrix(x, t).data
-        s2 = similarity_matrix(2.5 * x, t).data
+        s1 = similarity_matrix(x, t)
+        s2 = similarity_matrix(2.5 * x, t)
         np.testing.assert_allclose(s2, 2.5 * s1)
 
     def test_dim_mismatch(self):
@@ -81,15 +71,15 @@ class TestSimilarityMatrix:
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        s = softmax_rows(SimilarityMatrix(np.zeros((1, 3))), 1.0)
+        s = softmax_rows(np.zeros((1, 3)), 1.0)
         np.testing.assert_allclose(s, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_large_magnitudes_stable(self):
-        s = softmax_rows(SimilarityMatrix(np.array([[1000.0, 1000.0]])), 1.0)
+        s = softmax_rows(np.array([[1000.0, 1000.0]]), 1.0)
         np.testing.assert_allclose(s, [[0.5, 0.5]])
 
     def test_hand_values(self):
-        s = softmax_rows(SimilarityMatrix(np.array([[np.log(2.0), 0.0]])), 1.0)
+        s = softmax_rows(np.array([[np.log(2.0), 0.0]]), 1.0)
         np.testing.assert_allclose(s, [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
@@ -97,16 +87,16 @@ class TestSoftmaxRows:
         for _ in range(20):
             z = rng.normal(0, 5, size=(4, 6))
             tau = float(rng.uniform(0.2, 3.0))
-            p = softmax_rows(SimilarityMatrix(z), tau)
+            p = softmax_rows(z, tau)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
             shifted = z.copy()
             shifted[2] += 17.5
-            p2 = softmax_rows(SimilarityMatrix(shifted), tau)
+            p2 = softmax_rows(shifted, tau)
             np.testing.assert_allclose(p2, p, atol=1e-12)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(InputError):
-            softmax_rows(SimilarityMatrix(np.zeros((1, 2))), 0.0)
+            softmax_rows(np.zeros((1, 2)), 0.0)
 
     def test_log_softmax_matches_row_max_form_bit_for_bit(self):
         """A tall matrix takes its row max from a transposed copy; the

@@ -198,6 +198,28 @@ class TestLoadCsvValidation:
         with pytest.raises(ParseError, match="line 3: non-integer id or label"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [(b"id,label,split,f\xff0,f1\n0,0,train,1,2\n", 1), (b"id,label,split,f0,f1\n0,0,train,1,2\n1,1,train,3,\xff\n", 3)],
+        ids=["header", "row"],
+    )
+    def test_non_utf8_byte_names_line(self, tmp_path, text, line):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text)
+        with pytest.raises(ParseError, match=f"line {line}: not UTF-8 text$"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+    def test_field_over_csv_limit_names_line(self, tmp_path, line):
+        """A quoted cell of 200,000 digits is longer than csv's field size limit."""
+        big = '"' + "1" * 200_000 + '"'
+        header = f"id,label,split,f0,{big}\n" if line == 1 else self.header()
+        row = f"1,1,train,3,{big}\n" if line == 3 else "1,1,train,3,4\n"
+        p = tmp_path / "d.csv"
+        p.write_text(header + "0,0,train,1,2\n" + row)
+        with pytest.raises(ParseError, match=f"line {line}: field larger than field limit"):
+            load_csv(p)
+
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
     def test_header_only_file(self, tmp_path, body):
         p = tmp_path / "d.csv"

@@ -13,21 +13,26 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 import rankprompt
-from rankprompt.core import InputError, LabelVector, SimilarityMatrix
+from rankprompt.core import InputError, LabelVector
 from rankprompt.evaluation import (
     auc_macro_ovr,
     class_mean_similarity,
     confusion_matrix,
-    macro_f1,
     metrics_report,
     midranks,
-    predict,
     rank_monotonicity,
 )
 
 
 def smat(rows):
-    return SimilarityMatrix(np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
+
+
+def macro_f1(predictions, truth, k):
+    """Macro F1 of ``predictions`` as ``metrics_report`` computes it: from
+    one-hot scores, whose row argmax is the prediction."""
+    scores = np.eye(k)[predictions.labels]
+    return metrics_report(scores, truth, k).macro_f1
 
 
 class TestMacroF1:
@@ -103,15 +108,6 @@ class TestAuc:
         scores = np.array([[0.9, 0.1], [0.8, 0.2]])
         with pytest.raises(InputError):
             auc_macro_ovr(scores, LabelVector([0, 0]), 2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError):
-            auc_macro_ovr(np.zeros((2, 2)), LabelVector([0, 1, 0]), 2)
-
-    def test_nan_scores_rejected(self):
-        scores = np.array([[0.9, 0.1], [np.nan, 0.2], [0.1, 0.9]])
-        with pytest.raises(InputError, match="NaN"):
-            auc_macro_ovr(scores, LabelVector([0, 0, 1]), 2)
 
 
 @st.composite
@@ -208,20 +204,21 @@ class TestClassMeanSimilarity:
         np.testing.assert_allclose(m, [[2.0, 3.0], [5.0, 6.0]])
 
     def test_absent_class_nan_row(self):
-        s = smat([[1.0, 2.0]])
+        s = smat([[1.0, 2.0, 3.0]])
         m = class_mean_similarity(s, LabelVector([0]), 3)
         assert np.all(np.isnan(m[1])) and np.all(np.isnan(m[2]))
-        np.testing.assert_allclose(m[0], [1.0, 2.0])
+        np.testing.assert_allclose(m[0], [1.0, 2.0, 3.0])
 
 
 class TestConfusionAndPredict:
     def test_predict_argmax_first_wins(self):
         s = smat([[0.5, 0.5, 0.1], [0.0, 0.2, 0.9]])
-        np.testing.assert_array_equal(predict(s).labels, [0, 2])
+        rep = metrics_report(s, LabelVector([1, 2]), 3)
+        np.testing.assert_array_equal(rep.confusion, [[0, 0, 0], [1, 0, 0], [0, 0, 1]])
 
     def test_confusion_counts(self):
         truth = LabelVector([0, 0, 1, 2])
-        pred = LabelVector([0, 1, 1, 0])
+        pred = np.array([0, 1, 1, 0])
         cm = confusion_matrix(pred, truth, 3)
         np.testing.assert_array_equal(cm, [[1, 1, 0], [0, 1, 0], [1, 0, 0]])
         assert cm.sum() == 4
@@ -230,7 +227,7 @@ class TestConfusionAndPredict:
         rng = np.random.default_rng(3)
         y = rng.integers(0, 5, size=200)
         pred = rng.integers(0, 5, size=200)
-        cm = confusion_matrix(LabelVector(pred), LabelVector(y), 5)
+        cm = confusion_matrix(pred, LabelVector(y), 5)
         np.testing.assert_array_equal(cm.sum(axis=1), np.bincount(y, minlength=5))
 
 
@@ -267,3 +264,23 @@ class TestMetricsReport:
         y = LabelVector(rng.integers(0, 3, size=30))
         rep = metrics_report(smat(raw), y, 3)
         assert np.isfinite(rep.macro_auc)
+
+
+class TestEntryChecks:
+    """``metrics_report`` and ``class_mean_similarity`` check the shape and
+    the label range of their input; the helpers they call trust it."""
+
+    @pytest.mark.parametrize("entry", [metrics_report, class_mean_similarity], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "shape, labels, message",
+        [
+            ((2, 3), [0, 1, 0], r"^similarity matrix must be 3 x 3, got shape \(2, 3\)$"),
+            ((2, 4), [0, 1], r"^similarity matrix must be 2 x 3, got shape \(2, 4\)$"),
+            ((2,), [0, 1], r"^similarity matrix must be 2 x 3, got shape \(2,\)$"),
+            ((2, 3), [0, 3], r"^label 3 out of range for 3 classes$"),
+        ],
+        ids=["rows", "width", "ndim", "label"],
+    )
+    def test_rejects_bad_shape_or_labels(self, entry, shape, labels, message):
+        with pytest.raises(InputError, match=message):
+            entry(np.zeros(shape), LabelVector(labels), 3)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankprompt.core import InputError, LabelVector, SimilarityMatrix
+from rankprompt.core import InputError, LabelVector
 from rankprompt.losses import LossConfig, image_to_text_term, rank_term, total_loss
 from rankprompt.model import (
     ADAM_BETA1,
@@ -24,7 +24,7 @@ H = 1e-5
 
 def smat(rows):
     """A checked similarity matrix's plain array, as the loss functions take it."""
-    return SimilarityMatrix(np.asarray(rows, dtype=float)).data
+    return np.asarray(rows, dtype=float)
 
 
 def fd_grad_wrt_similarity(fn, sdata, labels, cfg, h=H):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import rank_directional_loss
 
-from rankprompt.core import InputError, LabelVector, SimilarityMatrix
+from rankprompt.core import InputError, LabelVector
 from rankprompt.losses import (
     LossConfig,
     image_to_text_term,
@@ -21,24 +21,24 @@ LN5 = 1.6094379124341003
 
 
 def smat(rows):
-    return SimilarityMatrix(np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
 
 
 # The loss functions take the plain arrays of the checked types.
 def image_to_text_loss(s, labels, cfg):
-    return image_to_text_term(s.data, labels.labels, cfg)[0]
+    return image_to_text_term(s, labels.labels, cfg)[0]
 
 
 def text_to_image_loss(s, labels, cfg):
-    return text_to_image_term(s.data, labels.labels, cfg)[0]
+    return text_to_image_term(s, labels.labels, cfg)[0]
 
 
 def main_loss(s, labels, cfg):
-    return total_loss(s.data, labels.labels, cfg).main
+    return total_loss(s, labels.labels, cfg).main
 
 
 def rank_loss(s, labels, cfg):
-    return rank_term(s.data, labels.labels, cfg)[0]
+    return rank_term(s, labels.labels, cfg)[0]
 
 
 def random_case(seed, m_hi=8, k_hi=6):
@@ -70,7 +70,7 @@ class TestImageToText:
 
     def test_row_shift_invariance(self):
         s, labels, rng = random_case(20)
-        shifted = s.data.copy()
+        shifted = s.copy()
         shifted[0] += 3.7
         np.testing.assert_allclose(
             image_to_text_loss(smat(shifted), labels, CFG),
@@ -96,7 +96,7 @@ class TestTextToImage:
         rng = np.random.default_rng(21)
         s = smat(rng.normal(size=(4, 5)))
         labels = LabelVector([2, 2, 2, 2])
-        col = s.data[:, 2]
+        col = s[:, 2]
         # KL(uniform || softmax(col)) = logsumexp(col) - mean(col) - ln(M)
         lse = float(np.log(np.exp(col - col.max()).sum()) + col.max())
         expected = lse - float(col.mean()) - np.log(4.0)
@@ -108,7 +108,7 @@ class TestTextToImage:
 
     def test_column_shift_invariance(self):
         s, labels, rng = random_case(22)
-        shifted = s.data.copy()
+        shifted = s.copy()
         shifted[:, 0] += 2.2
         np.testing.assert_allclose(
             text_to_image_loss(smat(shifted), labels, CFG),
@@ -183,7 +183,7 @@ class TestRankLoss:
 
     def test_row_shift_invariance(self):
         s, labels, _ = random_case(24)
-        shifted = s.data.copy()
+        shifted = s.copy()
         shifted[0] += 5.5
         np.testing.assert_allclose(
             rank_loss(smat(shifted), labels, CFG), rank_loss(s, labels, CFG), atol=1e-12
@@ -200,18 +200,18 @@ class TestRankLoss:
     def test_tau_scales_gaps(self):
         s, labels, _ = random_case(25)
         hot = LossConfig(tau=0.5)
-        direct = rank_loss(smat(s.data / 0.5), labels, CFG)
+        direct = rank_loss(smat(s / 0.5), labels, CFG)
         np.testing.assert_allclose(rank_loss(s, labels, hot), direct, atol=1e-12)
 
 
 class TestTotalLoss:
     def test_lambda_zero_is_main_only(self):
         s, labels, _ = random_case(26)
-        report = total_loss(s.data, labels.labels, LossConfig(lambda_rank=0.0))
+        report = total_loss(s, labels.labels, LossConfig(lambda_rank=0.0))
         assert report.total == report.main
 
     def test_zero_scores_composite(self):
-        report = total_loss(smat(np.zeros((2, 5))).data, LabelVector([0, 2]).labels, CFG)
+        report = total_loss(smat(np.zeros((2, 5))), LabelVector([0, 2]).labels, CFG)
         np.testing.assert_allclose(report.rank, 4 * LN2, atol=1e-12)
         np.testing.assert_allclose(report.total, report.main + 4 * LN2, atol=1e-12)
 
@@ -219,12 +219,12 @@ class TestTotalLoss:
         for seed in range(20):
             s, labels, rng = random_case(seed + 100)
             cfg = LossConfig(lambda_rank=float(rng.uniform(0, 3)))
-            report = total_loss(s.data, labels.labels, cfg)
+            report = total_loss(s, labels.labels, cfg)
             assert abs(report.total - (report.main + cfg.lambda_rank * report.rank)) <= 1e-12
 
     def test_all_terms_nonnegative_and_finite(self):
         for seed in range(30):
             s, labels, _ = random_case(seed + 200)
-            report = total_loss(s.data, labels.labels, CFG)
+            report = total_loss(s, labels.labels, CFG)
             assert report.main >= 0 and report.rank >= 0 and report.total >= 0
             assert np.isfinite(report.grad_similarity).all()

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from rankprompt import losses, sms
-from rankprompt.core import InputError, LabelVector, SimilarityMatrix
+from rankprompt.core import InputError, LabelVector
 from rankprompt.losses import LossConfig
 from rankprompt.model import (
     PARAM_FIELDS,
-    encode_images,
     forward_similarity,
     init_params,
     model_backward,
@@ -50,6 +49,12 @@ class TestInitParams:
             init_params(4, 8, 3, 0, 0)
 
 
+def encode_images(p, features, normalize=False):
+    """The image embeddings of a model with as many grades as embedding
+    dimensions, read through ``forward_similarity`` against identity text rows."""
+    return forward_similarity(p.with_values({"text": np.eye(p.embed_dim)}), features, normalize)
+
+
 class TestEncodeImages:
     def test_zero_parameters_give_zero_embeddings(self):
         p = init_params(3, 4, 2, 2, 0)
@@ -67,7 +72,7 @@ class TestEncodeImages:
         out = encode_images(p, feats, normalize=True)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
         unit_text = p.text / np.linalg.norm(p.text, axis=1, keepdims=True)
-        np.testing.assert_allclose(forward_similarity(p, feats, normalize=True).data, out @ unit_text.T, atol=1e-12)
+        np.testing.assert_allclose(forward_similarity(p, feats, normalize=True), out @ unit_text.T, atol=1e-12)
 
     def test_rejects_width_mismatch(self):
         p = init_params(3, 4, 2, 2, 0)
@@ -87,8 +92,8 @@ class TestForwardSimilarity:
         p = init_params(4, 6, 3, 5, 3)
         feats = rng.normal(size=(7, 4))
         s = forward_similarity(p, feats)
-        manual = encode_images(p, feats) @ p.text.T
-        np.testing.assert_allclose(s.data, manual)
+        manual = (np.tanh(feats @ p.w1 + p.b1) @ p.w2 + p.b2) @ p.text.T
+        np.testing.assert_allclose(s, manual)
 
     def test_backward_report_is_consistent(self):
         rng = np.random.default_rng(3)
@@ -97,7 +102,7 @@ class TestForwardSimilarity:
         labels = LabelVector(rng.integers(0, 5, 7)).labels
         res = model_backward(p, feats, labels, None, LossConfig())
         assert res.report.total == res.report.main + res.report.rank
-        np.testing.assert_allclose(res.similarity_raw, forward_similarity(p, feats).data)
+        np.testing.assert_allclose(res.similarity_raw, forward_similarity(p, feats))
 
     def test_rank_only_objective_drops_main_gradient(self):
         """include_main=False leaves exactly the rank part of the gradient."""
@@ -146,7 +151,7 @@ class TestBackwardSinglePass:
 
         rng = np.random.default_rng(6)
         stats = sms.init_class_stats(5)
-        rows = SimilarityMatrix(rng.normal(size=(40, 5))).data
+        rows = rng.normal(size=(40, 5))
         stats = sms.commit_epoch(sms.accumulate_class_stats(stats, rows, np.arange(40) % 5), sms.KernelSpec())
         assert stats.calibration_active
         p = init_params(4, 6, 3, 5, 7)

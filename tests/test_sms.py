@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankprompt.core import InputError, LabelVector, SimilarityMatrix, StateError
+from rankprompt.core import InputError, LabelVector, StateError
 from rankprompt.sms import (
     VAR_FLOOR,
     KernelSpec,
@@ -20,7 +20,7 @@ from rankprompt.sms import (
 def committed_from(rows, labels, k, kernel=KernelSpec()):
     """One accumulate + commit round, the normal route to usable stats."""
     stats = init_class_stats(k)
-    rows = SimilarityMatrix(np.asarray(rows, dtype=float)).data
+    rows = np.asarray(rows, dtype=float)
     stats = accumulate_class_stats(stats, rows, LabelVector(labels).labels)
     return commit_epoch(stats, kernel)
 
@@ -68,29 +68,29 @@ class TestKernelWeights:
 class TestAccumulate:
     def test_hand_mean_and_variance(self):
         stats = init_class_stats(2)
-        s = SimilarityMatrix(np.array([[1.0, 3.0], [3.0, 5.0]]))
-        stats = accumulate_class_stats(stats, s.data, LabelVector([1, 1]).labels)
+        s = np.array([[1.0, 3.0], [3.0, 5.0]])
+        stats = accumulate_class_stats(stats, s, LabelVector([1, 1]).labels)
         np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
         np.testing.assert_allclose(stats.var[1], [1.0, 1.0])
 
     def test_single_row_floors_variance(self):
         stats = init_class_stats(2)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.array([[7.0, 7.0]])).data, LabelVector([0]).labels)
+        stats = accumulate_class_stats(stats, np.array([[7.0, 7.0]]), LabelVector([0]).labels)
         np.testing.assert_allclose(stats.mean[0], [7.0, 7.0])
         np.testing.assert_allclose(stats.var[0], [VAR_FLOOR, VAR_FLOOR])
 
     def test_empty_class_is_undefined(self):
         stats = init_class_stats(3)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 3))).data, LabelVector([0, 0]).labels)
+        stats = accumulate_class_stats(stats, np.ones((2, 3)), LabelVector([0, 0]).labels)
         assert stats.epoch_count[1] == 0
         assert np.isnan(stats.mean[1]).all()
 
     def test_accumulation_spans_batches(self):
         stats = init_class_stats(2)
-        a = SimilarityMatrix(np.array([[1.0, 3.0]]))
-        b = SimilarityMatrix(np.array([[3.0, 5.0]]))
-        stats = accumulate_class_stats(stats, a.data, LabelVector([1]).labels)
-        stats = accumulate_class_stats(stats, b.data, LabelVector([1]).labels)
+        a = np.array([[1.0, 3.0]])
+        b = np.array([[3.0, 5.0]])
+        stats = accumulate_class_stats(stats, a, LabelVector([1]).labels)
+        stats = accumulate_class_stats(stats, b, LabelVector([1]).labels)
         np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
 
     def test_order_invariance(self):
@@ -125,9 +125,9 @@ class TestAccumulate:
     def test_rejects_shape_mismatch(self):
         stats = init_class_stats(3)
         with pytest.raises(InputError):
-            accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 4))).data, LabelVector([0, 1]).labels)
+            accumulate_class_stats(stats, np.ones((2, 4)), LabelVector([0, 1]).labels)
         with pytest.raises(InputError):
-            accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 3))).data, LabelVector([0]).labels)
+            accumulate_class_stats(stats, np.ones((2, 3)), LabelVector([0]).labels)
 
 
 class TestSmoothStats:
@@ -180,10 +180,10 @@ class TestCalibrateRows:
         rows = rng.normal(size=(30, 5))
         labels = rng.integers(0, 5, 30)
         stats = committed_from(rows, labels, 5, KernelSpec(sigma=1e-3, include_self=True))
-        fresh = SimilarityMatrix(rng.normal(size=(8, 5)))
+        fresh = rng.normal(size=(8, 5))
         fresh_labels = LabelVector(rng.integers(0, 5, 8))
         out = calibrate_rows(fresh, fresh_labels, stats)
-        np.testing.assert_allclose(out.data, fresh.data, atol=1e-12)
+        np.testing.assert_allclose(out, fresh, atol=1e-12)
 
     def test_centered_input_maps_to_smoothed_mean(self):
         rng = np.random.default_rng(5)
@@ -191,9 +191,9 @@ class TestCalibrateRows:
         labels = rng.integers(0, 4, 40)
         stats = committed_from(rows, labels, 4)
         for c in range(4):
-            s = SimilarityMatrix(stats.frozen_mean[c][None, :])
+            s = stats.frozen_mean[c][None, :]
             out = calibrate_rows(s, LabelVector([c]), stats)
-            np.testing.assert_allclose(out.data[0], stats.smoothed_mean[c], atol=1e-12)
+            np.testing.assert_allclose(out[0], stats.smoothed_mean[c], atol=1e-12)
 
     def test_scalar_standard_case(self):
         """mean 1, var 1, smoothed mean 3, smoothed var 4 sends 2 to 5.
@@ -202,14 +202,14 @@ class TestCalibrateRows:
         # class 0 rows give mean 1 var 1 in column 0; class 1 mean 3 var 4
         rows0 = np.array([[0.0, 0.0], [2.0, 2.0]])
         rows1 = np.array([[1.0, 1.0], [5.0, 5.0]])
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows0).data, LabelVector([0, 0]).labels)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(rows1).data, LabelVector([1, 1]).labels)
+        stats = accumulate_class_stats(stats, rows0, LabelVector([0, 0]).labels)
+        stats = accumulate_class_stats(stats, rows1, LabelVector([1, 1]).labels)
         stats = commit_epoch(stats, KernelSpec(sigma=1.0))
         # the only non-self neighbor of class 0 is class 1
         np.testing.assert_allclose(stats.smoothed_mean[0], [3.0, 3.0])
         np.testing.assert_allclose(stats.smoothed_var[0], [4.0, 4.0])
-        out = calibrate_rows(SimilarityMatrix(np.array([[2.0, 2.0]])), LabelVector([0]), stats)
-        np.testing.assert_allclose(out.data, [[5.0, 5.0]], atol=1e-12)
+        out = calibrate_rows(np.array([[2.0, 2.0]]), LabelVector([0]), stats)
+        np.testing.assert_allclose(out, [[5.0, 5.0]], atol=1e-12)
 
     def test_affine_property(self):
         """calibrate(a*s + (1-a)*mean_c) == a*calibrate(s) + (1-a)*smoothed_mean_c."""
@@ -223,51 +223,51 @@ class TestCalibrateRows:
             s = rng.normal(size=(1, k))
             alpha = float(rng.uniform(-1.5, 1.5))
             lhs = calibrate_rows(
-                SimilarityMatrix(alpha * s + (1 - alpha) * stats.frozen_mean[c]), LabelVector([c]), stats
-            ).data[0]
-            rhs = alpha * calibrate_rows(SimilarityMatrix(s), LabelVector([c]), stats).data[0] + (
+                alpha * s + (1 - alpha) * stats.frozen_mean[c], LabelVector([c]), stats
+            )[0]
+            rhs = alpha * calibrate_rows(s, LabelVector([c]), stats)[0] + (
                 1 - alpha
             ) * stats.smoothed_mean[c]
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_cold_start_is_identity(self):
         stats = init_class_stats(3)
-        s = SimilarityMatrix(np.array([[1.0, 2.0, 3.0]]))
+        s = np.array([[1.0, 2.0, 3.0]])
         out = calibrate_rows(s, LabelVector([0]), stats)
-        np.testing.assert_array_equal(out.data, s.data)
+        np.testing.assert_array_equal(out, s)
 
     def test_uncommitted_accumulation_rejected(self):
         stats = init_class_stats(2)
-        stats = accumulate_class_stats(stats, SimilarityMatrix(np.ones((2, 2))).data, LabelVector([0, 1]).labels)
+        stats = accumulate_class_stats(stats, np.ones((2, 2)), LabelVector([0, 1]).labels)
         with pytest.raises(StateError):
-            calibrate_rows(SimilarityMatrix(np.ones((1, 2))), LabelVector([0]), stats)
+            calibrate_rows(np.ones((1, 2)), LabelVector([0]), stats)
 
     def test_disabled_commit_passes_through(self):
         stats = committed_from(np.ones((3, 3)), [1, 1, 1], 3)
         assert stats.committed and not stats.calibration_active
-        s = SimilarityMatrix(np.array([[1.0, 2.0, 3.0]]))
+        s = np.array([[1.0, 2.0, 3.0]])
         out = calibrate_rows(s, LabelVector([1]), stats)
-        np.testing.assert_array_equal(out.data, s.data)
+        np.testing.assert_array_equal(out, s)
 
     def test_unseen_class_rows_pass_through(self):
         rng = np.random.default_rng(7)
         rows = rng.normal(size=(20, 4))
         labels = rng.integers(0, 3, 20)  # class 3 never observed
         stats = committed_from(rows, labels, 4)
-        s = SimilarityMatrix(rng.normal(size=(2, 4)))
+        s = rng.normal(size=(2, 4))
         out = calibrate_rows(s, LabelVector([3, 0]), stats)
-        np.testing.assert_array_equal(out.data[0], s.data[0])
-        assert not np.allclose(out.data[1], s.data[1])
+        np.testing.assert_array_equal(out[0], s[0])
+        assert not np.allclose(out[1], s[1])
 
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(25, 5))
         labels = rng.integers(0, 5, 25)
         stats = committed_from(rows, labels, 5)
-        s = SimilarityMatrix(rng.normal(size=(6, 5)))
+        s = rng.normal(size=(6, 5))
         lab = LabelVector(rng.integers(0, 5, 6))
-        first = calibrate_rows(s, lab, stats).data
-        second = calibrate_rows(s, lab, stats).data
+        first = calibrate_rows(s, lab, stats)
+        second = calibrate_rows(s, lab, stats)
         assert np.array_equal(first, second)
 
 
@@ -304,11 +304,11 @@ class TestCommitEpoch:
         rows = rng.normal(size=(10, 3))
         labels = rng.integers(0, 3, 10)
         stats = committed_from(rows, labels, 3)
-        s = SimilarityMatrix(rng.normal(size=(4, 3)))
+        s = rng.normal(size=(4, 3))
         lab = LabelVector(rng.integers(0, 3, 4))
-        before = calibrate_rows(s, lab, stats).data
+        before = calibrate_rows(s, lab, stats)
         mid_epoch = accumulate_class_stats(stats, rng.normal(size=(5, 3)), np.zeros(5, dtype=np.int64))
-        after = calibrate_rows(s, lab, mid_epoch).data
+        after = calibrate_rows(s, lab, mid_epoch)
         assert np.array_equal(before, after)
 
 
@@ -321,9 +321,9 @@ class TestSerialization:
         labels = rng.integers(0, 5, 30)
         stats = committed_from(rows, labels, 5)
         loaded = stats_from_dict(json.loads(json.dumps(stats_to_dict(stats))), 5)
-        s = SimilarityMatrix(rng.normal(size=(7, 5)))
+        s = rng.normal(size=(7, 5))
         lab = LabelVector(rng.integers(0, 5, 7))
-        assert np.array_equal(calibrate_rows(s, lab, stats).data, calibrate_rows(s, lab, loaded).data)
+        assert np.array_equal(calibrate_rows(s, lab, stats), calibrate_rows(s, lab, loaded))
 
     def test_round_trip_pristine(self):
         stats = init_class_stats(4)

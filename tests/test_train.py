@@ -90,10 +90,10 @@ class TestBoundaryChecks:
             train(TINY, dataset)
 
     def test_checks_do_not_grow_with_the_batch_count(self, monkeypatch):
-        """Batches of 8 and of 64 rows make the same number of similarity
-        matrices, label vectors and label range checks: every one of them
-        belongs to the entry of train or to a per-epoch evaluation.  The
-        step still runs once per batch."""
+        """Batches of 8 and of 64 rows make the same number of label vectors
+        and label range checks: every one of them belongs to the entry of
+        train or to a per-epoch evaluation.  The step still runs once per
+        batch."""
         calls = Counter()
 
         def count(owner, name, key):
@@ -105,7 +105,6 @@ class TestBoundaryChecks:
 
             monkeypatch.setattr(owner, name, counted)
 
-        count(core.SimilarityMatrix, "__post_init__", "SimilarityMatrix")
         count(core.LabelVector, "__post_init__", "LabelVector")
         count(core.LabelVector, "validate_for", "validate_for")
         count(model, "model_backward", "model_backward")
@@ -117,5 +116,5 @@ class TestBoundaryChecks:
             seen[batch_size] = dict(calls)
             assert calls["model_backward"] == TINY.epochs * math.ceil(train_rows(dataset) / batch_size)
         assert seen[8]["model_backward"] > seen[64]["model_backward"]
-        for key in ("SimilarityMatrix", "LabelVector", "validate_for"):
+        for key in ("LabelVector", "validate_for"):
             assert seen[8][key] == seen[64][key], key
