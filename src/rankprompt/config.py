@@ -7,6 +7,7 @@ the filesystem when handed a bad config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .core import InputError
@@ -39,6 +40,9 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InputError(f"config: {f.name} must be finite, got {getattr(self, f.name)}")
         checks = [
             (self.seed >= 0, "seed must be >= 0"),
             (self.classes >= 2, "classes must be >= 2"),

@@ -16,10 +16,6 @@ class InputError(ValueError):
     """An operation rejected its input."""
 
 
-class StateError(RuntimeError):
-    """An operation was invoked on an object in the wrong state."""
-
-
 @dataclass(frozen=True)
 class LabelVector:
     """0-based class index per image."""

@@ -139,8 +139,13 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
         tags = np.array(["train"] * n_c, dtype=object)
         tags[rng.permutation(n_c)[:n_test]] = "test"
         split.extend(tags.tolist())
+    features = np.vstack(feats)
+    if not np.isfinite(features).all():
+        raise InputError(
+            f"generated features overflow float64 (class_sep = {spec.class_sep}, noise_sigma = {spec.noise_sigma})"
+        )
     return Dataset(
-        features=np.vstack(feats),
+        features=features,
         labels=LabelVector(np.array(labels, dtype=np.int64)),
         split=np.array(split, dtype=object),
         ids=np.arange(len(labels), dtype=np.int64),

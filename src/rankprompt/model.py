@@ -235,13 +235,19 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ModelParams:
-    """Rebuild parameters, rejecting any tensor whose shape disagrees with
-    ``hyper`` or that holds a non-finite value."""
+    """Rebuild parameters, rejecting ``hyper`` sizes that are not integers
+    >= 1 and any tensor whose shape disagrees with them or that holds a
+    non-finite value."""
     hyper = d["hyper"]
-    f, h, e, k = (int(hyper[name]) for name in ("feature_dim", "hidden_dim", "embed_dim", "classes"))
+    f, h, e, k = dims = [hyper[name] for name in ("feature_dim", "hidden_dim", "embed_dim", "classes")]
+    if not all(type(n) is int and n >= 1 for n in dims):
+        raise InputError(f"hyper sizes must be integers >= 1, got {dims!r}")
     parts = []
     for name, shape in param_shapes(f, h, e, k).items():
-        value = np.asarray(d[name], dtype=np.float64)
+        try:
+            value = np.asarray(d[name], dtype=np.float64)
+        except OverflowError:
+            raise InputError(f"parameter {name} holds an integer beyond float64") from None
         if value.shape != shape:
             raise InputError(f"parameter {name} has shape {value.shape}, hyper expects {shape}")
         if not np.isfinite(value).all():

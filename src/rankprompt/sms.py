@@ -1,20 +1,23 @@
 """Similarity-row calibration from kernel-smoothed per-class statistics.
 
-Per-class mean/variance of raw similarity rows are accumulated while an
-epoch runs, smoothed across neighboring classes with a Gaussian kernel
-over class-index distance, committed (frozen) at the epoch boundary, and
-applied as a per-row affine map throughout the following epoch.  Before
-the first commit calibration is the identity.
+While an epoch runs, ``accumulate_class_stats`` adds each grade's raw
+similarity rows to an ``EpochSums`` in place.  At the epoch boundary
+``commit_epoch`` turns the sums into an immutable ``ClassStats``: per-grade
+mean/variance plus versions smoothed across neighboring grades with a
+Gaussian kernel over grade distance.  Calibration reads only a
+``ClassStats``, as a per-row affine map, throughout the following epoch;
+None (nothing committed yet) means no calibration.  Sums still being
+accumulated are never a ``ClassStats``, so calibration cannot read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import InputError, LabelVector, StateError, require_finite
+from .core import InputError, LabelVector, require_finite
 
 # Variance floor: a single-sample class must still yield a usable scale.
 VAR_FLOOR = 1e-6
@@ -24,8 +27,8 @@ VAR_FLOOR = 1e-6
 class KernelSpec:
     """Gaussian weights over class-index distance |j - j'|."""
 
-    sigma: float = 1.0
-    include_self: bool = False
+    sigma: float
+    include_self: bool
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -49,127 +52,104 @@ def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
     return w
 
 
+class EpochSums:
+    """Running sums of one epoch's raw similarity rows, updated in place by
+    ``accumulate_class_stats``: row j of the K x K ``total``/``totalsq`` sums
+    grade j's rows and their squares, and ``count`` holds each grade's number of rows."""
+
+    def __init__(self, k: int):
+        if k < 2:
+            raise InputError(f"need at least 2 classes, got {k}")
+        self.k = k
+        self.total = np.zeros((k, k))
+        self.totalsq = np.zeros((k, k))
+        self.count = np.zeros(k, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class similarity-row statistics with an epoch-commit lifecycle.
+    """The per-grade statistics one epoch commit froze, as read-only arrays:
+    the row ``count`` per grade, the K x K ``mean`` and ``var`` (NaN rows for
+    grades without rows) and their kernel-smoothed versions, which are None
+    when the commit saw fewer than two grades: calibration is then off."""
 
-    Every row has one entry per class.  The ``epoch_*`` arrays accumulate
-    the running epoch; ``commit_epoch`` freezes their mean/variance plus
-    smoothed versions into the ``frozen_*`` / ``smoothed_*`` fields and
-    resets the accumulators.  Calibration only ever reads the frozen side.
-    ``committed`` and ``calibration_active`` are derived from which of
-    those arrays exist.
-    """
+    count: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+    smoothed_mean: np.ndarray | None
+    smoothed_var: np.ndarray | None
 
-    k: int
-    epoch_sum: np.ndarray
-    epoch_sumsq: np.ndarray
-    epoch_count: np.ndarray
-    frozen_mean: np.ndarray | None = None
-    frozen_var: np.ndarray | None = None
-    frozen_count: np.ndarray | None = None
-    smoothed_mean: np.ndarray | None = None
-    smoothed_var: np.ndarray | None = None
+    def __post_init__(self):
+        for arr in (self.count, self.mean, self.var, self.smoothed_mean, self.smoothed_var):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
-    def committed(self) -> bool:
-        """True once an epoch with samples has been frozen."""
-        return self.frozen_count is not None
-
-    @property
-    def calibration_active(self) -> bool:
-        """True when smoothed statistics exist: the last commit saw at least two classes."""
-        return self.smoothed_mean is not None
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Running per-class means; NaN where a class has no samples yet."""
-        out = np.full((self.k, self.k), np.nan)
-        seen = self.epoch_count > 0
-        out[seen] = self.epoch_sum[seen] / self.epoch_count[seen, None]
-        return out
-
-    @property
-    def var(self) -> np.ndarray:
-        """Running per-class population variances, floored at VAR_FLOOR."""
-        out = np.full((self.k, self.k), np.nan)
-        seen = self.epoch_count > 0
-        n = self.epoch_count[seen, None].astype(np.float64)
-        m = self.epoch_sum[seen] / n
-        out[seen] = np.maximum(self.epoch_sumsq[seen] / n - m * m, VAR_FLOOR)
-        return out
+    def k(self) -> int:
+        return len(self.count)
 
     @cached_property
     def calibration_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """K x K (scale, offset) of the frozen calibration map, one row per
-        grade: scale = sqrt(smoothed_var/var), offset = smoothed_mean -
-        scale*mean; identity for grades without committed statistics and
-        while calibration is off.  Built once: the frozen arrays never change."""
+        """K x K (scale, offset) of the calibration map, one row per grade:
+        scale = sqrt(smoothed_var/var), offset = smoothed_mean - scale*mean;
+        identity for grades without rows and while calibration is off.
+        Built once: the arrays never change."""
         scale = np.ones((self.k, self.k))
         offset = np.zeros((self.k, self.k))
-        if self.calibration_active:
-            usable = self.frozen_count > 0
-            sc = np.sqrt(self.smoothed_var[usable]) / np.sqrt(self.frozen_var[usable])
+        if self.smoothed_mean is not None:
+            usable = self.count > 0
+            sc = np.sqrt(self.smoothed_var[usable]) / np.sqrt(self.var[usable])
             scale[usable] = sc
-            offset[usable] = self.smoothed_mean[usable] - sc * self.frozen_mean[usable]
+            offset[usable] = self.smoothed_mean[usable] - sc * self.mean[usable]
         scale.setflags(write=False)
         offset.setflags(write=False)
         return scale, offset
 
 
-def init_class_stats(k: int) -> ClassStats:
-    """Pristine statistics: nothing accumulated, nothing committed."""
-    if k < 2:
-        raise InputError(f"need at least 2 classes, got {k}")
-    return ClassStats(
-        k=k,
-        epoch_sum=np.zeros((k, k)),
-        epoch_sumsq=np.zeros((k, k)),
-        epoch_count=np.zeros(k, dtype=np.int64),
-    )
-
-
-def _check_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> None:
-    if s.shape[1] != stats.k:
-        raise InputError(f"similarity width {s.shape[1]} does not match the {stats.k} classes of the statistics")
+def _check_rows(s: np.ndarray, labels: np.ndarray, k: int) -> None:
+    if s.shape[1] != k:
+        raise InputError(f"similarity width {s.shape[1]} does not match the {k} classes of the statistics")
     if len(labels) != s.shape[0]:
         raise InputError(f"got {len(labels)} labels for {s.shape[0]} similarity rows")
 
 
-def accumulate_class_stats(stats: ClassStats, s: np.ndarray, labels: np.ndarray) -> ClassStats:
-    """Fold a batch of raw similarity rows (M x K array, M labels in
-    [0, K), not checked here) into the running epoch sums."""
-    _check_rows(s, labels, stats)
-    total = stats.epoch_sum.copy()
-    totalsq = stats.epoch_sumsq.copy()
+def accumulate_class_stats(sums: EpochSums, s: np.ndarray, labels: np.ndarray) -> None:
+    """Add a batch of raw similarity rows (M x K array, M labels in [0, K),
+    not checked here) to the epoch's running sums, in place."""
+    _check_rows(s, labels, sums.k)
     # add.at on the flat K*K cells: each cell sums its rows in batch order, on numpy's fast 1-D path
-    cells = (labels[:, None] * stats.k + np.arange(stats.k)).ravel()
-    np.add.at(total.reshape(-1), cells, s.ravel())
-    np.add.at(totalsq.reshape(-1), cells, (s * s).ravel())
-    n = stats.epoch_count + np.bincount(labels, minlength=stats.k)
-    return replace(stats, epoch_sum=total, epoch_sumsq=totalsq, epoch_count=n)
+    cells = (labels[:, None] * sums.k + np.arange(sums.k)).ravel()
+    np.add.at(sums.total.reshape(-1), cells, s.ravel())
+    np.add.at(sums.totalsq.reshape(-1), cells, (s * s).ravel())
+    sums.count += np.bincount(labels, minlength=sums.k)
 
 
-def commit_epoch(stats: ClassStats, kernel: KernelSpec) -> ClassStats:
-    """Freeze the epoch's statistics, and their ``kernel``-smoothed
-    versions, for use throughout the next epoch.
+def commit_epoch(sums: EpochSums, kernel: KernelSpec) -> ClassStats | None:
+    """Freeze the epoch's per-grade mean and population variance (floored at
+    VAR_FLOOR), and their ``kernel``-smoothed versions, for use throughout
+    the next epoch; None when nothing was accumulated.
 
-    Classes never observed this epoch are excluded from every weighted sum
-    and the kernel weights are renormalized over the observed ones.  No-op
-    when nothing was accumulated.  When fewer than two classes were seen
-    the commit still happens but calibration is switched off until a
-    richer epoch commits.
+    Grades without rows this epoch are excluded from every weighted sum and
+    the kernel weights are renormalized over the observed ones.  When fewer
+    than two grades were seen the statistics are still frozen, but without
+    smoothed versions: calibration is off until a richer epoch commits.
     """
-    if int(stats.epoch_count.sum()) == 0:
-        return stats
-    observed = stats.epoch_count > 0
-    mean, var = stats.mean, stats.var
+    if int(sums.count.sum()) == 0:
+        return None
+    k = sums.k
+    observed = sums.count > 0
+    n = sums.count[observed, None].astype(np.float64)
+    m = sums.total[observed] / n
+    mean = np.full((k, k), np.nan)
+    var = np.full((k, k), np.nan)
+    mean[observed] = m
+    var[observed] = np.maximum(sums.totalsq[observed] / n - m * m, VAR_FLOOR)
     sm = sv = None
     if int(observed.sum()) >= 2:
-        sm = np.full((stats.k, stats.k), np.nan)
-        sv = np.full((stats.k, stats.k), np.nan)
+        sm = np.full((k, k), np.nan)
+        sv = np.full((k, k), np.nan)
         for j in np.flatnonzero(observed):
-            w = np.where(observed, kernel_weights(kernel, int(j), stats.k), 0.0)
+            w = np.where(observed, kernel_weights(kernel, int(j), k), 0.0)
             total = w.sum()
             if total <= 0.0:
                 # every candidate neighbor underflowed; keep the raw statistics
@@ -178,32 +158,18 @@ def commit_epoch(stats: ClassStats, kernel: KernelSpec) -> ClassStats:
             w = w / total
             sm[j] = w[observed] @ mean[observed]
             sv[j] = w[observed] @ var[observed]
-    return replace(
-        stats,
-        epoch_sum=np.zeros_like(stats.epoch_sum),
-        epoch_sumsq=np.zeros_like(stats.epoch_sumsq),
-        epoch_count=np.zeros_like(stats.epoch_count),
-        frozen_mean=mean,
-        frozen_var=var,
-        frozen_count=stats.epoch_count.copy(),
-        smoothed_mean=sm,
-        smoothed_var=sv,
-    )
+    return ClassStats(count=sums.count.copy(), mean=mean, var=var, smoothed_mean=sm, smoothed_var=sv)
 
 
 def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset
     for an M x K array and M labels in [0, K): each row takes its true class's
-    row of ``stats.calibration_table`` (the identity before any commit).
-    Labels are not range-checked here (a negative one would wrap to a grade
-    from the end); ``calibrate_rows`` and ``model.model_backward`` check them.
-    The scale is also d(calibrated)/d(raw) per entry.  Statistics holding
-    uncommitted accumulation are rejected: calibration must only ever see
-    values frozen at an epoch boundary.
+    row of ``stats.calibration_table``.  Labels are not range-checked here (a
+    negative one would wrap to a grade from the end); ``calibrate_rows`` and
+    ``model.model_backward`` check them.  The scale is also d(calibrated)/d(raw)
+    per entry.
     """
-    _check_rows(s, labels, stats)
-    if not stats.committed and int(stats.epoch_count.sum()) > 0:
-        raise StateError("statistics were accumulated but never committed; call commit_epoch first")
+    _check_rows(s, labels, stats.k)
     scale, offset = stats.calibration_table
     return scale[labels], offset[labels]
 
@@ -217,26 +183,28 @@ def calibrate_rows(s: np.ndarray, labels: LabelVector, stats: ClassStats) -> np.
     return require_finite(scale * s + offset)
 
 
-def stats_to_dict(stats: ClassStats) -> dict:
-    """JSON-ready snapshot of the committed side (accumulators are not kept)."""
+def stats_to_dict(stats: ClassStats | None) -> dict:
+    """JSON-ready snapshot of committed statistics; all null for None."""
+    if stats is None:
+        return dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
 
     def per_class(arr):
         if arr is None:
             return None
-        return [None if stats.frozen_count[j] == 0 else arr[j].tolist() for j in range(stats.k)]
+        return [None if stats.count[j] == 0 else arr[j].tolist() for j in range(stats.k)]
 
     return {
-        "count": None if stats.frozen_count is None else stats.frozen_count.tolist(),
-        "mean": per_class(stats.frozen_mean),
-        "var": per_class(stats.frozen_var),
+        "count": stats.count.tolist(),
+        "mean": per_class(stats.mean),
+        "var": per_class(stats.var),
         "smoothed_mean": per_class(stats.smoothed_mean),
         "smoothed_var": per_class(stats.smoothed_var),
     }
 
 
-def stats_from_dict(d: dict, k: int) -> ClassStats:
-    """Rebuild committed statistics over ``k`` classes; the loaded object
-    starts a fresh epoch.
+def stats_from_dict(d: dict, k: int) -> ClassStats | None:
+    """Rebuild committed statistics over ``k`` classes, or None when the
+    snapshot holds none.
 
     ``count``/``mean``/``var`` are all null (nothing committed) or all
     present, likewise ``smoothed_mean``/``smoothed_var``, which need the
@@ -244,7 +212,8 @@ def stats_from_dict(d: dict, k: int) -> ClassStats:
     per-class list ``k`` rows of ``k`` numbers; a class with a positive
     count needs a finite row, other rows may be null.  Keys this function
     does not read are ignored."""
-    stats = init_class_stats(k)
+    if k < 2:
+        raise InputError(f"need at least 2 classes, got {k}")
 
     def present(keys) -> bool:
         nulls = [d[key] is None for key in keys]
@@ -257,7 +226,7 @@ def stats_from_dict(d: dict, k: int) -> ClassStats:
     if smoothed and not frozen:
         raise InputError("smoothed calibration statistics need frozen count/mean/var")
     if not frozen:
-        return stats
+        return None
     counts = d["count"]
     if len(counts) != k or not all(type(c) is int and 0 <= c < 2**63 for c in counts):
         raise InputError(f"calibration count must hold {k} non-negative integers, got {counts!r}")
@@ -275,18 +244,20 @@ def stats_from_dict(d: dict, k: int) -> ClassStats:
             if row is not None:
                 if len(row) != k or not all(type(v) in (int, float) for v in row):
                     raise InputError(f"calibration {key} row of class {j} must hold {k} numbers, got {row!r}")
-                out[j] = row
+                try:
+                    out[j] = row
+                except OverflowError:
+                    raise InputError(f"calibration {key} row of class {j} holds an integer beyond float64") from None
             elif seen[j]:
                 raise InputError(f"calibration {key} has no row for observed class {j}")
         if not np.isfinite(out[seen]).all():
             raise InputError(f"calibration {key} has non-finite entries for an observed class")
         return out
 
-    return replace(
-        stats,
-        frozen_count=count,
-        frozen_mean=from_per_class("mean"),
-        frozen_var=from_per_class("var"),
+    return ClassStats(
+        count=count,
+        mean=from_per_class("mean"),
+        var=from_per_class("var"),
         smoothed_mean=from_per_class("smoothed_mean"),
         smoothed_var=from_per_class("smoothed_var"),
     )

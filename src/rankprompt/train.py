@@ -1,10 +1,11 @@
 """Training loop, inference, and checkpoint round-tripping.
 
 One epoch = shuffled batches of (encode -> similarity -> calibrate ->
-loss -> backward -> optimizer step) while raw-similarity statistics
-accumulate on the side; the statistics commit at the epoch boundary and
-calibrate everything in the next epoch.  Inference reuses the last
-committed statistics (raw similarities if none were ever committed).
+loss -> backward -> optimizer step) while the raw similarity rows are
+summed per grade into an ``sms.EpochSums``; at the epoch boundary the sums
+commit to an immutable ``sms.ClassStats`` that calibrates the next epoch.
+The statistics are None (raw similarities) until the first commit, and
+throughout with calibration off; inference reuses the last committed ones.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .losses import LossConfig
 @dataclass
 class TrainResult:
     params: M.ModelParams
-    stats: sms.ClassStats
+    stats: sms.ClassStats | None  # None: nothing committed
     log: list
 
 
@@ -40,7 +41,7 @@ def loss_config(cfg: RunConfig) -> LossConfig:
 
 def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainResult:
     """Run cfg.epochs of training on the train split; returns the final
-    parameters, committed statistics, and per-epoch log.
+    parameters, last committed statistics (None if none), and per-epoch log.
 
     The train split is checked against ``cfg`` once, here; after that a
     non-finite similarity or parameter means training diverged, and the
@@ -49,8 +50,7 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
     lcfg = loss_config(cfg)
     kernel = kernel_from_config(cfg)
-    stats = sms.init_class_stats(cfg.classes)
-    committed = stats
+    committed = None
     log = []
     train_feats, train_labels = dataset.subset("train")
     train_labels.validate_for(cfg.classes)
@@ -61,6 +61,7 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     for epoch in range(cfg.epochs):
         seen = 0
         sums = {"main": 0.0, "rank": 0.0, "total": 0.0}
+        class_sums = sms.EpochSums(cfg.classes)
         for batch, (feats, labels) in enumerate(batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
             diverged = f"training diverged at epoch {epoch}, batch {batch}"
             try:
@@ -68,7 +69,7 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
                     params,
                     feats,
                     labels,
-                    committed if cfg.sms_enabled else None,
+                    committed,
                     lcfg,
                     normalize=cfg.normalize_embeddings,
                     include_main=include_main,
@@ -80,15 +81,14 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
                 bad = next(name for name, v in params.as_dict().items() if not np.isfinite(v).all())
                 raise InputError(f"{diverged}: the optimizer step made parameter {bad} non-finite")
             if cfg.sms_enabled:
-                stats = sms.accumulate_class_stats(stats, result.similarity_raw, labels)
+                sms.accumulate_class_stats(class_sums, result.similarity_raw, labels)
             m = feats.shape[0]
             seen += m
             sums["main"] += result.report.main * m
             sums["rank"] += result.report.rank * m
             sums["total"] += result.report.total * m
         if cfg.sms_enabled:
-            stats = sms.commit_epoch(stats, kernel)
-            committed = stats
+            committed = sms.commit_epoch(class_sums, kernel)
         try:
             report = evaluate(params, committed, train_feats, train_labels, cfg)
         except InputError as exc:
@@ -159,7 +159,7 @@ def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats]:
+def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats | None]:
     """Read the parameters and calibration statistics of a checkpoint; keys
     not read here (an older file's optimizer state, or the ``k``, ``dim``
     and ``kernel`` of its ``sms`` object) are ignored.

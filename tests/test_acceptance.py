@@ -26,11 +26,11 @@ from rankprompt.data import DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import LossConfig, rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
 from rankprompt.sms import (
+    EpochSums,
     KernelSpec,
     accumulate_class_stats,
     calibrate_rows,
     commit_epoch,
-    init_class_stats,
     kernel_weights,
 )
 from rankprompt.train import evaluate, heatmap_matrix, train
@@ -84,12 +84,11 @@ class TestA1GradientCertification:
         return grad
 
     def committed_stats(self, rng, k, m_stat=12):
-        stats = init_class_stats(k)
+        sums = EpochSums(k)
         s = rng.normal(size=(m_stat, k))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)]))
-        return commit_epoch(
-            accumulate_class_stats(stats, s, labels.labels), KernelSpec(sigma=1.0, include_self=True)
-        )
+        accumulate_class_stats(sums, s, labels.labels)
+        return commit_epoch(sums, KernelSpec(sigma=1.0, include_self=True))
 
     def excess(self, analytic, fd, rtol):
         """Worst |analytic - fd| relative to the allowance rtol*|fd| + atol;
@@ -263,18 +262,20 @@ class TestA4LossOracles:
 
 
 class TestA5CalibrationProperties:
-    def committed(self, rng, k=5, kernel=KernelSpec(), m=40):
-        stats = init_class_stats(k)
+    def committed(self, rng, k=5, kernel=KernelSpec(sigma=1.0, include_self=False), m=40):
+        """An epoch's sums over m rows (every grade present) and their commit."""
+        sums = EpochSums(k)
         s = rng.normal(scale=2.0, size=(m, k))
         labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)]))
-        return commit_epoch(accumulate_class_stats(stats, s, labels.labels), kernel)
+        accumulate_class_stats(sums, s, labels.labels)
+        return sums, commit_epoch(sums, kernel)
 
     def test_a5(self):
         rng = np.random.default_rng(0)
 
         # identity under degenerate smoothing: self-only kernel makes the
         # smoothed statistics equal the raw ones
-        stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
+        _, stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
         s = rng.normal(size=(12, 5))
         labels = LabelVector(rng.integers(0, 5, size=12))
         out = calibrate_rows(s, labels, stats)
@@ -285,11 +286,11 @@ class TestA5CalibrationProperties:
         for case in range(50):
             crng = np.random.default_rng(1000 + case)
             k = int(crng.integers(2, 7))
-            cstats = self.committed(crng, k=k, m=30)
+            _, cstats = self.committed(crng, k=k, m=30)
             row = crng.normal(scale=1.5, size=(1, k))
             c = int(crng.integers(0, k))
             alpha = float(crng.uniform(-1.5, 1.5))
-            mu = np.asarray(cstats.frozen_mean[c])
+            mu = np.asarray(cstats.mean[c])
             mu_s = np.asarray(cstats.smoothed_mean[c])
             lab = LabelVector([c])
             blended = calibrate_rows(
@@ -309,16 +310,21 @@ class TestA5CalibrationProperties:
                 w = np.stack([kernel_weights(spec, j, k) for j in range(k)])
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(w - w.T))))
                 eye = np.eye(k)
-                onehot = accumulate_class_stats(init_class_stats(k), eye, np.arange(k))
+                onehot = EpochSums(k)
+                accumulate_class_stats(onehot, eye, np.arange(k))
                 totals = commit_epoch(onehot, spec).smoothed_mean.sum(axis=1)
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(totals - 1.0))))
 
-        # epoch freeze: mid-epoch accumulation must not move committed stats
-        frozen = self.committed(rng)
+        # epoch freeze: accumulating further epochs, into the committed
+        # epoch's sums or fresh ones, must not move the committed stats,
+        # whose arrays are unwritable
+        sums, frozen = self.committed(rng)
         first = calibrate_rows(s, labels, frozen)
-        poked = accumulate_class_stats(frozen, s, labels.labels)
-        second = calibrate_rows(s, labels, poked)
-        freeze_ok = np.array_equal(first, second)
+        for later in (sums, EpochSums(5), EpochSums(5)):
+            accumulate_class_stats(later, s, labels.labels)
+        second = calibrate_rows(s, labels, frozen)
+        arrays = (frozen.count, frozen.mean, frozen.var, frozen.smoothed_mean, frozen.smoothed_var)
+        freeze_ok = np.array_equal(first, second) and not any(a.flags.writeable for a in arrays)
 
         ok = identity_dev <= 1e-12 and affinity_dev <= 1e-9 and kernel_dev <= 1e-9 and freeze_ok
         report(
@@ -335,7 +341,7 @@ class TestA6StatisticalNull:
         dataset = dataset_for(cfg, cfg.seed)
         feats, labels = dataset.subset("test")
         params = init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
-        stats = init_class_stats(cfg.classes)  # never committed: raw scores
+        stats = None  # never committed: raw scores
         rep = evaluate(params, stats, feats, labels, cfg)
         ok = 0.45 <= rep.macro_auc <= 0.55 and rep.rank_monotonicity <= 0.2
         report(

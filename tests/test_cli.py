@@ -3,11 +3,13 @@
 import copy
 import functools
 import json
+import math
 import operator
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankprompt.cli import main
@@ -114,13 +116,16 @@ class TestConfigFuzz:
     @settings(max_examples=300, deadline=None)
     @given(raw=st.one_of(st.binary(max_size=64), CONFIG_TEXT))
     def test_any_bytes_load_or_raise_input_error(self, config_dir, raw):
-        """Any file gives a RunConfig or an InputError (exit 2), never another exception."""
+        """Any file gives a RunConfig with finite float fields or an
+        InputError (exit 2), never another exception."""
         path = config_dir / "fuzz.cfg"
         path.write_bytes(raw)
         try:
-            assert isinstance(load_config(path), RunConfig)
+            cfg = load_config(path)
         except InputError:
-            pass
+            return
+        assert isinstance(cfg, RunConfig)
+        assert all(math.isfinite(getattr(cfg, f.name)) for f in fields(cfg) if f.type == "float"), cfg
 
 
 class TestGenerate:
@@ -290,6 +295,22 @@ class TestExitCodes:
         assert main(["generate", "--config", cfg]) == 2
         assert "unknown config key 'sms_variant'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("noise_sigma = inf\n", "noise_sigma must be finite"),
+            ("class_sep = 1e308\n", "generated features overflow float64"),  # c * 1e308 is inf
+        ],
+    )
+    def test_nonfinite_generate_is_2_and_writes_nothing(self, tmp_path, capsys, text, message):
+        """A config whose dataset would hold a non-finite feature, which
+        `train` would reject, fails before `generate` writes anything."""
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
     def test_negative_seed_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "seed = -1\n")
         assert main(["generate", "--config", cfg]) == 2
@@ -409,6 +430,10 @@ class TestMalformedCheckpoint:
             (("sms", "count", 0), 1e30),
             (("sms", "count", 0), -3),
             (("sms", "count", 0), 1.5),
+            (("params", "hyper", "classes"), float("inf")),  # written as Infinity
+            (("params", "hyper", "embed_dim"), True),
+            pytest.param(("params", "b1", 0), 10**400, id="params-int-beyond-float64"),
+            pytest.param(("sms", "mean", 0, 0), 10**400, id="sms-int-beyond-float64"),
         ],
     )
     def test_bad_value_is_3(self, tmp_path, capsys, path, value):
@@ -477,6 +502,64 @@ class TestCheckpointFuzz:
         except ParseError:
             return
         assert op == "cell" and key != "count" and isinstance(value, float) and np.isfinite(value), mutation
+
+
+HYPER_KEYS = ("feature_dim", "hidden_dim", "embed_dim", "classes")
+PLACEHOLDER = "@value@"
+# (operation, key: a tensor, one hyper size or the whole hyper object, index
+# of the entry a "cell" edit overwrites or the length "truncate" leaves, the
+# raw JSON text written in place of a "set" or "cell" value)
+PARAMS_MUTATIONS = st.tuples(
+    st.sampled_from(("drop", "set", "cell", "truncate", "extend")),
+    st.sampled_from((*PARAM_FIELDS, *(f"hyper.{key}" for key in HYPER_KEYS), "hyper")),
+    st.integers(0, 3),
+    st.one_of(
+        st.sampled_from(
+            ["1e999", "-1e999", "NaN", "0", "-1", "true", "3.0", '"3"', "null", "[]", "{}", str(2**70), "9" * 400]
+        ),
+        st.integers(-2, 10).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    ),
+)
+
+
+class TestParamsFuzz:
+    # numpy warns when a huge weight overflows a product to inf; the CLI
+    # prints that warning and goes on, so the test lets it pass too
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(mutation=PARAMS_MUTATIONS)
+    @example(mutation=("set", "hyper.classes", 0, "1e999"))
+    @example(mutation=("cell", "w1", 0, "1e308"))
+    @example(mutation=("cell", "w1", 0, "9" * 400))
+    def test_mutated_params_eval_exits_0_2_or_3(self, tiny_checkpoint, mutation):
+        """Any edit of the checkpoint's ``params`` object lets `eval` load it
+        or exit 2 or 3; no other exception escapes.  A ``hyper`` size of
+        1e999 parses to a float infinity and must exit 3."""
+        out, doc = tiny_checkpoint
+        op, key, index, token = mutation
+        params = copy.deepcopy(doc["params"])
+        owner, name = (params["hyper"], key.split(".")[1]) if "." in key else (params, key)
+        target = owner[name]
+        if op == "drop":
+            del owner[name]
+        elif op == "truncate" and isinstance(target, list):
+            del target[index:]
+        elif op == "extend" and isinstance(target, list):
+            target.append(target[-1])
+        elif op == "cell" and isinstance(target, list):
+            while isinstance(target[0], list):
+                target = target[0]
+            target[index] = PLACEHOLDER
+        else:
+            owner[name] = PLACEHOLDER
+        path = out / "mutated_params.json"
+        path.write_text(json.dumps(dict(doc, params=params)).replace(json.dumps(PLACEHOLDER), token))
+        code = main(["eval", "--config", str(out / "run.cfg"), "--out", str(out), "--checkpoint", str(path)])
+        assert code in (0, 2, 3), mutation
+        size = json.loads(token)
+        if key.startswith("hyper.") and op != "drop" and not (type(size) is int and size >= 1):
+            assert code == 3, mutation
 
 
 class TestSeedEnv:

@@ -17,7 +17,7 @@ from rankprompt.model import (
     model_backward,
     optimizer_step,
 )
-from rankprompt.sms import KernelSpec, accumulate_class_stats, commit_epoch, init_class_stats
+from rankprompt.sms import EpochSums, KernelSpec, accumulate_class_stats, commit_epoch
 
 H = 1e-5
 
@@ -110,10 +110,11 @@ class TestLossGradients:
 
 
 def committed_stats(rng, k):
-    stats = init_class_stats(k)
+    sums = EpochSums(k)
     rows = smat(rng.normal(0, 1, (10 * k, k)))
     labels = LabelVector(np.arange(10 * k) % k).labels
-    return commit_epoch(accumulate_class_stats(stats, rows, labels), KernelSpec(sigma=1.0))
+    accumulate_class_stats(sums, rows, labels)
+    return commit_epoch(sums, KernelSpec(sigma=1.0, include_self=False))
 
 
 class TestFullChainGradients:
@@ -155,14 +156,17 @@ class TestFullChainGradients:
                 np.testing.assert_allclose(getattr(res.grads, name), fd, rtol=1e-3, atol=1e-6)
 
     def test_sms_disabled_equals_raw_pipeline(self):
-        """A pristine statistics object calibrates as identity, so backward
-        matches the stats-free pipeline exactly."""
+        """Statistics committed from a single grade switch calibration off:
+        the identity map, so backward matches the stats-free pipeline exactly."""
         rng = np.random.default_rng(99)
         params = init_params(4, 6, 3, 5, 0)
         feats = rng.normal(size=(6, 4))
         labels = LabelVector(rng.integers(0, 5, 6)).labels
         cfg = LossConfig()
-        cold = init_class_stats(5)
+        sums = EpochSums(5)
+        accumulate_class_stats(sums, rng.normal(size=(4, 5)), np.full(4, 2))
+        cold = commit_epoch(sums, KernelSpec(sigma=1.0, include_self=False))
+        assert cold.smoothed_mean is None
         with_cold = model_backward(params, feats, labels, cold, cfg)
         without = model_backward(params, feats, labels, None, cfg)
         for name in PARAM_FIELDS:

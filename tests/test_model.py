@@ -126,7 +126,9 @@ class TestForwardSimilarity:
         without statistics."""
         p = init_params(4, 6, 3, 5, 3)
         feats = np.random.default_rng(8).normal(size=(3, 4))
-        stats = sms.init_class_stats(5)
+        sums = sms.EpochSums(5)
+        sms.accumulate_class_stats(sums, np.ones((5, 5)), np.arange(5))
+        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=1.0, include_self=False))
         for bad in ([0, -1, 2], [0, 5, 2]):
             for s in (None, stats):
                 with pytest.raises(InputError, match=r"labels must lie in \[0, 5\)"):
@@ -150,10 +152,10 @@ class TestBackwardSinglePass:
             monkeypatch.setattr(module, name, counted)
 
         rng = np.random.default_rng(6)
-        stats = sms.init_class_stats(5)
-        rows = rng.normal(size=(40, 5))
-        stats = sms.commit_epoch(sms.accumulate_class_stats(stats, rows, np.arange(40) % 5), sms.KernelSpec())
-        assert stats.calibration_active
+        sums = sms.EpochSums(5)
+        sms.accumulate_class_stats(sums, rng.normal(size=(40, 5)), np.arange(40) % 5)
+        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=1.0, include_self=False))
+        assert stats.smoothed_mean is not None
         p = init_params(4, 6, 3, 5, 7)
         feats = rng.normal(size=(8, 4))
         labels = LabelVector(rng.integers(0, 5, 8)).labels

@@ -3,39 +3,44 @@
 import numpy as np
 import pytest
 
-from rankprompt.core import InputError, LabelVector, StateError
+from rankprompt.config import RunConfig
+from rankprompt.core import InputError, LabelVector
 from rankprompt.sms import (
     VAR_FLOOR,
+    EpochSums,
     KernelSpec,
     accumulate_class_stats,
     calibrate_rows,
     commit_epoch,
-    init_class_stats,
     kernel_weights,
     stats_from_dict,
     stats_to_dict,
 )
+from rankprompt.model import forward_similarity, init_params
+from rankprompt.train import calibrated_similarity
 
 
-def committed_from(rows, labels, k, kernel=KernelSpec()):
+UNIT = KernelSpec(sigma=1.0, include_self=False)
+
+
+def committed_from(rows, labels, k, kernel=UNIT):
     """One accumulate + commit round, the normal route to usable stats."""
-    stats = init_class_stats(k)
-    rows = np.asarray(rows, dtype=float)
-    stats = accumulate_class_stats(stats, rows, LabelVector(labels).labels)
-    return commit_epoch(stats, kernel)
+    sums = EpochSums(k)
+    accumulate_class_stats(sums, np.asarray(rows, dtype=float), LabelVector(labels).labels)
+    return commit_epoch(sums, kernel)
 
 
 class TestKernelWeights:
     def test_flat_limit_excludes_self(self):
         """Huge sigma makes both neighbors weigh 1; the self weight stays 0."""
-        w = kernel_weights(KernelSpec(sigma=1e6), 1, 3)
+        w = kernel_weights(KernelSpec(sigma=1e6, include_self=False), 1, 3)
         np.testing.assert_allclose(w, [1.0, 0.0, 1.0], atol=1e-9)
 
     def test_two_classes_single_neighbor(self):
-        np.testing.assert_allclose(kernel_weights(KernelSpec(sigma=1.0), 0, 2), [0.0, np.exp(-0.5)])
+        np.testing.assert_allclose(kernel_weights(UNIT, 0, 2), [0.0, np.exp(-0.5)])
 
     def test_unit_sigma_three_classes(self):
-        w = kernel_weights(KernelSpec(sigma=1.0), 0, 3)
+        w = kernel_weights(UNIT, 0, 3)
         np.testing.assert_allclose(w, [0.0, 0.6065306597126334, 0.1353352832366127], atol=1e-12)
 
     def test_raw_weights_symmetric(self):
@@ -51,55 +56,53 @@ class TestKernelWeights:
         """One-hot rows, one per class, turn each smoothed-mean row into
         that class's weights as smoothing applies them."""
         for sigma in (0.3, 1.0, 4.0):
-            stats = committed_from(np.eye(5), np.arange(5), 5, KernelSpec(sigma=sigma))
+            stats = committed_from(np.eye(5), np.arange(5), 5, KernelSpec(sigma=sigma, include_self=False))
             np.testing.assert_allclose(stats.smoothed_mean.sum(axis=1), 1.0, atol=1e-9)
-            raw = kernel_weights(KernelSpec(sigma=sigma), 0, 5)
+            raw = kernel_weights(KernelSpec(sigma=sigma, include_self=False), 0, 5)
             np.testing.assert_allclose(stats.smoothed_mean[0], raw / raw.sum(), atol=1e-12)
 
     def test_rejects_single_class(self):
         with pytest.raises(InputError):
-            kernel_weights(KernelSpec(), 0, 1)
+            kernel_weights(UNIT, 0, 1)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(InputError):
-            KernelSpec(sigma=0.0)
+            KernelSpec(sigma=0.0, include_self=False)
 
 
 class TestAccumulate:
     def test_hand_mean_and_variance(self):
-        stats = init_class_stats(2)
         s = np.array([[1.0, 3.0], [3.0, 5.0]])
-        stats = accumulate_class_stats(stats, s, LabelVector([1, 1]).labels)
+        stats = committed_from(s, [1, 1], 2)
         np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
         np.testing.assert_allclose(stats.var[1], [1.0, 1.0])
 
     def test_single_row_floors_variance(self):
-        stats = init_class_stats(2)
-        stats = accumulate_class_stats(stats, np.array([[7.0, 7.0]]), LabelVector([0]).labels)
+        stats = committed_from(np.array([[7.0, 7.0]]), [0], 2)
         np.testing.assert_allclose(stats.mean[0], [7.0, 7.0])
         np.testing.assert_allclose(stats.var[0], [VAR_FLOOR, VAR_FLOOR])
 
     def test_empty_class_is_undefined(self):
-        stats = init_class_stats(3)
-        stats = accumulate_class_stats(stats, np.ones((2, 3)), LabelVector([0, 0]).labels)
-        assert stats.epoch_count[1] == 0
-        assert np.isnan(stats.mean[1]).all()
+        sums = EpochSums(3)
+        accumulate_class_stats(sums, np.ones((2, 3)), LabelVector([0, 0]).labels)
+        assert sums.count[1] == 0
+        assert np.isnan(commit_epoch(sums, UNIT).mean[1]).all()
 
     def test_accumulation_spans_batches(self):
-        stats = init_class_stats(2)
+        sums = EpochSums(2)
         a = np.array([[1.0, 3.0]])
         b = np.array([[3.0, 5.0]])
-        stats = accumulate_class_stats(stats, a, LabelVector([1]).labels)
-        stats = accumulate_class_stats(stats, b, LabelVector([1]).labels)
-        np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
+        accumulate_class_stats(sums, a, LabelVector([1]).labels)
+        accumulate_class_stats(sums, b, LabelVector([1]).labels)
+        np.testing.assert_allclose(commit_epoch(sums, UNIT).mean[1], [2.0, 4.0])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(40, 5))
         labels = rng.integers(0, 5, 40)
         perm = rng.permutation(40)
-        one = accumulate_class_stats(init_class_stats(5), rows, labels)
-        two = accumulate_class_stats(init_class_stats(5), rows[perm], labels[perm])
+        one = committed_from(rows, labels, 5)
+        two = committed_from(rows[perm], labels[perm], 5)
         np.testing.assert_allclose(one.mean, two.mean, atol=1e-12)
         np.testing.assert_allclose(one.var, two.var, atol=1e-12)
 
@@ -109,25 +112,25 @@ class TestAccumulate:
         rng = np.random.default_rng(8)
         for _ in range(50):
             k = int(rng.integers(2, 9))
-            stats = init_class_stats(k)
+            sums = EpochSums(k)
             total, totalsq = np.zeros((k, k)), np.zeros((k, k))
             for _ in range(3):
                 m = int(rng.integers(1, 300))
                 rows = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(m, k))
                 labels = rng.integers(0, k, m)
-                stats = accumulate_class_stats(stats, rows, labels)
+                accumulate_class_stats(sums, rows, labels)
                 for row, c in zip(rows, labels):
                     total[c] += row
                     totalsq[c] += row * row
-            assert stats.epoch_sum.tobytes() == total.tobytes()
-            assert stats.epoch_sumsq.tobytes() == totalsq.tobytes()
+            assert sums.total.tobytes() == total.tobytes()
+            assert sums.totalsq.tobytes() == totalsq.tobytes()
 
     def test_rejects_shape_mismatch(self):
-        stats = init_class_stats(3)
+        sums = EpochSums(3)
         with pytest.raises(InputError):
-            accumulate_class_stats(stats, np.ones((2, 4)), LabelVector([0, 1]).labels)
+            accumulate_class_stats(sums, np.ones((2, 4)), LabelVector([0, 1]).labels)
         with pytest.raises(InputError):
-            accumulate_class_stats(stats, np.ones((2, 3)), LabelVector([0]).labels)
+            accumulate_class_stats(sums, np.ones((2, 3)), LabelVector([0]).labels)
 
 
 class TestSmoothStats:
@@ -137,12 +140,12 @@ class TestSmoothStats:
         """With flat weights the middle class lands on the neighbor mean.
         Smoothing is element-wise, so the scalar case rides in column 0."""
         rows = np.array([[0.0, 5.0, -1.0], [1.0, 7.0, 0.0], [2.0, 9.0, 1.0]])
-        smoothed = committed_from(rows, [0, 1, 2], 3, KernelSpec(sigma=1e6))
+        smoothed = committed_from(rows, [0, 1, 2], 3, KernelSpec(sigma=1e6, include_self=False))
         np.testing.assert_allclose(smoothed.smoothed_mean[1], [1.0, 7.0, 0.0], atol=1e-9)
 
     def test_unit_sigma_value(self):
         rows = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        smoothed = committed_from(rows, [0, 1, 2], 3, KernelSpec(sigma=1.0))
+        smoothed = committed_from(rows, [0, 1, 2], 3, UNIT)
         np.testing.assert_allclose(smoothed.smoothed_mean[0], [1.1824255238063563] * 3, atol=1e-12)
 
     def test_constant_field_fixed_point(self):
@@ -153,7 +156,7 @@ class TestSmoothStats:
     def test_absent_class_renormalization(self):
         """A class never seen contributes nothing; weights renormalize."""
         rows = np.array([[0.0, 0.5, 1.0], [2.0, 4.5, 3.0]])
-        smoothed = committed_from(rows, [0, 2], 3, KernelSpec(sigma=1e6))
+        smoothed = committed_from(rows, [0, 2], 3, KernelSpec(sigma=1e6, include_self=False))
         # class 0's only observed non-self neighbor is class 2
         np.testing.assert_allclose(smoothed.smoothed_mean[0], [2.0, 4.5, 3.0], atol=1e-9)
         assert np.isnan(smoothed.smoothed_mean[1]).all()
@@ -162,13 +165,13 @@ class TestSmoothStats:
         """When every neighbor weight underflows to 0 the class keeps its own statistics."""
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(12, 3))
-        smoothed = committed_from(rows, np.arange(12) % 3, 3, KernelSpec(sigma=0.02))
-        assert np.array_equal(smoothed.smoothed_mean, smoothed.frozen_mean)
-        assert np.array_equal(smoothed.smoothed_var, smoothed.frozen_var)
+        smoothed = committed_from(rows, np.arange(12) % 3, 3, KernelSpec(sigma=0.02, include_self=False))
+        assert np.array_equal(smoothed.smoothed_mean, smoothed.mean)
+        assert np.array_equal(smoothed.smoothed_var, smoothed.var)
 
     def test_too_few_classes_signals(self):
         stats = committed_from(np.ones((4, 3)) * 2, [1, 1, 1, 1], 3)
-        assert stats.committed and not stats.calibration_active
+        assert stats is not None and stats.smoothed_mean is None
         assert stats.smoothed_var is None
 
 
@@ -191,20 +194,20 @@ class TestCalibrateRows:
         labels = rng.integers(0, 4, 40)
         stats = committed_from(rows, labels, 4)
         for c in range(4):
-            s = stats.frozen_mean[c][None, :]
+            s = stats.mean[c][None, :]
             out = calibrate_rows(s, LabelVector([c]), stats)
             np.testing.assert_allclose(out[0], stats.smoothed_mean[c], atol=1e-12)
 
     def test_scalar_standard_case(self):
         """mean 1, var 1, smoothed mean 3, smoothed var 4 sends 2 to 5.
         Calibration is element-wise, so the scalar case rides in column 0."""
-        stats = init_class_stats(2)
+        sums = EpochSums(2)
         # class 0 rows give mean 1 var 1 in column 0; class 1 mean 3 var 4
         rows0 = np.array([[0.0, 0.0], [2.0, 2.0]])
         rows1 = np.array([[1.0, 1.0], [5.0, 5.0]])
-        stats = accumulate_class_stats(stats, rows0, LabelVector([0, 0]).labels)
-        stats = accumulate_class_stats(stats, rows1, LabelVector([1, 1]).labels)
-        stats = commit_epoch(stats, KernelSpec(sigma=1.0))
+        accumulate_class_stats(sums, rows0, LabelVector([0, 0]).labels)
+        accumulate_class_stats(sums, rows1, LabelVector([1, 1]).labels)
+        stats = commit_epoch(sums, UNIT)
         # the only non-self neighbor of class 0 is class 1
         np.testing.assert_allclose(stats.smoothed_mean[0], [3.0, 3.0])
         np.testing.assert_allclose(stats.smoothed_var[0], [4.0, 4.0])
@@ -223,7 +226,7 @@ class TestCalibrateRows:
             s = rng.normal(size=(1, k))
             alpha = float(rng.uniform(-1.5, 1.5))
             lhs = calibrate_rows(
-                alpha * s + (1 - alpha) * stats.frozen_mean[c], LabelVector([c]), stats
+                alpha * s + (1 - alpha) * stats.mean[c], LabelVector([c]), stats
             )[0]
             rhs = alpha * calibrate_rows(s, LabelVector([c]), stats)[0] + (
                 1 - alpha
@@ -231,20 +234,17 @@ class TestCalibrateRows:
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_cold_start_is_identity(self):
-        stats = init_class_stats(3)
-        s = np.array([[1.0, 2.0, 3.0]])
-        out = calibrate_rows(s, LabelVector([0]), stats)
-        np.testing.assert_array_equal(out, s)
-
-    def test_uncommitted_accumulation_rejected(self):
-        stats = init_class_stats(2)
-        stats = accumulate_class_stats(stats, np.ones((2, 2)), LabelVector([0, 1]).labels)
-        with pytest.raises(StateError):
-            calibrate_rows(np.ones((1, 2)), LabelVector([0]), stats)
+        """Before the first commit the statistics are None, and inference
+        returns the raw similarities."""
+        cfg = RunConfig(classes=3, feature_dim=4, hidden_dim=5, embed_dim=2)
+        params = init_params(4, 5, 2, 3, 0)
+        feats = np.random.default_rng(3).normal(size=(6, 4))
+        out = calibrated_similarity(params, None, feats, LabelVector([0, 1, 2, 0, 1, 2]), cfg)
+        np.testing.assert_array_equal(out, forward_similarity(params, feats))
 
     def test_disabled_commit_passes_through(self):
         stats = committed_from(np.ones((3, 3)), [1, 1, 1], 3)
-        assert stats.committed and not stats.calibration_active
+        assert stats.smoothed_mean is None
         s = np.array([[1.0, 2.0, 3.0]])
         out = calibrate_rows(s, LabelVector([1]), stats)
         np.testing.assert_array_equal(out, s)
@@ -272,43 +272,51 @@ class TestCalibrateRows:
 
 
 class TestCommitEpoch:
-    def test_cold_start_not_committed(self):
-        stats = init_class_stats(5)
-        assert not stats.committed
-
     def test_commit_on_empty_epoch_is_noop(self):
-        stats = init_class_stats(5)
-        assert commit_epoch(stats, KernelSpec()) is stats
+        """An epoch that accumulated nothing commits nothing."""
+        assert commit_epoch(EpochSums(5), UNIT) is None
 
     def test_commit_freezes_and_resets(self):
+        """The commit copies the epoch's counts into read-only arrays that
+        share no memory with the sums."""
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(12, 3))
         labels = rng.integers(0, 3, 12)
-        stats = committed_from(rows, labels, 3)
-        assert stats.committed
-        assert stats.epoch_count.sum() == 0
-        assert stats.frozen_count.sum() == 12
+        sums = EpochSums(3)
+        accumulate_class_stats(sums, rows, labels)
+        stats = commit_epoch(sums, UNIT)
+        assert stats.count.sum() == 12
+        for arr in (stats.count, stats.mean, stats.var, stats.smoothed_mean, stats.smoothed_var):
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, acc) for acc in (sums.total, sums.totalsq, sums.count))
 
     def test_replay_gives_identical_commits(self):
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(18, 4))
         labels = rng.integers(0, 4, 18)
         first = committed_from(rows, labels, 4)
-        second = commit_epoch(accumulate_class_stats(first, rows, np.asarray(labels)), KernelSpec())
-        assert np.array_equal(first.frozen_mean, second.frozen_mean)
+        sums = EpochSums(4)
+        accumulate_class_stats(sums, rows, np.asarray(labels))
+        second = commit_epoch(sums, UNIT)
+        assert np.array_equal(first.mean, second.mean)
         assert np.array_equal(first.smoothed_mean, second.smoothed_mean)
         assert np.array_equal(first.smoothed_var, second.smoothed_var)
 
     def test_frozen_stats_survive_next_epoch_accumulation(self):
+        """Adding rows to the committed epoch's sums, or to the next epoch's,
+        leaves the commit's calibration bit-identical."""
         rng = np.random.default_rng(11)
         rows = rng.normal(size=(10, 3))
         labels = rng.integers(0, 3, 10)
-        stats = committed_from(rows, labels, 3)
+        sums = EpochSums(3)
+        accumulate_class_stats(sums, rows, labels)
+        stats = commit_epoch(sums, UNIT)
         s = rng.normal(size=(4, 3))
         lab = LabelVector(rng.integers(0, 3, 4))
         before = calibrate_rows(s, lab, stats)
-        mid_epoch = accumulate_class_stats(stats, rng.normal(size=(5, 3)), np.zeros(5, dtype=np.int64))
-        after = calibrate_rows(s, lab, mid_epoch)
+        for mid_epoch in (sums, EpochSums(3)):
+            accumulate_class_stats(mid_epoch, rng.normal(size=(5, 3)), np.zeros(5, dtype=np.int64))
+        after = calibrate_rows(s, lab, stats)
         assert np.array_equal(before, after)
 
 
@@ -326,10 +334,10 @@ class TestSerialization:
         assert np.array_equal(calibrate_rows(s, lab, stats), calibrate_rows(s, lab, loaded))
 
     def test_round_trip_pristine(self):
-        stats = init_class_stats(4)
-        loaded = stats_from_dict(stats_to_dict(stats), 4)
-        assert not loaded.committed
-        assert loaded.k == 4
+        """Nothing committed writes all-null statistics and reads back as None."""
+        doc = stats_to_dict(None)
+        assert doc == dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
+        assert stats_from_dict(doc, 4) is None
 
     def test_keys_of_older_checkpoints_are_ignored(self):
         rng = np.random.default_rng(13)
@@ -340,8 +348,8 @@ class TestSerialization:
         doc.update(committed=True, calibration_active=True, k=4, dim=4)
         doc["kernel"] = {"sigma": 9.0, "include_self": False, "normalize": False, "kind": "gaussian"}
         loaded = stats_from_dict(doc, 3)
-        assert loaded.k == 3 and loaded.committed and loaded.calibration_active
-        for name in ("frozen_count", "frozen_mean", "frozen_var", "smoothed_mean", "smoothed_var"):
+        assert loaded.k == 3 and loaded.smoothed_mean is not None
+        for name in ("count", "mean", "var", "smoothed_mean", "smoothed_var"):
             assert np.array_equal(getattr(loaded, name), getattr(stats, name))
 
     @pytest.mark.parametrize(
@@ -371,4 +379,4 @@ class TestSerialization:
         doc = stats_to_dict(committed_from(np.arange(12.0).reshape(4, 3), [0, 0, 1, 1], 3))
         assert doc["count"] == [2, 2, 0] and doc["mean"][2] is None
         loaded = stats_from_dict(doc, 3)
-        assert np.isnan(loaded.frozen_mean[2]).all() and loaded.calibration_active
+        assert np.isnan(loaded.mean[2]).all() and loaded.smoothed_mean is not None

@@ -1,9 +1,12 @@
-"""The training loop: input checks at its entry, none per batch, and the
-divergence guard after every optimizer step."""
+"""The training loop: input checks at its entry, none per batch, the
+divergence guard after every optimizer step, the statistics it returns
+when nothing was committed, and the README's library example."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from rankprompt import core, model
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import DatasetSpec, generate_synthetic
-from rankprompt.train import train
+from rankprompt.train import save_checkpoint, train
 
 TINY = RunConfig(
     seed=5,
@@ -118,3 +121,27 @@ class TestBoundaryChecks:
         assert seen[8]["model_backward"] > seen[64]["model_backward"]
         for key in ("LabelVector", "validate_for"):
             assert seen[8][key] == seen[64][key], key
+
+
+class TestCommittedStatistics:
+    @pytest.mark.parametrize(
+        "change", [pytest.param({"sms_enabled": False}, id="sms-off"), pytest.param({"epochs": 0}, id="no-epochs")]
+    )
+    def test_nothing_committed_is_none_and_all_null(self, tmp_path, change):
+        """Training that commits no statistics returns None for them, and
+        the checkpoint's ``sms`` object is all null."""
+        cfg = replace(TINY, **change)
+        result = train(cfg, dataset_for(cfg))
+        assert result.stats is None
+        save_checkpoint(tmp_path / "checkpoint.json", result, cfg)
+        doc = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert doc["sms"] == dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's Python example runs and prints its two metrics."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Typical library use:\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    macro_f1, monotonicity = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= macro_f1 <= 1.0 and 0.0 <= monotonicity <= 1.0
