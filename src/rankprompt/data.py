@@ -99,10 +99,13 @@ class Dataset:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def subset(self, split: str) -> tuple[np.ndarray, LabelVector]:
+    def _mask(self, split: str) -> np.ndarray:
         if split not in SPLITS:
             raise InputError(f"split must be one of {SPLITS}, got {split!r}")
-        mask = self._masks[split]  # built once: comparing the object-dtype tags costs 0.1 ms a call
+        return self._masks[split]  # built once: comparing the object-dtype tags costs 0.1 ms a call
+
+    def subset(self, split: str) -> tuple[np.ndarray, LabelVector]:
+        mask = self._mask(split)
         return self.features[mask], LabelVector(self.labels.labels[mask])
 
 
@@ -307,14 +310,12 @@ def _raise_first_error(path, expected_classes: int | None) -> NoReturn:
 
 
 def batch_iter(dataset: Dataset, split: str, batch_size: int, seed: int, epoch: int):
-    """Yield (features, plain label array) batches of the split, shuffled per (seed, epoch)."""
+    """Yield (features, plain label array) batches of the split, shuffled per (seed, epoch): the
+    batches of permuting a ``subset`` copy, gathered through the split's row indices without the copy."""
     if batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {batch_size}")
-    feats, labels = dataset.subset(split)
-    n = feats.shape[0]
-    if n == 0:
-        return
-    order = np.random.default_rng([seed, epoch]).permutation(n)
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        yield feats[idx], labels.labels[idx]
+    rows = np.flatnonzero(dataset._mask(split))
+    rows = rows[np.random.default_rng([seed, epoch]).permutation(len(rows))]
+    for start in range(0, len(rows), batch_size):
+        idx = rows[start : start + batch_size]
+        yield dataset.features[idx], dataset.labels.labels[idx]

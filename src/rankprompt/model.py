@@ -23,6 +23,9 @@ PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 # Guard for unit-normalizing a (theoretically possible) zero embedding.
 NORM_FLOOR = 1e-12
 
+# Longer inference inputs run in row tiles of at least half this; 256-row tiles changed last bits.
+FORWARD_TILE_ROWS = 4096
+
 
 def param_shapes(f: int, h: int, e: int, k: int) -> dict[str, tuple]:
     """Every tensor's shape, in ``PARAM_FIELDS`` order: their order in the flat vector."""
@@ -95,16 +98,19 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms, norms
 
 
+def _checked_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != params.feature_dim:
+        raise InputError(f"features must be M x {params.feature_dim}, got shape {features.shape}")
+    return features
+
+
 def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tuple:
     """The forward pass up to the inner product, for training and inference:
     (checked features, tanh activations, image rows, text rows, and the row
     norms divided out when ``normalize``, else None).  Bias adds and tanh
     run in place."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.feature_dim:
-        raise InputError(
-            f"features must be M x {params.feature_dim}, got shape {features.shape}"
-        )
+    features = _checked_features(params, features)
     hidden = features @ params.w1
     hidden += params.b1
     np.tanh(hidden, out=hidden)
@@ -120,9 +126,19 @@ def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tupl
 def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Raw (uncalibrated) image-text inner products, as a training step computes
     them: the image rows are X = tanh(features @ w1 + b1) @ w2 + b2, unit-normalized
-    with the text rows when ``normalize``."""
-    _, _, x, t, _, _ = _forward(params, features, normalize)
-    return similarity_matrix(x, t)
+    with the text rows when ``normalize``.  Over ``FORWARD_TILE_ROWS`` rows run in
+    balanced row tiles of at least half that many, so the M x H activations never
+    exist whole; every score matches the single pass bit for bit."""
+    features = _checked_features(params, features)
+    m = features.shape[0]
+    if m <= FORWARD_TILE_ROWS:
+        return similarity_matrix(*_forward(params, features, normalize)[2:4])
+    tiles = m // (FORWARD_TILE_ROWS // 2)
+    out = np.empty((m, params.classes))
+    bounds = [m * i // tiles for i in range(tiles + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = similarity_matrix(*_forward(params, features[lo:hi], normalize)[2:4])
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +164,10 @@ def model_backward(
     skips calibration entirely.  Committed statistics are treated as
     constants: the gradient passes through the per-row affine map via its
     frozen scale only.  ``include_main=False`` optimizes the rank term alone
-    (the report still shows every term).
+    (the report still shows every term).  Only two M x H arrays live: ``w2``'s
+    gradient is taken first, then the activations' buffer becomes the tanh
+    derivative in place.  Each weight gradient stays one whole-batch matmul, so
+    every bit matches the unfused order; ``features`` is only read.
     """
     if len(labels) and (labels.min() < 0 or labels.max() >= params.classes):
         raise InputError(f"labels must lie in [0, {params.classes}), got {labels.min()}..{labels.max()}")
@@ -171,12 +190,13 @@ def model_backward(
         g_x = (g_x - (g_x * x).sum(axis=1, keepdims=True) * x) / x_norms
         g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
 
-    g_pre = (g_x @ params.w2.T) * (1.0 - pre * pre)
     grads = params.like(np.empty_like(params.flat))
-    np.matmul(features.T, g_pre, out=grads.w1)
-    g_pre.sum(axis=0, out=grads.b1)
     np.matmul(pre.T, g_x, out=grads.w2)
     g_x.sum(axis=0, out=grads.b2)
+    g_pre = g_x @ params.w2.T
+    g_pre *= np.subtract(1.0, np.multiply(pre, pre, out=pre), out=pre)  # (1 - pre * pre), in pre
+    np.matmul(features.T, g_pre, out=grads.w1)
+    g_pre.sum(axis=0, out=grads.b1)
     grads.text[...] = g_t
     return BackwardResult(grads=grads, report=report, similarity_raw=s_raw)
 

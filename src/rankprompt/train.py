@@ -6,6 +6,9 @@ summed per grade into an ``sms.EpochSums``; at the epoch boundary the sums
 commit to an immutable ``sms.ClassStats`` that calibrates the next epoch.
 The statistics are None (raw similarities) until the first commit, and
 throughout with calibration off; inference reuses the last committed ones.
+
+Memory is bounded by a batch or a tile, not the split: batches gather through row indices, the
+backward turns its activations into the tanh derivative in place, and inference encodes in row tiles.
 """
 
 from __future__ import annotations

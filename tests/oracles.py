@@ -134,3 +134,16 @@ def load_csv_rows(path, expected_classes=None) -> Dataset:
         )
     except InputError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def batch_iter_subset(dataset: Dataset, split: str, batch_size: int, seed: int, epoch: int):
+    """``batch_iter`` the obvious way: copy the split out with ``subset``,
+    then cut the copy into batches in the order of the (seed, epoch)
+    permutation."""
+    if batch_size < 1:
+        raise InputError(f"batch_size must be >= 1, got {batch_size}")
+    feats, labels = dataset.subset(split)
+    order = np.random.default_rng([seed, epoch]).permutation(feats.shape[0])
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        yield feats[idx], labels.labels[idx]

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import load_csv_rows
+from oracles import batch_iter_subset, load_csv_rows
 from rankprompt.core import InputError, LabelVector
 from rankprompt.data import (
+    SPLITS,
     Dataset,
     DatasetSpec,
     ParseError,
@@ -398,6 +399,25 @@ class TestBatchIter:
     def test_rejects_bad_batch_size(self):
         with pytest.raises(InputError):
             list(batch_iter(self.make(), "train", 0, seed=0, epoch=0))
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 10_000])
+    def test_matches_the_subset_oracle(self, batch_size):
+        """Gathering through the split's row indices yields the batches of
+        permuting a ``subset`` copy: same rows, order, dtypes and layout."""
+        for ds in (self.make(), generate_synthetic(spec(samples=300, imbalance_ratio=8.0, seed=11))):
+            for split in SPLITS:
+                for seed, epoch in ((0, 0), (5, 2), (3, 9)):
+                    got = list(batch_iter(ds, split, batch_size, seed, epoch))
+                    want = list(batch_iter_subset(ds, split, batch_size, seed, epoch))
+                    assert len(got) == len(want)
+                    for (gf, gl), (wf, wl) in zip(got, want):
+                        assert gf.dtype == wf.dtype and gl.dtype == wl.dtype
+                        assert gf.flags.c_contiguous and gl.flags.writeable == wl.flags.writeable
+                        assert np.array_equal(gf, wf) and np.array_equal(gl, wl)
+
+    def test_rejects_unknown_split(self):
+        with pytest.raises(InputError, match=r"^split must be one of \('train', 'test'\), got 'dev'$"):
+            next(batch_iter(self.make(), "dev", 4, seed=0, epoch=0))
 
 
 class TestDatasetInvariants:

@@ -1,15 +1,18 @@
 """Encoder, initialization, determinism, serialization."""
 
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from rankprompt import losses, sms
-from rankprompt.core import InputError, LabelVector
+from rankprompt.core import InputError, LabelVector, similarity_matrix
 from rankprompt.losses import LossConfig
 from rankprompt.model import (
     PARAM_FIELDS,
+    _forward,
     forward_similarity,
     init_params,
     model_backward,
@@ -171,6 +174,65 @@ class TestBackwardSinglePass:
             "total_loss": 1,
             "calibration_map": 1,
         }
+
+
+def large_model(seed=0):
+    """A model of the ``train_large`` benchmark's sizes: F=64, H=256, D=64, K=8."""
+    return init_params(64, 256, 64, 8, seed)
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` allocates at its peak beyond what exists when it starts."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTiledForward:
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("rows", [4096, 4097, 8193, 32_004])
+    def test_bit_identical_to_one_pass(self, rows, normalize):
+        p = large_model(1)
+        feats = np.random.default_rng(rows).normal(size=(rows, 64))
+        _, _, x, t, _, _ = _forward(p, feats, normalize)
+        assert np.array_equal(forward_similarity(p, feats, normalize), similarity_matrix(x, t))
+
+    def test_bad_shapes_raise_the_one_pass_error(self):
+        p = large_model()
+        for bad in (np.zeros((5000, 63)), np.zeros(5000 * 64), np.zeros((3, 63)), np.zeros(64)):
+            with pytest.raises(InputError, match=f"^{re.escape(f'features must be M x 64, got shape {bad.shape}')}$"):
+                forward_similarity(p, bad)
+
+
+class TestMemoryBounds:
+    def test_forward_peak_is_bounded_by_a_tile(self):
+        """32,004 rows: a single pass holds 62.5 MB of activations alone."""
+        p = large_model()
+        feats = np.random.default_rng(0).normal(size=(32_004, 64))
+        assert traced_peak(lambda: forward_similarity(p, feats)) < 20e6
+
+    def test_backward_holds_two_batch_by_hidden_arrays(self):
+        rng = np.random.default_rng(1)
+        m, h = 4096, 256
+        sums = sms.EpochSums(8)
+        sms.accumulate_class_stats(sums, rng.normal(size=(80, 8)), np.arange(80) % 8)
+        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=0.4, include_self=True))
+        p = large_model()
+        feats = rng.normal(size=(m, 64))
+        labels = rng.integers(0, 8, m)
+        for s in (None, stats):
+            assert traced_peak(lambda: model_backward(p, feats, labels, s, LossConfig())) < 3 * m * h * 8
+
+    def test_backward_leaves_features_unchanged(self):
+        rng = np.random.default_rng(2)
+        p = large_model()
+        feats = rng.normal(size=(300, 64))
+        before = feats.copy()
+        model_backward(p, feats, rng.integers(0, 8, 300), None, LossConfig(), normalize=True)
+        assert np.array_equal(feats, before)
 
 
 class TestSerialization:
