@@ -65,27 +65,22 @@ def _macro_f1_from_confusion(cm: np.ndarray) -> float:
     return float(f1.mean())
 
 
-def midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based rank of every entry within its column, tied entries sharing
-    the mean of the ranks they span (scipy's ``rankdata(scores, axis=0)``).
-
-    All columns are sorted in one pass over a contiguous K x M copy.  The
-    sort need not be stable: tied entries get the same mean rank whatever
-    order they come out in.
-    """
+def own_grade_midranks(scores: np.ndarray, truth: LabelVector) -> np.ndarray:
+    """1-based rank of every row's own-grade score within that grade's column,
+    tied entries sharing the mean of the ranks they span: scipy's
+    ``rankdata(scores, axis=0)[rows, labels]`` (labels in [0, K), not checked
+    here).  One sort per present grade; the two ``searchsorted`` bounds of a
+    score span its tie group, so its midrank is their mean plus one half.  The
+    scores looked up are sorted first, which makes the lookups cache-friendly."""
     cols = np.ascontiguousarray(scores.T)
-    k, m = cols.shape
-    order = np.argsort(cols, axis=1)
-    ordered = np.take_along_axis(cols, order, axis=1)
-    new_value = np.ones((k, m), dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_value[:, 1:])
-    # Every row opens a group, so no tie group spans two columns.
-    starts = np.flatnonzero(new_value)
-    counts = np.diff(starts, append=k * m)
-    group_rank = (starts % m + 1) + (counts - 1) / 2.0
-    ranks = np.empty((k, m))
-    np.put_along_axis(ranks, order, np.repeat(group_rank, counts).reshape(k, m), axis=1)
-    return ranks.T
+    out = np.empty(len(truth))
+    for c in np.flatnonzero(np.bincount(truth.labels)):
+        rows = np.flatnonzero(truth.labels == c)
+        rows = rows[np.argsort(cols[c][rows])]
+        own = cols[c][rows]
+        column = np.sort(cols[c])
+        out[rows] = (np.searchsorted(column, own, side="left") + np.searchsorted(column, own, side="right") + 1) / 2.0
+    return out
 
 
 def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float, list]:
@@ -102,7 +97,7 @@ def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float
         raise InputError(f"AUC needs at least 2 distinct classes present, got {n_present}")
     # Rank-sum AUC with midrank ties: P(score_pos > score_neg) + 0.5 P(=).
     # Midranks are half-integers, so every sum below is exact in float64.
-    own_rank = midranks(scores)[np.arange(len(truth)), truth.labels]
+    own_rank = own_grade_midranks(scores, truth)
     rank_sum = np.bincount(truth.labels, weights=own_rank, minlength=k)
     n_neg = len(truth) - n_pos
     with np.errstate(invalid="ignore"):
@@ -114,13 +109,16 @@ def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float
 def rank_monotonicity(s: np.ndarray, truth: LabelVector) -> float:
     """Fraction of rows strictly decreasing away from the true class on both
     sides, with any tie anywhere in the row counting as a violation (M x K
-    scores, M labels in [0, K), not checked here)."""
-    d = s[:, :-1] - s[:, 1:]
-    a = np.arange(s.shape[1] - 1)[None, :]
-    c = truth.labels[:, None]
-    chains_ok = np.all(np.where(a >= c, d > 0, d < 0), axis=1)
-    distinct = np.all(np.diff(np.sort(s, axis=1), axis=1) > 0, axis=1)
-    return float(np.mean(chains_ok & distinct))
+    scores, M labels in [0, K), not checked here).  Only comparisons, over a
+    K x M copy so that each runs along the long axis."""
+    k = s.shape[1]
+    cols = np.ascontiguousarray(s.T)
+    a = np.arange(k - 1)[:, None]
+    ok = np.all(np.where(a >= truth.labels, cols[:-1] > cols[1:], cols[:-1] < cols[1:]), axis=0)
+    # The strict chains already part adjacent columns; only columns two or more apart can still tie.
+    for gap in range(2, k):
+        ok &= np.all(cols[:-gap] != cols[gap:], axis=0)
+    return float(np.mean(ok))
 
 
 def class_mean_similarity(s: np.ndarray, truth: LabelVector, k: int) -> np.ndarray:

@@ -7,13 +7,22 @@ commit to an immutable ``sms.ClassStats`` that calibrates the next epoch.
 The statistics are None (raw similarities) until the first commit, and
 throughout with calibration off; inference reuses the last committed ones.
 
-Memory is bounded by a batch or a tile, not the split: batches gather through row indices, the
-backward turns its activations into the tanh derivative in place, and inference encodes in row tiles.
+Memory is bounded by a batch or a tile, not the split: batches and the train-split evaluation's
+tiles gather through row indices, the backward turns its activations into the tanh derivative in
+place, and inference encodes in row tiles.
+
+Each epoch ends with an evaluation of the train split (the ``train_*`` fields of the log).  When
+the split has more than ``model.FORWARD_TILE_ROWS`` rows, every epoch's evaluation but the last
+runs on one worker thread, on a snapshot of the parameters, while the next epoch trains; on a
+smaller split both threads would wait on Python's global lock, so it runs inline.  The log, the
+parameters and every error message stay byte-identical to running each evaluation inline.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,71 +51,109 @@ def loss_config(cfg: RunConfig) -> LossConfig:
     return LossConfig(tau=cfg.tau, lambda_rank=cfg.lambda_rank)
 
 
+def _train_epoch(
+    params: M.ModelParams,
+    opt: M.OptimizerState,
+    committed: sms.ClassStats | None,
+    dataset: Dataset,
+    cfg: RunConfig,
+    epoch: int,
+    include_main: bool,
+) -> tuple[dict, sms.EpochSums]:
+    """Step ``params`` over one epoch's batches; returns the epoch's log entry
+    (its mean loss terms) and the raw similarity sums it accumulated."""
+    lcfg = loss_config(cfg)
+    seen = 0
+    sums = {"main": 0.0, "rank": 0.0, "total": 0.0}
+    class_sums = sms.EpochSums(cfg.classes)
+    for batch, (feats, labels) in enumerate(batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
+        diverged = f"training diverged at epoch {epoch}, batch {batch}"
+        try:
+            result = M.model_backward(
+                params,
+                feats,
+                labels,
+                committed,
+                lcfg,
+                normalize=cfg.normalize_embeddings,
+                include_main=include_main,
+            )
+        except InputError as exc:  # its inputs passed the checks of train
+            raise InputError(f"{diverged}: {exc}") from None
+        M.optimizer_step(params, result.grads, opt)
+        if not np.isfinite(params.flat).all():
+            bad = next(name for name, v in params.as_dict().items() if not np.isfinite(v).all())
+            raise InputError(f"{diverged}: the optimizer step made parameter {bad} non-finite")
+        if cfg.sms_enabled:
+            sms.accumulate_class_stats(class_sums, result.similarity_raw, labels)
+        m = feats.shape[0]
+        seen += m
+        sums["main"] += result.report.main * m
+        sums["rank"] += result.report.rank * m
+        sums["total"] += result.report.total * m
+    return {"epoch": epoch, **{key: total / seen for key, total in sums.items()}}, class_sums
+
+
+def _logged(entry: dict, report: Callable[[], MetricsReport]) -> dict:
+    """``entry`` with the train-split metrics of ``report()``; an InputError
+    from it means training diverged by ``entry``'s epoch."""
+    try:
+        rep = report()
+    except InputError as exc:
+        raise InputError(f"training diverged at epoch {entry['epoch']}, in the train-split evaluation: {exc}") from None
+    return {
+        **entry,
+        "train_macro_f1": rep.macro_f1,
+        "train_macro_auc": rep.macro_auc,
+        "train_rank_monotonicity": rep.rank_monotonicity,
+    }
+
+
 def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainResult:
     """Run cfg.epochs of training on the train split; returns the final
     parameters, last committed statistics (None if none), and per-epoch log.
 
     The train split is checked against ``cfg`` once, here; after that a
     non-finite similarity or parameter means training diverged, and the
-    InputError names the epoch, the 0-based batch and the first bad tensor."""
+    InputError names the epoch, the 0-based batch and the first bad tensor.
+
+    On a train split of over ``model.FORWARD_TILE_ROWS`` rows, each epoch's
+    train-split evaluation but the last runs on one worker thread, on a snapshot
+    of the parameters, while the next epoch trains; its report is joined before
+    that epoch commits.  A failed step joins it first, so an evaluation error of
+    the epoch before is still the one raised."""
     params = M.init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
     opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
-    lcfg = loss_config(cfg)
     kernel = kernel_from_config(cfg)
     committed = None
     log = []
-    train_feats, train_labels = dataset.subset("train")
+    rows = dataset.rows("train")
+    train_labels = LabelVector(dataset.labels.labels[rows])
     train_labels.validate_for(cfg.classes)
-    if train_feats.shape[1] != cfg.feature_dim:
-        raise InputError(f"features must be M x {cfg.feature_dim}, got shape {train_feats.shape}")
-    if not np.isfinite(train_feats).all():
+    if dataset.feature_dim != cfg.feature_dim:
+        raise InputError(f"features must be M x {cfg.feature_dim}, got shape {(len(rows), dataset.feature_dim)}")
+    if not np.isfinite(dataset.features).all(axis=1)[rows].all():
         raise InputError("train features contain non-finite entries")
-    for epoch in range(cfg.epochs):
-        seen = 0
-        sums = {"main": 0.0, "rank": 0.0, "total": 0.0}
-        class_sums = sms.EpochSums(cfg.classes)
-        for batch, (feats, labels) in enumerate(batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
-            diverged = f"training diverged at epoch {epoch}, batch {batch}"
-            try:
-                result = M.model_backward(
-                    params,
-                    feats,
-                    labels,
-                    committed,
-                    lcfg,
-                    normalize=cfg.normalize_embeddings,
-                    include_main=include_main,
-                )
-            except InputError as exc:  # its inputs passed the checks above
-                raise InputError(f"{diverged}: {exc}") from None
-            M.optimizer_step(params, result.grads, opt)
-            if not np.isfinite(params.flat).all():
-                bad = next(name for name, v in params.as_dict().items() if not np.isfinite(v).all())
-                raise InputError(f"{diverged}: the optimizer step made parameter {bad} non-finite")
-            if cfg.sms_enabled:
-                sms.accumulate_class_stats(class_sums, result.similarity_raw, labels)
-            m = feats.shape[0]
-            seen += m
-            sums["main"] += result.report.main * m
-            sums["rank"] += result.report.rank * m
-            sums["total"] += result.report.total * m
-        if cfg.sms_enabled:
-            committed = sms.commit_epoch(class_sums, kernel)
+    overlap = len(rows) > M.FORWARD_TILE_ROWS
+    pending = None  # (log entry, its report's Future.result) of the epoch being evaluated on the worker
+    with ThreadPoolExecutor(max_workers=1) as worker:
         try:
-            report = evaluate(params, committed, train_feats, train_labels, cfg)
-        except InputError as exc:
-            raise InputError(f"training diverged at epoch {epoch}, in the train-split evaluation: {exc}") from None
-        log.append(
-            {
-                "epoch": epoch,
-                "main": sums["main"] / seen,
-                "rank": sums["rank"] / seen,
-                "total": sums["total"] / seen,
-                "train_macro_f1": report.macro_f1,
-                "train_macro_auc": report.macro_auc,
-                "train_rank_monotonicity": report.rank_monotonicity,
-            }
-        )
+            for epoch in range(cfg.epochs):
+                entry, class_sums = _train_epoch(params, opt, committed, dataset, cfg, epoch, include_main)
+                if pending is not None:
+                    log.append(_logged(*pending))
+                    pending = None
+                if cfg.sms_enabled:
+                    committed = sms.commit_epoch(class_sums, kernel)
+                args = (committed, dataset.features, train_labels, cfg)
+                if overlap and epoch < cfg.epochs - 1:
+                    pending = (entry, worker.submit(evaluate, params.with_values({}), *args, rows=rows).result)
+                else:
+                    log.append(_logged(entry, lambda: evaluate(params, *args, rows=rows)))
+        except BaseException:
+            if pending is not None:
+                _logged(*pending)  # the epoch before's evaluation error comes first
+            raise
     return TrainResult(params=params, stats=committed, log=log)
 
 
@@ -117,10 +164,11 @@ def calibrated_similarity(
     labels: LabelVector,
     cfg: RunConfig,
     use_sms: bool = True,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inference pipeline: encode, inner products, then the frozen calibration;
-    an M x K finite array."""
-    s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings)
+    an M x K finite array.  ``rows`` scores ``features[rows]`` tile by tile."""
+    s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings, rows=rows)
     if use_sms and cfg.sms_enabled and stats is not None:
         return sms.calibrate_rows(s_raw, labels, stats)
     return s_raw
@@ -133,8 +181,9 @@ def evaluate(
     labels: LabelVector,
     cfg: RunConfig,
     use_sms: bool = True,
+    rows: np.ndarray | None = None,
 ) -> MetricsReport:
-    s_cal = calibrated_similarity(params, stats, features, labels, cfg, use_sms)
+    s_cal = calibrated_similarity(params, stats, features, labels, cfg, use_sms, rows)
     return metrics_report(s_cal, labels, cfg.classes, cfg.tau)
 
 

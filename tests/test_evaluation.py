@@ -19,7 +19,7 @@ from rankprompt.evaluation import (
     class_mean_similarity,
     confusion_matrix,
     metrics_report,
-    midranks,
+    own_grade_midranks,
     rank_monotonicity,
 )
 
@@ -140,9 +140,12 @@ def per_column_auc(scores, labels, k):
 
 class TestMidranksMatchScipy:
     @settings(deadline=None, max_examples=50)
-    @given(score_matrices())
-    def test_ranks_equal_rankdata(self, scores):
-        np.testing.assert_array_equal(midranks(scores), rankdata(scores, axis=0))
+    @given(score_matrices(), st.data())
+    def test_ranks_equal_rankdata(self, scores, data):
+        m, k = scores.shape
+        labels = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1)))
+        want = rankdata(scores, axis=0)[np.arange(m), labels]
+        np.testing.assert_array_equal(own_grade_midranks(scores, LabelVector(labels)), want)
 
     @settings(deadline=None, max_examples=50)
     @given(score_matrices(min_rows=2), st.data())
@@ -195,6 +198,20 @@ class TestRankMonotonicity:
         s = smat([[0.1, 0.5, 0.9, 0.4, 0.2]])
         assert rank_monotonicity(s, LabelVector([2])) == 1.0
         assert rank_monotonicity(s, LabelVector([1])) == 0.0
+
+    @settings(deadline=None, max_examples=50)
+    @given(score_matrices(), st.data())
+    def test_equals_per_row_definition(self, scores, data):
+        """Tie-heavy and continuous rows: a row counts when it rises strictly up to
+        its true grade, falls strictly after it, and holds no tie anywhere."""
+        m, k = scores.shape
+        labels = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1)))
+        ok = [
+            all(row[j] < row[j + 1] for j in range(y)) and all(row[j] > row[j + 1] for j in range(y, k - 1))
+            and len(set(row.tolist())) == k
+            for row, y in zip(scores, labels)
+        ]
+        assert rank_monotonicity(scores, LabelVector(labels)) == float(np.mean(ok))
 
 
 class TestClassMeanSimilarity:

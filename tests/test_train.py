@@ -1,9 +1,11 @@
 """The training loop: input checks at its entry, none per batch, the
-divergence guard after every optimizer step, the statistics it returns
+divergence guard after every optimizer step, the train-split evaluation
+overlapped with the next epoch on a large split, the statistics it returns
 when nothing was committed, and the README's library example."""
 
 import json
 import math
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from rankprompt import core, model
+from rankprompt import train as train_module
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import DatasetSpec, generate_synthetic
@@ -121,6 +124,102 @@ class TestBoundaryChecks:
         assert seen[8]["model_backward"] > seen[64]["model_backward"]
         for key in ("LabelVector", "validate_for"):
             assert seen[8][key] == seen[64][key], key
+
+
+# A train split of 4,800 rows, over model.FORWARD_TILE_ROWS: its evaluation overlaps the next epoch.
+LARGE_SPLIT = replace(TINY, samples=6000, batch_size=1024, epochs=3)
+
+
+@pytest.fixture(scope="module")
+def large_split():
+    dataset = dataset_for(LARGE_SPLIT)
+    assert train_rows(dataset) > model.FORWARD_TILE_ROWS
+    return dataset
+
+
+class TestOverlappedEvaluation:
+    def test_log_prefix_matches_a_shorter_run(self, monkeypatch, large_split):
+        """Epochs 0 and 1 log the same bits whether epoch 1 was evaluated inline
+        (two epochs) or on the worker (three).  Each worker evaluation is held
+        until the next epoch has stepped once, so one that read the live
+        parameters instead of a snapshot would log other bits."""
+        per_epoch = math.ceil(train_rows(large_split) / LARGE_SPLIT.batch_size)
+        real_backward, real_evaluate = model.model_backward, train_module.evaluate
+
+        def run(epochs):
+            calls = {"backward": 0, "evaluate": 0}
+            stepped = [threading.Event() for _ in range(epochs)]
+
+            def backward(*args, **kwargs):
+                calls["backward"] += 1
+                epoch, batch = divmod(calls["backward"] - 1, per_epoch)
+                if batch == 1:  # the epoch's first step is done
+                    stepped[epoch].set()
+                return real_backward(*args, **kwargs)
+
+            def evaluate(*args, **kwargs):
+                epoch = calls["evaluate"]
+                calls["evaluate"] += 1
+                if threading.current_thread() is not threading.main_thread():
+                    assert stepped[epoch + 1].wait(timeout=10)
+                return real_evaluate(*args, **kwargs)
+
+            monkeypatch.setattr(model, "model_backward", backward)
+            monkeypatch.setattr(train_module, "evaluate", evaluate)
+            return train(replace(LARGE_SPLIT, epochs=epochs), large_split).log
+
+        three, two = run(3), run(2)
+        assert three[:2] == two
+        assert len(three) == 3
+
+    @pytest.mark.parametrize("cfg, workers", [(LARGE_SPLIT, [True, True, False]), (TINY, [False, False])])
+    def test_only_a_large_split_overlaps_and_never_the_last_epoch(self, monkeypatch, cfg, workers, large_split):
+        dataset = large_split if cfg is LARGE_SPLIT else dataset_for(cfg)
+        real = train_module.evaluate
+        on_worker = []
+
+        def evaluate(*args, **kwargs):
+            on_worker.append(threading.current_thread() is not threading.main_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "evaluate", evaluate)
+        train(cfg, dataset)
+        assert on_worker == workers
+
+    @pytest.mark.parametrize("step_fails", [True, False], ids=["step-fails-too", "next-epoch-trains"])
+    def test_evaluation_error_of_the_epoch_before_comes_first(self, monkeypatch, large_split, step_fails):
+        """Epoch 0's evaluation fails on the worker after the first step of
+        epoch 1 has failed (or while epoch 1 trains): the error raised is
+        the evaluation's, and no thread is left running."""
+        real_backward = model.model_backward
+        per_epoch = math.ceil(train_rows(large_split) / LARGE_SPLIT.batch_size)
+        step_failed = threading.Event()
+        calls = []
+
+        def backward(*args, **kwargs):
+            calls.append(1)
+            if step_fails and len(calls) == per_epoch + 1:
+                step_failed.set()
+                raise InputError("similarity matrix contains non-finite entries")
+            return real_backward(*args, **kwargs)
+
+        def evaluate(*args, **kwargs):
+            step_failed.wait(timeout=10 if step_fails else 0)
+            raise InputError("scores overflowed")
+
+        monkeypatch.setattr(model, "model_backward", backward)
+        monkeypatch.setattr(train_module, "evaluate", evaluate)
+        threads = threading.active_count()
+        with pytest.raises(InputError) as err:
+            train(LARGE_SPLIT, large_split)
+        assert str(err.value) == "training diverged at epoch 0, in the train-split evaluation: scores overflowed"
+        assert step_failed.is_set() == step_fails
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_train(self, large_split):
+        threads = threading.active_count()
+        train(LARGE_SPLIT, large_split)
+        assert threading.active_count() == threads
 
 
 class TestCommittedStatistics:
