@@ -9,8 +9,10 @@ byte-reproducible.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -24,6 +26,8 @@ SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
 MIN_PER_CLASS = 2
 WRITE_BLOCK_ROWS = 4096
+# write_csv leaves the parsed form of the file beside it, at the CSV's path plus this suffix.
+TWIN_SUFFIX = ".rows"
 
 # Bytes numpy's reader reads more loosely than Python: its number reader strips the
 # separators 0x1c-0x1f as whitespace where float() rejects them, and its fixed-width
@@ -161,11 +165,23 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Schema: id,label,split,f0..f{F-1}; floats at 17 significant digits, LF."""
+    """Schema: id,label,split,f0..f{F-1}; floats at 17 significant digits, LF.
+
+    Also writes the binary twin ``<path>.rows`` that ``load_csv`` reads in
+    place of parsing the text: the sha256 of the CSV bytes written, then the
+    rows as one ``np.save`` record array (see ``_write_twin``).
+    """
     width = dataset.feature_dim
     template = ",".join(["%d", "%d", "%s"] + ["%.17g"] * width) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)]) + "\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)]) + "\n")
         # One block of rows at a time: the whole file's row strings would triple the peak memory.
         for start in range(0, dataset.n, WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
@@ -175,12 +191,42 @@ def write_csv(dataset: Dataset, path) -> None:
                 dataset.split[block].tolist(),
                 dataset.features[block].tolist(),
             )
-            fh.write("".join([template % (i, label, tag, *feats) for i, label, tag, feats in rows]))
+            put("".join([template % (i, label, tag, *feats) for i, label, tag, feats in rows]))
+    _write_twin(dataset, path, digest.digest())
+
+
+def _twin_dtype(width: int) -> np.dtype:
+    return np.dtype([("id", np.int64), ("label", np.int64), ("test", np.bool_), ("f", np.float64, (width,))])
+
+
+def _write_twin(dataset: Dataset, path, digest: bytes) -> None:
+    """Write ``digest`` and the dataset's rows to ``<path>.rows`` through a
+    temporary name.  Ids or features of a dtype that int64 or float64 cannot
+    hold exactly get no twin: only the CSV then says what they read as."""
+    if not (np.can_cast(dataset.ids.dtype, np.int64) and np.can_cast(dataset.features.dtype, np.float64)):
+        return
+    rows = np.empty(dataset.n, dtype=_twin_dtype(dataset.feature_dim))
+    rows["id"], rows["label"], rows["f"] = dataset.ids, dataset.labels.labels, dataset.features
+    rows["test"] = dataset.split == "test"
+    twin = os.fspath(path) + TWIN_SUFFIX
+    tmp = f"{twin}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(digest)
+            np.save(fh, rows, allow_pickle=False)
+        os.replace(tmp, twin)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_csv(path, expected_classes: int | None = None) -> Dataset:
     """Parse and validate a dataset file; errors carry the offending line number.
 
+    When the twin ``write_csv`` left beside the file holds the sha256 of the
+    file's bytes, and its rows have the header's width and pass the label,
+    finiteness and ``Dataset`` checks, the rows come from the twin.  Otherwise
     numpy's C reader parses the body in one call.  Only a file it rejects,
     or whose rows fail the split, label or finiteness check, is read again
     row by row, to name its first bad line.
@@ -198,7 +244,11 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
         if first is None:
             raise ParseError(f"{path}: line 2: no data rows")
         rows = None
-        if _numpy_reads_as_python(path):
+        digest = _strict_digest(path)
+        if digest is not None:
+            dataset = _twin_dataset(path, digest, len(header) - 3, expected_classes)
+            if dataset is not None:
+                return dataset
             try:
                 with warnings.catch_warnings():
                     # numpy versions that read an integer cell such as "1.5" through
@@ -221,37 +271,70 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
                 pass
     if rows is None or not _rows_pass(rows, expected_classes):
         _raise_first_error(path, expected_classes)
-    labels = rows["label"]
     try:
-        return Dataset(
-            features=np.ascontiguousarray(rows["f"]),
-            labels=LabelVector(labels),
-            split=np.array(SPLITS, dtype=object)[(rows["split"] == "test").astype(np.intp)],
-            ids=rows["id"].copy(),
-            classes=expected_classes if expected_classes is not None else int(labels.max()) + 1,
-        )
+        return _dataset(rows, rows["split"] == "test", expected_classes)
     except InputError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _numpy_reads_as_python(path) -> bool:
-    """False when the file holds a byte that numpy's reader reads more loosely
-    than the row-by-row checks: a non-ASCII byte (numpy's integer reader takes
-    "1\\u01fe" for a number) or one of _NUMPY_LOOSE_BYTES."""
+def _dataset(rows: np.ndarray, test: np.ndarray, expected_classes: int | None) -> Dataset:
+    labels = rows["label"]
+    return Dataset(
+        features=np.ascontiguousarray(rows["f"]),
+        labels=LabelVector(labels),
+        split=np.array(SPLITS, dtype=object)[test.astype(np.intp)],
+        ids=rows["id"].copy(),
+        classes=expected_classes if expected_classes is not None else int(labels.max()) + 1,
+    )
+
+
+def _strict_digest(path) -> bytes | None:
+    """The sha256 of the file's bytes, or None when the file holds a byte that
+    numpy's reader reads more loosely than the row-by-row checks: a non-ASCII
+    byte (numpy's integer reader takes "1\\u01fe" for a number) or one of
+    _NUMPY_LOOSE_BYTES."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             if not chunk.isascii() or any(byte in chunk for byte in _NUMPY_LOOSE_BYTES):
-                return False
-    return True
+                return None
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _twin_dataset(path, digest: bytes, width: int, expected_classes: int | None) -> Dataset | None:
+    """The Dataset of the twin ``write_csv`` left beside ``path``, or None
+    when there is none, it was written for other bytes or another width, it
+    is not a plain array (nothing is unpickled), or its rows fail a check
+    that parsing the file would fail too."""
+    try:
+        with open(os.fspath(path) + TWIN_SUFFIX, "rb") as fh:
+            if fh.read(len(digest)) != digest:
+                return None
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, MemoryError):  # MemoryError: a header that claims more rows than fit
+        return None
+    if rows.dtype != _twin_dtype(width) or rows.ndim != 1 or rows.size == 0:
+        return None
+    if not _values_pass(rows["label"], rows["f"], expected_classes):
+        return None
+    try:
+        return _dataset(rows, rows["test"], expected_classes)
+    except InputError:
+        return None
 
 
 def _rows_pass(rows: np.ndarray, expected_classes: int | None) -> bool:
-    tags, labels = rows["split"], rows["label"]
+    tags = rows["split"]
+    valid_tags = bool(((tags == "train") | (tags == "test")).all())
+    return valid_tags and _values_pass(rows["label"], rows["f"], expected_classes)
+
+
+def _values_pass(labels: np.ndarray, features: np.ndarray, expected_classes: int | None) -> bool:
     return bool(
-        ((tags == "train") | (tags == "test")).all()
-        and labels.min() >= 0
+        labels.min() >= 0
         and (expected_classes is None or labels.max() < expected_classes)
-        and np.isfinite(rows["f"]).all()
+        and np.isfinite(features).all()
     )
 
 

@@ -216,7 +216,8 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
     not read here (an older file's optimizer state, or the ``k``, ``dim``
     and ``kernel`` of its ``sms`` object) are ignored.
 
-    A malformed file raises ParseError naming it, and one trained with
+    A malformed file, including one whose ``config.normalize_embeddings``
+    is not a JSON boolean, raises ParseError naming it, and one trained with
     another class count or ``normalize_embeddings`` than ``cfg`` raises
     InputError.
     """
@@ -233,6 +234,10 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
         raise ParseError(f"{path}: checkpoint is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from None
+    if type(trained_normalized) is not bool:  # 0 and 1 compare equal to False and True
+        raise ParseError(
+            f"{path}: config.normalize_embeddings must be true or false, got {json.dumps(trained_normalized)}"
+        )
     if params.classes != cfg.classes:
         raise InputError(f"{path} was trained with classes = {params.classes}, the config sets {cfg.classes}")
     if trained_normalized != cfg.normalize_embeddings:

@@ -22,7 +22,7 @@ from oracles import kl_divergence_row, one_hot, rank_directional_loss
 from rankprompt.cli import main
 from rankprompt.config import RunConfig
 from rankprompt.core import LabelVector
-from rankprompt.data import DatasetSpec, generate_synthetic, load_csv, write_csv
+from rankprompt.data import TWIN_SUFFIX, DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import LossConfig, rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
 from rankprompt.sms import (
@@ -403,3 +403,21 @@ batch_size = 64
                 f"byte-identical {len(identical)}/{len(first)} artifacts, "
                 f"round trip lossless {round_trip_ok}",
             )
+
+    def test_a7_round_trip_without_twin(self, tmp_path):
+        """A7's round trip reads through the binary twin ``write_csv`` leaves
+        beside each file; without the twins it is lossless through numpy's
+        text parse too."""
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(self.CONFIG)
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+        generated = tmp_path / "a" / "dataset.csv"
+        (tmp_path / "a" / f"dataset.csv{TWIN_SUFFIX}").unlink()
+        ds = load_csv(generated)
+        write_csv(ds, tmp_path / "rt.csv")
+        (tmp_path / f"rt.csv{TWIN_SUFFIX}").unlink()
+        rt = load_csv(tmp_path / "rt.csv")
+        assert (tmp_path / "rt.csv").read_bytes() == generated.read_bytes()
+        assert np.array_equal(ds.features, rt.features)
+        assert np.array_equal(ds.labels.labels, rt.labels.labels)
+        assert np.array_equal(ds.split, rt.split)

@@ -146,6 +146,7 @@ class TestGenerate:
         main(["generate", "--config", cfg, "--out", str(b)])
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
         assert (a / "dataset.meta.json").read_bytes() == (b / "dataset.meta.json").read_bytes()
+        assert (a / "dataset.csv.rows").read_bytes() == (b / "dataset.csv.rows").read_bytes()
 
 
 class TestTrainEval:
@@ -446,6 +447,19 @@ class TestMalformedCheckpoint:
         assert code == 3
         assert "checkpoint.json" in err and path[1] in err
 
+    @pytest.mark.parametrize("value", [0, 0.0, 1, "false", None, []], ids=repr)
+    def test_non_boolean_normalize_embeddings_is_3(self, tmp_path, capsys, value):
+        """``1 == True`` in Python, so a number must not pass for a boolean;
+        the message blames the file, not the training run."""
+
+        def rewrite(doc):
+            doc["config"]["normalize_embeddings"] = value
+            return json.dumps(doc)
+
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, rewrite)
+        assert code == 3
+        assert f"checkpoint.json: config.normalize_embeddings must be true or false, got {json.dumps(value)}" in err
+
 
 SMS_KEYS = ("count", "mean", "var", "smoothed_mean", "smoothed_var")
 # (operation, key, grade, entry: the cell a "cell" edit overwrites or the
@@ -560,6 +574,51 @@ class TestParamsFuzz:
         size = json.loads(token)
         if key.startswith("hyper.") and op != "drop" and not (type(size) is int and size >= 1):
             assert code == 3, mutation
+
+
+CONFIG_TOKENS = ("0", "0.0", "1", "-1", "1e999", '"false"', '"true"', "null", "[]", "{}", "true", "false")
+# (operation, key: None for the whole config object, the raw JSON text a "set" writes)
+CONFIG_MUTATIONS = st.tuples(
+    st.sampled_from(("drop", "null", "set")),
+    st.sampled_from((None, *RunConfig.__dataclass_fields__)),
+    st.sampled_from(CONFIG_TOKENS),
+)
+
+
+class TestCheckpointConfigFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(mutation=CONFIG_MUTATIONS)
+    @example(mutation=("set", "normalize_embeddings", "1"))
+    @example(mutation=("set", "normalize_embeddings", "true"))
+    @example(mutation=("set", None, "{}"))
+    def test_mutated_config_loads_or_raises_parse_or_input_error(self, tiny_checkpoint, mutation):
+        """Dropping, nulling or retyping the checkpoint's ``config`` object or
+        one of its keys loads, or raises ParseError or InputError and nothing
+        else.  Only ``normalize_embeddings`` is read: anything but a JSON
+        boolean there is a ParseError naming it, and ``true`` contradicts the
+        config, an InputError."""
+        out, doc = tiny_checkpoint
+        op, key, token = mutation
+        token = "null" if op == "null" else token
+        mutated = copy.deepcopy(doc)
+        owner, name = (mutated, "config") if key is None else (mutated["config"], key)
+        if op == "drop":
+            del owner[name]
+        else:
+            owner[name] = PLACEHOLDER
+        path = out / "mutated_config.json"
+        path.write_text(json.dumps(mutated).replace(json.dumps(PLACEHOLDER), token))
+        read = key == "normalize_embeddings"
+        if key is None or (read and (op == "drop" or token not in ("true", "false"))):
+            with pytest.raises(ParseError, match="mutated_config.json") as raised:
+                load_checkpoint(path, parse_config_text(TINY))
+            assert key is None or "normalize_embeddings" in str(raised.value), mutation
+        elif read and token == "true":
+            with pytest.raises(InputError, match="trained with normalize_embeddings = True") as raised:
+                load_checkpoint(path, parse_config_text(TINY))
+            assert raised.type is InputError, mutation
+        else:
+            load_checkpoint(path, parse_config_text(TINY))
 
 
 class TestSeedEnv:

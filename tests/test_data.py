@@ -1,16 +1,21 @@
 """Synthetic generation, CSV round trips, batch iteration."""
 
+import hashlib
+import pathlib
+import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import batch_iter_subset, load_csv_rows
 from rankprompt.core import InputError, LabelVector
 from rankprompt.data import (
     SPLITS,
+    TWIN_SUFFIX,
     Dataset,
     DatasetSpec,
     ParseError,
@@ -363,6 +368,176 @@ class TestLoadCsvGrammar:
             assert named_line(message) is not None or message == reason
             if want is None and named_line(reason) is not None and not reason.endswith("non-finite feature cell"):
                 assert named_line(message) <= named_line(reason)
+
+
+# Floats whose 17-digit text is awkward: signed zero, subnormals, the ends of the normal range.
+AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def twin_datasets(draw):
+    """(dataset, expected_classes): every grade below k has a train row, so
+    ``load_csv`` accepts the file with expected_classes None or k."""
+    k = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))
+    labels = list(range(k)) + draw(st.lists(st.integers(0, k - 1), max_size=8))
+    split = ["train"] * k + draw(st.lists(st.sampled_from(SPLITS), min_size=len(labels) - k, max_size=len(labels) - k))
+    cell = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    n = len(labels)
+    features = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    return plain_dataset(features, labels, split, ids, k), draw(st.sampled_from([None, k]))
+
+
+def plain_dataset(features, labels, split, ids, k):
+    return Dataset(
+        features=np.array(features, dtype=np.float64),
+        labels=LabelVector(labels),
+        split=np.array(split, dtype=object),
+        ids=np.array(ids, dtype=np.int64),
+        classes=k,
+    )
+
+
+# Every awkward float in one dataset, so each run covers them all.
+AWKWARD_DATASET = plain_dataset(
+    [AWKWARD_FLOATS, AWKWARD_FLOATS[::-1]], [0, 1], ["train", "train"], [-(2**63), 2**63 - 1], 2
+)
+
+
+def load_counting_parses(path, expected_classes=None):
+    """(outcome of load_csv, number of np.loadtxt calls it made): 0 calls
+    means the rows came from the twin."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+        result = outcome(load_csv, path, expected_classes)
+    return result, parse.call_count
+
+
+def assert_bit_identical(a, b):
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.ids.tobytes() == b.ids.tobytes()
+    assert a.labels.labels.tobytes() == b.labels.labels.tobytes()
+    assert a.split.tolist() == b.split.tolist()
+    assert a.classes == b.classes
+
+
+class Unpickled:
+    """Creates a file named by ``sentinel`` if anything unpickles it."""
+
+    def __init__(self, sentinel):
+        self.sentinel = sentinel
+
+    def __reduce__(self):
+        return pathlib.Path.touch, (pathlib.Path(self.sentinel),)
+
+
+class TestCsvTwin:
+    """``write_csv``'s binary twin: ``load_csv`` reads it only when it matches
+    the CSV bytes, and then returns what parsing the text returns."""
+
+    def write(self, tmp_path, dataset=None):
+        path = tmp_path / "d.csv"
+        write_csv(dataset if dataset is not None else generate_synthetic(spec(samples=40, seed=4)), path)
+        return path, pathlib.Path(f"{path}{TWIN_SUFFIX}")
+
+    def parsed(self, path, twin, expected_classes=None):
+        """What load_csv gives with the twin moved aside: the text parse."""
+        aside = twin.with_name(twin.name + ".aside")
+        twin.rename(aside)
+        try:
+            result, parses = load_counting_parses(path, expected_classes)
+        finally:
+            aside.rename(twin)
+        assert parses == 1
+        return result
+
+    def put_twin(self, twin, csv_path, array, allow_pickle=False):
+        with open(twin, "wb") as fh:
+            fh.write(hashlib.sha256(csv_path.read_bytes()).digest())
+            np.save(fh, array, allow_pickle=allow_pickle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=twin_datasets())
+    @example(drawn=(AWKWARD_DATASET, None))
+    def test_twin_load_equals_parse_and_reference(self, tmp_path_factory, drawn):
+        dataset, expected_classes = drawn
+        path, twin = self.write(tmp_path_factory.mktemp("twin"), dataset)
+        (via_twin, error), parses = load_counting_parses(path, expected_classes)
+        assert error is None and parses == 0
+        assert_bit_identical(via_twin, dataset)
+        twin.unlink()
+        (parsed, error), parses = load_counting_parses(path, expected_classes)
+        assert error is None and parses == 1
+        assert_bit_identical(via_twin, parsed)
+        assert_bit_identical(via_twin, load_csv_rows(path, expected_classes))
+
+    def test_written_through_a_temporary_name(self, tmp_path):
+        path, twin = self.write(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, twin.name]
+        assert twin.read_bytes()[:32] == hashlib.sha256(path.read_bytes()).digest()
+
+    def test_changed_csv_byte_takes_the_parse_path(self, tmp_path):
+        path, twin = self.write(tmp_path)
+        text = path.read_bytes()
+        cut = text.index(b"\n", text.index(b"\n") + 1) - 1  # the last digit of the first row
+        path.write_bytes(text[:cut] + (b"1" if text[cut : cut + 1] != b"1" else b"2") + text[cut + 1 :])
+        got, parses = load_counting_parses(path)
+        assert parses == 1
+        assert_bit_identical(got[0], self.parsed(path, twin)[0])
+
+    def test_truncated_twin_takes_the_parse_path(self, tmp_path):
+        path, twin = self.write(tmp_path)
+        twin.write_bytes(twin.read_bytes()[:-1])
+        got, parses = load_counting_parses(path, 5)
+        assert parses == 1
+        assert_bit_identical(got[0], self.parsed(path, twin, 5)[0])
+
+    def test_twin_of_another_width_takes_the_parse_path(self, tmp_path):
+        path, twin = self.write(tmp_path)
+        wider = generate_synthetic(spec(samples=40, seed=4, feature_dim=5))
+        rows = np.empty(wider.n, dtype=[("id", "<i8"), ("label", "<i8"), ("test", "?"), ("f", "<f8", (5,))])
+        rows["id"], rows["label"], rows["f"] = wider.ids, wider.labels.labels, wider.features
+        rows["test"] = wider.split == "test"
+        self.put_twin(twin, path, rows)
+        got, parses = load_counting_parses(path, 5)
+        assert parses == 1
+        assert_bit_identical(got[0], self.parsed(path, twin, 5)[0])
+
+    def test_pickled_twin_is_not_unpickled(self, tmp_path):
+        path, twin = self.write(tmp_path)
+        sentinel = tmp_path / "unpickled"
+        self.put_twin(twin, path, np.array([Unpickled(sentinel)], dtype=object), allow_pickle=True)
+        pickle.loads(pickle.dumps(Unpickled(tmp_path / "probe")))  # the payload works when unpickled
+        assert (tmp_path / "probe").exists()
+        got, parses = load_counting_parses(path, 5)
+        assert parses == 1 and not sentinel.exists()
+        assert_bit_identical(got[0], self.parsed(path, twin, 5)[0])
+
+    def test_matching_twin_with_label_out_of_range_raises_like_the_parse(self, tmp_path):
+        path, twin = self.write(tmp_path)
+        (_, error), parses = load_counting_parses(path, 4)
+        assert parses == 1
+        assert error == self.parsed(path, twin, 4)[1]
+        assert re.search(r": line \d+: label 4 out of range$", error)
+
+    def test_matching_twin_with_non_finite_feature_raises_like_the_parse(self, tmp_path):
+        dataset = generate_synthetic(spec(samples=40, seed=4))
+        features = dataset.features.copy()
+        features[7, 2] = np.inf
+        path, twin = self.write(tmp_path, Dataset(features, dataset.labels, dataset.split, dataset.ids, 5))
+        assert twin.exists()
+        (_, error), parses = load_counting_parses(path, 5)
+        assert parses == 1
+        assert error == self.parsed(path, twin, 5)[1]
+        assert error.endswith("line 9: non-finite feature cell")
+
+    def test_ids_int64_cannot_hold_get_no_twin(self, tmp_path):
+        dataset = generate_synthetic(spec(samples=40, seed=4))
+        dataset = Dataset(dataset.features, dataset.labels, dataset.split, dataset.ids.astype(np.uint64) + 2**63, 5)
+        path, twin = self.write(tmp_path, dataset)
+        assert not twin.exists()
+        (_, error), _ = load_counting_parses(path, 5)
+        assert error.endswith("line 2: id or label outside the int64 range")
 
 
 class TestBatchIter:
