@@ -41,8 +41,12 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise InputError(f"config: {f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InputError(f"config: {f.name} must be finite, got {value}")
+            # numpy sizes and counts are int64; a seed of any size still seeds a generator
+            if f.type == "int" and f.name != "seed" and not -(2**63) <= value < 2**63:
+                raise InputError(f"config: {f.name} must fit in int64, got {value}")
         checks = [
             (self.seed >= 0, "seed must be >= 0"),
             (self.classes >= 2, "classes must be >= 2"),

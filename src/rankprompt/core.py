@@ -1,14 +1,12 @@
 """Dense numeric primitives shared by every other module.
 
-The image-text inner product, labels and the row softmax.  A similarity
-matrix is a plain M x K float64 array, finite-checked where
-``similarity_matrix`` computes it; labels are an immutable, checked
-``LabelVector`` where they enter, and a training step passes its plain array.
+The image-text inner product, the label check and the row softmax.  A
+similarity matrix is a plain M x K float64 array, finite-checked where
+``similarity_matrix`` computes it; labels are a plain int64 array, checked by
+``check_labels`` where they enter.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,38 +14,18 @@ class InputError(ValueError):
     """An operation rejected its input."""
 
 
-@dataclass(frozen=True)
-class LabelVector:
-    """0-based class index per image."""
-
-    labels: np.ndarray
-    # Largest label, fixed at construction so range checks are O(1).
-    max_label: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arr = np.array(self.labels, copy=True)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InputError(f"labels must be a non-empty 1-D sequence, got shape {np.shape(self.labels)}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            flt = np.asarray(self.labels, dtype=np.float64)
-            if not np.all(flt == np.round(flt)):
-                raise InputError("labels must be integers")
-            arr = flt.astype(np.int64)
-        arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            raise InputError("labels must be non-negative class indices")
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
-        object.__setattr__(self, "max_label", int(arr.max()))
-
-    def __len__(self) -> int:
-        return int(self.labels.size)
-
-    def validate_for(self, k: int) -> None:
-        """Reject any label outside [0, k-1]."""
-        if self.max_label >= k:
-            bad = int(self.labels[np.argmax(self.labels >= k)])
-            raise InputError(f"label {bad} out of range for {k} classes")
+def check_labels(labels: np.ndarray, k: int) -> None:
+    """Raise unless ``labels`` is a non-empty 1-D integer array of class indices in [0, k)."""
+    if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.size < 1:
+        shape = np.shape(labels)
+        raise InputError(f"labels must be a non-empty 1-D numpy array, got {type(labels).__name__} of shape {shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InputError("labels must be integers")
+    if labels.min() < 0:
+        raise InputError("labels must be non-negative class indices")
+    if labels.max() >= k:
+        bad = int(labels[np.argmax(labels >= k)])
+        raise InputError(f"label {bad} out of range for {k} classes")
 
 
 def require_finite(s: np.ndarray) -> np.ndarray:

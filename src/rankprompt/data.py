@@ -20,7 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import InputError, LabelVector
+from .core import InputError, check_labels
 
 SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
@@ -74,23 +74,26 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray
-    labels: LabelVector
+    labels: np.ndarray  # int64 class indices in [0, classes), a read-only copy of the one passed in
     split: np.ndarray
     ids: np.ndarray
     classes: int
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] != len(self.labels):
+        check_labels(self.labels, self.classes)
+        labels = self.labels.astype(np.int64)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        if self.features.ndim != 2 or self.features.shape[0] != len(labels):
             raise InputError("features and labels disagree on sample count")
-        if self.split.shape != (len(self.labels),) or self.ids.shape != (len(self.labels),):
+        if self.split.shape != (len(labels),) or self.ids.shape != (len(labels),):
             raise InputError("split and ids must be one entry per sample")
-        self.labels.validate_for(self.classes)
         masks = {name: self.split == name for name in SPLITS}
         unknown = ~(masks["train"] | masks["test"])
         if unknown.any():
             raise InputError(f"unknown split tags {sorted(set(self.split[unknown].tolist()))}")
         object.__setattr__(self, "_masks", masks)
-        train_classes = set(self.labels.labels[self._masks["train"]].tolist())
+        train_classes = set(labels[masks["train"]].tolist())
         missing = [c for c in range(self.classes) if c not in train_classes]
         if missing:
             raise InputError(f"classes {missing} have no train samples")
@@ -112,9 +115,10 @@ class Dataset:
         """Indices of the split's rows, in file order."""
         return np.flatnonzero(self._mask(split))
 
-    def subset(self, split: str) -> tuple[np.ndarray, LabelVector]:
+    def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the split's features and labels, in file order."""
         mask = self._mask(split)
-        return self.features[mask], LabelVector(self.labels.labels[mask])
+        return self.features[mask], self.labels[mask]
 
 
 def class_counts(spec: DatasetSpec) -> list[int]:
@@ -157,7 +161,7 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
         )
     return Dataset(
         features=features,
-        labels=LabelVector(np.array(labels, dtype=np.int64)),
+        labels=np.array(labels, dtype=np.int64),
         split=np.array(split, dtype=object),
         ids=np.arange(len(labels), dtype=np.int64),
         classes=spec.classes,
@@ -187,7 +191,7 @@ def write_csv(dataset: Dataset, path) -> None:
             block = slice(start, start + WRITE_BLOCK_ROWS)
             rows = zip(
                 dataset.ids[block].tolist(),
-                dataset.labels.labels[block].tolist(),
+                dataset.labels[block].tolist(),
                 dataset.split[block].tolist(),
                 dataset.features[block].tolist(),
             )
@@ -206,7 +210,7 @@ def _write_twin(dataset: Dataset, path, digest: bytes) -> None:
     if not (np.can_cast(dataset.ids.dtype, np.int64) and np.can_cast(dataset.features.dtype, np.float64)):
         return
     rows = np.empty(dataset.n, dtype=_twin_dtype(dataset.feature_dim))
-    rows["id"], rows["label"], rows["f"] = dataset.ids, dataset.labels.labels, dataset.features
+    rows["id"], rows["label"], rows["f"] = dataset.ids, dataset.labels, dataset.features
     rows["test"] = dataset.split == "test"
     twin = os.fspath(path) + TWIN_SUFFIX
     tmp = f"{twin}.{os.getpid()}.tmp"
@@ -278,13 +282,12 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
 
 
 def _dataset(rows: np.ndarray, test: np.ndarray, expected_classes: int | None) -> Dataset:
-    labels = rows["label"]
     return Dataset(
         features=np.ascontiguousarray(rows["f"]),
-        labels=LabelVector(labels),
+        labels=rows["label"],
         split=np.array(SPLITS, dtype=object)[test.astype(np.intp)],
         ids=rows["id"].copy(),
-        classes=expected_classes if expected_classes is not None else int(labels.max()) + 1,
+        classes=expected_classes if expected_classes is not None else int(rows["label"].max()) + 1,
     )
 
 
@@ -405,4 +408,4 @@ def batch_iter(dataset: Dataset, split: str, batch_size: int, seed: int, epoch: 
     rows = rows[np.random.default_rng([seed, epoch]).permutation(len(rows))]
     for start in range(0, len(rows), batch_size):
         idx = rows[start : start + batch_size]
-        yield dataset.features[idx], dataset.labels.labels[idx]
+        yield dataset.features[idx], dataset.labels[idx]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, LabelVector, softmax_rows
+from .core import InputError, check_labels, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,17 @@ class MetricsReport:
         }
 
 
-def _check_entry(s: np.ndarray, truth: LabelVector, k: int) -> None:
+def _check_entry(s: np.ndarray, truth: np.ndarray, k: int) -> None:
     """The evaluation entry check: ``s`` is M x k for M labels in [0, k)."""
+    check_labels(truth, k)
     if np.shape(s) != (len(truth), k):
         raise InputError(f"similarity matrix must be {len(truth)} x {k}, got shape {np.shape(s)}")
-    truth.validate_for(k)
 
 
-def confusion_matrix(predictions: np.ndarray, truth: LabelVector, k: int) -> np.ndarray:
+def confusion_matrix(predictions: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     """K x K counts, rows indexed by true class, columns by prediction (M
     grades in [0, k), not checked here)."""
-    cells = truth.labels * k + predictions
+    cells = truth * k + predictions
     return np.bincount(cells, minlength=k * k).astype(np.int64, copy=False).reshape(k, k)
 
 
@@ -65,7 +65,7 @@ def _macro_f1_from_confusion(cm: np.ndarray) -> float:
     return float(f1.mean())
 
 
-def own_grade_midranks(scores: np.ndarray, truth: LabelVector) -> np.ndarray:
+def own_grade_midranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """1-based rank of every row's own-grade score within that grade's column,
     tied entries sharing the mean of the ranks they span: scipy's
     ``rankdata(scores, axis=0)[rows, labels]`` (labels in [0, K), not checked
@@ -74,8 +74,8 @@ def own_grade_midranks(scores: np.ndarray, truth: LabelVector) -> np.ndarray:
     scores looked up are sorted first, which makes the lookups cache-friendly."""
     cols = np.ascontiguousarray(scores.T)
     out = np.empty(len(truth))
-    for c in np.flatnonzero(np.bincount(truth.labels)):
-        rows = np.flatnonzero(truth.labels == c)
+    for c in np.flatnonzero(np.bincount(truth)):
+        rows = np.flatnonzero(truth == c)
         rows = rows[np.argsort(cols[c][rows])]
         own = cols[c][rows]
         column = np.sort(cols[c])
@@ -83,7 +83,7 @@ def own_grade_midranks(scores: np.ndarray, truth: LabelVector) -> np.ndarray:
     return out
 
 
-def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float, list]:
+def auc_macro_ovr(scores: np.ndarray, truth: np.ndarray, k: int) -> tuple[float, list]:
     """One-vs-rest AUC per class from its score column (finite M x k scores,
     labels in [0, k), not checked here); macro over present classes.
 
@@ -91,14 +91,14 @@ def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float
     mean.  Fewer than 2 distinct classes present is an error (no negatives
     exist for any one-vs-rest problem).
     """
-    n_pos = np.bincount(truth.labels, minlength=k)
+    n_pos = np.bincount(truth, minlength=k)
     n_present = int(np.count_nonzero(n_pos))
     if n_present < 2:
         raise InputError(f"AUC needs at least 2 distinct classes present, got {n_present}")
     # Rank-sum AUC with midrank ties: P(score_pos > score_neg) + 0.5 P(=).
     # Midranks are half-integers, so every sum below is exact in float64.
     own_rank = own_grade_midranks(scores, truth)
-    rank_sum = np.bincount(truth.labels, weights=own_rank, minlength=k)
+    rank_sum = np.bincount(truth, weights=own_rank, minlength=k)
     n_neg = len(truth) - n_pos
     with np.errstate(invalid="ignore"):
         auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -106,7 +106,7 @@ def auc_macro_ovr(scores: np.ndarray, truth: LabelVector, k: int) -> tuple[float
     return float(np.nanmean(per_class)), per_class.tolist()
 
 
-def rank_monotonicity(s: np.ndarray, truth: LabelVector) -> float:
+def rank_monotonicity(s: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of rows strictly decreasing away from the true class on both
     sides, with any tie anywhere in the row counting as a violation (M x K
     scores, M labels in [0, K), not checked here).  Only comparisons, over a
@@ -114,27 +114,27 @@ def rank_monotonicity(s: np.ndarray, truth: LabelVector) -> float:
     k = s.shape[1]
     cols = np.ascontiguousarray(s.T)
     a = np.arange(k - 1)[:, None]
-    ok = np.all(np.where(a >= truth.labels, cols[:-1] > cols[1:], cols[:-1] < cols[1:]), axis=0)
+    ok = np.all(np.where(a >= truth, cols[:-1] > cols[1:], cols[:-1] < cols[1:]), axis=0)
     # The strict chains already part adjacent columns; only columns two or more apart can still tie.
     for gap in range(2, k):
         ok &= np.all(cols[:-gap] != cols[gap:], axis=0)
     return float(np.mean(ok))
 
 
-def class_mean_similarity(s: np.ndarray, truth: LabelVector, k: int) -> np.ndarray:
+def class_mean_similarity(s: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     """Row c = mean similarity row over samples of true class c; NaN rows
     flag classes absent from the truth.  Checks that ``s`` is M x k for M
     labels in [0, k)."""
     _check_entry(s, truth, k)
     out = np.full((k, k), np.nan)
     for c in range(k):
-        mask = truth.labels == c
+        mask = truth == c
         if mask.any():
             out[c] = s[mask].mean(axis=0)
     return out
 
 
-def metrics_report(s_cal: np.ndarray, truth: LabelVector, k: int, tau: float = 1.0) -> MetricsReport:
+def metrics_report(s_cal: np.ndarray, truth: np.ndarray, k: int, tau: float = 1.0) -> MetricsReport:
     """Every metric of an M x k similarity matrix against M labels in [0, k),
     checked here once.  Predictions are the row argmax; ties resolve to the
     lowest grade."""

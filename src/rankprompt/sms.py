@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import InputError, LabelVector, require_finite
+from .core import InputError, check_labels, require_finite
 
 # Variance floor: a single-sample class must still yield a usable scale.
 VAR_FLOOR = 1e-6
@@ -46,9 +46,12 @@ def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
     if not 0 <= j < k:
         raise InputError(f"class index {j} out of range for {k} classes")
     d = np.arange(k, dtype=np.float64) - float(j)
-    w = np.exp(-(d * d) / (2.0 * spec.sigma**2))
-    if not spec.include_self:
-        w[j] = 0.0
+    # The self weight is set, not computed: a sigma whose square underflows would make it 0/0.
+    # Such a sigma is the delta kernel (exp(-inf) = 0 elsewhere), and one whose square overflows
+    # the flat kernel; it is squared as a numpy float because a Python float raises on overflow.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.exp(-(d * d) / (2.0 * np.float64(spec.sigma) ** 2))
+    w[j] = 1.0 if spec.include_self else 0.0
     return w
 
 
@@ -174,12 +177,12 @@ def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tup
     return scale[labels], offset[labels]
 
 
-def calibrate_rows(s: np.ndarray, labels: LabelVector, stats: ClassStats) -> np.ndarray:
+def calibrate_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> np.ndarray:
     """Affine-map each row of an M x K array toward the smoothed statistics of
     its true class through ``calibration_map``: out = scale * s + offset,
-    finite-checked."""
-    labels.validate_for(stats.k)
-    scale, offset = calibration_map(s, labels.labels, stats)
+    finite-checked.  The labels are checked to lie in [0, K)."""
+    check_labels(labels, stats.k)
+    scale, offset = calibration_map(s, labels, stats)
     return require_finite(scale * s + offset)
 
 

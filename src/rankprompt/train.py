@@ -30,7 +30,7 @@ import numpy as np
 from . import model as M
 from . import sms
 from .config import RunConfig, config_to_dict
-from .core import InputError, LabelVector
+from .core import InputError, check_labels
 from .data import Dataset, ParseError, batch_iter
 from .evaluation import MetricsReport, class_mean_similarity, metrics_report
 from .losses import LossConfig
@@ -128,8 +128,8 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     committed = None
     log = []
     rows = dataset.rows("train")
-    train_labels = LabelVector(dataset.labels.labels[rows])
-    train_labels.validate_for(cfg.classes)
+    train_labels = dataset.labels[rows]
+    check_labels(train_labels, cfg.classes)
     if dataset.feature_dim != cfg.feature_dim:
         raise InputError(f"features must be M x {cfg.feature_dim}, got shape {(len(rows), dataset.feature_dim)}")
     if not np.isfinite(dataset.features).all(axis=1)[rows].all():
@@ -161,7 +161,7 @@ def calibrated_similarity(
     params: M.ModelParams,
     stats: sms.ClassStats | None,
     features: np.ndarray,
-    labels: LabelVector,
+    labels: np.ndarray,
     cfg: RunConfig,
     use_sms: bool = True,
     rows: np.ndarray | None = None,
@@ -178,7 +178,7 @@ def evaluate(
     params: M.ModelParams,
     stats: sms.ClassStats | None,
     features: np.ndarray,
-    labels: LabelVector,
+    labels: np.ndarray,
     cfg: RunConfig,
     use_sms: bool = True,
     rows: np.ndarray | None = None,
@@ -191,7 +191,7 @@ def heatmap_matrix(
     params: M.ModelParams,
     stats: sms.ClassStats | None,
     features: np.ndarray,
-    labels: LabelVector,
+    labels: np.ndarray,
     cfg: RunConfig,
     use_sms: bool = True,
 ) -> np.ndarray:

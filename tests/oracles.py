@@ -9,7 +9,7 @@ import csv
 
 import numpy as np
 
-from rankprompt.core import InputError, LabelVector
+from rankprompt.core import InputError, check_labels
 from rankprompt.data import SPLITS, Dataset, ParseError
 
 # Floor applied to the second argument of the KL divergence.
@@ -41,11 +41,11 @@ def kl_divergence_row(p, q) -> float:
     return float(np.sum(p[support] * np.log(p[support] / qf)))
 
 
-def one_hot(labels: LabelVector, k: int) -> np.ndarray:
+def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     """M x K indicator matrix with exactly one 1 per row."""
-    labels.validate_for(k)
+    check_labels(labels, k)
     out = np.zeros((len(labels), k), dtype=np.float64)
-    out[np.arange(len(labels)), labels.labels] = 1.0
+    out[np.arange(len(labels)), labels] = 1.0
     return out
 
 
@@ -127,7 +127,7 @@ def load_csv_rows(path, expected_classes=None) -> Dataset:
     try:
         return Dataset(
             features=features,
-            labels=LabelVector(np.array(labels, dtype=np.int64)),
+            labels=np.array(labels, dtype=np.int64),
             split=np.array(split, dtype=object),
             ids=np.array(ids, dtype=np.int64),
             classes=classes,
@@ -146,4 +146,4 @@ def batch_iter_subset(dataset: Dataset, split: str, batch_size: int, seed: int, 
     order = np.random.default_rng([seed, epoch]).permutation(feats.shape[0])
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
-        yield feats[idx], labels.labels[idx]
+        yield feats[idx], labels[idx]

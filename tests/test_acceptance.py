@@ -21,7 +21,6 @@ from oracles import kl_divergence_row, one_hot, rank_directional_loss
 
 from rankprompt.cli import main
 from rankprompt.config import RunConfig
-from rankprompt.core import LabelVector
 from rankprompt.data import TWIN_SUFFIX, DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import LossConfig, rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
@@ -86,8 +85,8 @@ class TestA1GradientCertification:
     def committed_stats(self, rng, k, m_stat=12):
         sums = EpochSums(k)
         s = rng.normal(size=(m_stat, k))
-        labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)]))
-        accumulate_class_stats(sums, s, labels.labels)
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)])
+        accumulate_class_stats(sums, s, labels)
         return commit_epoch(sums, KernelSpec(sigma=1.0, include_self=True))
 
     def excess(self, analytic, fd, rtol):
@@ -104,7 +103,7 @@ class TestA1GradientCertification:
             m = int(rng.integers(1, 9))
             k = int(rng.integers(2, 7))
             s_data = rng.normal(scale=1.5, size=(m, k))
-            labels = LabelVector(rng.integers(0, k, size=m)).labels
+            labels = rng.integers(0, k, size=m)
             cfg = LossConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.2, 2.0)))
 
             def main_term(s):
@@ -237,19 +236,19 @@ class TestA4LossOracles:
         got = rank_directional_loss(np.zeros(5), 2, "rightward", 1.0)
         checks.append(("uniform-row directional rank", got, 2 * np.log(2.0)))
 
-        p = one_hot(LabelVector([2]), 5)[0]
+        p = one_hot(np.array([2]), 5)[0]
         got = kl_divergence_row(p, np.full(5, 0.2))
         checks.append(("KL(one-hot||uniform)", got, np.log(5.0)))
 
         s = np.zeros((3, 2))
-        got = total_loss(s, LabelVector([0, 0, 1]).labels, lcfg).main
+        got = total_loss(s, np.array([0, 0, 1]), lcfg).main
         checks.append(("all-zero main composite", got, 0.7225929394740411))
 
         got = rank_directional_loss(np.array([3.0, 2.0, 1.0, 0.0, -1.0]), 0, "rightward", 1.0)
         checks.append(("unit-gap directional rank", got, 1.2530467500728915))
 
         s = np.zeros((2, 5))
-        got, _ = rank_term(s, LabelVector([1, 3]).labels, lcfg)
+        got, _ = rank_term(s, np.array([1, 3]), lcfg)
         checks.append(("all-zero rank loss", got, 4 * np.log(2.0)))
 
         got = kl_divergence_row(np.array([0.5, 0.5]), np.array([0.75, 0.25]))
@@ -266,8 +265,8 @@ class TestA5CalibrationProperties:
         """An epoch's sums over m rows (every grade present) and their commit."""
         sums = EpochSums(k)
         s = rng.normal(scale=2.0, size=(m, k))
-        labels = LabelVector(np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)]))
-        accumulate_class_stats(sums, s, labels.labels)
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)])
+        accumulate_class_stats(sums, s, labels)
         return sums, commit_epoch(sums, kernel)
 
     def test_a5(self):
@@ -277,7 +276,7 @@ class TestA5CalibrationProperties:
         # smoothed statistics equal the raw ones
         _, stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
         s = rng.normal(size=(12, 5))
-        labels = LabelVector(rng.integers(0, 5, size=12))
+        labels = rng.integers(0, 5, size=12)
         out = calibrate_rows(s, labels, stats)
         identity_dev = float(np.max(np.abs(out - s)))
 
@@ -292,7 +291,7 @@ class TestA5CalibrationProperties:
             alpha = float(crng.uniform(-1.5, 1.5))
             mu = np.asarray(cstats.mean[c])
             mu_s = np.asarray(cstats.smoothed_mean[c])
-            lab = LabelVector([c])
+            lab = np.array([c])
             blended = calibrate_rows(
                 alpha * row + (1 - alpha) * mu, lab, cstats
             )[0]
@@ -321,7 +320,7 @@ class TestA5CalibrationProperties:
         sums, frozen = self.committed(rng)
         first = calibrate_rows(s, labels, frozen)
         for later in (sums, EpochSums(5), EpochSums(5)):
-            accumulate_class_stats(later, s, labels.labels)
+            accumulate_class_stats(later, s, labels)
         second = calibrate_rows(s, labels, frozen)
         arrays = (frozen.count, frozen.mean, frozen.var, frozen.smoothed_mean, frozen.smoothed_var)
         freeze_ok = np.array_equal(first, second) and not any(a.flags.writeable for a in arrays)
@@ -392,7 +391,7 @@ batch_size = 64
         rt = load_csv(tmp_path / "rt.csv")
         round_trip_ok = (
             np.array_equal(ds.features, rt.features)
-            and np.array_equal(ds.labels.labels, rt.labels.labels)
+            and np.array_equal(ds.labels, rt.labels)
             and np.array_equal(ds.split, rt.split)
         )
         capsys.readouterr()  # drop CLI chatter so the verdict line stands alone
@@ -419,5 +418,5 @@ batch_size = 64
         rt = load_csv(tmp_path / "rt.csv")
         assert (tmp_path / "rt.csv").read_bytes() == generated.read_bytes()
         assert np.array_equal(ds.features, rt.features)
-        assert np.array_equal(ds.labels.labels, rt.labels.labels)
+        assert np.array_equal(ds.labels, rt.labels)
         assert np.array_equal(ds.split, rt.split)

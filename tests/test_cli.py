@@ -191,6 +191,19 @@ class TestTrainEval:
         assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
         assert (a / "train_log.jsonl").read_bytes() == (b / "train_log.jsonl").read_bytes()
 
+    def test_underflowing_sms_sigma_trains_as_the_delta_kernel(self, tmp_path):
+        """sms_sigma = 1e-200 squares to 0 in float64, and at 1e-3 every
+        neighbor weight is already exp(-5e5) = 0: both are the exact delta
+        kernel, so they write the same log and the same checkpoint but for
+        the line of its config that records the sigma."""
+        outputs = []
+        for sigma in ("1e-200", "0.001"):
+            (tmp_path / sigma).mkdir()
+            _, out = self.run_pipeline(tmp_path / sigma, f"sms_sigma = {sigma}\n")
+            ckpt = [line for line in (out / "checkpoint.json").read_bytes().splitlines() if b'"sms_sigma"' not in line]
+            outputs.append(((out / "train_log.jsonl").read_bytes(), ckpt))
+        assert outputs[0] == outputs[1]
+
     def test_eval_writes_metrics(self, tmp_path, capsys):
         cfg, out = self.run_pipeline(tmp_path)
         assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
@@ -329,6 +342,18 @@ class TestExitCodes:
             assert main(["train", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "error: training diverged at epoch 0, batch 1: similarity matrix contains non-finite entries" in err
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.type == "int" and f.name != "seed"])
+    def test_int_beyond_int64_is_2(self, tmp_path, capsys, key, value):
+        """numpy sizes and counts are int64: a larger value would end a later
+        command with a traceback, so the config rejects it by name."""
+        cfg = write_config(tmp_path, f"{key} = {value}\n")
+        assert main(["generate", "--config", cfg]) == 2
+        assert f"error: config: {key} must fit in int64, got {value}" in capsys.readouterr().err
+
+    def test_seed_beyond_int64_loads(self, tmp_path):
+        assert load_config(write_config(tmp_path, f"seed = {2**64}\n")).seed == 2**64
 
     def test_non_utf8_config_is_2(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -6,8 +6,8 @@ from oracles import kl_divergence_row, one_hot
 
 from rankprompt.core import (
     InputError,
-    LabelVector,
     _log_softmax,
+    check_labels,
     similarity_matrix,
     softmax_rows,
 )
@@ -25,17 +25,26 @@ class TestTypes:
             similarity_matrix(np.ones((2, 3)), np.ones(3))
 
     def test_labels_reject_negative(self):
-        with pytest.raises(InputError):
-            LabelVector([0, -1])
+        with pytest.raises(InputError, match="^labels must be non-negative class indices$"):
+            check_labels(np.array([0, -1]), 3)
 
     def test_labels_reject_fractional(self):
-        with pytest.raises(InputError):
-            LabelVector([0.5])
+        with pytest.raises(InputError, match="^labels must be integers$"):
+            check_labels(np.array([0.5]), 3)
 
     def test_labels_validate_range(self):
-        with pytest.raises(InputError):
-            LabelVector([0, 3]).validate_for(3)
-        LabelVector([0, 2]).validate_for(3)
+        with pytest.raises(InputError, match="^label 3 out of range for 3 classes$"):
+            check_labels(np.array([0, 3]), 3)
+        check_labels(np.array([0, 2]), 3)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1], np.array([[0, 1]]), np.array([], dtype=np.int64), np.array([0.0, 1.0]), np.array([True])],
+        ids=["list", "2-D", "empty", "integral floats", "bool"],
+    )
+    def test_labels_must_be_a_1d_integer_array(self, labels):
+        with pytest.raises(InputError, match="^labels must be"):
+            check_labels(labels, 3)
 
 
 class TestSimilarityMatrix:
@@ -144,19 +153,19 @@ class TestKLDivergenceRow:
 
 class TestOneHot:
     def test_single_row(self):
-        np.testing.assert_array_equal(one_hot(LabelVector([1]), 3), [[0, 1, 0]])
+        np.testing.assert_array_equal(one_hot(np.array([1]), 3), [[0, 1, 0]])
 
     def test_multiple_rows(self):
-        got = one_hot(LabelVector([0, 0, 2]), 3)
+        got = one_hot(np.array([0, 0, 2]), 3)
         np.testing.assert_array_equal(got, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
 
     def test_last_class(self):
-        np.testing.assert_array_equal(one_hot(LabelVector([4]), 5), [[0, 0, 0, 0, 1]])
+        np.testing.assert_array_equal(one_hot(np.array([4]), 5), [[0, 0, 0, 0, 1]])
 
     def test_row_sums(self):
-        got = one_hot(LabelVector([0, 1, 2, 1]), 4)
+        got = one_hot(np.array([0, 1, 2, 1]), 4)
         np.testing.assert_array_equal(got.sum(axis=1), 1.0)
 
     def test_out_of_range(self):
         with pytest.raises(InputError):
-            one_hot(LabelVector([3]), 3)
+            one_hot(np.array([3]), 3)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import batch_iter_subset, load_csv_rows
-from rankprompt.core import InputError, LabelVector
+from rankprompt.core import InputError
 from rankprompt.data import (
     SPLITS,
     TWIN_SUFFIX,
@@ -61,19 +61,19 @@ class TestGenerateSynthetic:
     def test_zero_noise_hits_centers(self):
         ds = generate_synthetic(spec(noise_sigma=0.0, samples=50))
         for c in range(5):
-            rows = ds.features[ds.labels.labels == c]
+            rows = ds.features[ds.labels == c]
             np.testing.assert_array_equal(rows[:, 0], c * 1.0)
             np.testing.assert_array_equal(rows[:, 1:], 0.0)
 
     def test_every_class_in_train(self):
         ds = generate_synthetic(spec(samples=50, imbalance_ratio=20.0))
         for c in range(5):
-            assert np.any(ds.labels.labels[ds.split == "train"] == c)
+            assert np.any(ds.labels[ds.split == "train"] == c)
 
     def test_split_fractions(self):
         ds = generate_synthetic(spec(samples=1000))
         for c in range(5):
-            mask = ds.labels.labels == c
+            mask = ds.labels == c
             n_c = int(mask.sum())
             n_test = int((ds.split[mask] == "test").sum())
             assert n_test == int(np.floor(0.2 * n_c))
@@ -87,7 +87,7 @@ class TestGenerateSynthetic:
     def test_counts_match_plan(self):
         s = spec(samples=620, imbalance_ratio=16.0)
         ds = generate_synthetic(s)
-        got = np.bincount(ds.labels.labels, minlength=5).tolist()
+        got = np.bincount(ds.labels, minlength=5).tolist()
         assert got == class_counts(s)
 
 
@@ -98,7 +98,7 @@ class TestCsvRoundTrip:
         write_csv(ds, path)
         loaded = load_csv(path, expected_classes=5)
         assert np.array_equal(ds.features, loaded.features)
-        assert np.array_equal(ds.labels.labels, loaded.labels.labels)
+        assert np.array_equal(ds.labels, loaded.labels)
         assert np.array_equal(ds.split, loaded.split)
         assert np.array_equal(ds.ids, loaded.ids)
 
@@ -117,7 +117,7 @@ class TestCsvRoundTrip:
         row = [0.1, -0.0, 5e-324, 1e22, -1.2345678901234567e-05]
         ds = Dataset(
             features=np.array([row, [-v for v in row]]),
-            labels=LabelVector([0, 0]),
+            labels=np.array([0, 0]),
             split=np.array(["train", "test"], dtype=object),
             ids=np.array([10, 11]),
             classes=1,
@@ -250,7 +250,7 @@ def named_line(message):
 def assert_same_dataset(a, b):
     assert a.classes == b.classes
     assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels.labels, b.labels.labels)
+    assert np.array_equal(a.labels, b.labels)
     assert a.split.tolist() == b.split.tolist()
     assert np.array_equal(a.ids, b.ids)
 
@@ -392,7 +392,7 @@ def twin_datasets(draw):
 def plain_dataset(features, labels, split, ids, k):
     return Dataset(
         features=np.array(features, dtype=np.float64),
-        labels=LabelVector(labels),
+        labels=np.array(labels),
         split=np.array(split, dtype=object),
         ids=np.array(ids, dtype=np.int64),
         classes=k,
@@ -416,7 +416,7 @@ def load_counting_parses(path, expected_classes=None):
 def assert_bit_identical(a, b):
     assert a.features.tobytes() == b.features.tobytes()
     assert a.ids.tobytes() == b.ids.tobytes()
-    assert a.labels.labels.tobytes() == b.labels.labels.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
     assert a.split.tolist() == b.split.tolist()
     assert a.classes == b.classes
 
@@ -496,7 +496,7 @@ class TestCsvTwin:
         path, twin = self.write(tmp_path)
         wider = generate_synthetic(spec(samples=40, seed=4, feature_dim=5))
         rows = np.empty(wider.n, dtype=[("id", "<i8"), ("label", "<i8"), ("test", "?"), ("f", "<f8", (5,))])
-        rows["id"], rows["label"], rows["f"] = wider.ids, wider.labels.labels, wider.features
+        rows["id"], rows["label"], rows["f"] = wider.ids, wider.labels, wider.features
         rows["test"] = wider.split == "test"
         self.put_twin(twin, path, rows)
         got, parses = load_counting_parses(path, 5)
@@ -597,12 +597,10 @@ class TestBatchIter:
 
 class TestDatasetInvariants:
     def test_rejects_missing_train_class(self):
-        from rankprompt.core import LabelVector
-
         with pytest.raises(InputError):
             Dataset(
                 features=np.zeros((2, 2)),
-                labels=LabelVector([0, 1]),
+                labels=np.array([0, 1]),
                 split=np.array(["train", "test"], dtype=object),
                 ids=np.arange(2),
                 classes=2,
@@ -612,7 +610,7 @@ class TestDatasetInvariants:
         with pytest.raises(InputError, match=r"^unknown split tags \['dev', 'val'\]$"):
             Dataset(
                 features=np.zeros((4, 2)),
-                labels=LabelVector([0, 0, 0, 0]),
+                labels=np.array([0, 0, 0, 0]),
                 split=np.array(["val", "train", "dev", "val"], dtype=object),
                 ids=np.arange(4),
                 classes=1,

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 import rankprompt
-from rankprompt.core import InputError, LabelVector
+from rankprompt.core import InputError
 from rankprompt.evaluation import (
     auc_macro_ovr,
     class_mean_similarity,
@@ -31,61 +31,61 @@ def smat(rows):
 def macro_f1(predictions, truth, k):
     """Macro F1 of ``predictions`` as ``metrics_report`` computes it: from
     one-hot scores, whose row argmax is the prediction."""
-    scores = np.eye(k)[predictions.labels]
+    scores = np.eye(k)[predictions]
     return metrics_report(scores, truth, k).macro_f1
 
 
 class TestMacroF1:
     def test_perfect(self):
-        y = LabelVector([0, 1, 2, 0, 1, 2])
+        y = np.array([0, 1, 2, 0, 1, 2])
         assert macro_f1(y, y, 3) == 1.0
 
     def test_all_wrong(self):
-        truth = LabelVector([0, 0, 1, 1])
-        pred = LabelVector([1, 1, 0, 0])
+        truth = np.array([0, 0, 1, 1])
+        pred = np.array([1, 1, 0, 0])
         assert macro_f1(pred, truth, 2) == 0.0
 
     def test_hand_computed_mixed(self):
         # class 0: tp=2 fp=1 fn=0 -> f1 = 4/5
         # class 1: tp=1 fp=0 fn=1 -> f1 = 2/3
-        truth = LabelVector([0, 0, 1, 1])
-        pred = LabelVector([0, 0, 0, 1])
+        truth = np.array([0, 0, 1, 1])
+        pred = np.array([0, 0, 0, 1])
         expected = 0.5 * (0.8 + 2.0 / 3.0)
         assert macro_f1(pred, truth, 2) == pytest.approx(expected, abs=1e-12)
 
     def test_absent_class_scores_zero(self):
         # class 2 never appears in truth or prediction: 0/0 counts as 0
-        truth = LabelVector([0, 1])
-        pred = LabelVector([0, 1])
+        truth = np.array([0, 1])
+        pred = np.array([0, 1])
         assert macro_f1(pred, truth, 3) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
         y = rng.integers(0, 4, size=50)
         pred = rng.integers(0, 4, size=50)
-        base = macro_f1(LabelVector(pred), LabelVector(y), 4)
+        base = macro_f1(pred, y, 4)
         perm = rng.permutation(50)
-        shuffled = macro_f1(LabelVector(pred[perm]), LabelVector(y[perm]), 4)
+        shuffled = macro_f1(pred[perm], y[perm], 4)
         assert shuffled == pytest.approx(base, abs=1e-12)
 
 
 class TestAuc:
     def test_perfect_separation(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.2, 0.8]])
-        auc, per = auc_macro_ovr(scores, LabelVector([0, 0, 1, 1]), 2)
+        auc, per = auc_macro_ovr(scores, np.array([0, 0, 1, 1]), 2)
         assert auc == 1.0
         assert per == [1.0, 1.0]
 
     def test_all_tied_scores_half(self):
         scores = np.full((6, 2), 0.5)
-        auc, _ = auc_macro_ovr(scores, LabelVector([0, 1, 0, 1, 0, 1]), 2)
+        auc, _ = auc_macro_ovr(scores, np.array([0, 1, 0, 1, 0, 1]), 2)
         assert auc == pytest.approx(0.5, abs=1e-12)
 
     def test_hand_computed(self):
         # class-0 scores: pos {0.9, 0.4}, neg {0.6, 0.3}
         # pairs won 3, lost 1 -> auc_0 = 0.75; symmetric column -> auc_1 = 0.75
         scores = np.array([[0.9, 0.1], [0.4, 0.6], [0.6, 0.4], [0.3, 0.7]])
-        auc, per = auc_macro_ovr(scores, LabelVector([0, 0, 1, 1]), 2)
+        auc, per = auc_macro_ovr(scores, np.array([0, 0, 1, 1]), 2)
         assert per[0] == pytest.approx(0.75, abs=1e-12)
         assert per[1] == pytest.approx(0.75, abs=1e-12)
         assert auc == pytest.approx(0.75, abs=1e-12)
@@ -93,21 +93,21 @@ class TestAuc:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
         raw = rng.normal(size=(30, 3))
-        y = LabelVector(rng.integers(0, 3, size=30))
+        y = rng.integers(0, 3, size=30)
         a, _ = auc_macro_ovr(raw, y, 3)
         b, _ = auc_macro_ovr(np.tanh(raw) * 5.0 + 2.0, y, 3)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_absent_class_skipped(self):
         scores = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.8, 0.2, 0.0], [0.2, 0.8, 0.0]])
-        auc, per = auc_macro_ovr(scores, LabelVector([0, 1, 0, 1]), 3)
+        auc, per = auc_macro_ovr(scores, np.array([0, 1, 0, 1]), 3)
         assert np.isnan(per[2])
         assert auc == pytest.approx(1.0, abs=1e-12)
 
     def test_single_class_rejected(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2]])
         with pytest.raises(InputError):
-            auc_macro_ovr(scores, LabelVector([0, 0]), 2)
+            auc_macro_ovr(scores, np.array([0, 0]), 2)
 
 
 @st.composite
@@ -145,7 +145,7 @@ class TestMidranksMatchScipy:
         m, k = scores.shape
         labels = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1)))
         want = rankdata(scores, axis=0)[np.arange(m), labels]
-        np.testing.assert_array_equal(own_grade_midranks(scores, LabelVector(labels)), want)
+        np.testing.assert_array_equal(own_grade_midranks(scores, labels), want)
 
     @settings(deadline=None, max_examples=50)
     @given(score_matrices(min_rows=2), st.data())
@@ -153,7 +153,7 @@ class TestMidranksMatchScipy:
         m, k = scores.shape
         labels = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1)))
         labels[:2] = data.draw(st.permutations(range(k)))[:2]  # at least two classes present
-        macro, per_class = auc_macro_ovr(scores, LabelVector(labels), k)
+        macro, per_class = auc_macro_ovr(scores, labels, k)
         want_macro, want_per_class = per_column_auc(scores, labels, k)
         assert macro == want_macro
         np.testing.assert_array_equal(per_class, want_per_class)
@@ -171,33 +171,33 @@ def test_import_leaves_scipy_stats_unloaded():
 class TestRankMonotonicity:
     def test_perfect_rows(self):
         s = smat([[3.0, 2.0, 1.0], [1.0, 3.0, 2.0], [0.0, 1.0, 2.0]])
-        assert rank_monotonicity(s, LabelVector([0, 1, 2])) == 1.0
+        assert rank_monotonicity(s, np.array([0, 1, 2])) == 1.0
 
     def test_flat_rows_fail(self):
         s = smat([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        assert rank_monotonicity(s, LabelVector([0, 2])) == 0.0
+        assert rank_monotonicity(s, np.array([0, 2])) == 0.0
 
     def test_half_and_half(self):
         # row 0 descends from class 0; row 1 peaks at 1 but carries a tie
         s = smat([[3.0, 2.0, 1.0], [1.0, 3.0, 1.0]])
-        assert rank_monotonicity(s, LabelVector([0, 1])) == 0.5
+        assert rank_monotonicity(s, np.array([0, 1])) == 0.5
 
     def test_tie_on_far_side_still_counts_as_violation(self):
         # strictly rising toward class 2 but first two entries tie
         s = smat([[1.0, 1.0, 2.0]])
-        assert rank_monotonicity(s, LabelVector([2])) == 0.0
+        assert rank_monotonicity(s, np.array([2])) == 0.0
 
     def test_shift_scale_invariance(self):
         rng = np.random.default_rng(2)
         raw = rng.normal(size=(20, 4))
-        y = LabelVector(rng.integers(0, 4, size=20))
+        y = rng.integers(0, 4, size=20)
         base = rank_monotonicity(smat(raw), y)
         assert rank_monotonicity(smat(raw * 3.0 - 7.0), y) == base
 
     def test_interior_peak(self):
         s = smat([[0.1, 0.5, 0.9, 0.4, 0.2]])
-        assert rank_monotonicity(s, LabelVector([2])) == 1.0
-        assert rank_monotonicity(s, LabelVector([1])) == 0.0
+        assert rank_monotonicity(s, np.array([2])) == 1.0
+        assert rank_monotonicity(s, np.array([1])) == 0.0
 
     @settings(deadline=None, max_examples=50)
     @given(score_matrices(), st.data())
@@ -211,18 +211,18 @@ class TestRankMonotonicity:
             and len(set(row.tolist())) == k
             for row, y in zip(scores, labels)
         ]
-        assert rank_monotonicity(scores, LabelVector(labels)) == float(np.mean(ok))
+        assert rank_monotonicity(scores, labels) == float(np.mean(ok))
 
 
 class TestClassMeanSimilarity:
     def test_hand_means(self):
         s = smat([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        m = class_mean_similarity(s, LabelVector([0, 0, 1]), 2)
+        m = class_mean_similarity(s, np.array([0, 0, 1]), 2)
         np.testing.assert_allclose(m, [[2.0, 3.0], [5.0, 6.0]])
 
     def test_absent_class_nan_row(self):
         s = smat([[1.0, 2.0, 3.0]])
-        m = class_mean_similarity(s, LabelVector([0]), 3)
+        m = class_mean_similarity(s, np.array([0]), 3)
         assert np.all(np.isnan(m[1])) and np.all(np.isnan(m[2]))
         np.testing.assert_allclose(m[0], [1.0, 2.0, 3.0])
 
@@ -230,11 +230,11 @@ class TestClassMeanSimilarity:
 class TestConfusionAndPredict:
     def test_predict_argmax_first_wins(self):
         s = smat([[0.5, 0.5, 0.1], [0.0, 0.2, 0.9]])
-        rep = metrics_report(s, LabelVector([1, 2]), 3)
+        rep = metrics_report(s, np.array([1, 2]), 3)
         np.testing.assert_array_equal(rep.confusion, [[0, 0, 0], [1, 0, 0], [0, 0, 1]])
 
     def test_confusion_counts(self):
-        truth = LabelVector([0, 0, 1, 2])
+        truth = np.array([0, 0, 1, 2])
         pred = np.array([0, 1, 1, 0])
         cm = confusion_matrix(pred, truth, 3)
         np.testing.assert_array_equal(cm, [[1, 1, 0], [0, 1, 0], [1, 0, 0]])
@@ -244,7 +244,7 @@ class TestConfusionAndPredict:
         rng = np.random.default_rng(3)
         y = rng.integers(0, 5, size=200)
         pred = rng.integers(0, 5, size=200)
-        cm = confusion_matrix(pred, LabelVector(y), 5)
+        cm = confusion_matrix(pred, y, 5)
         np.testing.assert_array_equal(cm.sum(axis=1), np.bincount(y, minlength=5))
 
 
@@ -252,7 +252,7 @@ class TestMetricsReport:
     def test_report_fields_and_serialization(self):
         rng = np.random.default_rng(4)
         s = smat(rng.normal(size=(40, 5)))
-        y = LabelVector(rng.integers(0, 5, size=40))
+        y = rng.integers(0, 5, size=40)
         rep = metrics_report(s, y, 5)
         assert rep.n_eval == 40
         assert 0.0 <= rep.macro_f1 <= 1.0
@@ -270,7 +270,7 @@ class TestMetricsReport:
 
     def test_report_nan_auc_serializes_none(self):
         s = smat([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.5, 0.2, 0.0], [0.2, 0.5, 0.0]])
-        rep = metrics_report(s, LabelVector([0, 1, 0, 1]), 3)
+        rep = metrics_report(s, np.array([0, 1, 0, 1]), 3)
         d = rep.to_dict()
         assert d["per_class_auc"][2] is None
 
@@ -278,7 +278,7 @@ class TestMetricsReport:
         # softmax is rowwise monotone so per-class AUC matches raw columns
         rng = np.random.default_rng(5)
         raw = rng.normal(size=(30, 3))
-        y = LabelVector(rng.integers(0, 3, size=30))
+        y = rng.integers(0, 3, size=30)
         rep = metrics_report(smat(raw), y, 3)
         assert np.isfinite(rep.macro_auc)
 
@@ -300,4 +300,4 @@ class TestEntryChecks:
     )
     def test_rejects_bad_shape_or_labels(self, entry, shape, labels, message):
         with pytest.raises(InputError, match=message):
-            entry(np.zeros(shape), LabelVector(labels), 3)
+            entry(np.zeros(shape), np.array(labels), 3)

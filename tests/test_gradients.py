@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankprompt.core import InputError, LabelVector
+from rankprompt.core import InputError
 from rankprompt.losses import LossConfig, image_to_text_term, rank_term, total_loss
 from rankprompt.model import (
     ADAM_BETA1,
@@ -44,7 +44,7 @@ def random_case(seed):
     m = int(rng.integers(1, 9))
     k = int(rng.integers(2, 7))
     sdata = rng.normal(0, 2, (m, k))
-    labels = LabelVector(rng.integers(0, k, m)).labels
+    labels = rng.integers(0, k, m)
     cfg = LossConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.0, 2.0)))
     return sdata, labels, cfg
 
@@ -98,21 +98,21 @@ class TestLossGradients:
             rng = np.random.default_rng(seed + 5000)
             k = int(rng.integers(2, 7))
             sdata = rng.normal(0, 2, (1, k))
-            labels = LabelVector(rng.integers(0, k, 1)).labels
+            labels = rng.integers(0, k, 1)
             cfg = LossConfig(lambda_rank=float(rng.uniform(0.0, 2.0)))
             g = total_loss(smat(sdata), labels, cfg).grad_similarity
             assert g[0, labels[0]] < 0
 
     def test_rank_gradient_saturates_at_large_margins(self):
         row = np.array([[500.0, 400.0, 300.0, 200.0, 100.0]])
-        _, g = rank_term(smat(row), LabelVector([0]).labels, LossConfig())
+        _, g = rank_term(smat(row), np.array([0]), LossConfig())
         assert np.max(np.abs(g)) < 1e-12
 
 
 def committed_stats(rng, k):
     sums = EpochSums(k)
     rows = smat(rng.normal(0, 1, (10 * k, k)))
-    labels = LabelVector(np.arange(10 * k) % k).labels
+    labels = np.arange(10 * k) % k
     accumulate_class_stats(sums, rows, labels)
     return commit_epoch(sums, KernelSpec(sigma=1.0, include_self=False))
 
@@ -132,7 +132,7 @@ class TestFullChainGradients:
             use_sms = bool((seed // 2) % 2)
             params = init_params(f, hid, d, k, seed)
             feats = rng.normal(0, 1, (m, f))
-            labels = LabelVector(rng.integers(0, k, m)).labels
+            labels = rng.integers(0, k, m)
             cfg = LossConfig(tau=1.0, lambda_rank=float(rng.uniform(0.0, 2.0)))
             stats = committed_stats(rng, k) if use_sms else None
 
@@ -161,7 +161,7 @@ class TestFullChainGradients:
         rng = np.random.default_rng(99)
         params = init_params(4, 6, 3, 5, 0)
         feats = rng.normal(size=(6, 4))
-        labels = LabelVector(rng.integers(0, 5, 6)).labels
+        labels = rng.integers(0, 5, 6)
         cfg = LossConfig()
         sums = EpochSums(5)
         accumulate_class_stats(sums, rng.normal(size=(4, 5)), np.full(4, 2))
@@ -186,7 +186,7 @@ class TestFullChainGradients:
             }
         )
         feats = np.random.default_rng(2).normal(size=(1, 3))
-        res = model_backward(params, feats, LabelVector([0]).labels, None, LossConfig(lambda_rank=0.0))
+        res = model_backward(params, feats, np.array([0]), None, LossConfig(lambda_rank=0.0))
         for name in PARAM_FIELDS:
             assert np.max(np.abs(getattr(res.grads, name))) < 1e-8
 
@@ -240,7 +240,7 @@ class TestOptimizer:
             rng = np.random.default_rng(seed + 50)
             params = init_params(4, 5, 3, 4, seed)
             feats = rng.normal(size=(5, 4))
-            labels = LabelVector(rng.integers(0, 4, 5)).labels
+            labels = rng.integers(0, 4, 5)
             cfg = LossConfig()
             res = model_backward(params, feats, labels, None, cfg)
             state = init_optimizer("sgd", 1e-4, params)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import rank_directional_loss
 
-from rankprompt.core import InputError, LabelVector
+from rankprompt.core import InputError
 from rankprompt.losses import (
     LossConfig,
     image_to_text_term,
@@ -26,19 +26,19 @@ def smat(rows):
 
 # The loss functions take the plain arrays of the checked types.
 def image_to_text_loss(s, labels, cfg):
-    return image_to_text_term(s, labels.labels, cfg)[0]
+    return image_to_text_term(s, labels, cfg)[0]
 
 
 def text_to_image_loss(s, labels, cfg):
-    return text_to_image_term(s, labels.labels, cfg)[0]
+    return text_to_image_term(s, labels, cfg)[0]
 
 
 def main_loss(s, labels, cfg):
-    return total_loss(s, labels.labels, cfg).main
+    return total_loss(s, labels, cfg).main
 
 
 def rank_loss(s, labels, cfg):
-    return rank_term(s, labels.labels, cfg)[0]
+    return rank_term(s, labels, cfg)[0]
 
 
 def random_case(seed, m_hi=8, k_hi=6):
@@ -46,7 +46,7 @@ def random_case(seed, m_hi=8, k_hi=6):
     m = int(rng.integers(1, m_hi + 1))
     k = int(rng.integers(2, k_hi + 1))
     s = smat(rng.normal(0, 2, (m, k)))
-    labels = LabelVector(rng.integers(0, k, m))
+    labels = rng.integers(0, k, m)
     return s, labels, rng
 
 
@@ -55,17 +55,17 @@ class TestImageToText:
 
     def test_zero_scores_give_log_k(self):
         s = smat(np.zeros((3, 5)))
-        got = image_to_text_loss(s, LabelVector([0, 2, 4]), CFG)
+        got = image_to_text_loss(s, np.array([0, 2, 4]), CFG)
         np.testing.assert_allclose(got, LN5, atol=1e-12)
 
     def test_saturated_row_vanishes(self):
         row = np.zeros((1, 5))
         row[0, 1] = 50.0
-        assert image_to_text_loss(smat(row), LabelVector([1]), CFG) < 1e-20
+        assert image_to_text_loss(smat(row), np.array([1]), CFG) < 1e-20
 
     def test_two_row_hand_value(self):
         s = smat([[np.log(2.0), 0.0], [0.0, np.log(2.0)]])
-        got = image_to_text_loss(s, LabelVector([0, 0]), CFG)
+        got = image_to_text_loss(s, np.array([0, 0]), CFG)
         np.testing.assert_allclose(got, 0.7520386983881371, atol=1e-12)
 
     def test_row_shift_invariance(self):
@@ -80,7 +80,7 @@ class TestImageToText:
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError):
-            image_to_text_loss(smat(np.zeros((2, 3))), LabelVector([0]), CFG)
+            image_to_text_loss(smat(np.zeros((2, 3))), np.array([0]), CFG)
 
 
 class TestTextToImage:
@@ -88,14 +88,14 @@ class TestTextToImage:
     term."""
 
     def test_zero_scores_hand_value(self):
-        got = text_to_image_loss(smat(np.zeros((3, 2))), LabelVector([0, 0, 1]), CFG)
+        got = text_to_image_loss(smat(np.zeros((3, 2))), np.array([0, 0, 1]), CFG)
         np.testing.assert_allclose(got, 0.7520386983881371, atol=1e-12)
 
     def test_single_class_batch_averages_over_one(self):
         """Only the present class row enters the average."""
         rng = np.random.default_rng(21)
         s = smat(rng.normal(size=(4, 5)))
-        labels = LabelVector([2, 2, 2, 2])
+        labels = np.array([2, 2, 2, 2])
         col = s[:, 2]
         # KL(uniform || softmax(col)) = logsumexp(col) - mean(col) - ln(M)
         lse = float(np.log(np.exp(col - col.max()).sum()) + col.max())
@@ -104,7 +104,7 @@ class TestTextToImage:
 
     def test_single_image_is_zero(self):
         s = smat([[0.3, -1.2, 0.7]])
-        assert text_to_image_loss(s, LabelVector([1]), CFG) == 0.0
+        assert text_to_image_loss(s, np.array([1]), CFG) == 0.0
 
     def test_column_shift_invariance(self):
         s, labels, rng = random_case(22)
@@ -119,12 +119,12 @@ class TestTextToImage:
 
 class TestMainLoss:
     def test_composite_hand_value(self):
-        got = main_loss(smat(np.zeros((3, 2))), LabelVector([0, 0, 1]), CFG)
+        got = main_loss(smat(np.zeros((3, 2))), np.array([0, 0, 1]), CFG)
         np.testing.assert_allclose(got, 0.7225929394740411, atol=1e-12)
 
     def test_perfect_matching_limit(self):
         s = smat(1e3 * np.eye(4))
-        got = main_loss(s, LabelVector([0, 1, 2, 3]), CFG)
+        got = main_loss(s, np.array([0, 1, 2, 3]), CFG)
         assert got < 1e-12
 
     def test_is_mean_of_sub_losses(self):
@@ -161,7 +161,7 @@ class TestRankLoss:
         rng = np.random.default_rng(23)
         row = rng.normal(size=6)
         for c in range(6):
-            got = rank_loss(smat(row[None, :]), LabelVector([c]), CFG)
+            got = rank_loss(smat(row[None, :]), np.array([c]), CFG)
             expected = rank_directional_loss(row, c, "rightward", 1.0) + rank_directional_loss(
                 row, c, "leftward", 1.0
             )
@@ -169,16 +169,16 @@ class TestRankLoss:
 
     def test_large_margins_vanish(self):
         row = np.array([[40.0, 30.0, 20.0, 10.0, 0.0]]) * 10
-        assert rank_loss(smat(row), LabelVector([0]), CFG) < 1e-12
+        assert rank_loss(smat(row), np.array([0]), CFG) < 1e-12
 
     def test_zero_scores_hand_value(self):
-        got = rank_loss(smat(np.zeros((2, 5))), LabelVector([0, 2]), CFG)
+        got = rank_loss(smat(np.zeros((2, 5))), np.array([0, 2]), CFG)
         np.testing.assert_allclose(got, 4 * LN2, atol=1e-12)
 
     def test_all_equal_scores_count_pairs(self):
         for k in (2, 3, 5, 6):
             s = smat(np.full((3, k), 1.7))
-            got = rank_loss(s, LabelVector([0, k // 2, k - 1]), CFG)
+            got = rank_loss(s, np.array([0, k // 2, k - 1]), CFG)
             np.testing.assert_allclose(got, LN2 * (k - 1), atol=1e-12)
 
     def test_row_shift_invariance(self):
@@ -192,7 +192,7 @@ class TestRankLoss:
     def test_widening_gaps_strictly_decreases(self):
         """Scaling a row that already satisfies both chains shrinks the loss."""
         row = np.array([1.0, 2.0, 4.0, 3.0, 0.5])
-        labels = LabelVector([2])
+        labels = np.array([2])
         base = rank_loss(smat(row[None, :]), labels, CFG)
         wider = rank_loss(smat((2.0 * row)[None, :]), labels, CFG)
         assert wider < base
@@ -207,11 +207,11 @@ class TestRankLoss:
 class TestTotalLoss:
     def test_lambda_zero_is_main_only(self):
         s, labels, _ = random_case(26)
-        report = total_loss(s, labels.labels, LossConfig(lambda_rank=0.0))
+        report = total_loss(s, labels, LossConfig(lambda_rank=0.0))
         assert report.total == report.main
 
     def test_zero_scores_composite(self):
-        report = total_loss(smat(np.zeros((2, 5))), LabelVector([0, 2]).labels, CFG)
+        report = total_loss(smat(np.zeros((2, 5))), np.array([0, 2]), CFG)
         np.testing.assert_allclose(report.rank, 4 * LN2, atol=1e-12)
         np.testing.assert_allclose(report.total, report.main + 4 * LN2, atol=1e-12)
 
@@ -219,12 +219,12 @@ class TestTotalLoss:
         for seed in range(20):
             s, labels, rng = random_case(seed + 100)
             cfg = LossConfig(lambda_rank=float(rng.uniform(0, 3)))
-            report = total_loss(s, labels.labels, cfg)
+            report = total_loss(s, labels, cfg)
             assert abs(report.total - (report.main + cfg.lambda_rank * report.rank)) <= 1e-12
 
     def test_all_terms_nonnegative_and_finite(self):
         for seed in range(30):
             s, labels, _ = random_case(seed + 200)
-            report = total_loss(s, labels.labels, CFG)
+            report = total_loss(s, labels, CFG)
             assert report.main >= 0 and report.rank >= 0 and report.total >= 0
             assert np.isfinite(report.grad_similarity).all()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rankprompt import losses, sms
-from rankprompt.core import InputError, LabelVector, similarity_matrix
+from rankprompt.core import InputError, similarity_matrix
 from rankprompt.losses import LossConfig
 from rankprompt.model import (
     PARAM_FIELDS,
@@ -102,7 +102,7 @@ class TestForwardSimilarity:
         rng = np.random.default_rng(3)
         p = init_params(4, 6, 3, 5, 3)
         feats = rng.normal(size=(7, 4))
-        labels = LabelVector(rng.integers(0, 5, 7)).labels
+        labels = rng.integers(0, 5, 7)
         res = model_backward(p, feats, labels, None, LossConfig())
         assert res.report.total == res.report.main + res.report.rank
         np.testing.assert_allclose(res.similarity_raw, forward_similarity(p, feats))
@@ -112,7 +112,7 @@ class TestForwardSimilarity:
         rng = np.random.default_rng(4)
         p = init_params(4, 6, 3, 5, 5)
         feats = rng.normal(size=(6, 4))
-        labels = LabelVector(rng.integers(0, 5, 6)).labels
+        labels = rng.integers(0, 5, 6)
         lam_only = model_backward(p, feats, labels, None, LossConfig(), include_main=False)
         full = model_backward(p, feats, labels, None, LossConfig())
         zero_lam = model_backward(p, feats, labels, None, LossConfig(lambda_rank=0.0))
@@ -161,7 +161,7 @@ class TestBackwardSinglePass:
         assert stats.smoothed_mean is not None
         p = init_params(4, 6, 3, 5, 7)
         feats = rng.normal(size=(8, 4))
-        labels = LabelVector(rng.integers(0, 5, 8)).labels
+        labels = rng.integers(0, 5, 8)
 
         for name in ("image_to_text_term", "text_to_image_term", "rank_term", "total_loss"):
             count(losses, name)

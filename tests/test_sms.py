@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankprompt.config import RunConfig
-from rankprompt.core import InputError, LabelVector
+from rankprompt.core import InputError
 from rankprompt.sms import (
     VAR_FLOOR,
     EpochSums,
@@ -26,7 +26,7 @@ UNIT = KernelSpec(sigma=1.0, include_self=False)
 def committed_from(rows, labels, k, kernel=UNIT):
     """One accumulate + commit round, the normal route to usable stats."""
     sums = EpochSums(k)
-    accumulate_class_stats(sums, np.asarray(rows, dtype=float), LabelVector(labels).labels)
+    accumulate_class_stats(sums, np.asarray(rows, dtype=float), np.array(labels))
     return commit_epoch(sums, kernel)
 
 
@@ -61,6 +61,24 @@ class TestKernelWeights:
             raw = kernel_weights(KernelSpec(sigma=sigma, include_self=False), 0, 5)
             np.testing.assert_allclose(stats.smoothed_mean[0], raw / raw.sum(), atol=1e-12)
 
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_extreme_sigmas_are_the_delta_and_flat_kernels(self, include_self):
+        """A sigma whose square underflows to 0 gives the delta kernel and one
+        whose square overflows the flat kernel, with no NaN and no warning."""
+        own = 1.0 if include_self else 0.0
+        delta = kernel_weights(KernelSpec(sigma=1e-200, include_self=include_self), 2, 5)
+        flat = kernel_weights(KernelSpec(sigma=1e200, include_self=include_self), 2, 5)
+        assert delta.tolist() == [0.0, 0.0, own, 0.0, 0.0]
+        assert flat.tolist() == [1.0, 1.0, own, 1.0, 1.0]
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-3, 0.4, 1.0, 1.7, 1e3, 1e150])
+    def test_finite_sigmas_keep_the_gaussian_bits(self, sigma):
+        """Where the Gaussian formula is finite, the weights are its bits."""
+        d = np.arange(6, dtype=np.float64) - 2.0
+        with np.errstate(over="ignore", divide="ignore"):
+            want = np.exp(-(d * d) / (2.0 * sigma**2))
+        assert kernel_weights(KernelSpec(sigma=sigma, include_self=True), 2, 6).tobytes() == want.tobytes()
+
     def test_rejects_single_class(self):
         with pytest.raises(InputError):
             kernel_weights(UNIT, 0, 1)
@@ -84,7 +102,7 @@ class TestAccumulate:
 
     def test_empty_class_is_undefined(self):
         sums = EpochSums(3)
-        accumulate_class_stats(sums, np.ones((2, 3)), LabelVector([0, 0]).labels)
+        accumulate_class_stats(sums, np.ones((2, 3)), np.array([0, 0]))
         assert sums.count[1] == 0
         assert np.isnan(commit_epoch(sums, UNIT).mean[1]).all()
 
@@ -92,8 +110,8 @@ class TestAccumulate:
         sums = EpochSums(2)
         a = np.array([[1.0, 3.0]])
         b = np.array([[3.0, 5.0]])
-        accumulate_class_stats(sums, a, LabelVector([1]).labels)
-        accumulate_class_stats(sums, b, LabelVector([1]).labels)
+        accumulate_class_stats(sums, a, np.array([1]))
+        accumulate_class_stats(sums, b, np.array([1]))
         np.testing.assert_allclose(commit_epoch(sums, UNIT).mean[1], [2.0, 4.0])
 
     def test_order_invariance(self):
@@ -128,9 +146,9 @@ class TestAccumulate:
     def test_rejects_shape_mismatch(self):
         sums = EpochSums(3)
         with pytest.raises(InputError):
-            accumulate_class_stats(sums, np.ones((2, 4)), LabelVector([0, 1]).labels)
+            accumulate_class_stats(sums, np.ones((2, 4)), np.array([0, 1]))
         with pytest.raises(InputError):
-            accumulate_class_stats(sums, np.ones((2, 3)), LabelVector([0]).labels)
+            accumulate_class_stats(sums, np.ones((2, 3)), np.array([0]))
 
 
 class TestSmoothStats:
@@ -184,7 +202,7 @@ class TestCalibrateRows:
         labels = rng.integers(0, 5, 30)
         stats = committed_from(rows, labels, 5, KernelSpec(sigma=1e-3, include_self=True))
         fresh = rng.normal(size=(8, 5))
-        fresh_labels = LabelVector(rng.integers(0, 5, 8))
+        fresh_labels = rng.integers(0, 5, 8)
         out = calibrate_rows(fresh, fresh_labels, stats)
         np.testing.assert_allclose(out, fresh, atol=1e-12)
 
@@ -195,7 +213,7 @@ class TestCalibrateRows:
         stats = committed_from(rows, labels, 4)
         for c in range(4):
             s = stats.mean[c][None, :]
-            out = calibrate_rows(s, LabelVector([c]), stats)
+            out = calibrate_rows(s, np.array([c]), stats)
             np.testing.assert_allclose(out[0], stats.smoothed_mean[c], atol=1e-12)
 
     def test_scalar_standard_case(self):
@@ -205,13 +223,13 @@ class TestCalibrateRows:
         # class 0 rows give mean 1 var 1 in column 0; class 1 mean 3 var 4
         rows0 = np.array([[0.0, 0.0], [2.0, 2.0]])
         rows1 = np.array([[1.0, 1.0], [5.0, 5.0]])
-        accumulate_class_stats(sums, rows0, LabelVector([0, 0]).labels)
-        accumulate_class_stats(sums, rows1, LabelVector([1, 1]).labels)
+        accumulate_class_stats(sums, rows0, np.array([0, 0]))
+        accumulate_class_stats(sums, rows1, np.array([1, 1]))
         stats = commit_epoch(sums, UNIT)
         # the only non-self neighbor of class 0 is class 1
         np.testing.assert_allclose(stats.smoothed_mean[0], [3.0, 3.0])
         np.testing.assert_allclose(stats.smoothed_var[0], [4.0, 4.0])
-        out = calibrate_rows(np.array([[2.0, 2.0]]), LabelVector([0]), stats)
+        out = calibrate_rows(np.array([[2.0, 2.0]]), np.array([0]), stats)
         np.testing.assert_allclose(out, [[5.0, 5.0]], atol=1e-12)
 
     def test_affine_property(self):
@@ -226,9 +244,9 @@ class TestCalibrateRows:
             s = rng.normal(size=(1, k))
             alpha = float(rng.uniform(-1.5, 1.5))
             lhs = calibrate_rows(
-                alpha * s + (1 - alpha) * stats.mean[c], LabelVector([c]), stats
+                alpha * s + (1 - alpha) * stats.mean[c], np.array([c]), stats
             )[0]
-            rhs = alpha * calibrate_rows(s, LabelVector([c]), stats)[0] + (
+            rhs = alpha * calibrate_rows(s, np.array([c]), stats)[0] + (
                 1 - alpha
             ) * stats.smoothed_mean[c]
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -239,14 +257,14 @@ class TestCalibrateRows:
         cfg = RunConfig(classes=3, feature_dim=4, hidden_dim=5, embed_dim=2)
         params = init_params(4, 5, 2, 3, 0)
         feats = np.random.default_rng(3).normal(size=(6, 4))
-        out = calibrated_similarity(params, None, feats, LabelVector([0, 1, 2, 0, 1, 2]), cfg)
+        out = calibrated_similarity(params, None, feats, np.array([0, 1, 2, 0, 1, 2]), cfg)
         np.testing.assert_array_equal(out, forward_similarity(params, feats))
 
     def test_disabled_commit_passes_through(self):
         stats = committed_from(np.ones((3, 3)), [1, 1, 1], 3)
         assert stats.smoothed_mean is None
         s = np.array([[1.0, 2.0, 3.0]])
-        out = calibrate_rows(s, LabelVector([1]), stats)
+        out = calibrate_rows(s, np.array([1]), stats)
         np.testing.assert_array_equal(out, s)
 
     def test_unseen_class_rows_pass_through(self):
@@ -255,7 +273,7 @@ class TestCalibrateRows:
         labels = rng.integers(0, 3, 20)  # class 3 never observed
         stats = committed_from(rows, labels, 4)
         s = rng.normal(size=(2, 4))
-        out = calibrate_rows(s, LabelVector([3, 0]), stats)
+        out = calibrate_rows(s, np.array([3, 0]), stats)
         np.testing.assert_array_equal(out[0], s[0])
         assert not np.allclose(out[1], s[1])
 
@@ -265,7 +283,7 @@ class TestCalibrateRows:
         labels = rng.integers(0, 5, 25)
         stats = committed_from(rows, labels, 5)
         s = rng.normal(size=(6, 5))
-        lab = LabelVector(rng.integers(0, 5, 6))
+        lab = rng.integers(0, 5, 6)
         first = calibrate_rows(s, lab, stats)
         second = calibrate_rows(s, lab, stats)
         assert np.array_equal(first, second)
@@ -312,7 +330,7 @@ class TestCommitEpoch:
         accumulate_class_stats(sums, rows, labels)
         stats = commit_epoch(sums, UNIT)
         s = rng.normal(size=(4, 3))
-        lab = LabelVector(rng.integers(0, 3, 4))
+        lab = rng.integers(0, 3, 4)
         before = calibrate_rows(s, lab, stats)
         for mid_epoch in (sums, EpochSums(3)):
             accumulate_class_stats(mid_epoch, rng.normal(size=(5, 3)), np.zeros(5, dtype=np.int64))
@@ -330,7 +348,7 @@ class TestSerialization:
         stats = committed_from(rows, labels, 5)
         loaded = stats_from_dict(json.loads(json.dumps(stats_to_dict(stats))), 5)
         s = rng.normal(size=(7, 5))
-        lab = LabelVector(rng.integers(0, 5, 7))
+        lab = rng.integers(0, 5, 7)
         assert np.array_equal(calibrate_rows(s, lab, stats), calibrate_rows(s, lab, loaded))
 
     def test_round_trip_pristine(self):

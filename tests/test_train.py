@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankprompt import core, model
+from rankprompt import data, evaluation, model, sms
 from rankprompt import train as train_module
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import DatasetSpec, generate_synthetic
+from rankprompt.losses import LossConfig
 from rankprompt.train import save_checkpoint, train
 
 TINY = RunConfig(
@@ -90,15 +91,51 @@ class TestBoundaryChecks:
         with pytest.raises(InputError, match="^label 3 out of range for 3 classes$"):
             train(TINY, dataset)
 
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "K"])
+    @pytest.mark.parametrize(
+        "boundary",
+        ["Dataset", "train", "metrics_report", "class_mean_similarity", "calibrate_rows", "model_backward"],
+    )
+    def test_every_label_boundary_rejects_out_of_range(self, boundary, bad):
+        """Each entry point that takes labels rejects -1 and K = 3 with an
+        InputError; all but the training step's own check name the label."""
+        labels = np.array([0, 1, 2, 0, 1, bad])
+        scores = np.zeros((6, 3))
+        sums = sms.EpochSums(3)
+        sms.accumulate_class_stats(sums, scores, np.array([0, 1, 2, 0, 1, 2]))
+        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=1.0, include_self=True))
+        split = np.array(["train"] * 6, dtype=object)
+
+        def train_on(labels):
+            dataset = dataset_for(TINY)
+            object.__setattr__(dataset, "labels", labels[np.arange(dataset.n) % 6])  # past Dataset's own check
+            train(TINY, dataset)
+
+        calls = {
+            "Dataset": lambda: data.Dataset(np.zeros((6, 2)), labels, split, np.arange(6), 3),
+            "train": lambda: train_on(labels),
+            "metrics_report": lambda: evaluation.metrics_report(scores, labels, 3),
+            "class_mean_similarity": lambda: evaluation.class_mean_similarity(scores, labels, 3),
+            "calibrate_rows": lambda: sms.calibrate_rows(scores, labels, stats),
+            "model_backward": lambda: model.model_backward(
+                model.init_params(2, 4, 3, 3, 0), np.zeros((6, 2)), labels, None, LossConfig()
+            ),
+        }
+        message = "^labels must be non-negative class indices$" if bad < 0 else "^label 3 out of range for 3 classes$"
+        if boundary == "model_backward":
+            message = r"^labels must lie in \[0, 3\)"
+        with pytest.raises(InputError, match=message):
+            calls[boundary]()
+
     def test_feature_width_checked_once(self):
         dataset = dataset_for(replace(TINY, feature_dim=6))
         with pytest.raises(InputError, match=r"^features must be M x 4, got shape"):
             train(TINY, dataset)
 
     def test_checks_do_not_grow_with_the_batch_count(self, monkeypatch):
-        """Batches of 8 and of 64 rows make the same number of label vectors
-        and label range checks: every one of them belongs to the entry of
-        train or to a per-epoch evaluation.  The step still runs once per
+        """Batches of 8 and of 64 rows make the same number of label checks:
+        every one of them belongs to the entry of train or to a per-epoch
+        evaluation.  The step still runs once per
         batch."""
         calls = Counter()
 
@@ -111,8 +148,8 @@ class TestBoundaryChecks:
 
             monkeypatch.setattr(owner, name, counted)
 
-        count(core.LabelVector, "__post_init__", "LabelVector")
-        count(core.LabelVector, "validate_for", "validate_for")
+        for module in (data, sms, train_module, evaluation):  # each imported check_labels by name
+            count(module, "check_labels", "check_labels")
         count(model, "model_backward", "model_backward")
         dataset = dataset_for(TINY)
         seen = {}
@@ -122,8 +159,7 @@ class TestBoundaryChecks:
             seen[batch_size] = dict(calls)
             assert calls["model_backward"] == TINY.epochs * math.ceil(train_rows(dataset) / batch_size)
         assert seen[8]["model_backward"] > seen[64]["model_backward"]
-        for key in ("LabelVector", "validate_for"):
-            assert seen[8][key] == seen[64][key], key
+        assert seen[8]["check_labels"] == seen[64]["check_labels"]
 
 
 # A train split of 4,800 rows, over model.FORWARD_TILE_ROWS: its evaluation overlaps the next epoch.
@@ -235,6 +271,26 @@ class TestCommittedStatistics:
         save_checkpoint(tmp_path / "checkpoint.json", result, cfg)
         doc = json.loads((tmp_path / "checkpoint.json").read_text())
         assert doc["sms"] == dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
+
+
+class TestSelfExcludedSmoothing:
+    def test_diverges_where_self_inclusive_smoothing_converges(self):
+        """The claim of the comment on ``RunConfig.sms_sigma``: on the README
+        config (seed 7) over 100 epochs, smoothing that excludes each grade's
+        own statistics drives the final total loss to 173 and the calibration
+        scales to 0.45-9.74, while the default self-inclusive kernel ends at
+        0.214 with scales of 0.98-1.54."""
+        cfg = replace(RunConfig(seed=7), epochs=100)
+        dataset = dataset_for(cfg)
+        ends = {}
+        for include_self in (False, True):
+            result = train(replace(cfg, sms_include_self=include_self), dataset)
+            scale, _ = result.stats.calibration_table
+            ends[include_self] = (result.log[-1]["total"], scale.min(), scale.max())
+        loss, low, high = ends[False]
+        assert loss > 50.0 and low < 0.7 and high > 5.0, ends
+        loss, low, high = ends[True]
+        assert loss < 1.0 and 0.9 < low and high < 2.0, ends
 
 
 def test_readme_library_example_runs(capsys):
