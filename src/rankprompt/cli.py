@@ -22,7 +22,13 @@ from .data import Dataset, DatasetSpec, ParseError, class_counts, generate_synth
 from .train import evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
 
 SEED_ENV = "RANKPROMPT_SEED"
-ABLATION_VARIANTS = ("full", "no_rank", "no_main", "no_sms")
+# name -> (RunConfig overrides, include_main)
+ABLATION_VARIANTS = {
+    "full": ({}, True),
+    "no_rank": ({"lambda_rank": 0.0}, True),
+    "no_main": ({}, False),
+    "no_sms": ({"sms_enabled": False}, True),
+}
 ABLATION_SEEDS = 5
 ABLATION_METRICS = ("macro_f1", "macro_auc", "rank_monotonicity")
 
@@ -99,7 +105,7 @@ def _inference_inputs(cfg: RunConfig, args, out: Path):
 def cmd_eval(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     params, stats, feats, labels = _inference_inputs(cfg, args, out)
-    report = evaluate(params, stats, feats, labels, cfg, use_sms=not args.no_sms)
+    report = evaluate(params, stats, feats, labels, cfg)
     _write_json(out / "metrics.json", report.to_dict())
     print(
         f"{args.split}: macro_f1={report.macro_f1:.4f} macro_auc={report.macro_auc:.4f} "
@@ -111,7 +117,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_heatmap(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     params, stats, feats, labels = _inference_inputs(cfg, args, out)
-    matrix = heatmap_matrix(params, stats, feats, labels, cfg, use_sms=not args.no_sms)
+    matrix = heatmap_matrix(params, stats, feats, labels, cfg)
     path = out / "heatmap.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("true_class," + ",".join(f"s{j}" for j in range(cfg.classes)) + "\n")
@@ -121,19 +127,6 @@ def cmd_heatmap(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _ablation_variant(cfg: RunConfig, name: str, seed: int) -> tuple[RunConfig, bool]:
-    cfg = replace(cfg, seed=seed)
-    if name == "full":
-        return cfg, True
-    if name == "no_rank":
-        return replace(cfg, lambda_rank=0.0), True
-    if name == "no_main":
-        return cfg, False
-    if name == "no_sms":
-        return replace(cfg, sms_enabled=False), True
-    raise InputError(f"unknown ablation variant {name!r}")
-
-
 def cmd_ablate(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     seeds = [cfg.seed + i for i in range(ABLATION_SEEDS)]
@@ -141,8 +134,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     for seed in seeds:
         dataset = generate_synthetic(replace(_dataset_spec(cfg), seed=seed))
         feats, labels = dataset.subset("test")
-        for name in ABLATION_VARIANTS:
-            vcfg, include_main = _ablation_variant(cfg, name, seed)
+        for name, (overrides, include_main) in ABLATION_VARIANTS.items():
+            vcfg = replace(cfg, seed=seed, **overrides)
             result = train(vcfg, dataset, include_main=include_main)
             report = evaluate(result.params, result.stats, feats, labels, vcfg)
             collected[name]["macro_f1"].append(report.macro_f1)
@@ -154,7 +147,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             name: {
                 metric: {
                     "mean": mean(vals),
-                    "stdev": stdev(vals) if len(vals) > 1 else 0.0,
+                    "stdev": stdev(vals),
                     "values": vals,
                 }
                 for metric, vals in metrics.items()
@@ -197,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("eval", "heatmap"):
             p.add_argument("--checkpoint", default=None, help="checkpoint JSON (default: <out>/checkpoint.json)")
             p.add_argument("--split", default="test", choices=["train", "test"])
-            p.add_argument("--no-sms", action="store_true", help="skip calibration at inference")
     return parser
 
 

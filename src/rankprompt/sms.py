@@ -4,7 +4,8 @@ While an epoch runs, ``accumulate_class_stats`` adds each grade's raw
 similarity rows to an ``EpochSums`` in place.  At the epoch boundary
 ``commit_epoch`` turns the sums into an immutable ``ClassStats``: per-grade
 mean/variance plus versions smoothed across neighboring grades with a
-Gaussian kernel over grade distance.  Calibration reads only a
+Gaussian kernel over grade distance.  A commit covers every grade; an epoch
+in which some grade has no rows cannot commit.  Calibration reads only a
 ``ClassStats``, as a per-row affine map, throughout the following epoch;
 None (nothing committed yet) means no calibration.  Sums still being
 accumulated are never a ``ClassStats``, so calibration cannot read them.
@@ -38,8 +39,7 @@ class KernelSpec:
 def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
     """Raw weight vector over k classes for smoothing class j's statistics:
     exp(-(j-j')^2 / (2 sigma^2)), with the self weight zeroed unless
-    ``include_self``.  ``commit_epoch`` renormalizes them over the classes
-    observed in the epoch.
+    ``include_self``.  ``commit_epoch`` normalizes them to sum to 1.
     """
     if k < 2:
         raise InputError(f"need at least 2 classes to smooth over, got {k}")
@@ -72,20 +72,18 @@ class EpochSums:
 @dataclass(frozen=True)
 class ClassStats:
     """The per-grade statistics one epoch commit froze, as read-only arrays:
-    the row ``count`` per grade, the K x K ``mean`` and ``var`` (NaN rows for
-    grades without rows) and their kernel-smoothed versions, which are None
-    when the commit saw fewer than two grades: calibration is then off."""
+    the row ``count`` per grade (each at least 1), the K x K ``mean`` and
+    ``var``, and their kernel-smoothed versions."""
 
     count: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    smoothed_mean: np.ndarray | None
-    smoothed_var: np.ndarray | None
+    smoothed_mean: np.ndarray
+    smoothed_var: np.ndarray
 
     def __post_init__(self):
         for arr in (self.count, self.mean, self.var, self.smoothed_mean, self.smoothed_var):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -94,16 +92,10 @@ class ClassStats:
     @cached_property
     def calibration_table(self) -> tuple[np.ndarray, np.ndarray]:
         """K x K (scale, offset) of the calibration map, one row per grade:
-        scale = sqrt(smoothed_var/var), offset = smoothed_mean - scale*mean;
-        identity for grades without rows and while calibration is off.
+        scale = sqrt(smoothed_var/var), offset = smoothed_mean - scale*mean.
         Built once: the arrays never change."""
-        scale = np.ones((self.k, self.k))
-        offset = np.zeros((self.k, self.k))
-        if self.smoothed_mean is not None:
-            usable = self.count > 0
-            sc = np.sqrt(self.smoothed_var[usable]) / np.sqrt(self.var[usable])
-            scale[usable] = sc
-            offset[usable] = self.smoothed_mean[usable] - sc * self.mean[usable]
+        scale = np.sqrt(self.smoothed_var) / np.sqrt(self.var)
+        offset = self.smoothed_mean - scale * self.mean
         scale.setflags(write=False)
         offset.setflags(write=False)
         return scale, offset
@@ -127,40 +119,29 @@ def accumulate_class_stats(sums: EpochSums, s: np.ndarray, labels: np.ndarray) -
     sums.count += np.bincount(labels, minlength=sums.k)
 
 
-def commit_epoch(sums: EpochSums, kernel: KernelSpec) -> ClassStats | None:
+def commit_epoch(sums: EpochSums, kernel: KernelSpec) -> ClassStats:
     """Freeze the epoch's per-grade mean and population variance (floored at
     VAR_FLOOR), and their ``kernel``-smoothed versions, for use throughout
-    the next epoch; None when nothing was accumulated.
-
-    Grades without rows this epoch are excluded from every weighted sum and
-    the kernel weights are renormalized over the observed ones.  When fewer
-    than two grades were seen the statistics are still frozen, but without
-    smoothed versions: calibration is off until a richer epoch commits.
-    """
-    if int(sums.count.sum()) == 0:
-        return None
+    the next epoch.  Every grade needs rows: an InputError names those
+    without."""
+    missing = np.flatnonzero(sums.count == 0).tolist()
+    if missing:
+        raise InputError(f"cannot commit calibration statistics: grades {missing} have no rows this epoch")
     k = sums.k
-    observed = sums.count > 0
-    n = sums.count[observed, None].astype(np.float64)
-    m = sums.total[observed] / n
-    mean = np.full((k, k), np.nan)
-    var = np.full((k, k), np.nan)
-    mean[observed] = m
-    var[observed] = np.maximum(sums.totalsq[observed] / n - m * m, VAR_FLOOR)
-    sm = sv = None
-    if int(observed.sum()) >= 2:
-        sm = np.full((k, k), np.nan)
-        sv = np.full((k, k), np.nan)
-        for j in np.flatnonzero(observed):
-            w = np.where(observed, kernel_weights(kernel, int(j), k), 0.0)
-            total = w.sum()
-            if total <= 0.0:
-                # every candidate neighbor underflowed; keep the raw statistics
-                sm[j], sv[j] = mean[j], var[j]
-                continue
-            w = w / total
-            sm[j] = w[observed] @ mean[observed]
-            sv[j] = w[observed] @ var[observed]
+    n = sums.count[:, None].astype(np.float64)
+    mean = sums.total / n
+    var = np.maximum(sums.totalsq / n - mean * mean, VAR_FLOOR)
+    sm, sv = np.empty((k, k)), np.empty((k, k))
+    for j in range(k):
+        w = kernel_weights(kernel, j, k)
+        total = w.sum()
+        if total <= 0.0:
+            # every neighbor weight underflowed and the self weight is off; keep the raw statistics
+            sm[j], sv[j] = mean[j], var[j]
+            continue
+        w = w / total
+        sm[j] = w @ mean
+        sv[j] = w @ var
     return ClassStats(count=sums.count.copy(), mean=mean, var=var, smoothed_mean=sm, smoothed_var=sv)
 
 
@@ -186,81 +167,44 @@ def calibrate_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> np.n
     return require_finite(scale * s + offset)
 
 
+STATS_KEYS = ("count", "mean", "var", "smoothed_mean", "smoothed_var")
+
+
 def stats_to_dict(stats: ClassStats | None) -> dict:
     """JSON-ready snapshot of committed statistics; all null for None."""
     if stats is None:
-        return dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
-
-    def per_class(arr):
-        if arr is None:
-            return None
-        return [None if stats.count[j] == 0 else arr[j].tolist() for j in range(stats.k)]
-
-    return {
-        "count": stats.count.tolist(),
-        "mean": per_class(stats.mean),
-        "var": per_class(stats.var),
-        "smoothed_mean": per_class(stats.smoothed_mean),
-        "smoothed_var": per_class(stats.smoothed_var),
-    }
+        return dict.fromkeys(STATS_KEYS)
+    return {key: getattr(stats, key).tolist() for key in STATS_KEYS}
 
 
 def stats_from_dict(d: dict, k: int) -> ClassStats | None:
-    """Rebuild committed statistics over ``k`` classes, or None when the
-    snapshot holds none.
+    """Rebuild committed statistics over ``k`` classes, or None when all five
+    keys are null (nothing committed).
 
-    ``count``/``mean``/``var`` are all null (nothing committed) or all
-    present, likewise ``smoothed_mean``/``smoothed_var``, which need the
-    frozen ones.  ``count`` holds ``k`` non-negative integers and each
-    per-class list ``k`` rows of ``k`` numbers; a class with a positive
-    count needs a finite row, other rows may be null.  Keys this function
-    does not read are ignored."""
+    Otherwise ``count`` holds ``k`` integers in [1, 2^63) and every other key
+    ``k`` rows of ``k`` finite JSON numbers; an InputError names the key that
+    breaks this.  Keys this function does not read are ignored."""
     if k < 2:
         raise InputError(f"need at least 2 classes, got {k}")
-
-    def present(keys) -> bool:
-        nulls = [d[key] is None for key in keys]
-        if any(nulls) and not all(nulls):
-            raise InputError(f"calibration statistics {'/'.join(keys)} must be all null or all present")
-        return not nulls[0]
-
-    frozen = present(("count", "mean", "var"))
-    smoothed = present(("smoothed_mean", "smoothed_var"))
-    if smoothed and not frozen:
-        raise InputError("smoothed calibration statistics need frozen count/mean/var")
-    if not frozen:
+    if all(d[key] is None for key in STATS_KEYS):
         return None
     counts = d["count"]
-    if len(counts) != k or not all(type(c) is int and 0 <= c < 2**63 for c in counts):
-        raise InputError(f"calibration count must hold {k} non-negative integers, got {counts!r}")
-    count = np.asarray(counts, dtype=np.int64)
-    seen = count > 0
+    if type(counts) is not list or len(counts) != k or not all(type(c) is int and 0 < c < 2**63 for c in counts):
+        raise InputError(f"calibration count must hold {k} positive integers, got {counts!r}")
 
-    def from_per_class(key):
-        rows = d[key]
-        if rows is None:
-            return None
-        if len(rows) != k:
-            raise InputError(f"calibration {key} covers {len(rows)} classes, expected {k}")
-        out = np.full((k, k), np.nan)
-        for j, row in enumerate(rows):
-            if row is not None:
-                if len(row) != k or not all(type(v) in (int, float) for v in row):
-                    raise InputError(f"calibration {key} row of class {j} must hold {k} numbers, got {row!r}")
-                try:
-                    out[j] = row
-                except OverflowError:
-                    raise InputError(f"calibration {key} row of class {j} holds an integer beyond float64") from None
-            elif seen[j]:
-                raise InputError(f"calibration {key} has no row for observed class {j}")
-        if not np.isfinite(out[seen]).all():
-            raise InputError(f"calibration {key} has non-finite entries for an observed class")
+    def rows(key):
+        value = d[key]
+        # every element's type is checked: numpy would parse a string such as "1.5"
+        if type(value) is not list or len(value) != k or not all(
+            type(row) is list and len(row) == k and all(type(v) in (int, float) for v in row) for row in value
+        ):
+            raise InputError(f"calibration {key} must hold {k} rows of {k} numbers, got {value!r}")
+        try:
+            out = np.array(value, dtype=np.float64)
+        except OverflowError:
+            raise InputError(f"calibration {key} holds an integer beyond float64") from None
+        if not np.isfinite(out).all():
+            raise InputError(f"calibration {key} has non-finite entries")
         return out
 
-    return ClassStats(
-        count=count,
-        mean=from_per_class("mean"),
-        var=from_per_class("var"),
-        smoothed_mean=from_per_class("smoothed_mean"),
-        smoothed_var=from_per_class("smoothed_var"),
-    )
+    return ClassStats(np.array(counts, dtype=np.int64), *(rows(key) for key in STATS_KEYS[1:]))

@@ -4,8 +4,10 @@ One epoch = shuffled batches of (encode -> similarity -> calibrate ->
 loss -> backward -> optimizer step) while the raw similarity rows are
 summed per grade into an ``sms.EpochSums``; at the epoch boundary the sums
 commit to an immutable ``sms.ClassStats`` that calibrates the next epoch.
-The statistics are None (raw similarities) until the first commit, and
-throughout with calibration off; inference reuses the last committed ones.
+Every commit covers all K grades: ``train`` requires each in the train split,
+and every epoch visits all of it.  The statistics are None (raw similarities)
+until the first commit, and throughout with ``sms_enabled = false``, the one
+calibration switch; inference reuses the last committed ones.
 
 Memory is bounded by a batch or a tile, not the split: batches and the train-split evaluation's
 tiles gather through row indices, the backward turns its activations into the tanh derivative in
@@ -113,9 +115,10 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     """Run cfg.epochs of training on the train split; returns the final
     parameters, last committed statistics (None if none), and per-epoch log.
 
-    The train split is checked against ``cfg`` once, here; after that a
-    non-finite similarity or parameter means training diverged, and the
-    InputError names the epoch, the 0-based batch and the first bad tensor.
+    The train split is checked against ``cfg`` once, here, and must hold every
+    grade; after that a non-finite similarity or parameter means training
+    diverged, and the InputError names the epoch, the 0-based batch and the
+    first bad tensor.
 
     On a train split of over ``model.FORWARD_TILE_ROWS`` rows, each epoch's
     train-split evaluation but the last runs on one worker thread, on a snapshot
@@ -130,6 +133,9 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     rows = dataset.rows("train")
     train_labels = dataset.labels[rows]
     check_labels(train_labels, cfg.classes)
+    missing = np.flatnonzero(np.bincount(train_labels, minlength=cfg.classes) == 0).tolist()
+    if missing:
+        raise InputError(f"classes {missing} have no train samples")
     if dataset.feature_dim != cfg.feature_dim:
         raise InputError(f"features must be M x {cfg.feature_dim}, got shape {(len(rows), dataset.feature_dim)}")
     if not np.isfinite(dataset.features).all(axis=1)[rows].all():
@@ -163,13 +169,13 @@ def calibrated_similarity(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: RunConfig,
-    use_sms: bool = True,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Inference pipeline: encode, inner products, then the frozen calibration;
-    an M x K finite array.  ``rows`` scores ``features[rows]`` tile by tile."""
+    """Inference pipeline: encode, inner products, then the frozen calibration
+    unless ``cfg.sms_enabled`` is false or ``stats`` is None; an M x K finite
+    array.  ``rows`` scores ``features[rows]`` tile by tile."""
     s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings, rows=rows)
-    if use_sms and cfg.sms_enabled and stats is not None:
+    if cfg.sms_enabled and stats is not None:
         return sms.calibrate_rows(s_raw, labels, stats)
     return s_raw
 
@@ -180,10 +186,9 @@ def evaluate(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: RunConfig,
-    use_sms: bool = True,
     rows: np.ndarray | None = None,
 ) -> MetricsReport:
-    s_cal = calibrated_similarity(params, stats, features, labels, cfg, use_sms, rows)
+    s_cal = calibrated_similarity(params, stats, features, labels, cfg, rows)
     return metrics_report(s_cal, labels, cfg.classes, cfg.tau)
 
 
@@ -193,9 +198,8 @@ def heatmap_matrix(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: RunConfig,
-    use_sms: bool = True,
 ) -> np.ndarray:
-    s_cal = calibrated_similarity(params, stats, features, labels, cfg, use_sms)
+    s_cal = calibrated_similarity(params, stats, features, labels, cfg)
     return class_mean_similarity(s_cal, labels, cfg.classes)
 
 

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from rankprompt.cli import main
 from rankprompt.config import RunConfig, config_to_dict, load_config, parse_config_text
 from rankprompt.core import InputError
-from rankprompt.data import ParseError
-from rankprompt.model import PARAM_FIELDS, init_params, params_from_dict
+from rankprompt.data import ParseError, load_csv
+from rankprompt.evaluation import class_mean_similarity
+from rankprompt.model import PARAM_FIELDS, forward_similarity, init_params, params_from_dict
 from rankprompt.train import load_checkpoint
 
 
@@ -285,13 +286,24 @@ class TestTrainEval:
             assert f"error: {ckpt} was trained with classes = 3, the config sets 2" in capsys.readouterr().err
         assert not (other / "metrics.json").exists() and not (other / "heatmap.csv").exists()
 
-    def test_no_sms_flag_changes_scores(self, tmp_path):
+    def test_sms_disabled_config_heatmaps_raw_scores(self, tmp_path):
+        """``sms_enabled = false`` in the config that ``heatmap`` reads is the one
+        inference switch: it scores the checkpoint's raw similarities, which
+        differ from the calibrated ones."""
         cfg, out = self.run_pipeline(tmp_path)
-        main(["heatmap", "--config", cfg, "--out", str(out)])
-        with_sms = (out / "heatmap.csv").read_bytes()
-        main(["heatmap", "--config", cfg, "--out", str(out), "--no-sms"])
-        without = (out / "heatmap.csv").read_bytes()
-        assert with_sms != without
+        assert main(["heatmap", "--config", cfg, "--out", str(out)]) == 0
+        calibrated = (out / "heatmap.csv").read_text()
+        raw_cfg = write_config(tmp_path, TINY + "sms_enabled = false\n", name="raw.cfg")
+        assert main(["heatmap", "--config", raw_cfg, "--out", str(out)]) == 0
+        raw = (out / "heatmap.csv").read_text()
+        assert raw != calibrated
+        config = parse_config_text(TINY)
+        params, stats = load_checkpoint(out / "checkpoint.json", config)
+        assert stats is not None
+        feats, labels = load_csv(out / "dataset.csv", expected_classes=config.classes).subset("test")
+        want = class_mean_similarity(forward_similarity(params, feats, config.normalize_embeddings), labels, 3)
+        got = np.array([[float(v) for v in line.split(",")[1:]] for line in raw.splitlines()[1:]])
+        assert np.array_equal(got, want)
 
 
 class TestExitCodes:
@@ -460,6 +472,8 @@ class TestMalformedCheckpoint:
             (("params", "hyper", "embed_dim"), True),
             pytest.param(("params", "b1", 0), 10**400, id="params-int-beyond-float64"),
             pytest.param(("sms", "mean", 0, 0), 10**400, id="sms-int-beyond-float64"),
+            pytest.param(("sms", "count", 0), 0, id="sms-zero-count"),  # every grade has rows in a commit
+            pytest.param(("sms", "mean", 1), None, id="sms-null-row"),
         ],
     )
     def test_bad_value_is_3(self, tmp_path, capsys, path, value):

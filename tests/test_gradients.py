@@ -155,24 +155,6 @@ class TestFullChainGradients:
                     fd[idx] = (value(params.with_values(up)) - value(params.with_values(dn))) / (2 * H)
                 np.testing.assert_allclose(getattr(res.grads, name), fd, rtol=1e-3, atol=1e-6)
 
-    def test_sms_disabled_equals_raw_pipeline(self):
-        """Statistics committed from a single grade switch calibration off:
-        the identity map, so backward matches the stats-free pipeline exactly."""
-        rng = np.random.default_rng(99)
-        params = init_params(4, 6, 3, 5, 0)
-        feats = rng.normal(size=(6, 4))
-        labels = rng.integers(0, 5, 6)
-        cfg = LossConfig()
-        sums = EpochSums(5)
-        accumulate_class_stats(sums, rng.normal(size=(4, 5)), np.full(4, 2))
-        cold = commit_epoch(sums, KernelSpec(sigma=1.0, include_self=False))
-        assert cold.smoothed_mean is None
-        with_cold = model_backward(params, feats, labels, cold, cfg)
-        without = model_backward(params, feats, labels, None, cfg)
-        for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(getattr(with_cold.grads, name), getattr(without.grads, name))
-        assert with_cold.report.total == without.report.total
-
     def test_saturated_optimum_has_tiny_gradients(self):
         """One sample, perfect one-hot-like similarity row, lambda 0: the
         loss sits at its floor and every parameter gradient vanishes."""

@@ -21,6 +21,7 @@ from rankprompt.train import calibrated_similarity
 
 
 UNIT = KernelSpec(sigma=1.0, include_self=False)
+ROW_KEYS = ("mean", "var", "smoothed_mean", "smoothed_var")
 
 
 def committed_from(rows, labels, k, kernel=UNIT):
@@ -90,27 +91,30 @@ class TestKernelWeights:
 
 class TestAccumulate:
     def test_hand_mean_and_variance(self):
-        s = np.array([[1.0, 3.0], [3.0, 5.0]])
-        stats = committed_from(s, [1, 1], 2)
+        s = np.array([[1.0, 3.0], [3.0, 5.0], [0.0, 0.0]])
+        stats = committed_from(s, [1, 1, 0], 2)
         np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
         np.testing.assert_allclose(stats.var[1], [1.0, 1.0])
 
     def test_single_row_floors_variance(self):
-        stats = committed_from(np.array([[7.0, 7.0]]), [0], 2)
+        stats = committed_from(np.array([[7.0, 7.0], [0.0, 0.0]]), [0, 1], 2)
         np.testing.assert_allclose(stats.mean[0], [7.0, 7.0])
         np.testing.assert_allclose(stats.var[0], [VAR_FLOOR, VAR_FLOOR])
 
-    def test_empty_class_is_undefined(self):
-        sums = EpochSums(3)
-        accumulate_class_stats(sums, np.ones((2, 3)), np.array([0, 0]))
-        assert sums.count[1] == 0
-        assert np.isnan(commit_epoch(sums, UNIT).mean[1]).all()
+    def test_commit_names_the_grades_without_rows(self):
+        """An epoch that saw only some grades cannot commit: the error names
+        every grade without rows."""
+        sums = EpochSums(4)
+        accumulate_class_stats(sums, np.ones((3, 4)), np.array([0, 2, 0]))
+        assert sums.count[1] == 0 and sums.count[3] == 0
+        with pytest.raises(InputError, match=r"grades \[1, 3\] have no rows this epoch"):
+            commit_epoch(sums, UNIT)
 
     def test_accumulation_spans_batches(self):
         sums = EpochSums(2)
-        a = np.array([[1.0, 3.0]])
+        a = np.array([[1.0, 3.0], [0.0, 0.0]])
         b = np.array([[3.0, 5.0]])
-        accumulate_class_stats(sums, a, np.array([1]))
+        accumulate_class_stats(sums, a, np.array([1, 0]))
         accumulate_class_stats(sums, b, np.array([1]))
         np.testing.assert_allclose(commit_epoch(sums, UNIT).mean[1], [2.0, 4.0])
 
@@ -171,14 +175,6 @@ class TestSmoothStats:
         for j in range(3):
             np.testing.assert_allclose(smoothed.smoothed_mean[j], [4.25] * 3, atol=1e-12)
 
-    def test_absent_class_renormalization(self):
-        """A class never seen contributes nothing; weights renormalize."""
-        rows = np.array([[0.0, 0.5, 1.0], [2.0, 4.5, 3.0]])
-        smoothed = committed_from(rows, [0, 2], 3, KernelSpec(sigma=1e6, include_self=False))
-        # class 0's only observed non-self neighbor is class 2
-        np.testing.assert_allclose(smoothed.smoothed_mean[0], [2.0, 4.5, 3.0], atol=1e-9)
-        assert np.isnan(smoothed.smoothed_mean[1]).all()
-
     def test_underflowed_neighbors_keep_raw_statistics(self):
         """When every neighbor weight underflows to 0 the class keeps its own statistics."""
         rng = np.random.default_rng(2)
@@ -186,11 +182,6 @@ class TestSmoothStats:
         smoothed = committed_from(rows, np.arange(12) % 3, 3, KernelSpec(sigma=0.02, include_self=False))
         assert np.array_equal(smoothed.smoothed_mean, smoothed.mean)
         assert np.array_equal(smoothed.smoothed_var, smoothed.var)
-
-    def test_too_few_classes_signals(self):
-        stats = committed_from(np.ones((4, 3)) * 2, [1, 1, 1, 1], 3)
-        assert stats is not None and stats.smoothed_mean is None
-        assert stats.smoothed_var is None
 
 
 class TestCalibrateRows:
@@ -260,23 +251,6 @@ class TestCalibrateRows:
         out = calibrated_similarity(params, None, feats, np.array([0, 1, 2, 0, 1, 2]), cfg)
         np.testing.assert_array_equal(out, forward_similarity(params, feats))
 
-    def test_disabled_commit_passes_through(self):
-        stats = committed_from(np.ones((3, 3)), [1, 1, 1], 3)
-        assert stats.smoothed_mean is None
-        s = np.array([[1.0, 2.0, 3.0]])
-        out = calibrate_rows(s, np.array([1]), stats)
-        np.testing.assert_array_equal(out, s)
-
-    def test_unseen_class_rows_pass_through(self):
-        rng = np.random.default_rng(7)
-        rows = rng.normal(size=(20, 4))
-        labels = rng.integers(0, 3, 20)  # class 3 never observed
-        stats = committed_from(rows, labels, 4)
-        s = rng.normal(size=(2, 4))
-        out = calibrate_rows(s, np.array([3, 0]), stats)
-        np.testing.assert_array_equal(out[0], s[0])
-        assert not np.allclose(out[1], s[1])
-
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(25, 5))
@@ -290,9 +264,10 @@ class TestCalibrateRows:
 
 
 class TestCommitEpoch:
-    def test_commit_on_empty_epoch_is_noop(self):
-        """An epoch that accumulated nothing commits nothing."""
-        assert commit_epoch(EpochSums(5), UNIT) is None
+    def test_commit_on_empty_epoch_raises(self):
+        """An epoch that accumulated nothing has no grade to commit."""
+        with pytest.raises(InputError, match=r"grades \[0, 1, 2, 3, 4\] have no rows this epoch"):
+            commit_epoch(EpochSums(5), UNIT)
 
     def test_commit_freezes_and_resets(self):
         """The commit copies the epoch's counts into read-only arrays that
@@ -393,8 +368,14 @@ class TestSerialization:
         with pytest.raises(InputError):
             stats_from_dict(doc, 3)
 
-    def test_unseen_class_rows_stay_null(self):
-        doc = stats_to_dict(committed_from(np.arange(12.0).reshape(4, 3), [0, 0, 1, 1], 3))
-        assert doc["count"] == [2, 2, 0] and doc["mean"][2] is None
-        loaded = stats_from_dict(doc, 3)
-        assert np.isnan(loaded.mean[2]).all() and loaded.smoothed_mean is not None
+    @pytest.mark.parametrize("key", ["count", *ROW_KEYS])
+    def test_zero_count_or_null_row_rejected(self, key):
+        """Every grade has rows in a commit, so a zero count or a null row
+        (what an epoch missing a grade once wrote) is rejected, naming the key."""
+        doc = stats_to_dict(committed_from(np.arange(12.0).reshape(4, 3), [0, 1, 2, 1], 3))
+        if key == "count":
+            doc["count"][2] = 0
+        else:
+            doc[key][2] = None
+        with pytest.raises(InputError, match=f"^calibration {key} "):
+            stats_from_dict(doc, 3)

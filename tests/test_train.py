@@ -91,6 +91,16 @@ class TestBoundaryChecks:
         with pytest.raises(InputError, match="^label 3 out of range for 3 classes$"):
             train(TINY, dataset)
 
+    def test_every_grade_needs_train_rows(self, monkeypatch):
+        """A 3-grade dataset under a 4-grade config passes the label range
+        check, but grade 3 has no train rows, so no epoch could commit
+        statistics for it: train fails at its entry, before any step."""
+        steps = []
+        monkeypatch.setattr(model, "model_backward", lambda *args, **kwargs: steps.append(1))
+        with pytest.raises(InputError, match=r"^classes \[3\] have no train samples$"):
+            train(replace(TINY, classes=4), dataset_for(TINY))
+        assert steps == []
+
     @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "K"])
     @pytest.mark.parametrize(
         "boundary",
