@@ -22,12 +22,12 @@ from .data import Dataset, DatasetSpec, ParseError, class_counts, generate_synth
 from .train import evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
 
 SEED_ENV = "RANKPROMPT_SEED"
-# name -> (RunConfig overrides, include_main)
+# name -> RunConfig overrides
 ABLATION_VARIANTS = {
-    "full": ({}, True),
-    "no_rank": ({"lambda_rank": 0.0}, True),
-    "no_main": ({}, False),
-    "no_sms": ({"sms_enabled": False}, True),
+    "full": {},
+    "no_rank": {"lambda_rank": 0.0},
+    "no_main": {"lambda_main": 0.0},
+    "no_sms": {"sms_enabled": False},
 }
 ABLATION_SEEDS = 5
 ABLATION_METRICS = ("macro_f1", "macro_auc", "rank_monotonicity")
@@ -134,9 +134,9 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     for seed in seeds:
         dataset = generate_synthetic(replace(_dataset_spec(cfg), seed=seed))
         feats, labels = dataset.subset("test")
-        for name, (overrides, include_main) in ABLATION_VARIANTS.items():
+        for name, overrides in ABLATION_VARIANTS.items():
             vcfg = replace(cfg, seed=seed, **overrides)
-            result = train(vcfg, dataset, include_main=include_main)
+            result = train(vcfg, dataset)
             report = evaluate(result.params, result.stats, feats, labels, vcfg)
             collected[name]["macro_f1"].append(report.macro_f1)
             collected[name]["macro_auc"].append(report.macro_auc)

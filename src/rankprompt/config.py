@@ -29,6 +29,7 @@ class RunConfig:
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     tau: float = 1.0
+    lambda_main: float = 1.0
     lambda_rank: float = 1.0
     sms_enabled: bool = True
     # self-inclusive narrow kernel: self-excluded smoothing recenters every
@@ -62,6 +63,7 @@ class RunConfig:
             (self.optimizer in ("sgd", "adam"), "optimizer must be sgd or adam"),
             (self.learning_rate > 0, "learning_rate must be positive"),
             (self.tau > 0, "tau must be positive"),
+            (self.lambda_main >= 0, "lambda_main must be >= 0"),
             (self.lambda_rank >= 0, "lambda_rank must be >= 0"),
             (self.sms_sigma > 0, "sms_sigma must be positive"),
             (len(self.out_dir) > 0, "out_dir must be non-empty"),

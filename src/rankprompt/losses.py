@@ -22,13 +22,15 @@ from .core import InputError, _log_softmax
 @dataclass(frozen=True)
 class LossConfig:
     tau: float = 1.0
+    lambda_main: float = 1.0
     lambda_rank: float = 1.0
 
     def __post_init__(self):
         if not self.tau > 0:
             raise InputError(f"tau must be positive, got {self.tau}")
-        if self.lambda_rank < 0:
-            raise InputError(f"lambda_rank must be nonnegative, got {self.lambda_rank}")
+        for name in ("lambda_main", "lambda_rank"):
+            if not getattr(self, name) >= 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -100,16 +102,17 @@ def rank_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[f
     return value, g
 
 
-def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig, include_main: bool = True) -> LossReport:
-    """main = mean of the two alignment directions; total = main +
-    lambda_rank * rank; the gradient is that of total, or of the rank term
-    alone when ``include_main`` is False (the values still show every term).
+def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> LossReport:
+    """main = mean of the two alignment directions; total = lambda_main * main
+    + lambda_rank * rank, and the gradient is that of total.  A term of weight
+    0 adds nothing to the gradient; its value is still reported.
     """
     i2t, g_i2t = image_to_text_term(s_cal, labels, cfg)
     t2i, g_t2i = text_to_image_term(s_cal, labels, cfg)
     rank, g_rank = rank_term(s_cal, labels, cfg)
     main = 0.5 * (t2i + i2t)
-    g = 0.5 * (g_t2i + g_i2t) if include_main else np.zeros_like(s_cal)
+    g = cfg.lambda_main * 0.5 * (g_t2i + g_i2t) if cfg.lambda_main != 0.0 else np.zeros_like(s_cal)
     if cfg.lambda_rank != 0.0:
         g += cfg.lambda_rank * g_rank
-    return LossReport(main=main, rank=rank, total=main + cfg.lambda_rank * rank, grad_similarity=g)
+    total = cfg.lambda_main * main + cfg.lambda_rank * rank
+    return LossReport(main=main, rank=rank, total=total, grad_similarity=g)

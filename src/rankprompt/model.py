@@ -164,7 +164,6 @@ def model_backward(
     stats: sms.ClassStats | None,
     cfg: L.LossConfig,
     normalize: bool = False,
-    include_main: bool = True,
 ) -> BackwardResult:
     """Forward encode -> similarity -> calibrate -> loss, then hand backward.
 
@@ -172,11 +171,10 @@ def model_backward(
     min/max; the other step functions trust them.  ``stats=None``
     skips calibration entirely.  Committed statistics are treated as
     constants: the gradient passes through the per-row affine map via its
-    frozen scale only.  ``include_main=False`` optimizes the rank term alone
-    (the report still shows every term).  Only two M x H arrays live: ``w2``'s
-    gradient is taken first, then the activations' buffer becomes the tanh
-    derivative in place.  Each weight gradient stays one whole-batch matmul, so
-    every bit matches the unfused order; ``features`` is only read.
+    frozen scale only.  Only two M x H arrays live: ``w2``'s gradient is taken
+    first, then the activations' buffer becomes the tanh derivative in place.
+    Each weight gradient stays one whole-batch matmul, so every bit matches the
+    unfused order; ``features`` is only read.
     """
     if len(labels) and (labels.min() < 0 or labels.max() >= params.classes):
         raise InputError(f"labels must lie in [0, {params.classes}), got {labels.min()}..{labels.max()}")
@@ -188,7 +186,7 @@ def model_backward(
     else:
         s_cal = s_raw
 
-    report = L.total_loss(s_cal, labels, cfg, include_main)
+    report = L.total_loss(s_cal, labels, cfg)
     # Through the frozen affine calibration: d(cal)/d(raw) is its scale.
     g_s = report.grad_similarity * scale if stats is not None else report.grad_similarity
 

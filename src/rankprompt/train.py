@@ -50,7 +50,7 @@ def kernel_from_config(cfg: RunConfig) -> sms.KernelSpec:
 
 
 def loss_config(cfg: RunConfig) -> LossConfig:
-    return LossConfig(tau=cfg.tau, lambda_rank=cfg.lambda_rank)
+    return LossConfig(tau=cfg.tau, lambda_main=cfg.lambda_main, lambda_rank=cfg.lambda_rank)
 
 
 def _train_epoch(
@@ -60,7 +60,6 @@ def _train_epoch(
     dataset: Dataset,
     cfg: RunConfig,
     epoch: int,
-    include_main: bool,
 ) -> tuple[dict, sms.EpochSums]:
     """Step ``params`` over one epoch's batches; returns the epoch's log entry
     (its mean loss terms) and the raw similarity sums it accumulated."""
@@ -71,15 +70,7 @@ def _train_epoch(
     for batch, (feats, labels) in enumerate(batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
         diverged = f"training diverged at epoch {epoch}, batch {batch}"
         try:
-            result = M.model_backward(
-                params,
-                feats,
-                labels,
-                committed,
-                lcfg,
-                normalize=cfg.normalize_embeddings,
-                include_main=include_main,
-            )
+            result = M.model_backward(params, feats, labels, committed, lcfg, normalize=cfg.normalize_embeddings)
         except InputError as exc:  # its inputs passed the checks of train
             raise InputError(f"{diverged}: {exc}") from None
         M.optimizer_step(params, result.grads, opt)
@@ -111,7 +102,7 @@ def _logged(entry: dict, report: Callable[[], MetricsReport]) -> dict:
     }
 
 
-def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainResult:
+def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
     """Run cfg.epochs of training on the train split; returns the final
     parameters, last committed statistics (None if none), and per-epoch log.
 
@@ -145,7 +136,7 @@ def train(cfg: RunConfig, dataset: Dataset, include_main: bool = True) -> TrainR
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             for epoch in range(cfg.epochs):
-                entry, class_sums = _train_epoch(params, opt, committed, dataset, cfg, epoch, include_main)
+                entry, class_sums = _train_epoch(params, opt, committed, dataset, cfg, epoch)
                 if pending is not None:
                     log.append(_logged(*pending))
                     pending = None
@@ -215,15 +206,24 @@ def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
+def _json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object, else a TypeError naming ``name``."""
+    if type(value) is not dict:
+        kind = {"list": "an array", "str": "a string", "bool": "a boolean", "NoneType": "null"}
+        raise TypeError(f"{name} must be a JSON object, got {kind.get(type(value).__name__, 'a number')}")
+    return value
+
+
 def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats | None]:
     """Read the parameters and calibration statistics of a checkpoint; keys
     not read here (an older file's optimizer state, or the ``k``, ``dim``
     and ``kernel`` of its ``sms`` object) are ignored.
 
     A malformed file, including one whose ``config.normalize_embeddings``
-    is not a JSON boolean, raises ParseError naming it, and one trained with
-    another class count or ``normalize_embeddings`` than ``cfg`` raises
-    InputError.
+    is not a JSON boolean or whose document, ``params``, ``params.hyper``,
+    ``config`` or ``sms`` is not a JSON object, raises ParseError naming it
+    and the key, and one trained with another class count or
+    ``normalize_embeddings`` than ``cfg`` raises InputError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -231,9 +231,11 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
         except ValueError as exc:
             raise ParseError(f"{path}: not a JSON checkpoint: {exc}") from None
     try:
-        params = M.params_from_dict(doc["params"])
-        stats = sms.stats_from_dict(doc["sms"], params.classes)
-        trained_normalized = doc["config"]["normalize_embeddings"]
+        params_doc = _json_object(_json_object(doc, "the document")["params"], "params")
+        _json_object(params_doc["hyper"], "params.hyper")
+        params = M.params_from_dict(params_doc)
+        stats = sms.stats_from_dict(_json_object(doc["sms"], "sms"), params.classes)
+        trained_normalized = _json_object(doc["config"], "config")["normalize_embeddings"]
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint is missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from oracles import kl_divergence_row, one_hot, rank_directional_loss
 
-from rankprompt.cli import main
+from rankprompt.cli import ABLATION_VARIANTS, main
 from rankprompt.config import RunConfig
 from rankprompt.data import TWIN_SUFFIX, DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import LossConfig, rank_term, total_loss
@@ -190,11 +190,7 @@ class TestA3AblationDirections:
 
     def variant_config(self, name: str) -> RunConfig:
         base = RunConfig(class_sep=0.75, noise_sigma=0.5, imbalance_ratio=20.0, epochs=10)
-        if name == "no_rank":
-            return replace(base, lambda_rank=0.0)
-        if name == "no_sms":
-            return replace(base, sms_enabled=False)
-        return base
+        return replace(base, **ABLATION_VARIANTS[name])
 
     def test_a3(self):
         t0 = time.monotonic()

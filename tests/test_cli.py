@@ -5,14 +5,14 @@ import functools
 import json
 import math
 import operator
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankprompt.cli import main
+from rankprompt.cli import ABLATION_VARIANTS, main
 from rankprompt.config import RunConfig, config_to_dict, load_config, parse_config_text
 from rankprompt.core import InputError
 from rankprompt.data import ParseError, load_csv
@@ -342,6 +342,19 @@ class TestExitCodes:
         assert main(["generate", "--config", cfg]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-1", "lambda_main must be >= 0"),
+            ("nan", "lambda_main must be finite"),
+            ("inf", "lambda_main must be finite"),
+        ],
+    )
+    def test_bad_lambda_main_is_2(self, tmp_path, capsys, value, message):
+        cfg = write_config(tmp_path, f"lambda_main = {value}\n")
+        assert main(["generate", "--config", cfg]) == 2
+        assert f"config: {message}" in capsys.readouterr().err
+
     def test_diverging_training_is_2(self, tmp_path, capsys):
         """SGD with a step of 1e300 drives the parameters to about 1e298,
         so the next step's similarities overflow; the error names that
@@ -485,6 +498,33 @@ class TestMalformedCheckpoint:
         code, err = self.eval_with_checkpoint(tmp_path, capsys, rewrite)
         assert code == 3
         assert "checkpoint.json" in err and path[1] in err
+
+    @pytest.mark.parametrize("value, kind", [([], "an array"), (3, "a number")], ids=["array", "number"])
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            ((), "the document"),
+            (("params",), "params"),
+            (("params", "hyper"), "params.hyper"),
+            (("config",), "config"),
+            (("sms",), "sms"),
+        ],
+        ids=["document", "params", "hyper", "config", "sms"],
+    )
+    def test_section_not_an_object_is_3(self, tmp_path, capsys, path, name, value, kind):
+        """The document and each section that is read as a JSON object are
+        type-checked before they are indexed, and the message names the key."""
+
+        def rewrite(doc):
+            if not path:
+                return json.dumps(value)
+            *parents, last = path
+            functools.reduce(operator.getitem, parents, doc)[last] = value
+            return json.dumps(doc)
+
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, rewrite)
+        assert code == 3
+        assert f"checkpoint.json: malformed checkpoint: {name} must be a JSON object, got {kind}" in err
 
     @pytest.mark.parametrize("value", [0, 0.0, 1, "false", None, []], ids=repr)
     def test_non_boolean_normalize_embeddings_is_3(self, tmp_path, capsys, value):
@@ -685,6 +725,14 @@ class TestSeedEnv:
 
 
 class TestAblate:
+    @pytest.mark.parametrize("name", ABLATION_VARIANTS)
+    def test_variant_is_config_overrides(self, name):
+        """Each variant is RunConfig overrides only, which build a valid config."""
+        overrides = ABLATION_VARIANTS[name]
+        assert set(overrides) <= set(RunConfig.__dataclass_fields__)
+        cfg = replace(RunConfig(), **overrides)  # __post_init__ checks every value
+        assert {key: getattr(cfg, key) for key in overrides} == overrides
+
     def test_summary_schema(self, tmp_path):
         text = TINY.replace("samples = 60", "samples = 40").replace("epochs = 2", "epochs = 1")
         cfg = write_config(tmp_path, text)

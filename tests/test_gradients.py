@@ -75,6 +75,15 @@ class TestLossGradients:
             got = total_loss(smat(sdata), labels, cfg).grad_similarity
             np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
 
+    def test_weighted_main_matches_finite_differences(self):
+        """total = 0.3 * main + lambda_rank * rank: the weight scales the alignment gradient."""
+        for seed in range(25):
+            sdata, labels, cfg = random_case(seed + 6000)
+            cfg = replace(cfg, lambda_main=0.3)
+            fd = fd_grad_wrt_similarity(lambda s, y, c: total_loss(s, y, c).total, sdata, labels, cfg)
+            got = total_loss(smat(sdata), labels, cfg).grad_similarity
+            np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
+
     def test_image_to_text_grad_rows_sum_to_zero(self):
         """Softmax minus one-hot: every row of the image-to-text (row-softmax)
         term's gradient sums to 0."""

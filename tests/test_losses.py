@@ -210,6 +210,21 @@ class TestTotalLoss:
         report = total_loss(s, labels, LossConfig(lambda_rank=0.0))
         assert report.total == report.main
 
+    @pytest.mark.parametrize("key", ["lambda_main", "lambda_rank"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_negative_or_nan_weight_rejected(self, key, value):
+        with pytest.raises(InputError, match=f"{key} must be nonnegative"):
+            LossConfig(**{key: value})
+
+    def test_lambda_main_zero_is_rank_only(self):
+        """The alignment term's value is still reported, but neither the total
+        nor the gradient holds it."""
+        s, labels, _ = random_case(27)
+        cfg = LossConfig(lambda_main=0.0, lambda_rank=0.5)
+        report = total_loss(s, labels, cfg)
+        assert report.main > 0 and report.total == 0.5 * report.rank
+        np.testing.assert_array_equal(report.grad_similarity, 0.5 * rank_term(s, labels, cfg)[1])
+
     def test_zero_scores_composite(self):
         report = total_loss(smat(np.zeros((2, 5))), np.array([0, 2]), CFG)
         np.testing.assert_allclose(report.rank, 4 * LN2, atol=1e-12)

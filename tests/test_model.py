@@ -108,12 +108,12 @@ class TestForwardSimilarity:
         np.testing.assert_allclose(res.similarity_raw, forward_similarity(p, feats))
 
     def test_rank_only_objective_drops_main_gradient(self):
-        """include_main=False leaves exactly the rank part of the gradient."""
+        """lambda_main = 0 leaves exactly the rank part of the gradient."""
         rng = np.random.default_rng(4)
         p = init_params(4, 6, 3, 5, 5)
         feats = rng.normal(size=(6, 4))
         labels = rng.integers(0, 5, 6)
-        lam_only = model_backward(p, feats, labels, None, LossConfig(), include_main=False)
+        lam_only = model_backward(p, feats, labels, None, LossConfig(lambda_main=0.0))
         full = model_backward(p, feats, labels, None, LossConfig())
         zero_lam = model_backward(p, feats, labels, None, LossConfig(lambda_rank=0.0))
         for name in PARAM_FIELDS:
