@@ -19,7 +19,7 @@ from statistics import mean, stdev
 from .config import RunConfig, config_to_dict, load_config
 from .core import InputError
 from .data import Dataset, DatasetSpec, ParseError, class_counts, generate_synthetic, load_csv, write_csv
-from .train import evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
+from .train import _write_json, evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
 
 SEED_ENV = "RANKPROMPT_SEED"
 # name -> RunConfig overrides
@@ -43,12 +43,6 @@ def _dataset_spec(cfg: RunConfig) -> DatasetSpec:
         imbalance_ratio=cfg.imbalance_ratio,
         seed=cfg.seed,
     )
-
-
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:

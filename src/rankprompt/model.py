@@ -248,36 +248,3 @@ def optimizer_step(params: ModelParams, grads: ModelParams, state: OptimizerStat
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
     flat -= state.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
-
-
-def params_to_dict(params: ModelParams) -> dict:
-    out = {name: view.tolist() for name, view in params.as_dict().items()}
-    out["hyper"] = {
-        "feature_dim": params.feature_dim,
-        "hidden_dim": params.hidden_dim,
-        "embed_dim": params.embed_dim,
-        "classes": params.classes,
-    }
-    return out
-
-
-def params_from_dict(d: dict) -> ModelParams:
-    """Rebuild parameters, rejecting ``hyper`` sizes that are not integers
-    >= 1 and any tensor whose shape disagrees with them or that holds a
-    non-finite value."""
-    hyper = d["hyper"]
-    f, h, e, k = dims = [hyper[name] for name in ("feature_dim", "hidden_dim", "embed_dim", "classes")]
-    if not all(type(n) is int and n >= 1 for n in dims):
-        raise InputError(f"hyper sizes must be integers >= 1, got {dims!r}")
-    parts = []
-    for name, shape in param_shapes(f, h, e, k).items():
-        try:
-            value = np.asarray(d[name], dtype=np.float64)
-        except OverflowError:
-            raise InputError(f"parameter {name} holds an integer beyond float64") from None
-        if value.shape != shape:
-            raise InputError(f"parameter {name} has shape {value.shape}, hyper expects {shape}")
-        if not np.isfinite(value).all():
-            raise InputError(f"parameter {name} has non-finite entries")
-        parts.append(value.ravel())
-    return ModelParams(np.concatenate(parts), f, h, e, k)

@@ -165,46 +165,3 @@ def calibrate_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> np.n
     check_labels(labels, stats.k)
     scale, offset = calibration_map(s, labels, stats)
     return require_finite(scale * s + offset)
-
-
-STATS_KEYS = ("count", "mean", "var", "smoothed_mean", "smoothed_var")
-
-
-def stats_to_dict(stats: ClassStats | None) -> dict:
-    """JSON-ready snapshot of committed statistics; all null for None."""
-    if stats is None:
-        return dict.fromkeys(STATS_KEYS)
-    return {key: getattr(stats, key).tolist() for key in STATS_KEYS}
-
-
-def stats_from_dict(d: dict, k: int) -> ClassStats | None:
-    """Rebuild committed statistics over ``k`` classes, or None when all five
-    keys are null (nothing committed).
-
-    Otherwise ``count`` holds ``k`` integers in [1, 2^63) and every other key
-    ``k`` rows of ``k`` finite JSON numbers; an InputError names the key that
-    breaks this.  Keys this function does not read are ignored."""
-    if k < 2:
-        raise InputError(f"need at least 2 classes, got {k}")
-    if all(d[key] is None for key in STATS_KEYS):
-        return None
-    counts = d["count"]
-    if type(counts) is not list or len(counts) != k or not all(type(c) is int and 0 < c < 2**63 for c in counts):
-        raise InputError(f"calibration count must hold {k} positive integers, got {counts!r}")
-
-    def rows(key):
-        value = d[key]
-        # every element's type is checked: numpy would parse a string such as "1.5"
-        if type(value) is not list or len(value) != k or not all(
-            type(row) is list and len(row) == k and all(type(v) in (int, float) for v in row) for row in value
-        ):
-            raise InputError(f"calibration {key} must hold {k} rows of {k} numbers, got {value!r}")
-        try:
-            out = np.array(value, dtype=np.float64)
-        except OverflowError:
-            raise InputError(f"calibration {key} holds an integer beyond float64") from None
-        if not np.isfinite(out).all():
-            raise InputError(f"calibration {key} has non-finite entries")
-        return out
-
-    return ClassStats(np.array(counts, dtype=np.int64), *(rows(key) for key in STATS_KEYS[1:]))

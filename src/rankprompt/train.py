@@ -1,4 +1,5 @@
-"""Training loop, inference, and checkpoint round-tripping.
+"""Training loop, inference, and the checkpoint format: ``save_checkpoint``
+writes it and ``load_checkpoint`` is its one reader.
 
 One epoch = shuffled batches of (encode -> similarity -> calibrate ->
 loss -> backward -> optimizer step) while the raw similarity rows are
@@ -194,16 +195,29 @@ def heatmap_matrix(
     return class_mean_similarity(s_cal, labels, cfg.classes)
 
 
-def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
-    doc = {
-        "config": config_to_dict(cfg),
-        "params": M.params_to_dict(result.params),
-        "sms": sms.stats_to_dict(result.stats),
-        "epochs_run": len(result.log),
-    }
+HYPER_KEYS = ("feature_dim", "hidden_dim", "embed_dim", "classes")
+STATS_KEYS = ("count", "mean", "var", "smoothed_mean", "smoothed_var")
+
+
+def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
+    """Write the config, each parameter tensor as nested lists under ``params``
+    (sizes under ``params.hyper``), the committed statistics under ``sms``
+    (all null if none) and ``epochs_run``."""
+    params, stats = result.params, result.stats
+    tensors = {name: view.tolist() for name, view in params.as_dict().items()}
+    doc = {
+        "config": config_to_dict(cfg),
+        "params": {**tensors, "hyper": {key: getattr(params, key) for key in HYPER_KEYS}},
+        "sms": {key: None if stats is None else getattr(stats, key).tolist() for key in STATS_KEYS},
+        "epochs_run": len(result.log),
+    }
+    _write_json(path, doc)
 
 
 def _json_object(value, name: str) -> dict:
@@ -214,27 +228,69 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
+def _json_array(value, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """``value``, nested JSON arrays of exactly ``shape``, as a ``dtype`` array.
+    Every leaf must be a JSON number (no string, no boolean) that ``dtype``
+    holds: for float64 a finite one, for int64 an integer in [1, 2^63).
+    Anything else raises ValueError naming ``name``."""
+    leaves = [value]
+    for n in shape:
+        if not all(type(v) is list and len(v) == n for v in leaves):
+            raise ValueError(f"{name} must be a JSON array of shape {list(shape)}")
+        leaves = [x for v in leaves for x in v]
+    integer = dtype == np.int64
+    kinds = (int,) if integer else (int, float)
+    if not all(type(x) in kinds for x in leaves):
+        raise ValueError(f"{name} must hold only JSON {'integers' if integer else 'numbers'}")
+    try:
+        out = np.array(leaves, dtype=dtype).reshape(shape)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer beyond {np.dtype(dtype).name}") from None
+    if not ((out >= 1) if integer else np.isfinite(out)).all():
+        raise ValueError(f"{name} must hold only {'integers >= 1' if integer else 'finite numbers'}")
+    return out
+
+
 def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats | None]:
     """Read the parameters and calibration statistics of a checkpoint; keys
     not read here (an older file's optimizer state, or the ``k``, ``dim``
     and ``kernel`` of its ``sms`` object) are ignored.
 
-    A malformed file, including one whose ``config.normalize_embeddings``
-    is not a JSON boolean or whose document, ``params``, ``params.hyper``,
-    ``config`` or ``sms`` is not a JSON object, raises ParseError naming it
-    and the key, and one trained with another class count or
+    A malformed file raises ParseError naming it: one that is not JSON or
+    nests too deeply to parse, or lacks a key; or, naming the dotted key, a
+    section that is not a JSON object, a ``params.hyper`` size that is not
+    an integer >= 1, an array ``_json_array`` rejects (every tensor in the
+    shape the sizes give; ``sms.count`` of K and the other ``sms`` keys of
+    K x K, unless all five are null), or a ``config.normalize_embeddings``
+    that is not a JSON boolean.  One trained with another class count or
     ``normalize_embeddings`` than ``cfg`` raises InputError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: not a JSON checkpoint: {exc}") from None
     try:
         params_doc = _json_object(_json_object(doc, "the document")["params"], "params")
-        _json_object(params_doc["hyper"], "params.hyper")
-        params = M.params_from_dict(params_doc)
-        stats = sms.stats_from_dict(_json_object(doc["sms"], "sms"), params.classes)
+        hyper = _json_object(params_doc["hyper"], "params.hyper")
+        dims = [hyper[key] for key in HYPER_KEYS]
+        for key, n in zip(HYPER_KEYS, dims):
+            if not (type(n) is int and n >= 1):
+                raise ValueError(f"params.hyper.{key} must be an integer >= 1")
+        tensors = [
+            _json_array(params_doc[name], f"params.{name}", shape).ravel()
+            for name, shape in M.param_shapes(*dims).items()
+        ]
+        params = M.ModelParams(np.concatenate(tensors), *dims)
+        stats_doc = _json_object(doc["sms"], "sms")
+        k = params.classes
+        if all(stats_doc[key] is None for key in STATS_KEYS):
+            stats = None
+        else:
+            stats = sms.ClassStats(
+                _json_array(stats_doc["count"], "sms.count", (k,), np.int64),
+                *(_json_array(stats_doc[key], f"sms.{key}", (k, k)) for key in STATS_KEYS[1:]),
+            )
         trained_normalized = _json_object(doc["config"], "config")["normalize_embeddings"]
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint is missing key {exc}") from None

@@ -371,7 +371,7 @@ batch_size = 64
             assert main(argv) == 0, f"A7: FAIL - command {argv[0]} errored"
         return {
             name: (out / name).read_bytes()
-            for name in ("dataset.csv", "train_log.jsonl", "metrics.json", "heatmap.csv")
+            for name in ("dataset.csv", "train_log.jsonl", "checkpoint.json", "metrics.json", "heatmap.csv")
         }
 
     def test_a7(self, tmp_path, capsys):

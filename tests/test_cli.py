@@ -1,10 +1,13 @@
 """Config parsing and end-to-end CLI runs on tiny workloads."""
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import math
 import operator
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +20,7 @@ from rankprompt.config import RunConfig, config_to_dict, load_config, parse_conf
 from rankprompt.core import InputError
 from rankprompt.data import ParseError, load_csv
 from rankprompt.evaluation import class_mean_similarity
-from rankprompt.model import PARAM_FIELDS, forward_similarity, init_params, params_from_dict
+from rankprompt.model import PARAM_FIELDS, forward_similarity, init_params
 from rankprompt.train import load_checkpoint
 
 
@@ -179,7 +182,7 @@ class TestTrainEval:
         assert ckpt["epochs_run"] == 0
         run = parse_config_text(TINY)
         init = init_params(run.feature_dim, run.hidden_dim, run.embed_dim, run.classes, run.seed)
-        saved = params_from_dict(ckpt["params"])
+        saved, _ = load_checkpoint(out0 / "checkpoint.json", run)
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(saved, name), getattr(init, name))
 
@@ -446,6 +449,12 @@ class TestMalformedCheckpoint:
         assert code == 3
         assert "checkpoint.json" in err
 
+    def test_nested_too_deeply_to_parse_is_3(self, tmp_path, capsys):
+        """Python's JSON decoder recurses once per nesting level."""
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, lambda doc: "[" * 100_000 + "]" * 100_000)
+        assert code == 3
+        assert "checkpoint.json: not a JSON checkpoint" in err
+
     def test_missing_params_is_3(self, tmp_path, capsys):
         code, err = self.eval_with_checkpoint(tmp_path, capsys, lambda doc: "{}")
         assert code == 3
@@ -484,6 +493,10 @@ class TestMalformedCheckpoint:
             (("params", "hyper", "classes"), float("inf")),  # written as Infinity
             (("params", "hyper", "embed_dim"), True),
             pytest.param(("params", "b1", 0), 10**400, id="params-int-beyond-float64"),
+            pytest.param(("params", "w1", 0, 0), "0.123", id="params-string-cell"),
+            pytest.param(("params", "b2", 1), True, id="params-boolean-cell"),
+            pytest.param(("params", "text"), {}, id="params-object"),
+            pytest.param(("params", "w2"), [["a"]], id="params-string-row"),
             pytest.param(("sms", "mean", 0, 0), 10**400, id="sms-int-beyond-float64"),
             pytest.param(("sms", "count", 0), 0, id="sms-zero-count"),  # every grade has rows in a commit
             pytest.param(("sms", "mean", 1), None, id="sms-null-row"),
@@ -497,7 +510,7 @@ class TestMalformedCheckpoint:
 
         code, err = self.eval_with_checkpoint(tmp_path, capsys, rewrite)
         assert code == 3
-        assert "checkpoint.json" in err and path[1] in err
+        assert "checkpoint.json" in err and f"{path[0]}.{path[1]}" in err
 
     @pytest.mark.parametrize("value, kind", [([], "an array"), (3, "a number")], ids=["array", "number"])
     @pytest.mark.parametrize(
@@ -625,10 +638,15 @@ class TestParamsFuzz:
     @example(mutation=("set", "hyper.classes", 0, "1e999"))
     @example(mutation=("cell", "w1", 0, "1e308"))
     @example(mutation=("cell", "w1", 0, "9" * 400))
+    @example(mutation=("cell", "w1", 0, '"3"'))
+    @example(mutation=("cell", "b2", 0, "true"))
     def test_mutated_params_eval_exits_0_2_or_3(self, tiny_checkpoint, mutation):
         """Any edit of the checkpoint's ``params`` object lets `eval` load it
         or exit 2 or 3; no other exception escapes.  A ``hyper`` size of
-        1e999 parses to a float infinity and must exit 3."""
+        1e999 parses to a float infinity and must exit 3.  A tensor cell may
+        load only when it is a JSON number that float64 holds finitely; any
+        other cell (a string such as ``"3"``, a boolean, null, an array, an
+        object) must exit 3 with a message naming ``params.<tensor>``."""
         out, doc = tiny_checkpoint
         op, key, index, token = mutation
         params = copy.deepcopy(doc["params"])
@@ -648,11 +666,15 @@ class TestParamsFuzz:
             owner[name] = PLACEHOLDER
         path = out / "mutated_params.json"
         path.write_text(json.dumps(dict(doc, params=params)).replace(json.dumps(PLACEHOLDER), token))
-        code = main(["eval", "--config", str(out / "run.cfg"), "--out", str(out), "--checkpoint", str(path)])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["eval", "--config", str(out / "run.cfg"), "--out", str(out), "--checkpoint", str(path)])
         assert code in (0, 2, 3), mutation
-        size = json.loads(token)
-        if key.startswith("hyper.") and op != "drop" and not (type(size) is int and size >= 1):
+        value = json.loads(token)
+        if key.startswith("hyper.") and op != "drop" and not (type(value) is int and value >= 1):
             assert code == 3, mutation
+        float64_number = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if op == "cell" and key in PARAM_FIELDS and not float64_number:
+            assert code == 3 and f"params.{key} " in err.getvalue(), mutation
 
 
 CONFIG_TOKENS = ("0", "0.0", "1", "-1", "1e999", '"false"', '"true"', "null", "[]", "{}", "true", "false")

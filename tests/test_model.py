@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rankprompt import losses, sms
+from rankprompt.config import RunConfig
 from rankprompt.core import InputError, similarity_matrix
 from rankprompt.losses import LossConfig
 from rankprompt.model import (
@@ -16,9 +17,8 @@ from rankprompt.model import (
     forward_similarity,
     init_params,
     model_backward,
-    params_from_dict,
-    params_to_dict,
 )
+from rankprompt.train import TrainResult, load_checkpoint, save_checkpoint
 
 
 class TestInitParams:
@@ -248,11 +248,11 @@ class TestMemoryBounds:
 
 
 class TestSerialization:
-    def test_params_round_trip(self):
-        import json
-
+    def test_params_round_trip(self, tmp_path):
         p = init_params(4, 8, 3, 5, 11)
-        q = params_from_dict(json.loads(json.dumps(params_to_dict(p))))
+        cfg = RunConfig(classes=5)
+        save_checkpoint(tmp_path / "checkpoint.json", TrainResult(p, None, []), cfg)
+        q, _ = load_checkpoint(tmp_path / "checkpoint.json", cfg)
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(p, name), getattr(q, name))
         assert q.feature_dim == 4 and q.classes == 5

@@ -1,10 +1,13 @@
 """Per-class statistics, kernel smoothing, calibration, epoch commits."""
 
+import json
+
 import numpy as np
 import pytest
 
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
+from rankprompt.data import ParseError
 from rankprompt.sms import (
     VAR_FLOOR,
     EpochSums,
@@ -13,11 +16,9 @@ from rankprompt.sms import (
     calibrate_rows,
     commit_epoch,
     kernel_weights,
-    stats_from_dict,
-    stats_to_dict,
 )
 from rankprompt.model import forward_similarity, init_params
-from rankprompt.train import calibrated_similarity
+from rankprompt.train import STATS_KEYS, TrainResult, calibrated_similarity, load_checkpoint, save_checkpoint
 
 
 UNIT = KernelSpec(sigma=1.0, include_self=False)
@@ -313,34 +314,46 @@ class TestCommitEpoch:
         assert np.array_equal(before, after)
 
 
-class TestSerialization:
-    def test_round_trip_preserves_calibration(self):
-        import json
+def saved_doc(tmp_path, stats, k):
+    """The checkpoint document ``save_checkpoint`` writes for ``stats`` over ``k`` grades."""
+    cfg = RunConfig(classes=k)
+    params = init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, k, 0)
+    save_checkpoint(tmp_path / "checkpoint.json", TrainResult(params, stats, []), cfg)
+    return json.loads((tmp_path / "checkpoint.json").read_text())
 
+
+def loaded_stats(tmp_path, doc, k):
+    """The statistics ``load_checkpoint`` reads back from ``doc``."""
+    (tmp_path / "checkpoint.json").write_text(json.dumps(doc))
+    return load_checkpoint(tmp_path / "checkpoint.json", RunConfig(classes=k))[1]
+
+
+class TestSerialization:
+    def test_round_trip_preserves_calibration(self, tmp_path):
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(30, 5))
         labels = rng.integers(0, 5, 30)
         stats = committed_from(rows, labels, 5)
-        loaded = stats_from_dict(json.loads(json.dumps(stats_to_dict(stats))), 5)
+        loaded = loaded_stats(tmp_path, saved_doc(tmp_path, stats, 5), 5)
         s = rng.normal(size=(7, 5))
         lab = rng.integers(0, 5, 7)
         assert np.array_equal(calibrate_rows(s, lab, stats), calibrate_rows(s, lab, loaded))
 
-    def test_round_trip_pristine(self):
+    def test_round_trip_pristine(self, tmp_path):
         """Nothing committed writes all-null statistics and reads back as None."""
-        doc = stats_to_dict(None)
-        assert doc == dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
-        assert stats_from_dict(doc, 4) is None
+        doc = saved_doc(tmp_path, None, 4)
+        assert doc["sms"] == dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
+        assert loaded_stats(tmp_path, doc, 4) is None
 
-    def test_keys_of_older_checkpoints_are_ignored(self):
+    def test_keys_of_older_checkpoints_are_ignored(self, tmp_path):
         rng = np.random.default_rng(13)
         stats = committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3)
-        doc = stats_to_dict(stats)
-        assert set(doc) == {"count", "mean", "var", "smoothed_mean", "smoothed_var"}
-        # what earlier formats also wrote; the grade count now comes from the caller
-        doc.update(committed=True, calibration_active=True, k=4, dim=4)
-        doc["kernel"] = {"sigma": 9.0, "include_self": False, "normalize": False, "kind": "gaussian"}
-        loaded = stats_from_dict(doc, 3)
+        doc = saved_doc(tmp_path, stats, 3)
+        assert set(doc["sms"]) == {"count", "mean", "var", "smoothed_mean", "smoothed_var"}
+        # what earlier formats also wrote; the grade count now comes from params.hyper
+        doc["sms"].update(committed=True, calibration_active=True, k=4, dim=4)
+        doc["sms"]["kernel"] = {"sigma": 9.0, "include_self": False, "normalize": False, "kind": "gaussian"}
+        loaded = loaded_stats(tmp_path, doc, 3)
         assert loaded.k == 3 and loaded.smoothed_mean is not None
         for name in ("count", "mean", "var", "smoothed_mean", "smoothed_var"):
             assert np.array_equal(getattr(loaded, name), getattr(stats, name))
@@ -361,21 +374,23 @@ class TestSerialization:
             {"count": [7, 7, 7, 0]},
         ],
     )
-    def test_inconsistent_statistics_rejected(self, edit):
+    def test_inconsistent_statistics_rejected(self, tmp_path, edit):
+        """The message names the first edited key the reader reaches."""
         rng = np.random.default_rng(14)
-        doc = stats_to_dict(committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3))
-        doc.update(edit)
-        with pytest.raises(InputError):
-            stats_from_dict(doc, 3)
+        doc = saved_doc(tmp_path, committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3), 3)
+        doc["sms"].update(edit)
+        first = min(edit, key=STATS_KEYS.index)
+        with pytest.raises(ParseError, match=f"malformed checkpoint: sms\\.{first} "):
+            loaded_stats(tmp_path, doc, 3)
 
     @pytest.mark.parametrize("key", ["count", *ROW_KEYS])
-    def test_zero_count_or_null_row_rejected(self, key):
+    def test_zero_count_or_null_row_rejected(self, tmp_path, key):
         """Every grade has rows in a commit, so a zero count or a null row
         (what an epoch missing a grade once wrote) is rejected, naming the key."""
-        doc = stats_to_dict(committed_from(np.arange(12.0).reshape(4, 3), [0, 1, 2, 1], 3))
+        doc = saved_doc(tmp_path, committed_from(np.arange(12.0).reshape(4, 3), [0, 1, 2, 1], 3), 3)
         if key == "count":
-            doc["count"][2] = 0
+            doc["sms"]["count"][2] = 0
         else:
-            doc[key][2] = None
-        with pytest.raises(InputError, match=f"^calibration {key} "):
-            stats_from_dict(doc, 3)
+            doc["sms"][key][2] = None
+        with pytest.raises(ParseError, match=f"malformed checkpoint: sms\\.{key} "):
+            loaded_stats(tmp_path, doc, 3)

@@ -19,7 +19,7 @@ from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import DatasetSpec, generate_synthetic
 from rankprompt.losses import LossConfig
-from rankprompt.train import save_checkpoint, train
+from rankprompt.train import TrainResult, load_checkpoint, save_checkpoint, train
 
 TINY = RunConfig(
     seed=5,
@@ -281,6 +281,20 @@ class TestCommittedStatistics:
         save_checkpoint(tmp_path / "checkpoint.json", result, cfg)
         doc = json.loads((tmp_path / "checkpoint.json").read_text())
         assert doc["sms"] == dict.fromkeys(("count", "mean", "var", "smoothed_mean", "smoothed_var"))
+
+
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("sms_enabled", [True, False], ids=["sms-on", "sms-off"])
+    def test_load_then_save_rewrites_the_same_bytes(self, tmp_path, sms_enabled):
+        """Every value the reader keeps is written back exactly: parameters,
+        statistics (or their absence), hyper sizes."""
+        cfg = replace(TINY, sms_enabled=sms_enabled)
+        result = train(cfg, dataset_for(cfg))
+        save_checkpoint(tmp_path / "trained.json", result, cfg)
+        params, stats = load_checkpoint(tmp_path / "trained.json", cfg)
+        assert (stats is None) == (not sms_enabled)
+        save_checkpoint(tmp_path / "again.json", TrainResult(params, stats, result.log), cfg)
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "trained.json").read_bytes()
 
 
 class TestSelfExcludedSmoothing:
