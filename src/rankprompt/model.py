@@ -123,30 +123,21 @@ def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tupl
     return features, hidden, x, t, x_norms, t_norms
 
 
-def forward_similarity(
-    params: ModelParams, features: np.ndarray, normalize: bool = False, rows: np.ndarray | None = None
-) -> np.ndarray:
+def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Raw (uncalibrated) image-text inner products, as a training step computes
     them: the image rows are X = tanh(features @ w1 + b1) @ w2 + b2, unit-normalized
     with the text rows when ``normalize``.  Over ``FORWARD_TILE_ROWS`` rows run in
     balanced row tiles of at least half that many, so the M x H activations never
-    exist whole; every score matches the single pass bit for bit.
-
-    ``rows`` (M row indices) scores ``features[rows]`` without copying it whole:
-    each tile is gathered through its slice of the indices, as ``batch_iter`` does."""
+    exist whole; every score matches the single pass bit for bit."""
     features = _checked_features(params, features)
-    m = features.shape[0] if rows is None else len(rows)
-
-    def tile(lo: int, hi: int) -> np.ndarray:
-        return features[lo:hi] if rows is None else features[rows[lo:hi]]
-
+    m = features.shape[0]
     if m <= FORWARD_TILE_ROWS:
-        return similarity_matrix(*_forward(params, tile(0, m), normalize)[2:4])
+        return similarity_matrix(*_forward(params, features, normalize)[2:4])
     tiles = m // (FORWARD_TILE_ROWS // 2)
     out = np.empty((m, params.classes))
     bounds = [m * i // tiles for i in range(tiles + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        out[lo:hi] = similarity_matrix(*_forward(params, tile(lo, hi), normalize)[2:4])
+        out[lo:hi] = similarity_matrix(*_forward(params, features[lo:hi], normalize)[2:4])
     return out
 
 
@@ -155,6 +146,7 @@ class BackwardResult:
     grads: ModelParams  # the gradient, in the parameters' layout
     report: L.LossReport
     similarity_raw: np.ndarray
+    similarity_cal: np.ndarray  # what total_loss scored: similarity_raw itself when stats is None
 
 
 def model_backward(
@@ -205,7 +197,7 @@ def model_backward(
     np.matmul(features.T, g_pre, out=grads.w1)
     g_pre.sum(axis=0, out=grads.b1)
     grads.text[...] = g_t
-    return BackwardResult(grads=grads, report=report, similarity_raw=s_raw)
+    return BackwardResult(grads=grads, report=report, similarity_raw=s_raw, similarity_cal=s_cal)
 
 
 @dataclass

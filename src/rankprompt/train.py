@@ -10,22 +10,16 @@ and every epoch visits all of it.  The statistics are None (raw similarities)
 until the first commit, and throughout with ``sms_enabled = false``, the one
 calibration switch; inference reuses the last committed ones.
 
-Memory is bounded by a batch or a tile, not the split: batches and the train-split evaluation's
-tiles gather through row indices, the backward turns its activations into the tanh derivative in
-place, and inference encodes in row tiles.
-
-Each epoch ends with an evaluation of the train split (the ``train_*`` fields of the log).  When
-the split has more than ``model.FORWARD_TILE_ROWS`` rows, every epoch's evaluation but the last
-runs on one worker thread, on a snapshot of the parameters, while the next epoch trains; on a
-smaller split both threads would wait on Python's global lock, so it runs inline.  The log, the
-parameters and every error message stay byte-identical to running each evaluation inline.
+Memory is bounded by a batch or a tile, except for one n_train x K buffer per epoch: batches
+gather through row indices, the backward turns its activations into the tanh derivative in
+place, and inference encodes in row tiles.  That buffer holds the calibrated scores each step
+computed before it stepped, and its ``metrics_report`` fills the ``train_*`` fields of the log;
+there is no second pass over the split and no thread.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +57,11 @@ def _train_epoch(
     epoch: int,
 ) -> tuple[dict, sms.EpochSums]:
     """Step ``params`` over one epoch's batches; returns the epoch's log entry
-    (its mean loss terms) and the raw similarity sums it accumulated."""
+    (its mean loss terms, and the metrics of the calibrated scores its steps
+    computed, before each step) and the raw similarity sums it accumulated."""
     lcfg = loss_config(cfg)
+    n = dataset.rows("train").size
+    scores, truth = np.empty((n, cfg.classes)), np.empty(n, dtype=np.int64)
     seen = 0
     sums = {"main": 0.0, "rank": 0.0, "total": 0.0}
     class_sums = sms.EpochSums(cfg.classes)
@@ -81,26 +78,21 @@ def _train_epoch(
         if cfg.sms_enabled:
             sms.accumulate_class_stats(class_sums, result.similarity_raw, labels)
         m = feats.shape[0]
+        scores[seen : seen + m] = result.similarity_cal
+        truth[seen : seen + m] = labels
         seen += m
         sums["main"] += result.report.main * m
         sums["rank"] += result.report.rank * m
         sums["total"] += result.report.total * m
-    return {"epoch": epoch, **{key: total / seen for key, total in sums.items()}}, class_sums
-
-
-def _logged(entry: dict, report: Callable[[], MetricsReport]) -> dict:
-    """``entry`` with the train-split metrics of ``report()``; an InputError
-    from it means training diverged by ``entry``'s epoch."""
-    try:
-        rep = report()
-    except InputError as exc:
-        raise InputError(f"training diverged at epoch {entry['epoch']}, in the train-split evaluation: {exc}") from None
-    return {
-        **entry,
+    rep = metrics_report(scores, truth, cfg.classes, cfg.tau)
+    entry = {
+        "epoch": epoch,
+        **{key: total / seen for key, total in sums.items()},
         "train_macro_f1": rep.macro_f1,
         "train_macro_auc": rep.macro_auc,
         "train_rank_monotonicity": rep.rank_monotonicity,
     }
+    return entry, class_sums
 
 
 def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
@@ -110,13 +102,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
     The train split is checked against ``cfg`` once, here, and must hold every
     grade; after that a non-finite similarity or parameter means training
     diverged, and the InputError names the epoch, the 0-based batch and the
-    first bad tensor.
-
-    On a train split of over ``model.FORWARD_TILE_ROWS`` rows, each epoch's
-    train-split evaluation but the last runs on one worker thread, on a snapshot
-    of the parameters, while the next epoch trains; its report is joined before
-    that epoch commits.  A failed step joins it first, so an evaluation error of
-    the epoch before is still the one raised."""
+    first bad tensor."""
     params = M.init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
     opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
     kernel = kernel_from_config(cfg)
@@ -132,26 +118,11 @@ def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
         raise InputError(f"features must be M x {cfg.feature_dim}, got shape {(len(rows), dataset.feature_dim)}")
     if not np.isfinite(dataset.features).all(axis=1)[rows].all():
         raise InputError("train features contain non-finite entries")
-    overlap = len(rows) > M.FORWARD_TILE_ROWS
-    pending = None  # (log entry, its report's Future.result) of the epoch being evaluated on the worker
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        try:
-            for epoch in range(cfg.epochs):
-                entry, class_sums = _train_epoch(params, opt, committed, dataset, cfg, epoch)
-                if pending is not None:
-                    log.append(_logged(*pending))
-                    pending = None
-                if cfg.sms_enabled:
-                    committed = sms.commit_epoch(class_sums, kernel)
-                args = (committed, dataset.features, train_labels, cfg)
-                if overlap and epoch < cfg.epochs - 1:
-                    pending = (entry, worker.submit(evaluate, params.with_values({}), *args, rows=rows).result)
-                else:
-                    log.append(_logged(entry, lambda: evaluate(params, *args, rows=rows)))
-        except BaseException:
-            if pending is not None:
-                _logged(*pending)  # the epoch before's evaluation error comes first
-            raise
+    for epoch in range(cfg.epochs):
+        entry, class_sums = _train_epoch(params, opt, committed, dataset, cfg, epoch)
+        log.append(entry)
+        if cfg.sms_enabled:
+            committed = sms.commit_epoch(class_sums, kernel)
     return TrainResult(params=params, stats=committed, log=log)
 
 
@@ -161,12 +132,11 @@ def calibrated_similarity(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: RunConfig,
-    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inference pipeline: encode, inner products, then the frozen calibration
     unless ``cfg.sms_enabled`` is false or ``stats`` is None; an M x K finite
-    array.  ``rows`` scores ``features[rows]`` tile by tile."""
-    s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings, rows=rows)
+    array."""
+    s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings)
     if cfg.sms_enabled and stats is not None:
         return sms.calibrate_rows(s_raw, labels, stats)
     return s_raw
@@ -178,9 +148,8 @@ def evaluate(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: RunConfig,
-    rows: np.ndarray | None = None,
 ) -> MetricsReport:
-    s_cal = calibrated_similarity(params, stats, features, labels, cfg, rows)
+    s_cal = calibrated_similarity(params, stats, features, labels, cfg)
     return metrics_report(s_cal, labels, cfg.classes, cfg.tau)
 
 
@@ -220,12 +189,25 @@ def save_checkpoint(path, result: TrainResult, cfg: RunConfig) -> None:
     _write_json(path, doc)
 
 
-def _json_object(value, name: str) -> dict:
-    """``value`` if it is a JSON object, else a TypeError naming ``name``."""
+class _JsonObject(dict):
+    """A checkpoint's JSON object; a key missing from it raises KeyError naming the dotted key."""
+
+    def __init__(self, value: dict, key: str):
+        super().__init__(value)
+        self.prefix = f"{key}." if key else ""
+
+    def __missing__(self, name):
+        raise KeyError(self.prefix + name)
+
+
+def _json_object(value, key: str) -> dict:
+    """``value`` if it is a JSON object, else a TypeError naming its dotted
+    ``key`` ("" for the document itself)."""
     if type(value) is not dict:
         kind = {"list": "an array", "str": "a string", "bool": "a boolean", "NoneType": "null"}
-        raise TypeError(f"{name} must be a JSON object, got {kind.get(type(value).__name__, 'a number')}")
-    return value
+        got = kind.get(type(value).__name__, "a number")
+        raise TypeError(f"{key or 'the document'} must be a JSON object, got {got}")
+    return _JsonObject(value, key)
 
 
 def _json_array(value, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -257,7 +239,7 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
     and ``kernel`` of its ``sms`` object) are ignored.
 
     A malformed file raises ParseError naming it: one that is not JSON or
-    nests too deeply to parse, or lacks a key; or, naming the dotted key, a
+    nests too deeply to parse; or, naming the dotted key, a missing key, a
     section that is not a JSON object, a ``params.hyper`` size that is not
     an integer >= 1, an array ``_json_array`` rejects (every tensor in the
     shape the sizes give; ``sms.count`` of K and the other ``sms`` keys of
@@ -271,7 +253,8 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: not a JSON checkpoint: {exc}") from None
     try:
-        params_doc = _json_object(_json_object(doc, "the document")["params"], "params")
+        doc = _json_object(doc, "")
+        params_doc = _json_object(doc["params"], "params")
         hyper = _json_object(params_doc["hyper"], "params.hyper")
         dims = [hyper[key] for key in HYPER_KEYS]
         for key, n in zip(HYPER_KEYS, dims):

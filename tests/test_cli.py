@@ -512,6 +512,21 @@ class TestMalformedCheckpoint:
         assert code == 3
         assert "checkpoint.json" in err and f"{path[0]}.{path[1]}" in err
 
+    @pytest.mark.parametrize(
+        "path",
+        [("params", "w1"), ("sms", "mean"), ("params", "hyper", "classes"), ("config", "normalize_embeddings")],
+        ids=".".join,
+    )
+    def test_missing_key_is_named_by_its_dotted_key(self, tmp_path, capsys, path):
+        def drop(doc):
+            *parents, last = path
+            del functools.reduce(operator.getitem, parents, doc)[last]
+            return json.dumps(doc)
+
+        code, err = self.eval_with_checkpoint(tmp_path, capsys, drop)
+        assert code == 3
+        assert f"checkpoint.json: checkpoint is missing key '{'.'.join(path)}'" in err
+
     @pytest.mark.parametrize("value, kind", [([], "an array"), (3, "a number")], ids=["array", "number"])
     @pytest.mark.parametrize(
         "path, name",

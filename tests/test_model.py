@@ -200,18 +200,6 @@ class TestTiledForward:
         _, _, x, t, _, _ = _forward(p, feats, normalize)
         assert np.array_equal(forward_similarity(p, feats, normalize), similarity_matrix(x, t))
 
-    @pytest.mark.parametrize("rows", [3000, 9000])
-    def test_row_indices_match_the_gathered_rows(self, rows):
-        """Scoring ``feats[idx]`` through ``rows=idx`` gathers tile by tile and
-        matches the scores of the gathered copy bit for bit."""
-        p = large_model(2)
-        rng = np.random.default_rng(rows)
-        feats = rng.normal(size=(rows + 1000, 64))
-        idx = np.sort(rng.choice(len(feats), size=rows, replace=False))
-        for normalize in (False, True):
-            want = forward_similarity(p, feats[idx], normalize)
-            assert np.array_equal(forward_similarity(p, feats, normalize, rows=idx), want)
-
     def test_bad_shapes_raise_the_one_pass_error(self):
         p = large_model()
         for bad in (np.zeros((5000, 63)), np.zeros(5000 * 64), np.zeros((3, 63)), np.zeros(64)):

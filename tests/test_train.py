@@ -1,7 +1,7 @@
 """The training loop: input checks at its entry, none per batch, the
-divergence guard after every optimizer step, the train-split evaluation
-overlapped with the next epoch on a large split, the statistics it returns
-when nothing was committed, and the README's library example."""
+divergence guard after every optimizer step, the train-split metrics taken
+from the scores of the epoch's own steps, the statistics it returns when
+nothing was committed, and the README's library example."""
 
 import json
 import math
@@ -144,9 +144,8 @@ class TestBoundaryChecks:
 
     def test_checks_do_not_grow_with_the_batch_count(self, monkeypatch):
         """Batches of 8 and of 64 rows make the same number of label checks:
-        every one of them belongs to the entry of train or to a per-epoch
-        evaluation.  The step still runs once per
-        batch."""
+        every one of them belongs to the entry of train or to an epoch's
+        ``metrics_report``.  The step still runs once per batch."""
         calls = Counter()
 
         def count(owner, name, key):
@@ -172,7 +171,7 @@ class TestBoundaryChecks:
         assert seen[8]["check_labels"] == seen[64]["check_labels"]
 
 
-# A train split of 4,800 rows, over model.FORWARD_TILE_ROWS: its evaluation overlaps the next epoch.
+# A train split of 4,800 rows, over model.FORWARD_TILE_ROWS: more than one inference tile.
 LARGE_SPLIT = replace(TINY, samples=6000, batch_size=1024, epochs=3)
 
 
@@ -183,84 +182,52 @@ def large_split():
     return dataset
 
 
-class TestOverlappedEvaluation:
-    def test_log_prefix_matches_a_shorter_run(self, monkeypatch, large_split):
-        """Epochs 0 and 1 log the same bits whether epoch 1 was evaluated inline
-        (two epochs) or on the worker (three).  Each worker evaluation is held
-        until the next epoch has stepped once, so one that read the live
-        parameters instead of a snapshot would log other bits."""
-        per_epoch = math.ceil(train_rows(large_split) / LARGE_SPLIT.batch_size)
-        real_backward, real_evaluate = model.model_backward, train_module.evaluate
-
-        def run(epochs):
-            calls = {"backward": 0, "evaluate": 0}
-            stepped = [threading.Event() for _ in range(epochs)]
-
-            def backward(*args, **kwargs):
-                calls["backward"] += 1
-                epoch, batch = divmod(calls["backward"] - 1, per_epoch)
-                if batch == 1:  # the epoch's first step is done
-                    stepped[epoch].set()
-                return real_backward(*args, **kwargs)
-
-            def evaluate(*args, **kwargs):
-                epoch = calls["evaluate"]
-                calls["evaluate"] += 1
-                if threading.current_thread() is not threading.main_thread():
-                    assert stepped[epoch + 1].wait(timeout=10)
-                return real_evaluate(*args, **kwargs)
-
-            monkeypatch.setattr(model, "model_backward", backward)
-            monkeypatch.setattr(train_module, "evaluate", evaluate)
-            return train(replace(LARGE_SPLIT, epochs=epochs), large_split).log
-
-        three, two = run(3), run(2)
-        assert three[:2] == two
-        assert len(three) == 3
-
-    @pytest.mark.parametrize("cfg, workers", [(LARGE_SPLIT, [True, True, False]), (TINY, [False, False])])
-    def test_only_a_large_split_overlaps_and_never_the_last_epoch(self, monkeypatch, cfg, workers, large_split):
+class TestTrainMetrics:
+    @pytest.mark.parametrize("sms_enabled", [True, False], ids=["sms-on", "sms-off"])
+    @pytest.mark.parametrize("cfg", [TINY, LARGE_SPLIT], ids=["tiny", "large-split"])
+    def test_train_fields_are_the_metrics_of_the_scores_each_step_saw(self, monkeypatch, large_split, cfg, sms_enabled):
+        """Each epoch's three ``train_*`` values are exactly ``metrics_report``
+        over the ``similarity_cal`` rows and labels that the epoch's
+        ``model_backward`` calls returned, in call order; ``train`` never
+        calls ``evaluate``."""
         dataset = large_split if cfg is LARGE_SPLIT else dataset_for(cfg)
-        real = train_module.evaluate
-        on_worker = []
+        cfg = replace(cfg, sms_enabled=sms_enabled)
+        per_epoch = math.ceil(train_rows(dataset) / cfg.batch_size)
+        real = model.model_backward
+        steps = []
+
+        def backward(params, feats, labels, *args, **kwargs):
+            result = real(params, feats, labels, *args, **kwargs)
+            steps.append((result.similarity_cal.copy(), labels.copy(), result.similarity_raw.copy()))
+            return result
 
         def evaluate(*args, **kwargs):
-            on_worker.append(threading.current_thread() is not threading.main_thread())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(train_module, "evaluate", evaluate)
-        train(cfg, dataset)
-        assert on_worker == workers
-
-    @pytest.mark.parametrize("step_fails", [True, False], ids=["step-fails-too", "next-epoch-trains"])
-    def test_evaluation_error_of_the_epoch_before_comes_first(self, monkeypatch, large_split, step_fails):
-        """Epoch 0's evaluation fails on the worker after the first step of
-        epoch 1 has failed (or while epoch 1 trains): the error raised is
-        the evaluation's, and no thread is left running."""
-        real_backward = model.model_backward
-        per_epoch = math.ceil(train_rows(large_split) / LARGE_SPLIT.batch_size)
-        step_failed = threading.Event()
-        calls = []
-
-        def backward(*args, **kwargs):
-            calls.append(1)
-            if step_fails and len(calls) == per_epoch + 1:
-                step_failed.set()
-                raise InputError("similarity matrix contains non-finite entries")
-            return real_backward(*args, **kwargs)
-
-        def evaluate(*args, **kwargs):
-            step_failed.wait(timeout=10 if step_fails else 0)
-            raise InputError("scores overflowed")
+            raise AssertionError("train called evaluate")
 
         monkeypatch.setattr(model, "model_backward", backward)
         monkeypatch.setattr(train_module, "evaluate", evaluate)
-        threads = threading.active_count()
-        with pytest.raises(InputError) as err:
-            train(LARGE_SPLIT, large_split)
-        assert str(err.value) == "training diverged at epoch 0, in the train-split evaluation: scores overflowed"
-        assert step_failed.is_set() == step_fails
-        assert threading.active_count() == threads
+        log = train(cfg, dataset).log
+        assert len(log) == cfg.epochs and len(steps) == cfg.epochs * per_epoch
+        for epoch, entry in enumerate(log):
+            epoch_steps = steps[epoch * per_epoch : (epoch + 1) * per_epoch]
+            scores, labels, raw = (np.concatenate(part) for part in zip(*epoch_steps))
+            rep = evaluation.metrics_report(scores, labels, cfg.classes, cfg.tau)
+            logged = (entry["train_macro_f1"], entry["train_macro_auc"], entry["train_rank_monotonicity"])
+            assert logged == (rep.macro_f1, rep.macro_auc, rep.rank_monotonicity)
+            # calibrated under the statistics epoch - 1 committed, raw without any
+            assert np.array_equal(scores, raw) == (epoch == 0 or not sms_enabled)
+
+
+class TestOverlappedEvaluation:
+    """No evaluation overlaps the next epoch: the log is the epochs' own, on a
+    train split of any size, and no thread is started."""
+
+    def test_log_prefix_matches_a_shorter_run(self, large_split):
+        """Epochs 0 and 1 log the same bits in a two-epoch and a three-epoch run."""
+        three = train(replace(LARGE_SPLIT, epochs=3), large_split).log
+        two = train(replace(LARGE_SPLIT, epochs=2), large_split).log
+        assert three[:2] == two
+        assert len(three) == 3
 
     def test_no_thread_outlives_train(self, large_split):
         threads = threading.active_count()
