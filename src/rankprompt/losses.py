@@ -11,10 +11,10 @@ All of them take a step's plain arrays: M x K similarities, M checked labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .core import InputError, _log_softmax
 
@@ -71,9 +71,12 @@ def text_to_image_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -
     counts = np.bincount(labels, minlength=s_cal.shape[1])
     present = np.flatnonzero(counts > 0)
     # row c: 1/count on the images of present class c, 0 elsewhere
-    y = (labels == present[:, None]) / counts[present, None]
+    share = 1.0 / counts[present]
+    y = (labels == present[:, None]) * share[:, None]
+    # y * log(y) from libm's log of each row's one nonzero value; numpy's vectorized log can differ in the last bit
+    log_share = np.array([math.log(v) for v in share])
     logq = _log_softmax(s_cal.T[present] / cfg.tau)
-    kl = xlogy(y, y).sum(axis=1) - (y * logq).sum(axis=1)
+    kl = (y * log_share[:, None]).sum(axis=1) - (y * logq).sum(axis=1)
     g = np.zeros_like(s_cal)
     g[:, present] = ((np.exp(logq) - y) / (len(present) * cfg.tau)).T
     return float(kl.sum() / len(present)), g
@@ -95,7 +98,9 @@ def rank_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[f
     # -ln(sigmoid(z)) computed stably as ln(1 + exp(-z))
     value = float(np.logaddexp(0.0, -z).sum() / m)
     # d/dz of -ln(sigmoid(z)) is sigmoid(z) - 1, chained through z = sign*gap/tau
-    dz = (expit(z) - 1.0) * sign / (cfg.tau * m)
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives sigmoid(z) = 0
+        sigmoid = 1.0 / (1.0 + np.exp(-z))
+    dz = (sigmoid - 1.0) * sign / (cfg.tau * m)
     g = np.zeros_like(s_cal)
     g[:, :-1] += dz
     g[:, 1:] -= dz

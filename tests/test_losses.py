@@ -1,11 +1,17 @@
 """Loss values: closed-form oracles, invariances, composition."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit, xlogy
 
 from oracles import rank_directional_loss
 
-from rankprompt.core import InputError
+from rankprompt.core import InputError, _log_softmax
 from rankprompt.losses import (
     LossConfig,
     image_to_text_term,
@@ -243,3 +249,88 @@ class TestTotalLoss:
             report = total_loss(s, labels, CFG)
             assert report.main >= 0 and report.rank >= 0 and report.total >= 0
             assert np.isfinite(report.grad_similarity).all()
+
+
+@st.composite
+def oracle_batches(draw):
+    """A batch in which one grade has a single sample and at least one grade
+    is absent, with its similarities and a temperature."""
+    k = draw(st.integers(3, 8))
+    absent = draw(st.sampled_from(range(k)))
+    single = draw(st.sampled_from([c for c in range(k) if c != absent]))
+    rest = draw(st.lists(st.sampled_from([c for c in range(k) if c not in (absent, single)]), max_size=40))
+    labels = np.array(draw(st.permutations([single, *rest])), dtype=np.int64)
+    s = draw(hnp.arrays(np.float64, (len(labels), k), elements=st.floats(-10, 10)))
+    tau = draw(st.sampled_from([0.07, 0.5, 1.0, 2.0]))
+    return s, labels, LossConfig(tau=tau)
+
+
+class TestScipyOracle:
+    """The loss layer runs on numpy alone; scipy.special's forms of the entropy
+    and the sigmoid are the oracles."""
+
+    @staticmethod
+    def assert_text_to_image_matches_xlogy_form(s, labels, cfg):
+        counts = np.bincount(labels, minlength=s.shape[1])
+        present = np.flatnonzero(counts > 0)
+        y = (labels == present[:, None]) / counts[present, None]
+        logq = _log_softmax(s.T[present] / cfg.tau)
+        kl = xlogy(y, y).sum(axis=1) - (y * logq).sum(axis=1)
+        value, grad = text_to_image_term(s, labels, cfg)
+        assert value == float(kl.sum() / len(present))
+        want = np.zeros_like(s)
+        want[:, present] = ((np.exp(logq) - y) / (len(present) * cfg.tau)).T
+        np.testing.assert_array_equal(grad, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_batches())
+    def test_text_to_image_matches_xlogy_form_bit_for_bit(self, batch):
+        self.assert_text_to_image_matches_xlogy_form(*batch)
+
+    def test_text_to_image_takes_libm_log_of_large_counts(self):
+        """On an AVX-512 host numpy's vectorized log of 1/15105 and of 1/18892
+        differs from libm's (and xlogy's) in the last bit."""
+        labels = np.repeat([0, 1, 3], [15105, 18892, 1])
+        s = np.random.default_rng(31).normal(size=(len(labels), 4))
+        self.assert_text_to_image_matches_xlogy_form(s, labels, CFG)
+
+    @staticmethod
+    def expit_rank_term(s, labels, tau):
+        """The rank term's value and gradient with scipy's expit as the sigmoid,
+        and the scaled gaps z it takes."""
+        m, k = s.shape
+        sign = np.where(np.arange(k - 1)[None, :] >= labels[:, None], 1.0, -1.0)
+        z = sign * (s[:, :-1] - s[:, 1:]) / tau
+        dz = (expit(z) - 1.0) * sign / (tau * m)
+        grad = np.zeros_like(s)
+        grad[:, :-1] += dz
+        grad[:, 1:] -= dz
+        return float(np.logaddexp(0.0, -z).sum() / m), grad, z
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_batches())
+    def test_rank_term_matches_expit_form(self, batch):
+        """The value is the same logaddexp sum; the gradient differs from the
+        expit form by at most the last bits of numpy's exp."""
+        s, labels, cfg = batch
+        want_value, want_grad, _ = self.expit_rank_term(s, labels, cfg.tau)
+        value, grad = rank_term(s, labels, cfg)
+        assert value == want_value
+        assert np.abs(grad - want_grad).max() <= 4 * np.finfo(np.float64).eps / (cfg.tau * len(s))
+
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    def test_huge_gaps_give_finite_gradient_without_warning(self, tau):
+        """exp(-z) overflows to inf for a gap of -1000: the sigmoid is 0, as
+        expit gives, and no RuntimeWarning is raised."""
+        s = smat([[0.0, 1000.0, 0.0, -1000.0, 0.0], [1000.0, 0.0, -1000.0, 0.0, 1000.0]])
+        labels = np.array([2, 0])
+        cfg = LossConfig(tau=tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = rank_term(s, labels, cfg)
+            report = total_loss(s, labels, cfg)
+        assert np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(report.grad_similarity).all()
+        want_value, want_grad, z = self.expit_rank_term(s, labels, tau)
+        assert z.min() < -np.log(np.finfo(np.float64).max)  # exp(-z) does overflow
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad)
