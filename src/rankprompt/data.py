@@ -3,7 +3,8 @@
 Class c is a Gaussian blob centered at (c * class_sep, 0, ..., 0) so the
 label order is geometrically meaningful; per-class counts decay
 geometrically with one knob (imbalance_ratio).  Everything is seeded and
-byte-reproducible.
+byte-reproducible.  Generation and CSV formatting hold one block of
+BLOCK_ROWS rows beyond the dataset; the CSV's binary twin holds every row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import InputError, check_labels
 SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
 MIN_PER_CLASS = 2
-WRITE_BLOCK_ROWS = 4096
+BLOCK_ROWS = 1024
 # write_csv leaves the parsed form of the file beside it, at the CSV's path plus this suffix.
 TWIN_SUFFIX = ".rows"
 
@@ -141,29 +142,31 @@ def class_counts(spec: DatasetSpec) -> list[int]:
 
 
 def generate_synthetic(spec: DatasetSpec) -> Dataset:
-    """Seeded draw of the blob mixture with a stratified 80/20 split."""
+    """Seeded draw of the blob mixture with a stratified 80/20 split.  Each grade's
+    noise is drawn into the one features array a block of rows at a time."""
     counts = class_counts(spec)
     rng = np.random.default_rng(spec.seed)
-    feats, labels, split = [], [], []
+    features = np.empty((spec.samples, spec.feature_dim))
+    split = np.array(["train"] * spec.samples, dtype=object)
+    start = 0
     for c, n_c in enumerate(counts):
         center = np.zeros(spec.feature_dim)
         center[0] = c * spec.class_sep
-        feats.append(center + rng.normal(0.0, spec.noise_sigma, size=(n_c, spec.feature_dim)))
-        labels.extend([c] * n_c)
+        for lo in range(start, start + n_c, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, start + n_c)
+            np.add(center, rng.normal(0.0, spec.noise_sigma, size=(hi - lo, spec.feature_dim)), out=features[lo:hi])
+            if not np.isfinite(features[lo:hi]).all():
+                raise InputError(
+                    f"generated features overflow float64 (class_sep = {spec.class_sep}, noise_sigma = {spec.noise_sigma})"
+                )
         n_test = int(np.floor(TEST_FRACTION * n_c))
-        tags = np.array(["train"] * n_c, dtype=object)
-        tags[rng.permutation(n_c)[:n_test]] = "test"
-        split.extend(tags.tolist())
-    features = np.vstack(feats)
-    if not np.isfinite(features).all():
-        raise InputError(
-            f"generated features overflow float64 (class_sep = {spec.class_sep}, noise_sigma = {spec.noise_sigma})"
-        )
+        split[start + rng.permutation(n_c)[:n_test]] = "test"
+        start += n_c
     return Dataset(
         features=features,
-        labels=np.array(labels, dtype=np.int64),
-        split=np.array(split, dtype=object),
-        ids=np.arange(len(labels), dtype=np.int64),
+        labels=np.repeat(np.arange(spec.classes, dtype=np.int64), counts),
+        split=split,
+        ids=np.arange(spec.samples, dtype=np.int64),
         classes=spec.classes,
     )
 
@@ -187,8 +190,8 @@ def write_csv(dataset: Dataset, path) -> None:
 
         put(",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)]) + "\n")
         # One block of rows at a time: the whole file's row strings would triple the peak memory.
-        for start in range(0, dataset.n, WRITE_BLOCK_ROWS):
-            block = slice(start, start + WRITE_BLOCK_ROWS)
+        for start in range(0, dataset.n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
             rows = zip(
                 dataset.ids[block].tolist(),
                 dataset.labels[block].tolist(),

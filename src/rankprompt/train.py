@@ -10,11 +10,12 @@ and every epoch visits all of it.  The statistics are None (raw similarities)
 until the first commit, and throughout with ``sms_enabled = false``, the one
 calibration switch; inference reuses the last committed ones.
 
-Memory is bounded by a batch or a tile, except for one n_train x K buffer per epoch: batches
-gather through row indices, the backward turns its activations into the tanh derivative in
-place, and inference encodes in row tiles.  That buffer holds the calibrated scores each step
-computed before it stepped, and its ``metrics_report`` fills the ``train_*`` fields of the log;
-there is no second pass over the split and no thread.
+Beyond the dataset and its CSV's binary twin (one record per row), memory is bounded by a batch,
+a tile or a block of ``data.BLOCK_ROWS`` rows (generation, CSV text), except for one n_train x K
+buffer per epoch: batches gather through row indices, the backward turns its activations into the
+tanh derivative in place, and inference encodes in row tiles.  That buffer holds the calibrated
+scores each step computed before it stepped, and its ``metrics_report`` fills the ``train_*``
+fields of the log; there is no second pass over the split and no thread.
 """
 
 from __future__ import annotations

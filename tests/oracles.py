@@ -2,15 +2,17 @@
 
 Each one computes a quantity of the objective the slow, obvious way, one
 row or one sample at a time, so tests can check the vectorized code in
-``rankprompt`` against it.
+``rankprompt`` against it.  ``traced_peak`` measures the memory bounds the
+tests hold ``rankprompt`` to.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 
 from rankprompt.core import InputError, check_labels
-from rankprompt.data import SPLITS, Dataset, ParseError
+from rankprompt.data import SPLITS, TEST_FRACTION, Dataset, DatasetSpec, ParseError, class_counts
 
 # Floor applied to the second argument of the KL divergence.
 KL_EPS = 1e-12
@@ -147,3 +149,42 @@ def batch_iter_subset(dataset: Dataset, split: str, batch_size: int, seed: int, 
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         yield feats[idx], labels[idx]
+
+
+def generate_synthetic_concat(spec: DatasetSpec) -> Dataset:
+    """``generate_synthetic`` drawing each grade into a list of its own and
+    joining the lists at the end, which holds the features twice."""
+    counts = class_counts(spec)
+    rng = np.random.default_rng(spec.seed)
+    feats, labels, split = [], [], []
+    for c, n_c in enumerate(counts):
+        center = np.zeros(spec.feature_dim)
+        center[0] = c * spec.class_sep
+        feats.append(center + rng.normal(0.0, spec.noise_sigma, size=(n_c, spec.feature_dim)))
+        labels.extend([c] * n_c)
+        n_test = int(np.floor(TEST_FRACTION * n_c))
+        tags = np.array(["train"] * n_c, dtype=object)
+        tags[rng.permutation(n_c)[:n_test]] = "test"
+        split.extend(tags.tolist())
+    features = np.vstack(feats)
+    if not np.isfinite(features).all():
+        raise InputError(
+            f"generated features overflow float64 (class_sep = {spec.class_sep}, noise_sigma = {spec.noise_sigma})"
+        )
+    return Dataset(
+        features=features,
+        labels=np.array(labels, dtype=np.int64),
+        split=np.array(split, dtype=object),
+        ids=np.arange(len(labels), dtype=np.int64),
+        classes=spec.classes,
+    )
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` allocates at its peak beyond what exists when it starts."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,14 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_iter_subset, load_csv_rows
+from oracles import batch_iter_subset, generate_synthetic_concat, load_csv_rows, traced_peak
 from rankprompt.core import InputError
 from rankprompt.data import (
+    BLOCK_ROWS,
     SPLITS,
     TWIN_SUFFIX,
     Dataset,
     DatasetSpec,
     ParseError,
+    _twin_dtype,
     batch_iter,
     class_counts,
     generate_synthetic,
@@ -89,6 +91,65 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(s)
         got = np.bincount(ds.labels, minlength=5).tolist()
         assert got == class_counts(s)
+
+
+@st.composite
+def dataset_specs(draw):
+    classes = draw(st.integers(2, 8))
+    return DatasetSpec(
+        samples=draw(st.integers(2 * classes, 3 * BLOCK_ROWS)),
+        classes=classes,
+        feature_dim=draw(st.integers(1, 6)),
+        class_sep=draw(st.floats(0.01, 10.0)),
+        noise_sigma=draw(st.sampled_from([0.0, 0.2, 1.3])),
+        imbalance_ratio=draw(st.floats(1.0, 50.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestBlockedGeneration:
+    """``generate_synthetic`` draws each grade into the one features array
+    BLOCK_ROWS rows at a time; the generator that drew whole grades and joined
+    them is the oracle, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=dataset_specs())
+    # grades of 3,000 and 750 rows: one spans three blocks, one fits in one
+    @example(s=DatasetSpec(samples=3750, classes=2, feature_dim=3, noise_sigma=0.5, imbalance_ratio=4.0, seed=3))
+    # two grades of exactly one block each
+    @example(s=DatasetSpec(samples=2 * BLOCK_ROWS, classes=2, feature_dim=2, seed=1))
+    @example(s=DatasetSpec(samples=3750, classes=2, feature_dim=1, noise_sigma=0.5, imbalance_ratio=4.0))
+    @example(s=DatasetSpec(samples=3750, classes=3, feature_dim=4, noise_sigma=0.0, imbalance_ratio=4.0))
+    def test_equals_concatenating_generator(self, s):
+        got, want = generate_synthetic(s), generate_synthetic_concat(s)
+        assert got.features.dtype == want.features.dtype
+        assert got.features.tobytes() == want.features.tobytes()  # also tells -0.0 from 0.0
+        assert got.labels.dtype == np.int64 and np.array_equal(got.labels, want.labels)
+        assert got.split.dtype == object and got.split.tolist() == want.split.tolist()
+        assert got.ids.dtype == want.ids.dtype and np.array_equal(got.ids, want.ids)
+
+    @pytest.mark.parametrize("change", [{"class_sep": 1e308}, {"noise_sigma": 1e308}])
+    def test_overflow_message_unchanged(self, change):
+        s = spec(**change)
+        with pytest.raises(InputError) as want:
+            generate_synthetic_concat(s)
+        with pytest.raises(InputError, match=f"^{re.escape(str(want.value))}$"):
+            generate_synthetic(s)
+
+
+class TestMemoryBounds:
+    def test_generation_peak_is_the_features_array_and_a_block(self):
+        """The ``train_large`` benchmark's dataset: the features array, one
+        block of noise and the per-row label, split and id arrays."""
+        s = DatasetSpec(samples=40_000, classes=8, feature_dim=64, class_sep=0.75, noise_sigma=0.5, imbalance_ratio=20.0)
+        assert traced_peak(lambda: generate_synthetic(s)) < 1.25 * 40_000 * 64 * 8
+
+    def test_write_peak_is_the_twin_and_a_block(self, tmp_path):
+        """The twin is one record array of every row; the CSV text adds one
+        block of formatted rows."""
+        ds = generate_synthetic(DatasetSpec(samples=20_000, classes=5, feature_dim=64, imbalance_ratio=5.0))
+        twin_bytes = ds.n * _twin_dtype(ds.feature_dim).itemsize
+        assert traced_peak(lambda: write_csv(ds, tmp_path / "d.csv")) < twin_bytes + 3 * 2**20
 
 
 class TestCsvRoundTrip:

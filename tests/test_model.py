@@ -1,12 +1,12 @@
 """Encoder, initialization, determinism, serialization."""
 
 import re
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from oracles import traced_peak
 from rankprompt import losses, sms
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError, similarity_matrix
@@ -179,16 +179,6 @@ class TestBackwardSinglePass:
 def large_model(seed=0):
     """A model of the ``train_large`` benchmark's sizes: F=64, H=256, D=64, K=8."""
     return init_params(64, 256, 64, 8, seed)
-
-
-def traced_peak(fn):
-    """Bytes ``fn()`` allocates at its peak beyond what exists when it starts."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestTiledForward:

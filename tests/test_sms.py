@@ -156,7 +156,7 @@ class TestAccumulate:
             accumulate_class_stats(sums, np.ones((2, 3)), np.array([0]))
 
 
-class TestSmoothStats:
+class TestCommitSmoothing:
     """Kernel smoothing as ``commit_epoch`` applies it."""
 
     def test_symmetric_neighbors_average(self):

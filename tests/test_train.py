@@ -218,9 +218,9 @@ class TestTrainMetrics:
             assert np.array_equal(scores, raw) == (epoch == 0 or not sms_enabled)
 
 
-class TestOverlappedEvaluation:
-    """No evaluation overlaps the next epoch: the log is the epochs' own, on a
-    train split of any size, and no thread is started."""
+class TestSerialEpochLog:
+    """Each epoch logs its own steps, on a train split of any size: a longer run
+    logs the same first epochs, and no thread is started."""
 
     def test_log_prefix_matches_a_shorter_run(self, large_split):
         """Epochs 0 and 1 log the same bits in a two-epoch and a three-epoch run."""
