@@ -146,7 +146,6 @@ class BackwardResult:
     grads: ModelParams  # the gradient, in the parameters' layout
     report: L.LossReport
     similarity_raw: np.ndarray
-    similarity_cal: np.ndarray  # what total_loss scored: similarity_raw itself when stats is None
 
 
 def model_backward(
@@ -197,7 +196,7 @@ def model_backward(
     np.matmul(features.T, g_pre, out=grads.w1)
     g_pre.sum(axis=0, out=grads.b1)
     grads.text[...] = g_t
-    return BackwardResult(grads=grads, report=report, similarity_raw=s_raw, similarity_cal=s_cal)
+    return BackwardResult(grads=grads, report=report, similarity_raw=s_raw)
 
 
 @dataclass

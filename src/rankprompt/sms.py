@@ -1,14 +1,12 @@
 """Similarity-row calibration from kernel-smoothed per-class statistics.
 
-While an epoch runs, ``accumulate_class_stats`` adds each grade's raw
-similarity rows to an ``EpochSums`` in place.  At the epoch boundary
-``commit_epoch`` turns the sums into an immutable ``ClassStats``: per-grade
-mean/variance plus versions smoothed across neighboring grades with a
-Gaussian kernel over grade distance.  A commit covers every grade; an epoch
-in which some grade has no rows cannot commit.  Calibration reads only a
-``ClassStats``, as a per-row affine map, throughout the following epoch;
-None (nothing committed yet) means no calibration.  Sums still being
-accumulated are never a ``ClassStats``, so calibration cannot read them.
+At the end of an epoch ``commit_epoch`` takes every raw similarity row the
+epoch computed, with its label, and returns an immutable ``ClassStats``:
+per-grade mean/variance plus versions smoothed across neighboring grades
+with a Gaussian kernel over grade distance.  A commit covers every grade; an
+epoch in which some grade has no rows cannot commit.  Calibration reads only
+a ``ClassStats``, as a per-row affine map, throughout the following epoch;
+None (nothing committed yet) means no calibration.
 """
 
 from __future__ import annotations
@@ -55,20 +53,6 @@ def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
     return w
 
 
-class EpochSums:
-    """Running sums of one epoch's raw similarity rows, updated in place by
-    ``accumulate_class_stats``: row j of the K x K ``total``/``totalsq`` sums
-    grade j's rows and their squares, and ``count`` holds each grade's number of rows."""
-
-    def __init__(self, k: int):
-        if k < 2:
-            raise InputError(f"need at least 2 classes, got {k}")
-        self.k = k
-        self.total = np.zeros((k, k))
-        self.totalsq = np.zeros((k, k))
-        self.count = np.zeros(k, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class ClassStats:
     """The per-grade statistics one epoch commit froze, as read-only arrays:
@@ -108,29 +92,26 @@ def _check_rows(s: np.ndarray, labels: np.ndarray, k: int) -> None:
         raise InputError(f"got {len(labels)} labels for {s.shape[0]} similarity rows")
 
 
-def accumulate_class_stats(sums: EpochSums, s: np.ndarray, labels: np.ndarray) -> None:
-    """Add a batch of raw similarity rows (M x K array, M labels in [0, K),
-    not checked here) to the epoch's running sums, in place."""
-    _check_rows(s, labels, sums.k)
-    # add.at on the flat K*K cells: each cell sums its rows in batch order, on numpy's fast 1-D path
-    cells = (labels[:, None] * sums.k + np.arange(sums.k)).ravel()
-    np.add.at(sums.total.reshape(-1), cells, s.ravel())
-    np.add.at(sums.totalsq.reshape(-1), cells, (s * s).ravel())
-    sums.count += np.bincount(labels, minlength=sums.k)
-
-
-def commit_epoch(sums: EpochSums, kernel: KernelSpec) -> ClassStats:
-    """Freeze the epoch's per-grade mean and population variance (floored at
-    VAR_FLOOR), and their ``kernel``-smoothed versions, for use throughout
-    the next epoch.  Every grade needs rows: an InputError names those
-    without."""
-    missing = np.flatnonzero(sums.count == 0).tolist()
+def commit_epoch(s_raw: np.ndarray, labels: np.ndarray, kernel: KernelSpec) -> ClassStats:
+    """Freeze the per-grade mean and population variance (floored at
+    VAR_FLOOR) of an epoch's M x K raw similarity rows and their M labels,
+    and their ``kernel``-smoothed versions, for use throughout the next
+    epoch.  Every grade needs rows: an InputError names those without."""
+    k = s_raw.shape[1]
+    _check_rows(s_raw, labels, k)
+    check_labels(labels, k)
+    count = np.bincount(labels, minlength=k)
+    missing = np.flatnonzero(count == 0).tolist()
     if missing:
         raise InputError(f"cannot commit calibration statistics: grades {missing} have no rows this epoch")
-    k = sums.k
-    n = sums.count[:, None].astype(np.float64)
-    mean = sums.total / n
-    var = np.maximum(sums.totalsq / n - mean * mean, VAR_FLOOR)
+    # add.at on the flat K*K cells: each cell sums its grade's rows in row order, on numpy's fast 1-D path
+    cells = (labels[:, None] * k + np.arange(k)).ravel()
+    row_sum, sq_sum = np.zeros((k, k)), np.zeros((k, k))
+    np.add.at(row_sum.reshape(-1), cells, s_raw.ravel())
+    np.add.at(sq_sum.reshape(-1), cells, (s_raw * s_raw).ravel())
+    n = count[:, None].astype(np.float64)
+    mean = row_sum / n
+    var = np.maximum(sq_sum / n - mean * mean, VAR_FLOOR)
     sm, sv = np.empty((k, k)), np.empty((k, k))
     for j in range(k):
         w = kernel_weights(kernel, j, k)
@@ -142,7 +123,7 @@ def commit_epoch(sums: EpochSums, kernel: KernelSpec) -> ClassStats:
         w = w / total
         sm[j] = w @ mean
         sv[j] = w @ var
-    return ClassStats(count=sums.count.copy(), mean=mean, var=var, smoothed_mean=sm, smoothed_var=sv)
+    return ClassStats(count=count, mean=mean, var=var, smoothed_mean=sm, smoothed_var=sv)
 
 
 def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:

@@ -2,20 +2,21 @@
 writes it and ``load_checkpoint`` is its one reader.
 
 One epoch = shuffled batches of (encode -> similarity -> calibrate ->
-loss -> backward -> optimizer step) while the raw similarity rows are
-summed per grade into an ``sms.EpochSums``; at the epoch boundary the sums
-commit to an immutable ``sms.ClassStats`` that calibrates the next epoch.
-Every commit covers all K grades: ``train`` requires each in the train split,
-and every epoch visits all of it.  The statistics are None (raw similarities)
-until the first commit, and throughout with ``sms_enabled = false``, the one
-calibration switch; inference reuses the last committed ones.
+loss -> backward -> optimizer step), each step keeping its raw similarity
+rows in one n_train x K buffer; at the epoch boundary ``sms.commit_epoch``
+turns that buffer into an immutable ``sms.ClassStats`` that calibrates the
+next epoch.  Every commit covers all K grades: ``train`` requires each in the
+train split, and every epoch visits all of it.  The statistics are None (raw
+similarities) until the first commit, and throughout with ``sms_enabled =
+false``, the one calibration switch; inference reuses the last committed ones.
 
 Beyond the dataset and its CSV's binary twin (one record per row), memory is bounded by a batch,
-a tile or a block of ``data.BLOCK_ROWS`` rows (generation, CSV text), except for one n_train x K
-buffer per epoch: batches gather through row indices, the backward turns its activations into the
-tanh derivative in place, and inference encodes in row tiles.  That buffer holds the calibrated
-scores each step computed before it stepped, and its ``metrics_report`` fills the ``train_*``
-fields of the log; there is no second pass over the split and no thread.
+a tile or a block of ``data.BLOCK_ROWS`` rows (generation, CSV text), except for the epoch's
+n_train x K buffer: batches gather through row indices, the backward turns its activations into the
+tanh derivative in place, and inference encodes in row tiles.  After the commit the buffer is
+calibrated in place with the statistics the epoch's steps read, which gives the scores each step's
+loss saw, and its ``metrics_report`` fills the ``train_*`` fields of the log; there is no second
+pass over the split and no thread.
 """
 
 from __future__ import annotations
@@ -41,31 +42,23 @@ class TrainResult:
     log: list
 
 
-def kernel_from_config(cfg: RunConfig) -> sms.KernelSpec:
-    return sms.KernelSpec(sigma=cfg.sms_sigma, include_self=cfg.sms_include_self)
-
-
-def loss_config(cfg: RunConfig) -> LossConfig:
-    return LossConfig(tau=cfg.tau, lambda_main=cfg.lambda_main, lambda_rank=cfg.lambda_rank)
-
-
 def _train_epoch(
     params: M.ModelParams,
     opt: M.OptimizerState,
     committed: sms.ClassStats | None,
+    kernel: sms.KernelSpec,
     dataset: Dataset,
     cfg: RunConfig,
     epoch: int,
-) -> tuple[dict, sms.EpochSums]:
-    """Step ``params`` over one epoch's batches; returns the epoch's log entry
-    (its mean loss terms, and the metrics of the calibrated scores its steps
-    computed, before each step) and the raw similarity sums it accumulated."""
-    lcfg = loss_config(cfg)
+) -> tuple[dict, sms.ClassStats | None]:
+    """Step ``params`` over one epoch's batches, calibrated by ``committed``; returns the epoch's log
+    entry (its mean loss terms, and the metrics of the calibrated scores its steps computed, before
+    each step) and the statistics its raw similarity rows commit (None when ``sms_enabled`` is off)."""
+    lcfg = LossConfig(tau=cfg.tau, lambda_main=cfg.lambda_main, lambda_rank=cfg.lambda_rank)
     n = dataset.rows("train").size
     scores, truth = np.empty((n, cfg.classes)), np.empty(n, dtype=np.int64)
     seen = 0
     sums = {"main": 0.0, "rank": 0.0, "total": 0.0}
-    class_sums = sms.EpochSums(cfg.classes)
     for batch, (feats, labels) in enumerate(batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
         diverged = f"training diverged at epoch {epoch}, batch {batch}"
         try:
@@ -76,15 +69,20 @@ def _train_epoch(
         if not np.isfinite(params.flat).all():
             bad = next(name for name, v in params.as_dict().items() if not np.isfinite(v).all())
             raise InputError(f"{diverged}: the optimizer step made parameter {bad} non-finite")
-        if cfg.sms_enabled:
-            sms.accumulate_class_stats(class_sums, result.similarity_raw, labels)
         m = feats.shape[0]
-        scores[seen : seen + m] = result.similarity_cal
+        scores[seen : seen + m] = result.similarity_raw
         truth[seen : seen + m] = labels
         seen += m
         sums["main"] += result.report.main * m
         sums["rank"] += result.report.rank * m
         sums["total"] += result.report.total * m
+    fresh = sms.commit_epoch(scores, truth, kernel) if cfg.sms_enabled else None
+    if committed is not None:
+        # model_backward's arithmetic, in place; the gathered maps go before metrics_report runs
+        scale, offset = sms.calibration_map(scores, truth, committed)
+        scores *= scale
+        scores += offset
+        del scale, offset
     rep = metrics_report(scores, truth, cfg.classes, cfg.tau)
     entry = {
         "epoch": epoch,
@@ -93,7 +91,7 @@ def _train_epoch(
         "train_macro_auc": rep.macro_auc,
         "train_rank_monotonicity": rep.rank_monotonicity,
     }
-    return entry, class_sums
+    return entry, fresh
 
 
 def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
@@ -106,7 +104,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
     first bad tensor."""
     params = M.init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
     opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
-    kernel = kernel_from_config(cfg)
+    kernel = sms.KernelSpec(sigma=cfg.sms_sigma, include_self=cfg.sms_include_self)
     committed = None
     log = []
     rows = dataset.rows("train")
@@ -120,10 +118,8 @@ def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
     if not np.isfinite(dataset.features).all(axis=1)[rows].all():
         raise InputError("train features contain non-finite entries")
     for epoch in range(cfg.epochs):
-        entry, class_sums = _train_epoch(params, opt, committed, dataset, cfg, epoch)
+        entry, committed = _train_epoch(params, opt, committed, kernel, dataset, cfg, epoch)
         log.append(entry)
-        if cfg.sms_enabled:
-            committed = sms.commit_epoch(class_sums, kernel)
     return TrainResult(params=params, stats=committed, log=log)
 
 

@@ -2,8 +2,9 @@
 
 Each one computes a quantity of the objective the slow, obvious way, one
 row or one sample at a time, so tests can check the vectorized code in
-``rankprompt`` against it.  ``traced_peak`` measures the memory bounds the
-tests hold ``rankprompt`` to.
+``rankprompt`` against it; the calibration statistics come one batch at a
+time instead of from the epoch's whole buffer.  ``traced_peak`` measures the
+memory bounds the tests hold ``rankprompt`` to.
 """
 
 import csv
@@ -13,6 +14,7 @@ import numpy as np
 
 from rankprompt.core import InputError, check_labels
 from rankprompt.data import SPLITS, TEST_FRACTION, Dataset, DatasetSpec, ParseError, class_counts
+from rankprompt.sms import VAR_FLOOR, ClassStats, KernelSpec, kernel_weights
 
 # Floor applied to the second argument of the KL divergence.
 KL_EPS = 1e-12
@@ -178,6 +180,63 @@ def generate_synthetic_concat(spec: DatasetSpec) -> Dataset:
         ids=np.arange(len(labels), dtype=np.int64),
         classes=spec.classes,
     )
+
+
+class EpochSums:
+    """Running sums of one epoch's raw similarity rows, updated in place by
+    ``accumulate_class_stats``: row j of the K x K ``total``/``totalsq`` sums
+    grade j's rows and their squares, and ``count`` holds each grade's number of rows."""
+
+    def __init__(self, k: int):
+        if k < 2:
+            raise InputError(f"need at least 2 classes, got {k}")
+        self.k = k
+        self.total = np.zeros((k, k))
+        self.totalsq = np.zeros((k, k))
+        self.count = np.zeros(k, dtype=np.int64)
+
+
+def _check_rows(s: np.ndarray, labels: np.ndarray, k: int) -> None:
+    if s.shape[1] != k:
+        raise InputError(f"similarity width {s.shape[1]} does not match the {k} classes of the statistics")
+    if len(labels) != s.shape[0]:
+        raise InputError(f"got {len(labels)} labels for {s.shape[0]} similarity rows")
+
+
+def accumulate_class_stats(sums: EpochSums, s: np.ndarray, labels: np.ndarray) -> None:
+    """Add a batch of raw similarity rows (M x K array, M labels in [0, K),
+    not checked here) to the epoch's running sums, in place."""
+    _check_rows(s, labels, sums.k)
+    # add.at on the flat K*K cells: each cell sums its rows in batch order, on numpy's fast 1-D path
+    cells = (labels[:, None] * sums.k + np.arange(sums.k)).ravel()
+    np.add.at(sums.total.reshape(-1), cells, s.ravel())
+    np.add.at(sums.totalsq.reshape(-1), cells, (s * s).ravel())
+    sums.count += np.bincount(labels, minlength=sums.k)
+
+
+def commit_sums(sums: EpochSums, kernel: KernelSpec) -> ClassStats:
+    """``sms.commit_epoch`` from running sums that ``accumulate_class_stats``
+    filled one batch at a time: the per-batch route whose every array the
+    whole-buffer commit must match byte for byte."""
+    missing = np.flatnonzero(sums.count == 0).tolist()
+    if missing:
+        raise InputError(f"cannot commit calibration statistics: grades {missing} have no rows this epoch")
+    k = sums.k
+    n = sums.count[:, None].astype(np.float64)
+    mean = sums.total / n
+    var = np.maximum(sums.totalsq / n - mean * mean, VAR_FLOOR)
+    sm, sv = np.empty((k, k)), np.empty((k, k))
+    for j in range(k):
+        w = kernel_weights(kernel, j, k)
+        total = w.sum()
+        if total <= 0.0:
+            # every neighbor weight underflowed and the self weight is off; keep the raw statistics
+            sm[j], sv[j] = mean[j], var[j]
+            continue
+        w = w / total
+        sm[j] = w @ mean
+        sv[j] = w @ var
+    return ClassStats(count=sums.count.copy(), mean=mean, var=var, smoothed_mean=sm, smoothed_var=sv)
 
 
 def traced_peak(fn):

@@ -24,14 +24,7 @@ from rankprompt.config import RunConfig
 from rankprompt.data import TWIN_SUFFIX, DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import LossConfig, rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
-from rankprompt.sms import (
-    EpochSums,
-    KernelSpec,
-    accumulate_class_stats,
-    calibrate_rows,
-    commit_epoch,
-    kernel_weights,
-)
+from rankprompt.sms import KernelSpec, calibrate_rows, commit_epoch, kernel_weights
 from rankprompt.train import evaluate, heatmap_matrix, train
 
 
@@ -83,11 +76,9 @@ class TestA1GradientCertification:
         return grad
 
     def committed_stats(self, rng, k, m_stat=12):
-        sums = EpochSums(k)
         s = rng.normal(size=(m_stat, k))
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)])
-        accumulate_class_stats(sums, s, labels)
-        return commit_epoch(sums, KernelSpec(sigma=1.0, include_self=True))
+        return commit_epoch(s, labels, KernelSpec(sigma=1.0, include_self=True))
 
     def excess(self, analytic, fd, rtol):
         """Worst |analytic - fd| relative to the allowance rtol*|fd| + atol;
@@ -258,19 +249,17 @@ class TestA4LossOracles:
 
 class TestA5CalibrationProperties:
     def committed(self, rng, k=5, kernel=KernelSpec(sigma=1.0, include_self=False), m=40):
-        """An epoch's sums over m rows (every grade present) and their commit."""
-        sums = EpochSums(k)
+        """An epoch's buffer of m rows (every grade present), its labels and their commit."""
         s = rng.normal(scale=2.0, size=(m, k))
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)])
-        accumulate_class_stats(sums, s, labels)
-        return sums, commit_epoch(sums, kernel)
+        return s, labels, commit_epoch(s, labels, kernel)
 
     def test_a5(self):
         rng = np.random.default_rng(0)
 
         # identity under degenerate smoothing: self-only kernel makes the
         # smoothed statistics equal the raw ones
-        _, stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
+        *_, stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
         s = rng.normal(size=(12, 5))
         labels = rng.integers(0, 5, size=12)
         out = calibrate_rows(s, labels, stats)
@@ -281,7 +270,7 @@ class TestA5CalibrationProperties:
         for case in range(50):
             crng = np.random.default_rng(1000 + case)
             k = int(crng.integers(2, 7))
-            _, cstats = self.committed(crng, k=k, m=30)
+            *_, cstats = self.committed(crng, k=k, m=30)
             row = crng.normal(scale=1.5, size=(1, k))
             c = int(crng.integers(0, k))
             alpha = float(crng.uniform(-1.5, 1.5))
@@ -304,19 +293,17 @@ class TestA5CalibrationProperties:
             for k in (2, 5, 7):
                 w = np.stack([kernel_weights(spec, j, k) for j in range(k)])
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(w - w.T))))
-                eye = np.eye(k)
-                onehot = EpochSums(k)
-                accumulate_class_stats(onehot, eye, np.arange(k))
-                totals = commit_epoch(onehot, spec).smoothed_mean.sum(axis=1)
+                totals = commit_epoch(np.eye(k), np.arange(k), spec).smoothed_mean.sum(axis=1)
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(totals - 1.0))))
 
-        # epoch freeze: accumulating further epochs, into the committed
-        # epoch's sums or fresh ones, must not move the committed stats,
-        # whose arrays are unwritable
-        sums, frozen = self.committed(rng)
+        # epoch freeze: overwriting the buffer the commit read, as the epoch
+        # end does, and committing later epochs must not move the committed
+        # stats, whose arrays are unwritable
+        buffer, buffer_labels, frozen = self.committed(rng)
         first = calibrate_rows(s, labels, frozen)
-        for later in (sums, EpochSums(5), EpochSums(5)):
-            accumulate_class_stats(later, s, labels)
+        buffer[...] = calibrate_rows(buffer, buffer_labels, frozen)
+        for later in (buffer, rng.normal(scale=2.0, size=buffer.shape)):
+            commit_epoch(later, buffer_labels, KernelSpec(sigma=1.0, include_self=False))
         second = calibrate_rows(s, labels, frozen)
         arrays = (frozen.count, frozen.mean, frozen.var, frozen.smoothed_mean, frozen.smoothed_var)
         freeze_ok = np.array_equal(first, second) and not any(a.flags.writeable for a in arrays)

@@ -17,7 +17,7 @@ from rankprompt.model import (
     model_backward,
     optimizer_step,
 )
-from rankprompt.sms import EpochSums, KernelSpec, accumulate_class_stats, commit_epoch
+from rankprompt.sms import KernelSpec, commit_epoch
 
 H = 1e-5
 
@@ -119,11 +119,8 @@ class TestLossGradients:
 
 
 def committed_stats(rng, k):
-    sums = EpochSums(k)
     rows = smat(rng.normal(0, 1, (10 * k, k)))
-    labels = np.arange(10 * k) % k
-    accumulate_class_stats(sums, rows, labels)
-    return commit_epoch(sums, KernelSpec(sigma=1.0, include_self=False))
+    return commit_epoch(rows, np.arange(10 * k) % k, KernelSpec(sigma=1.0, include_self=False))
 
 
 class TestFullChainGradients:

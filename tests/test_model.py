@@ -129,9 +129,7 @@ class TestForwardSimilarity:
         without statistics."""
         p = init_params(4, 6, 3, 5, 3)
         feats = np.random.default_rng(8).normal(size=(3, 4))
-        sums = sms.EpochSums(5)
-        sms.accumulate_class_stats(sums, np.ones((5, 5)), np.arange(5))
-        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=1.0, include_self=False))
+        stats = sms.commit_epoch(np.ones((5, 5)), np.arange(5), sms.KernelSpec(sigma=1.0, include_self=False))
         for bad in ([0, -1, 2], [0, 5, 2]):
             for s in (None, stats):
                 with pytest.raises(InputError, match=r"labels must lie in \[0, 5\)"):
@@ -155,9 +153,8 @@ class TestBackwardSinglePass:
             monkeypatch.setattr(module, name, counted)
 
         rng = np.random.default_rng(6)
-        sums = sms.EpochSums(5)
-        sms.accumulate_class_stats(sums, rng.normal(size=(40, 5)), np.arange(40) % 5)
-        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=1.0, include_self=False))
+        kernel = sms.KernelSpec(sigma=1.0, include_self=False)
+        stats = sms.commit_epoch(rng.normal(size=(40, 5)), np.arange(40) % 5, kernel)
         assert stats.smoothed_mean is not None
         p = init_params(4, 6, 3, 5, 7)
         feats = rng.normal(size=(8, 4))
@@ -207,9 +204,8 @@ class TestMemoryBounds:
     def test_backward_holds_two_batch_by_hidden_arrays(self):
         rng = np.random.default_rng(1)
         m, h = 4096, 256
-        sums = sms.EpochSums(8)
-        sms.accumulate_class_stats(sums, rng.normal(size=(80, 8)), np.arange(80) % 8)
-        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=0.4, include_self=True))
+        kernel = sms.KernelSpec(sigma=0.4, include_self=True)
+        stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, kernel)
         p = large_model()
         feats = rng.normal(size=(m, 64))
         labels = rng.integers(0, 8, m)

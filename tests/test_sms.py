@@ -4,19 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import EpochSums, accumulate_class_stats, commit_sums
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import ParseError
-from rankprompt.sms import (
-    VAR_FLOOR,
-    EpochSums,
-    KernelSpec,
-    accumulate_class_stats,
-    calibrate_rows,
-    commit_epoch,
-    kernel_weights,
-)
+from rankprompt.sms import VAR_FLOOR, KernelSpec, calibrate_rows, commit_epoch, kernel_weights
 from rankprompt.model import forward_similarity, init_params
 from rankprompt.train import STATS_KEYS, TrainResult, calibrated_similarity, load_checkpoint, save_checkpoint
 
@@ -25,11 +20,9 @@ UNIT = KernelSpec(sigma=1.0, include_self=False)
 ROW_KEYS = ("mean", "var", "smoothed_mean", "smoothed_var")
 
 
-def committed_from(rows, labels, k, kernel=UNIT):
-    """One accumulate + commit round, the normal route to usable stats."""
-    sums = EpochSums(k)
-    accumulate_class_stats(sums, np.asarray(rows, dtype=float), np.array(labels))
-    return commit_epoch(sums, kernel)
+def committed_from(rows, labels, kernel=UNIT):
+    """The commit of one epoch's rows, the normal route to usable stats."""
+    return commit_epoch(np.asarray(rows, dtype=float), np.array(labels), kernel)
 
 
 class TestKernelWeights:
@@ -58,7 +51,7 @@ class TestKernelWeights:
         """One-hot rows, one per class, turn each smoothed-mean row into
         that class's weights as smoothing applies them."""
         for sigma in (0.3, 1.0, 4.0):
-            stats = committed_from(np.eye(5), np.arange(5), 5, KernelSpec(sigma=sigma, include_self=False))
+            stats = committed_from(np.eye(5), np.arange(5), KernelSpec(sigma=sigma, include_self=False))
             np.testing.assert_allclose(stats.smoothed_mean.sum(axis=1), 1.0, atol=1e-9)
             raw = kernel_weights(KernelSpec(sigma=sigma, include_self=False), 0, 5)
             np.testing.assert_allclose(stats.smoothed_mean[0], raw / raw.sum(), atol=1e-12)
@@ -93,67 +86,91 @@ class TestKernelWeights:
 class TestAccumulate:
     def test_hand_mean_and_variance(self):
         s = np.array([[1.0, 3.0], [3.0, 5.0], [0.0, 0.0]])
-        stats = committed_from(s, [1, 1, 0], 2)
+        stats = committed_from(s, [1, 1, 0])
         np.testing.assert_allclose(stats.mean[1], [2.0, 4.0])
         np.testing.assert_allclose(stats.var[1], [1.0, 1.0])
 
     def test_single_row_floors_variance(self):
-        stats = committed_from(np.array([[7.0, 7.0], [0.0, 0.0]]), [0, 1], 2)
+        stats = committed_from(np.array([[7.0, 7.0], [0.0, 0.0]]), [0, 1])
         np.testing.assert_allclose(stats.mean[0], [7.0, 7.0])
         np.testing.assert_allclose(stats.var[0], [VAR_FLOOR, VAR_FLOOR])
 
     def test_commit_names_the_grades_without_rows(self):
         """An epoch that saw only some grades cannot commit: the error names
         every grade without rows."""
-        sums = EpochSums(4)
-        accumulate_class_stats(sums, np.ones((3, 4)), np.array([0, 2, 0]))
-        assert sums.count[1] == 0 and sums.count[3] == 0
         with pytest.raises(InputError, match=r"grades \[1, 3\] have no rows this epoch"):
-            commit_epoch(sums, UNIT)
+            commit_epoch(np.ones((3, 4)), np.array([0, 2, 0]), UNIT)
 
     def test_accumulation_spans_batches(self):
-        sums = EpochSums(2)
+        """An epoch's buffer holds the rows of all its batches: a grade's mean covers both."""
         a = np.array([[1.0, 3.0], [0.0, 0.0]])
         b = np.array([[3.0, 5.0]])
-        accumulate_class_stats(sums, a, np.array([1, 0]))
-        accumulate_class_stats(sums, b, np.array([1]))
-        np.testing.assert_allclose(commit_epoch(sums, UNIT).mean[1], [2.0, 4.0])
+        np.testing.assert_allclose(commit_epoch(np.vstack([a, b]), np.array([1, 0, 1]), UNIT).mean[1], [2.0, 4.0])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(40, 5))
         labels = rng.integers(0, 5, 40)
         perm = rng.permutation(40)
-        one = committed_from(rows, labels, 5)
-        two = committed_from(rows[perm], labels[perm], 5)
+        one = committed_from(rows, labels)
+        two = committed_from(rows[perm], labels[perm])
         np.testing.assert_allclose(one.mean, two.mean, atol=1e-12)
         np.testing.assert_allclose(one.var, two.var, atol=1e-12)
 
     def test_sums_match_row_by_row_accumulation_bit_for_bit(self):
-        """The running sums equal, byte for byte, adding each row to its
-        label's row in batch order, over several batches."""
+        """The committed mean and variance are, byte for byte, those of sums
+        that add each row to its label's row in row order, over a buffer of
+        several batches."""
         rng = np.random.default_rng(8)
         for _ in range(50):
             k = int(rng.integers(2, 9))
-            sums = EpochSums(k)
+            sizes = rng.integers(1, 300, 3)
+            rows = np.vstack([rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(m, k)) for m in sizes])
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, len(rows) - k)])
             total, totalsq = np.zeros((k, k)), np.zeros((k, k))
-            for _ in range(3):
-                m = int(rng.integers(1, 300))
-                rows = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(m, k))
-                labels = rng.integers(0, k, m)
-                accumulate_class_stats(sums, rows, labels)
-                for row, c in zip(rows, labels):
-                    total[c] += row
-                    totalsq[c] += row * row
-            assert sums.total.tobytes() == total.tobytes()
-            assert sums.totalsq.tobytes() == totalsq.tobytes()
+            for row, c in zip(rows, labels):
+                total[c] += row
+                totalsq[c] += row * row
+            n = np.bincount(labels)[:, None].astype(np.float64)
+            stats = commit_epoch(rows, labels, UNIT)
+            assert stats.mean.tobytes() == (total / n).tobytes()
+            assert stats.var.tobytes() == np.maximum(totalsq / n - (total / n) ** 2, VAR_FLOOR).tobytes()
 
     def test_rejects_shape_mismatch(self):
-        sums = EpochSums(3)
-        with pytest.raises(InputError):
-            accumulate_class_stats(sums, np.ones((2, 4)), np.array([0, 1]))
-        with pytest.raises(InputError):
-            accumulate_class_stats(sums, np.ones((2, 3)), np.array([0]))
+        """Labels must number the rows and lie in [0, K) for the buffer's K."""
+        with pytest.raises(InputError, match="^got 1 labels for 2 similarity rows$"):
+            commit_epoch(np.ones((2, 3)), np.array([0]), UNIT)
+        with pytest.raises(InputError, match="^label 3 out of range for 3 classes$"):
+            commit_epoch(np.ones((2, 3)), np.array([0, 3]), UNIT)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_whole_buffer_equals_per_batch_accumulation(self, data):
+        """Committing the epoch's buffer at once gives, byte for byte, every
+        array that summing its rows batch by batch gave, however the batches
+        split it: one grade has a single row, rows span magnitudes 1e-3 to
+        1e3, and some entries are -0.0."""
+        k = data.draw(st.integers(2, 8), label="k")
+        m = data.draw(st.integers(k, 400), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lone = int(rng.integers(0, k))
+        others = np.delete(np.arange(k), lone)
+        labels = rng.permutation(np.concatenate([[lone], others, rng.choice(others, m - k)]))
+        rows = rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+        rows[rng.random((m, k)) < 0.1] = -0.0
+        cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(0, m)), replace=False))
+        kernel = KernelSpec(
+            sigma=data.draw(st.sampled_from([1e-3, 0.4, 1.0, 3.0]), label="sigma"),
+            include_self=data.draw(st.booleans(), label="include_self"),
+        )
+        sums = EpochSums(k)
+        for part_rows, part_labels in zip(np.split(rows, cuts), np.split(labels, cuts)):
+            accumulate_class_stats(sums, part_rows, part_labels)
+        got, want = commit_epoch(rows, labels, kernel), commit_sums(sums, kernel)
+        assert got.count[lone] == 1
+        for key in STATS_KEYS:
+            assert getattr(got, key).dtype == getattr(want, key).dtype
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
 
 
 class TestCommitSmoothing:
@@ -163,16 +180,16 @@ class TestCommitSmoothing:
         """With flat weights the middle class lands on the neighbor mean.
         Smoothing is element-wise, so the scalar case rides in column 0."""
         rows = np.array([[0.0, 5.0, -1.0], [1.0, 7.0, 0.0], [2.0, 9.0, 1.0]])
-        smoothed = committed_from(rows, [0, 1, 2], 3, KernelSpec(sigma=1e6, include_self=False))
+        smoothed = committed_from(rows, [0, 1, 2], KernelSpec(sigma=1e6, include_self=False))
         np.testing.assert_allclose(smoothed.smoothed_mean[1], [1.0, 7.0, 0.0], atol=1e-9)
 
     def test_unit_sigma_value(self):
         rows = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        smoothed = committed_from(rows, [0, 1, 2], 3, UNIT)
+        smoothed = committed_from(rows, [0, 1, 2], UNIT)
         np.testing.assert_allclose(smoothed.smoothed_mean[0], [1.1824255238063563] * 3, atol=1e-12)
 
     def test_constant_field_fixed_point(self):
-        smoothed = committed_from(np.full((3, 3), 4.25), [0, 1, 2], 3)
+        smoothed = committed_from(np.full((3, 3), 4.25), [0, 1, 2])
         for j in range(3):
             np.testing.assert_allclose(smoothed.smoothed_mean[j], [4.25] * 3, atol=1e-12)
 
@@ -180,7 +197,7 @@ class TestCommitSmoothing:
         """When every neighbor weight underflows to 0 the class keeps its own statistics."""
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(12, 3))
-        smoothed = committed_from(rows, np.arange(12) % 3, 3, KernelSpec(sigma=0.02, include_self=False))
+        smoothed = committed_from(rows, np.arange(12) % 3, KernelSpec(sigma=0.02, include_self=False))
         assert np.array_equal(smoothed.smoothed_mean, smoothed.mean)
         assert np.array_equal(smoothed.smoothed_var, smoothed.var)
 
@@ -192,7 +209,7 @@ class TestCalibrateRows:
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(30, 5))
         labels = rng.integers(0, 5, 30)
-        stats = committed_from(rows, labels, 5, KernelSpec(sigma=1e-3, include_self=True))
+        stats = committed_from(rows, labels, KernelSpec(sigma=1e-3, include_self=True))
         fresh = rng.normal(size=(8, 5))
         fresh_labels = rng.integers(0, 5, 8)
         out = calibrate_rows(fresh, fresh_labels, stats)
@@ -202,7 +219,7 @@ class TestCalibrateRows:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(40, 4))
         labels = rng.integers(0, 4, 40)
-        stats = committed_from(rows, labels, 4)
+        stats = committed_from(rows, labels)
         for c in range(4):
             s = stats.mean[c][None, :]
             out = calibrate_rows(s, np.array([c]), stats)
@@ -211,13 +228,9 @@ class TestCalibrateRows:
     def test_scalar_standard_case(self):
         """mean 1, var 1, smoothed mean 3, smoothed var 4 sends 2 to 5.
         Calibration is element-wise, so the scalar case rides in column 0."""
-        sums = EpochSums(2)
         # class 0 rows give mean 1 var 1 in column 0; class 1 mean 3 var 4
-        rows0 = np.array([[0.0, 0.0], [2.0, 2.0]])
-        rows1 = np.array([[1.0, 1.0], [5.0, 5.0]])
-        accumulate_class_stats(sums, rows0, np.array([0, 0]))
-        accumulate_class_stats(sums, rows1, np.array([1, 1]))
-        stats = commit_epoch(sums, UNIT)
+        rows = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 1.0], [5.0, 5.0]])
+        stats = committed_from(rows, [0, 0, 1, 1])
         # the only non-self neighbor of class 0 is class 1
         np.testing.assert_allclose(stats.smoothed_mean[0], [3.0, 3.0])
         np.testing.assert_allclose(stats.smoothed_var[0], [4.0, 4.0])
@@ -231,7 +244,7 @@ class TestCalibrateRows:
             k = int(rng.integers(2, 6))
             rows = rng.normal(rng.normal(0, 2), rng.uniform(0.5, 2), size=(30, k))
             labels = rng.integers(0, k, 30)
-            stats = committed_from(rows, labels, k)
+            stats = committed_from(rows, labels)
             c = int(rng.integers(0, k))
             s = rng.normal(size=(1, k))
             alpha = float(rng.uniform(-1.5, 1.5))
@@ -256,7 +269,7 @@ class TestCalibrateRows:
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(25, 5))
         labels = rng.integers(0, 5, 25)
-        stats = committed_from(rows, labels, 5)
+        stats = committed_from(rows, labels)
         s = rng.normal(size=(6, 5))
         lab = rng.integers(0, 5, 6)
         first = calibrate_rows(s, lab, stats)
@@ -266,50 +279,45 @@ class TestCalibrateRows:
 
 class TestCommitEpoch:
     def test_commit_on_empty_epoch_raises(self):
-        """An epoch that accumulated nothing has no grade to commit."""
-        with pytest.raises(InputError, match=r"grades \[0, 1, 2, 3, 4\] have no rows this epoch"):
-            commit_epoch(EpochSums(5), UNIT)
+        """An epoch without rows has no labels: the label check rejects it
+        before any grade is counted."""
+        with pytest.raises(InputError, match="^labels must be a non-empty 1-D numpy array"):
+            commit_epoch(np.empty((0, 5)), np.empty(0, dtype=np.int64), UNIT)
 
     def test_commit_freezes_and_resets(self):
-        """The commit copies the epoch's counts into read-only arrays that
-        share no memory with the sums."""
+        """The commit holds read-only arrays that share no memory with the
+        epoch's buffer or its labels, so the next epoch may overwrite them."""
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(12, 3))
-        labels = rng.integers(0, 3, 12)
-        sums = EpochSums(3)
-        accumulate_class_stats(sums, rows, labels)
-        stats = commit_epoch(sums, UNIT)
+        labels = np.concatenate([np.arange(3), rng.integers(0, 3, 9)])
+        stats = commit_epoch(rows, labels, UNIT)
         assert stats.count.sum() == 12
         for arr in (stats.count, stats.mean, stats.var, stats.smoothed_mean, stats.smoothed_var):
             assert not arr.flags.writeable
-            assert not any(np.shares_memory(arr, acc) for acc in (sums.total, sums.totalsq, sums.count))
+            assert not any(np.shares_memory(arr, buf) for buf in (rows, labels))
 
     def test_replay_gives_identical_commits(self):
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(18, 4))
         labels = rng.integers(0, 4, 18)
-        first = committed_from(rows, labels, 4)
-        sums = EpochSums(4)
-        accumulate_class_stats(sums, rows, np.asarray(labels))
-        second = commit_epoch(sums, UNIT)
+        first = committed_from(rows, labels)
+        second = commit_epoch(rows.copy(), labels.copy(), UNIT)
         assert np.array_equal(first.mean, second.mean)
         assert np.array_equal(first.smoothed_mean, second.smoothed_mean)
         assert np.array_equal(first.smoothed_var, second.smoothed_var)
 
     def test_frozen_stats_survive_next_epoch_accumulation(self):
-        """Adding rows to the committed epoch's sums, or to the next epoch's,
-        leaves the commit's calibration bit-identical."""
+        """Overwriting the buffer the commit read, as the next epoch does, and
+        committing the next epoch leave the commit's calibration bit-identical."""
         rng = np.random.default_rng(11)
         rows = rng.normal(size=(10, 3))
-        labels = rng.integers(0, 3, 10)
-        sums = EpochSums(3)
-        accumulate_class_stats(sums, rows, labels)
-        stats = commit_epoch(sums, UNIT)
+        labels = np.concatenate([np.arange(3), rng.integers(0, 3, 7)])
+        stats = commit_epoch(rows, labels, UNIT)
         s = rng.normal(size=(4, 3))
         lab = rng.integers(0, 3, 4)
         before = calibrate_rows(s, lab, stats)
-        for mid_epoch in (sums, EpochSums(3)):
-            accumulate_class_stats(mid_epoch, rng.normal(size=(5, 3)), np.zeros(5, dtype=np.int64))
+        rows[...] = rng.normal(size=(10, 3))
+        commit_epoch(rows, labels, UNIT)
         after = calibrate_rows(s, lab, stats)
         assert np.array_equal(before, after)
 
@@ -333,7 +341,7 @@ class TestSerialization:
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(30, 5))
         labels = rng.integers(0, 5, 30)
-        stats = committed_from(rows, labels, 5)
+        stats = committed_from(rows, labels)
         loaded = loaded_stats(tmp_path, saved_doc(tmp_path, stats, 5), 5)
         s = rng.normal(size=(7, 5))
         lab = rng.integers(0, 5, 7)
@@ -347,7 +355,7 @@ class TestSerialization:
 
     def test_keys_of_older_checkpoints_are_ignored(self, tmp_path):
         rng = np.random.default_rng(13)
-        stats = committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3)
+        stats = committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3)
         doc = saved_doc(tmp_path, stats, 3)
         assert set(doc["sms"]) == {"count", "mean", "var", "smoothed_mean", "smoothed_var"}
         # what earlier formats also wrote; the grade count now comes from params.hyper
@@ -377,7 +385,7 @@ class TestSerialization:
     def test_inconsistent_statistics_rejected(self, tmp_path, edit):
         """The message names the first edited key the reader reaches."""
         rng = np.random.default_rng(14)
-        doc = saved_doc(tmp_path, committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3, 3), 3)
+        doc = saved_doc(tmp_path, committed_from(rng.normal(size=(20, 3)), np.arange(20) % 3), 3)
         doc["sms"].update(edit)
         first = min(edit, key=STATS_KEYS.index)
         with pytest.raises(ParseError, match=f"malformed checkpoint: sms\\.{first} "):
@@ -387,7 +395,7 @@ class TestSerialization:
     def test_zero_count_or_null_row_rejected(self, tmp_path, key):
         """Every grade has rows in a commit, so a zero count or a null row
         (what an epoch missing a grade once wrote) is rejected, naming the key."""
-        doc = saved_doc(tmp_path, committed_from(np.arange(12.0).reshape(4, 3), [0, 1, 2, 1], 3), 3)
+        doc = saved_doc(tmp_path, committed_from(np.arange(12.0).reshape(4, 3), [0, 1, 2, 1]), 3)
         if key == "count":
             doc["sms"]["count"][2] = 0
         else:

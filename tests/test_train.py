@@ -19,7 +19,7 @@ from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import DatasetSpec, generate_synthetic
 from rankprompt.losses import LossConfig
-from rankprompt.train import TrainResult, load_checkpoint, save_checkpoint, train
+from rankprompt.train import STATS_KEYS, TrainResult, load_checkpoint, save_checkpoint, train
 
 TINY = RunConfig(
     seed=5,
@@ -111,9 +111,7 @@ class TestBoundaryChecks:
         InputError; all but the training step's own check name the label."""
         labels = np.array([0, 1, 2, 0, 1, bad])
         scores = np.zeros((6, 3))
-        sums = sms.EpochSums(3)
-        sms.accumulate_class_stats(sums, scores, np.array([0, 1, 2, 0, 1, 2]))
-        stats = sms.commit_epoch(sums, sms.KernelSpec(sigma=1.0, include_self=True))
+        stats = sms.commit_epoch(scores, np.array([0, 1, 2, 0, 1, 2]), sms.KernelSpec(sigma=1.0, include_self=True))
         split = np.array(["train"] * 6, dtype=object)
 
         def train_on(labels):
@@ -187,18 +185,19 @@ class TestTrainMetrics:
     @pytest.mark.parametrize("cfg", [TINY, LARGE_SPLIT], ids=["tiny", "large-split"])
     def test_train_fields_are_the_metrics_of_the_scores_each_step_saw(self, monkeypatch, large_split, cfg, sms_enabled):
         """Each epoch's three ``train_*`` values are exactly ``metrics_report``
-        over the ``similarity_cal`` rows and labels that the epoch's
-        ``model_backward`` calls returned, in call order; ``train`` never
-        calls ``evaluate``."""
+        over the ``similarity_raw`` rows that the epoch's ``model_backward``
+        calls returned, in call order, each calibrated by the statistics that
+        step received, and their labels; ``train`` never calls ``evaluate``."""
         dataset = large_split if cfg is LARGE_SPLIT else dataset_for(cfg)
         cfg = replace(cfg, sms_enabled=sms_enabled)
+        kernel = sms.KernelSpec(sigma=cfg.sms_sigma, include_self=cfg.sms_include_self)
         per_epoch = math.ceil(train_rows(dataset) / cfg.batch_size)
         real = model.model_backward
         steps = []
 
-        def backward(params, feats, labels, *args, **kwargs):
-            result = real(params, feats, labels, *args, **kwargs)
-            steps.append((result.similarity_cal.copy(), labels.copy(), result.similarity_raw.copy()))
+        def backward(params, feats, labels, stats, *args, **kwargs):
+            result = real(params, feats, labels, stats, *args, **kwargs)
+            steps.append((result.similarity_raw.copy(), labels.copy(), stats))
             return result
 
         def evaluate(*args, **kwargs):
@@ -208,14 +207,35 @@ class TestTrainMetrics:
         monkeypatch.setattr(train_module, "evaluate", evaluate)
         log = train(cfg, dataset).log
         assert len(log) == cfg.epochs and len(steps) == cfg.epochs * per_epoch
+        previous = None
         for epoch, entry in enumerate(log):
-            epoch_steps = steps[epoch * per_epoch : (epoch + 1) * per_epoch]
-            scores, labels, raw = (np.concatenate(part) for part in zip(*epoch_steps))
+            raws, batch_labels, received = zip(*steps[epoch * per_epoch : (epoch + 1) * per_epoch])
+            stats = received[0]
+            assert all(step_stats is stats for step_stats in received)
+            raw, labels = np.concatenate(raws), np.concatenate(batch_labels)
+            scores = raw if stats is None else np.concatenate(
+                [sms.calibrate_rows(r, lab, stats) for r, lab in zip(raws, batch_labels)]
+            )
             rep = evaluation.metrics_report(scores, labels, cfg.classes, cfg.tau)
             logged = (entry["train_macro_f1"], entry["train_macro_auc"], entry["train_rank_monotonicity"])
             assert logged == (rep.macro_f1, rep.macro_auc, rep.rank_monotonicity)
-            # calibrated under the statistics epoch - 1 committed, raw without any
-            assert np.array_equal(scores, raw) == (epoch == 0 or not sms_enabled)
+            # calibrated under the statistics epoch - 1 committed from its raw rows, raw without any
+            assert (stats is None) == (epoch == 0 or not sms_enabled)
+            if stats is not None:
+                assert all(getattr(stats, key).tobytes() == getattr(previous, key).tobytes() for key in STATS_KEYS)
+                assert not np.array_equal(scores, raw)
+            previous = sms.commit_epoch(raw, labels, kernel)
+
+    @pytest.mark.parametrize("sms_enabled", [True, False], ids=["sms-on", "sms-off"])
+    def test_one_commit_per_epoch(self, monkeypatch, sms_enabled):
+        """``train`` commits statistics once at the end of every epoch with
+        ``sms_enabled = true``, and never with it false."""
+        commits = []
+        real = sms.commit_epoch
+        monkeypatch.setattr(sms, "commit_epoch", lambda *args: commits.append(1) or real(*args))
+        cfg = replace(TINY, epochs=3, sms_enabled=sms_enabled)
+        train(cfg, dataset_for(cfg))
+        assert len(commits) == (cfg.epochs if sms_enabled else 0)
 
 
 class TestSerialEpochLog:
