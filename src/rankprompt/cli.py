@@ -9,6 +9,7 @@ problem.  RANKPROMPT_SEED overrides the config seed when set.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -33,18 +34,6 @@ ABLATION_SEEDS = 5
 ABLATION_METRICS = ("macro_f1", "macro_auc", "rank_monotonicity")
 
 
-def _dataset_spec(cfg: RunConfig) -> DatasetSpec:
-    return DatasetSpec(
-        samples=cfg.samples,
-        classes=cfg.classes,
-        feature_dim=cfg.feature_dim,
-        class_sep=cfg.class_sep,
-        noise_sigma=cfg.noise_sigma,
-        imbalance_ratio=cfg.imbalance_ratio,
-        seed=cfg.seed,
-    )
-
-
 def _out_dir(cfg: RunConfig, args) -> Path:
     out = Path(args.out if args.out else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -58,7 +47,7 @@ def _load_dataset(cfg: RunConfig, args, out: Path) -> Dataset:
 
 def cmd_generate(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    spec = _dataset_spec(cfg)
+    spec = DatasetSpec.from_config(cfg)
     dataset = generate_synthetic(spec)
     write_csv(dataset, out / "dataset.csv")
     meta = {
@@ -126,7 +115,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     seeds = [cfg.seed + i for i in range(ABLATION_SEEDS)]
     collected = {name: {metric: [] for metric in ABLATION_METRICS} for name in ABLATION_VARIANTS}
     for seed in seeds:
-        dataset = generate_synthetic(replace(_dataset_spec(cfg), seed=seed))
+        dataset = generate_synthetic(replace(DatasetSpec.from_config(cfg), seed=seed))
         feats, labels = dataset.subset("test")
         for name, overrides in ABLATION_VARIANTS.items():
             vcfg = replace(cfg, seed=seed, **overrides)
@@ -187,7 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's trim and mmap thresholds at 64 and 32 MiB, where its dynamic rule tops out; False without mallopt.
+    Left dynamic, whether an eval's megabyte arrays reuse freed heap pages or are page-faulted afresh varied by process."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+    return bool(mallopt) and mallopt(-1, 64 << 20) == 1 and mallopt(-3, 32 << 20) == 1  # M_TRIM_, M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -16,11 +16,12 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NoReturn
 
 import numpy as np
 
+from .config import RunConfig
 from .core import InputError, check_labels
 
 SPLITS = ("train", "test")
@@ -70,6 +71,11 @@ class DatasetSpec:
             raise InputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.imbalance_ratio < 1:
             raise InputError(f"imbalance_ratio must be >= 1, got {self.imbalance_ratio}")
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> DatasetSpec:
+        """The dataset of ``cfg``: its keys of the same names, the seed among them."""
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ against the normalized batch presence) and a pairwise rank loss that
 pushes each row to decay strictly away from its true class in both
 directions.  Each term returns its value together with its hand-derived
 analytic gradient with respect to the similarity matrix, from one pass.
-All of them take a step's plain arrays: M x K similarities, M checked labels.
+All of them take a step's plain arrays (M x K similarities, M checked labels)
+and the run's ``RunConfig``, validated where it was built.
 """
 
 from __future__ import annotations
@@ -16,21 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .core import InputError, _log_softmax
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    tau: float = 1.0
-    lambda_main: float = 1.0
-    lambda_rank: float = 1.0
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise InputError(f"tau must be positive, got {self.tau}")
-        for name in ("lambda_main", "lambda_rank"):
-            if not getattr(self, name) >= 0:
-                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +34,7 @@ def _check_length(s: np.ndarray, labels: np.ndarray) -> None:
         raise InputError(f"got {len(labels)} labels for {s.shape[0]} similarity rows")
 
 
-def image_to_text_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
+def image_to_text_term(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> tuple[float, np.ndarray]:
     """Mean KL(one-hot || row-softmax), i.e. mean cross-entropy of the true
     class, and its gradient."""
     _check_length(s_cal, labels)
@@ -61,7 +49,7 @@ def image_to_text_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -
     return value, g
 
 
-def text_to_image_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
+def text_to_image_term(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> tuple[float, np.ndarray]:
     """Transposed direction: KL of normalized class presence against the
     softmax of each class column over the batch, averaged over the classes
     actually present in the batch (absent classes carry no target mass),
@@ -82,7 +70,7 @@ def text_to_image_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -
     return float(kl.sum() / len(present)), g
 
 
-def rank_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
+def rank_term(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> tuple[float, np.ndarray]:
     """Mean over samples of the summed rightward and leftward losses, and
     its gradient.
 
@@ -107,7 +95,7 @@ def rank_term(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> tuple[f
     return value, g
 
 
-def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> LossReport:
+def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> LossReport:
     """main = mean of the two alignment directions; total = lambda_main * main
     + lambda_rank * rank, and the gradient is that of total.  A term of weight
     0 adds nothing to the gradient; its value is still reported.

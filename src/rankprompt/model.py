@@ -16,7 +16,8 @@ import numpy as np
 
 from . import losses as L
 from . import sms
-from .core import InputError, require_finite, similarity_matrix
+from .config import RunConfig
+from .core import InputError, check_labels, require_finite, similarity_matrix
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -153,13 +154,13 @@ def model_backward(
     features: np.ndarray,
     labels: np.ndarray,
     stats: sms.ClassStats | None,
-    cfg: L.LossConfig,
-    normalize: bool = False,
+    cfg: RunConfig,
 ) -> BackwardResult:
-    """Forward encode -> similarity -> calibrate -> loss, then hand backward.
+    """Forward encode -> similarity -> calibrate -> loss, then hand backward,
+    with the loss weights, temperature and ``normalize_embeddings`` of ``cfg``.
 
-    ``labels`` are M class indices in [0, K), checked here with one
-    min/max; the other step functions trust them.  ``stats=None``
+    ``labels`` are M class indices in [0, K), checked here by
+    ``check_labels``; the other step functions trust them.  ``stats=None``
     skips calibration entirely.  Committed statistics are treated as
     constants: the gradient passes through the per-row affine map via its
     frozen scale only.  Only two M x H arrays live: ``w2``'s gradient is taken
@@ -167,9 +168,8 @@ def model_backward(
     Each weight gradient stays one whole-batch matmul, so every bit matches the
     unfused order; ``features`` is only read.
     """
-    if len(labels) and (labels.min() < 0 or labels.max() >= params.classes):
-        raise InputError(f"labels must lie in [0, {params.classes}), got {labels.min()}..{labels.max()}")
-    features, pre, x, t, x_norms, t_norms = _forward(params, features, normalize)
+    check_labels(labels, params.classes)
+    features, pre, x, t, x_norms, t_norms = _forward(params, features, cfg.normalize_embeddings)
     s_raw = similarity_matrix(x, t)
     if stats is not None:
         scale, offset = sms.calibration_map(s_raw, labels, stats)
@@ -183,7 +183,7 @@ def model_backward(
 
     g_x = g_s @ t
     g_t = g_s.T @ x
-    if normalize:
+    if cfg.normalize_embeddings:
         # d(x/|x|) pulls out the radial component and rescales by the norm
         g_x = (g_x - (g_x * x).sum(axis=1, keepdims=True) * x) / x_norms
         g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
@@ -213,14 +213,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def init_optimizer(kind: str, learning_rate: float, params: ModelParams) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise InputError(f"optimizer must be 'sgd' or 'adam', got {kind!r}")
-    if not learning_rate > 0:
-        raise InputError(f"learning_rate must be positive, got {learning_rate}")
-    if kind == "sgd":
-        return OptimizerState(kind=kind, learning_rate=learning_rate)
-    return OptimizerState(kind, learning_rate, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+def init_optimizer(cfg: RunConfig, params: ModelParams) -> OptimizerState:
+    if cfg.optimizer == "sgd":
+        return OptimizerState(kind="sgd", learning_rate=cfg.learning_rate)
+    return OptimizerState("adam", cfg.learning_rate, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def optimizer_step(params: ModelParams, grads: ModelParams, state: OptimizerState) -> None:

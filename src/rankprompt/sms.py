@@ -16,28 +16,18 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import RunConfig
 from .core import InputError, check_labels, require_finite
 
 # Variance floor: a single-sample class must still yield a usable scale.
 VAR_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Gaussian weights over class-index distance |j - j'|."""
-
-    sigma: float
-    include_self: bool
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise InputError(f"kernel sigma must be positive, got {self.sigma}")
-
-
-def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
-    """Raw weight vector over k classes for smoothing class j's statistics:
-    exp(-(j-j')^2 / (2 sigma^2)), with the self weight zeroed unless
-    ``include_self``.  ``commit_epoch`` normalizes them to sum to 1.
+def kernel_weights(cfg: RunConfig, j: int, k: int) -> np.ndarray:
+    """Raw Gaussian weight vector over class-index distance for smoothing class
+    j's statistics among k: exp(-(j-j')^2 / (2 sms_sigma^2)), with the self
+    weight zeroed unless ``sms_include_self``.  ``commit_epoch`` normalizes
+    them to sum to 1.
     """
     if k < 2:
         raise InputError(f"need at least 2 classes to smooth over, got {k}")
@@ -48,8 +38,8 @@ def kernel_weights(spec: KernelSpec, j: int, k: int) -> np.ndarray:
     # Such a sigma is the delta kernel (exp(-inf) = 0 elsewhere), and one whose square overflows
     # the flat kernel; it is squared as a numpy float because a Python float raises on overflow.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = np.exp(-(d * d) / (2.0 * np.float64(spec.sigma) ** 2))
-    w[j] = 1.0 if spec.include_self else 0.0
+        w = np.exp(-(d * d) / (2.0 * np.float64(cfg.sms_sigma) ** 2))
+    w[j] = 1.0 if cfg.sms_include_self else 0.0
     return w
 
 
@@ -92,11 +82,11 @@ def _check_rows(s: np.ndarray, labels: np.ndarray, k: int) -> None:
         raise InputError(f"got {len(labels)} labels for {s.shape[0]} similarity rows")
 
 
-def commit_epoch(s_raw: np.ndarray, labels: np.ndarray, kernel: KernelSpec) -> ClassStats:
+def commit_epoch(s_raw: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> ClassStats:
     """Freeze the per-grade mean and population variance (floored at
     VAR_FLOOR) of an epoch's M x K raw similarity rows and their M labels,
-    and their ``kernel``-smoothed versions, for use throughout the next
-    epoch.  Every grade needs rows: an InputError names those without."""
+    and their versions smoothed with ``cfg``'s kernel, for use throughout the
+    next epoch.  Every grade needs rows: an InputError names those without."""
     k = s_raw.shape[1]
     _check_rows(s_raw, labels, k)
     check_labels(labels, k)
@@ -114,7 +104,7 @@ def commit_epoch(s_raw: np.ndarray, labels: np.ndarray, kernel: KernelSpec) -> C
     var = np.maximum(sq_sum / n - mean * mean, VAR_FLOOR)
     sm, sv = np.empty((k, k)), np.empty((k, k))
     for j in range(k):
-        w = kernel_weights(kernel, j, k)
+        w = kernel_weights(cfg, j, k)
         total = w.sum()
         if total <= 0.0:
             # every neighbor weight underflowed and the self weight is off; keep the raw statistics

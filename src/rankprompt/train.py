@@ -32,7 +32,6 @@ from .config import RunConfig, config_to_dict
 from .core import InputError, check_labels
 from .data import Dataset, ParseError, batch_iter
 from .evaluation import MetricsReport, class_mean_similarity, metrics_report
-from .losses import LossConfig
 
 
 @dataclass
@@ -46,7 +45,6 @@ def _train_epoch(
     params: M.ModelParams,
     opt: M.OptimizerState,
     committed: sms.ClassStats | None,
-    kernel: sms.KernelSpec,
     dataset: Dataset,
     cfg: RunConfig,
     epoch: int,
@@ -54,7 +52,6 @@ def _train_epoch(
     """Step ``params`` over one epoch's batches, calibrated by ``committed``; returns the epoch's log
     entry (its mean loss terms, and the metrics of the calibrated scores its steps computed, before
     each step) and the statistics its raw similarity rows commit (None when ``sms_enabled`` is off)."""
-    lcfg = LossConfig(tau=cfg.tau, lambda_main=cfg.lambda_main, lambda_rank=cfg.lambda_rank)
     n = dataset.rows("train").size
     scores, truth = np.empty((n, cfg.classes)), np.empty(n, dtype=np.int64)
     seen = 0
@@ -62,7 +59,7 @@ def _train_epoch(
     for batch, (feats, labels) in enumerate(batch_iter(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
         diverged = f"training diverged at epoch {epoch}, batch {batch}"
         try:
-            result = M.model_backward(params, feats, labels, committed, lcfg, normalize=cfg.normalize_embeddings)
+            result = M.model_backward(params, feats, labels, committed, cfg)
         except InputError as exc:  # its inputs passed the checks of train
             raise InputError(f"{diverged}: {exc}") from None
         M.optimizer_step(params, result.grads, opt)
@@ -76,7 +73,7 @@ def _train_epoch(
         sums["main"] += result.report.main * m
         sums["rank"] += result.report.rank * m
         sums["total"] += result.report.total * m
-    fresh = sms.commit_epoch(scores, truth, kernel) if cfg.sms_enabled else None
+    fresh = sms.commit_epoch(scores, truth, cfg) if cfg.sms_enabled else None
     if committed is not None:
         # model_backward's arithmetic, in place; the gathered maps go before metrics_report runs
         scale, offset = sms.calibration_map(scores, truth, committed)
@@ -103,8 +100,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
     diverged, and the InputError names the epoch, the 0-based batch and the
     first bad tensor."""
     params = M.init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
-    opt = M.init_optimizer(cfg.optimizer, cfg.learning_rate, params)
-    kernel = sms.KernelSpec(sigma=cfg.sms_sigma, include_self=cfg.sms_include_self)
+    opt = M.init_optimizer(cfg, params)
     committed = None
     log = []
     rows = dataset.rows("train")
@@ -118,7 +114,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> TrainResult:
     if not np.isfinite(dataset.features).all(axis=1)[rows].all():
         raise InputError("train features contain non-finite entries")
     for epoch in range(cfg.epochs):
-        entry, committed = _train_epoch(params, opt, committed, kernel, dataset, cfg, epoch)
+        entry, committed = _train_epoch(params, opt, committed, dataset, cfg, epoch)
         log.append(entry)
     return TrainResult(params=params, stats=committed, log=log)
 

@@ -12,9 +12,10 @@ import tracemalloc
 
 import numpy as np
 
+from rankprompt.config import RunConfig
 from rankprompt.core import InputError, check_labels
 from rankprompt.data import SPLITS, TEST_FRACTION, Dataset, DatasetSpec, ParseError, class_counts
-from rankprompt.sms import VAR_FLOOR, ClassStats, KernelSpec, kernel_weights
+from rankprompt.sms import VAR_FLOOR, ClassStats, kernel_weights
 
 # Floor applied to the second argument of the KL divergence.
 KL_EPS = 1e-12
@@ -214,7 +215,7 @@ def accumulate_class_stats(sums: EpochSums, s: np.ndarray, labels: np.ndarray) -
     sums.count += np.bincount(labels, minlength=sums.k)
 
 
-def commit_sums(sums: EpochSums, kernel: KernelSpec) -> ClassStats:
+def commit_sums(sums: EpochSums, cfg: RunConfig) -> ClassStats:
     """``sms.commit_epoch`` from running sums that ``accumulate_class_stats``
     filled one batch at a time: the per-batch route whose every array the
     whole-buffer commit must match byte for byte."""
@@ -227,7 +228,7 @@ def commit_sums(sums: EpochSums, kernel: KernelSpec) -> ClassStats:
     var = np.maximum(sums.totalsq / n - mean * mean, VAR_FLOOR)
     sm, sv = np.empty((k, k)), np.empty((k, k))
     for j in range(k):
-        w = kernel_weights(kernel, j, k)
+        w = kernel_weights(cfg, j, k)
         total = w.sum()
         if total <= 0.0:
             # every neighbor weight underflowed and the self weight is off; keep the raw statistics

@@ -22,9 +22,9 @@ from oracles import kl_divergence_row, one_hot, rank_directional_loss
 from rankprompt.cli import ABLATION_VARIANTS, main
 from rankprompt.config import RunConfig
 from rankprompt.data import TWIN_SUFFIX, DatasetSpec, generate_synthetic, load_csv, write_csv
-from rankprompt.losses import LossConfig, rank_term, total_loss
+from rankprompt.losses import rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
-from rankprompt.sms import KernelSpec, calibrate_rows, commit_epoch, kernel_weights
+from rankprompt.sms import calibrate_rows, commit_epoch, kernel_weights
 from rankprompt.train import evaluate, heatmap_matrix, train
 
 
@@ -43,20 +43,6 @@ def heatmap_rows_ok(matrix: np.ndarray, k: int) -> int:
         if np.all(np.where(np.arange(k - 1) >= c, d > 0, d < 0)):
             good += 1
     return good
-
-
-def dataset_for(cfg: RunConfig, seed: int):
-    return generate_synthetic(
-        DatasetSpec(
-            samples=cfg.samples,
-            classes=cfg.classes,
-            feature_dim=cfg.feature_dim,
-            class_sep=cfg.class_sep,
-            noise_sigma=cfg.noise_sigma,
-            imbalance_ratio=cfg.imbalance_ratio,
-            seed=seed,
-        )
-    )
 
 
 class TestA1GradientCertification:
@@ -78,7 +64,7 @@ class TestA1GradientCertification:
     def committed_stats(self, rng, k, m_stat=12):
         s = rng.normal(size=(m_stat, k))
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size=m_stat - k)])
-        return commit_epoch(s, labels, KernelSpec(sigma=1.0, include_self=True))
+        return commit_epoch(s, labels, RunConfig(sms_sigma=1.0, sms_include_self=True))
 
     def excess(self, analytic, fd, rtol):
         """Worst |analytic - fd| relative to the allowance rtol*|fd| + atol;
@@ -95,7 +81,7 @@ class TestA1GradientCertification:
             k = int(rng.integers(2, 7))
             s_data = rng.normal(scale=1.5, size=(m, k))
             labels = rng.integers(0, k, size=m)
-            cfg = LossConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.2, 2.0)))
+            cfg = RunConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.2, 2.0)))
 
             def main_term(s):
                 """The alignment part alone: total_loss with the rank weight at 0."""
@@ -119,9 +105,9 @@ class TestA1GradientCertification:
             params = init_params(f_dim, hid, d_dim, k, seed)
             feats = rng.normal(size=(m, f_dim))
             stats = self.committed_stats(rng, k) if seed % 2 == 0 else None
-            normalize = seed % 3 == 0
+            step_cfg = replace(cfg, normalize_embeddings=seed % 3 == 0)
 
-            bw = model_backward(params, feats, labels, stats, cfg, normalize=normalize)
+            bw = model_backward(params, feats, labels, stats, step_cfg)
             packed = np.concatenate([getattr(params, f).ravel() for f in PARAM_FIELDS])
             analytic = np.concatenate([getattr(bw.grads, f).ravel() for f in PARAM_FIELDS])
 
@@ -132,7 +118,7 @@ class TestA1GradientCertification:
                 p = params.with_values(
                     {f: parts[i].reshape(shapes[i]) for i, f in enumerate(PARAM_FIELDS)}
                 )
-                r = model_backward(p, feats, labels, stats, cfg, normalize=normalize)
+                r = model_backward(p, feats, labels, stats, step_cfg)
                 return r.report.total
 
             fd = np.zeros_like(packed)
@@ -160,7 +146,7 @@ class TestA2RankLearnability:
         t0 = time.monotonic()
         cfg = RunConfig()  # easy dataset: balanced, class_sep/noise_sigma = 5, N=2000, K=5
         assert cfg.epochs <= 50
-        dataset = dataset_for(cfg, cfg.seed)
+        dataset = generate_synthetic(DatasetSpec.from_config(cfg))
         feats, labels = dataset.subset("test")
         result = train(cfg, dataset)
         rep = evaluate(result.params, result.stats, feats, labels, cfg)
@@ -187,7 +173,7 @@ class TestA3AblationDirections:
         t0 = time.monotonic()
         scores = {name: {"f1": [], "mono": []} for name in ("full", "no_rank", "no_sms")}
         for seed in self.SEEDS:
-            dataset = dataset_for(self.variant_config("full"), seed)
+            dataset = generate_synthetic(DatasetSpec.from_config(replace(self.variant_config("full"), seed=seed)))
             feats, labels = dataset.subset("test")
             for name in scores:
                 cfg = replace(self.variant_config(name), seed=seed)
@@ -217,7 +203,7 @@ class TestA4LossOracles:
     TOL = 1e-9
 
     def test_a4(self):
-        lcfg = LossConfig(tau=1.0, lambda_rank=1.0)
+        lcfg = RunConfig(tau=1.0, lambda_rank=1.0)
         checks = []
 
         got = rank_directional_loss(np.zeros(5), 2, "rightward", 1.0)
@@ -248,7 +234,7 @@ class TestA4LossOracles:
 
 
 class TestA5CalibrationProperties:
-    def committed(self, rng, k=5, kernel=KernelSpec(sigma=1.0, include_self=False), m=40):
+    def committed(self, rng, k=5, kernel=RunConfig(sms_sigma=1.0, sms_include_self=False), m=40):
         """An epoch's buffer of m rows (every grade present), its labels and their commit."""
         s = rng.normal(scale=2.0, size=(m, k))
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)])
@@ -259,7 +245,7 @@ class TestA5CalibrationProperties:
 
         # identity under degenerate smoothing: self-only kernel makes the
         # smoothed statistics equal the raw ones
-        *_, stats = self.committed(rng, kernel=KernelSpec(sigma=1e-3, include_self=True))
+        *_, stats = self.committed(rng, kernel=RunConfig(sms_sigma=1e-3, sms_include_self=True))
         s = rng.normal(size=(12, 5))
         labels = rng.integers(0, 5, size=12)
         out = calibrate_rows(s, labels, stats)
@@ -289,7 +275,7 @@ class TestA5CalibrationProperties:
         # smoothing applies them, which must sum to 1
         kernel_dev = 0.0
         for sigma in (0.4, 1.0, 3.0):
-            spec = KernelSpec(sigma=sigma, include_self=True)
+            spec = RunConfig(sms_sigma=sigma, sms_include_self=True)
             for k in (2, 5, 7):
                 w = np.stack([kernel_weights(spec, j, k) for j in range(k)])
                 kernel_dev = max(kernel_dev, float(np.max(np.abs(w - w.T))))
@@ -303,7 +289,7 @@ class TestA5CalibrationProperties:
         first = calibrate_rows(s, labels, frozen)
         buffer[...] = calibrate_rows(buffer, buffer_labels, frozen)
         for later in (buffer, rng.normal(scale=2.0, size=buffer.shape)):
-            commit_epoch(later, buffer_labels, KernelSpec(sigma=1.0, include_self=False))
+            commit_epoch(later, buffer_labels, RunConfig(sms_sigma=1.0, sms_include_self=False))
         second = calibrate_rows(s, labels, frozen)
         arrays = (frozen.count, frozen.mean, frozen.var, frozen.smoothed_mean, frozen.smoothed_var)
         freeze_ok = np.array_equal(first, second) and not any(a.flags.writeable for a in arrays)
@@ -320,7 +306,7 @@ class TestA5CalibrationProperties:
 class TestA6StatisticalNull:
     def test_a6(self):
         cfg = RunConfig(class_sep=0.01, noise_sigma=1.0)  # features carry ~no class signal
-        dataset = dataset_for(cfg, cfg.seed)
+        dataset = generate_synthetic(DatasetSpec.from_config(cfg))
         feats, labels = dataset.subset("test")
         params = init_params(cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim, cfg.classes, cfg.seed)
         stats = None  # never committed: raw scores

@@ -7,6 +7,9 @@ import io
 import json
 import math
 import operator
+import os
+import platform
+import subprocess
 import sys
 from dataclasses import fields, replace
 
@@ -15,10 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankprompt import cli
 from rankprompt.cli import ABLATION_VARIANTS, main
 from rankprompt.config import RunConfig, config_to_dict, load_config, parse_config_text
 from rankprompt.core import InputError
-from rankprompt.data import ParseError, load_csv
+from rankprompt.data import DatasetSpec, ParseError, load_csv
 from rankprompt.evaluation import class_mean_similarity
 from rankprompt.model import PARAM_FIELDS, forward_similarity, init_params
 from rankprompt.train import load_checkpoint
@@ -44,6 +48,24 @@ def write_config(tmp_path, text=TINY, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# (key, value, the message RunConfig rejects it with) for the settings the loss
+# terms, the smoothing kernel and the optimizer read without checking them again
+REJECTED_SETTINGS = [
+    ("tau", 0.0, "tau must be positive"),
+    ("tau", -1.0, "tau must be positive"),
+    ("lambda_main", -1.0, "lambda_main must be >= 0"),
+    ("lambda_main", math.nan, "lambda_main must be finite, got nan"),
+    ("lambda_rank", -1.0, "lambda_rank must be >= 0"),
+    ("lambda_rank", math.nan, "lambda_rank must be finite, got nan"),
+    ("sms_sigma", 0.0, "sms_sigma must be positive"),
+    ("sms_sigma", -1.0, "sms_sigma must be positive"),
+    ("sms_sigma", math.nan, "sms_sigma must be finite, got nan"),
+    ("sms_sigma", math.inf, "sms_sigma must be finite, got inf"),
+    ("learning_rate", 0.0, "learning_rate must be positive"),
+    ("optimizer", "lbfgs", "optimizer must be sgd or adam"),
+]
 
 
 class TestConfigParsing:
@@ -91,6 +113,13 @@ class TestConfigParsing:
             parse_config_text("tau = 0\n")
         with pytest.raises(InputError, match="optimizer"):
             parse_config_text("optimizer = lbfgs\n")
+
+    @pytest.mark.parametrize("key, bad, message", REJECTED_SETTINGS, ids=[f"{k}={v}" for k, v, _ in REJECTED_SETTINGS])
+    def test_loss_kernel_and_optimizer_settings_rejected_by_name(self, key, bad, message):
+        """``RunConfig`` is the one check of these settings: a bad value fails
+        where the config is built, with a message that names its key."""
+        with pytest.raises(InputError, match=f"^config: {message}$"):
+            RunConfig(**{key: bad})
 
     def test_round_trip_dict(self):
         cfg = parse_config_text("seed = 9\ntau = 0.25\n")
@@ -761,14 +790,52 @@ class TestSeedEnv:
         assert "seed must be >= 0" in capsys.readouterr().err
 
 
+# In a fresh interpreter: generate and train a 20,000-row dataset, then print
+# the page faults each of three in-process evals took.
+EVAL_FAULTS = """
+import contextlib, io, resource, sys
+from rankprompt.cli import main
+cfg, out = sys.argv[1:]
+def run(command):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", cfg, "--out", out]) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+run("generate"), run("train")
+print(*[run("eval") for _ in range(3)])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+class TestMallocThresholds:
+    def test_main_pins_them(self):
+        assert cli._pin_malloc_thresholds() is True
+
+    def test_repeated_eval_reuses_the_heap(self, tmp_path):
+        """With the thresholds pinned, a repeated eval's multi-megabyte arrays
+        reuse the pages the previous one freed; left dynamic, each eval here
+        mapped them afresh (about 950 faults)."""
+        cfg = write_config(tmp_path, TINY.replace("samples = 60", "samples = 20000").replace("epochs = 2", "epochs = 1"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", EVAL_FAULTS, cfg, str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        first, *repeats = map(int, done.stdout.split())
+        assert max(repeats) < 300, (first, repeats)
+
+
 class TestAblate:
     @pytest.mark.parametrize("name", ABLATION_VARIANTS)
     def test_variant_is_config_overrides(self, name):
-        """Each variant is RunConfig overrides only, which build a valid config."""
+        """Each variant is RunConfig overrides only, which build a valid config
+        and leave the dataset alone: ``ablate`` trains every variant of a seed
+        on the one dataset the base config describes."""
         overrides = ABLATION_VARIANTS[name]
         assert set(overrides) <= set(RunConfig.__dataclass_fields__)
         cfg = replace(RunConfig(), **overrides)  # __post_init__ checks every value
         assert {key: getattr(cfg, key) for key in overrides} == overrides
+        assert DatasetSpec.from_config(cfg) == DatasetSpec.from_config(RunConfig())
 
     def test_summary_schema(self, tmp_path):
         text = TINY.replace("samples = 60", "samples = 40").replace("epochs = 2", "epochs = 1")

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rankprompt.config import RunConfig
 from rankprompt.core import InputError
-from rankprompt.losses import LossConfig, image_to_text_term, rank_term, total_loss
+from rankprompt.losses import image_to_text_term, rank_term, total_loss
 from rankprompt.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -17,7 +18,7 @@ from rankprompt.model import (
     model_backward,
     optimizer_step,
 )
-from rankprompt.sms import KernelSpec, commit_epoch
+from rankprompt.sms import commit_epoch
 
 H = 1e-5
 
@@ -45,7 +46,7 @@ def random_case(seed):
     k = int(rng.integers(2, 7))
     sdata = rng.normal(0, 2, (m, k))
     labels = rng.integers(0, k, m)
-    cfg = LossConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.0, 2.0)))
+    cfg = RunConfig(tau=float(rng.uniform(0.5, 2.0)), lambda_rank=float(rng.uniform(0.0, 2.0)))
     return sdata, labels, cfg
 
 
@@ -108,19 +109,19 @@ class TestLossGradients:
             k = int(rng.integers(2, 7))
             sdata = rng.normal(0, 2, (1, k))
             labels = rng.integers(0, k, 1)
-            cfg = LossConfig(lambda_rank=float(rng.uniform(0.0, 2.0)))
+            cfg = RunConfig(lambda_rank=float(rng.uniform(0.0, 2.0)))
             g = total_loss(smat(sdata), labels, cfg).grad_similarity
             assert g[0, labels[0]] < 0
 
     def test_rank_gradient_saturates_at_large_margins(self):
         row = np.array([[500.0, 400.0, 300.0, 200.0, 100.0]])
-        _, g = rank_term(smat(row), np.array([0]), LossConfig())
+        _, g = rank_term(smat(row), np.array([0]), RunConfig())
         assert np.max(np.abs(g)) < 1e-12
 
 
 def committed_stats(rng, k):
     rows = smat(rng.normal(0, 1, (10 * k, k)))
-    return commit_epoch(rows, np.arange(10 * k) % k, KernelSpec(sigma=1.0, include_self=False))
+    return commit_epoch(rows, np.arange(10 * k) % k, RunConfig(sms_sigma=1.0, sms_include_self=False))
 
 
 class TestFullChainGradients:
@@ -139,13 +140,13 @@ class TestFullChainGradients:
             params = init_params(f, hid, d, k, seed)
             feats = rng.normal(0, 1, (m, f))
             labels = rng.integers(0, k, m)
-            cfg = LossConfig(tau=1.0, lambda_rank=float(rng.uniform(0.0, 2.0)))
+            cfg = RunConfig(tau=1.0, lambda_rank=float(rng.uniform(0.0, 2.0)), normalize_embeddings=normalize)
             stats = committed_stats(rng, k) if use_sms else None
 
-            res = model_backward(params, feats, labels, stats, cfg, normalize=normalize)
+            res = model_backward(params, feats, labels, stats, cfg)
 
             def value(p):
-                r = model_backward(p, feats, labels, stats, cfg, normalize=normalize)
+                r = model_backward(p, feats, labels, stats, cfg)
                 return r.report.total
 
             for name in PARAM_FIELDS:
@@ -174,7 +175,7 @@ class TestFullChainGradients:
             }
         )
         feats = np.random.default_rng(2).normal(size=(1, 3))
-        res = model_backward(params, feats, np.array([0]), None, LossConfig(lambda_rank=0.0))
+        res = model_backward(params, feats, np.array([0]), None, RunConfig(lambda_rank=0.0))
         for name in PARAM_FIELDS:
             assert np.max(np.abs(getattr(res.grads, name))) < 1e-8
 
@@ -183,11 +184,16 @@ def zero_grads(params):
     return params.like(np.zeros_like(params.flat))
 
 
+def start_optimizer(kind, learning_rate, params):
+    """The optimizer state of a run with this optimizer and learning rate."""
+    return init_optimizer(RunConfig(optimizer=kind, learning_rate=learning_rate), params)
+
+
 class TestOptimizer:
     def test_sgd_arithmetic(self):
         params = init_params(2, 2, 2, 2, 0)
         params = params.with_values({"b2": np.array([1.0, 1.0])})
-        state = init_optimizer("sgd", 0.1, params)
+        state = start_optimizer("sgd", 0.1, params)
         grads = zero_grads(params)
         grads.b2[:] = [2.0, 2.0]
         optimizer_step(params, grads, state)
@@ -197,7 +203,7 @@ class TestOptimizer:
         params = init_params(3, 3, 3, 3, 1)
         before = {name: value.copy() for name, value in params.as_dict().items()}
         for kind in ("sgd", "adam"):
-            optimizer_step(params, zero_grads(params), init_optimizer(kind, 0.05, params))
+            optimizer_step(params, zero_grads(params), start_optimizer(kind, 0.05, params))
             for name in PARAM_FIELDS:
                 np.testing.assert_array_equal(getattr(params, name), before[name])
 
@@ -207,7 +213,7 @@ class TestOptimizer:
         params = init_params(2, 2, 2, 2, 3)
         for c in (1e-4, 1.0, 1e4):
             fresh = params.with_values({})  # the step updates its params in place
-            state = init_optimizer("adam", 0.01, fresh)
+            state = start_optimizer("adam", 0.01, fresh)
             grads = fresh.like(np.full_like(fresh.flat, c))
             optimizer_step(fresh, grads, state)
             step = params.b1 - fresh.b1
@@ -216,7 +222,7 @@ class TestOptimizer:
     def test_updates_in_place(self):
         params = init_params(2, 3, 2, 2, 4)
         flat, before = params.flat, params.with_values({})
-        state = init_optimizer("adam", 0.1, params)
+        state = start_optimizer("adam", 0.1, params)
         grads = params.like(np.ones_like(params.flat))
         assert optimizer_step(params, grads, state) is None
         assert params.flat is flat and np.shares_memory(params.w2, flat)
@@ -229,9 +235,9 @@ class TestOptimizer:
             params = init_params(4, 5, 3, 4, seed)
             feats = rng.normal(size=(5, 4))
             labels = rng.integers(0, 4, 5)
-            cfg = LossConfig()
+            cfg = RunConfig()
             res = model_backward(params, feats, labels, None, cfg)
-            state = init_optimizer("sgd", 1e-4, params)
+            state = start_optimizer("sgd", 1e-4, params)
             optimizer_step(params, res.grads, state)
             after = model_backward(params, feats, labels, None, cfg).report.total
             assert after < res.report.total
@@ -241,7 +247,7 @@ class TestOptimizer:
         # more classes; and the same 16 entries cut into other shapes
         for other in (init_params(2, 2, 2, 3, 0), init_params(1, 2, 2, 3, 0)):
             with pytest.raises(InputError):
-                optimizer_step(params, zero_grads(other), init_optimizer("sgd", 0.1, params))
+                optimizer_step(params, zero_grads(other), start_optimizer("sgd", 0.1, params))
         assert init_params(1, 2, 2, 3, 0).flat.size == params.flat.size
 
 
@@ -278,7 +284,7 @@ class TestFlatOptimizerBitIdentity:
                 params = init_params(*dims, seed=case)
                 values = {name: v.copy() for name, v in params.as_dict().items()}
                 ref_state = {key: {n: np.zeros_like(v) for n, v in values.items()} for key in ("m", "v")}
-                state = init_optimizer(kind, lr, params)
+                state = start_optimizer(kind, lr, params)
                 for t in range(1, self.STEPS + 1):
                     scale = 10.0 ** rng.uniform(-6, 3)
                     grads = params.like(rng.normal(scale=scale, size=params.flat.size))

@@ -10,7 +10,6 @@ from oracles import traced_peak
 from rankprompt import losses, sms
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError, similarity_matrix
-from rankprompt.losses import LossConfig
 from rankprompt.model import (
     PARAM_FIELDS,
     _forward,
@@ -103,7 +102,7 @@ class TestForwardSimilarity:
         p = init_params(4, 6, 3, 5, 3)
         feats = rng.normal(size=(7, 4))
         labels = rng.integers(0, 5, 7)
-        res = model_backward(p, feats, labels, None, LossConfig())
+        res = model_backward(p, feats, labels, None, RunConfig())
         assert res.report.total == res.report.main + res.report.rank
         np.testing.assert_allclose(res.similarity_raw, forward_similarity(p, feats))
 
@@ -113,9 +112,9 @@ class TestForwardSimilarity:
         p = init_params(4, 6, 3, 5, 5)
         feats = rng.normal(size=(6, 4))
         labels = rng.integers(0, 5, 6)
-        lam_only = model_backward(p, feats, labels, None, LossConfig(lambda_main=0.0))
-        full = model_backward(p, feats, labels, None, LossConfig())
-        zero_lam = model_backward(p, feats, labels, None, LossConfig(lambda_rank=0.0))
+        lam_only = model_backward(p, feats, labels, None, RunConfig(lambda_main=0.0))
+        full = model_backward(p, feats, labels, None, RunConfig())
+        zero_lam = model_backward(p, feats, labels, None, RunConfig(lambda_rank=0.0))
         for name in PARAM_FIELDS:
             np.testing.assert_allclose(
                 getattr(lam_only.grads, name),
@@ -126,15 +125,18 @@ class TestForwardSimilarity:
     def test_rejects_labels_out_of_range(self):
         """A negative label would wrap to a grade from the end in the loss
         and calibration gathers; the step refuses it, and K itself, with or
-        without statistics."""
+        without statistics, with ``check_labels``'s messages."""
         p = init_params(4, 6, 3, 5, 3)
         feats = np.random.default_rng(8).normal(size=(3, 4))
-        stats = sms.commit_epoch(np.ones((5, 5)), np.arange(5), sms.KernelSpec(sigma=1.0, include_self=False))
-        for bad in ([0, -1, 2], [0, 5, 2]):
+        stats = sms.commit_epoch(np.ones((5, 5)), np.arange(5), RunConfig(sms_sigma=1.0, sms_include_self=False))
+        for bad, message in (
+            ([0, -1, 2], "labels must be non-negative class indices"),
+            ([0, 5, 2], "label 5 out of range for 5 classes"),
+        ):
             for s in (None, stats):
-                with pytest.raises(InputError, match=r"labels must lie in \[0, 5\)"):
-                    model_backward(p, feats, np.array(bad), s, LossConfig())
-        model_backward(p, feats, np.array([0, 4, 2]), stats, LossConfig())
+                with pytest.raises(InputError, match=f"^{message}$"):
+                    model_backward(p, feats, np.array(bad), s, RunConfig())
+        model_backward(p, feats, np.array([0, 4, 2]), stats, RunConfig())
 
 
 class TestBackwardSinglePass:
@@ -153,7 +155,7 @@ class TestBackwardSinglePass:
             monkeypatch.setattr(module, name, counted)
 
         rng = np.random.default_rng(6)
-        kernel = sms.KernelSpec(sigma=1.0, include_self=False)
+        kernel = RunConfig(sms_sigma=1.0, sms_include_self=False)
         stats = sms.commit_epoch(rng.normal(size=(40, 5)), np.arange(40) % 5, kernel)
         assert stats.smoothed_mean is not None
         p = init_params(4, 6, 3, 5, 7)
@@ -163,7 +165,7 @@ class TestBackwardSinglePass:
         for name in ("image_to_text_term", "text_to_image_term", "rank_term", "total_loss"):
             count(losses, name)
         count(sms, "calibration_map")
-        model_backward(p, feats, labels, stats, LossConfig())
+        model_backward(p, feats, labels, stats, RunConfig())
         assert calls == {
             "image_to_text_term": 1,
             "text_to_image_term": 1,
@@ -204,20 +206,20 @@ class TestMemoryBounds:
     def test_backward_holds_two_batch_by_hidden_arrays(self):
         rng = np.random.default_rng(1)
         m, h = 4096, 256
-        kernel = sms.KernelSpec(sigma=0.4, include_self=True)
+        kernel = RunConfig(sms_sigma=0.4, sms_include_self=True)
         stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, kernel)
         p = large_model()
         feats = rng.normal(size=(m, 64))
         labels = rng.integers(0, 8, m)
         for s in (None, stats):
-            assert traced_peak(lambda: model_backward(p, feats, labels, s, LossConfig())) < 3 * m * h * 8
+            assert traced_peak(lambda: model_backward(p, feats, labels, s, RunConfig())) < 3 * m * h * 8
 
     def test_backward_leaves_features_unchanged(self):
         rng = np.random.default_rng(2)
         p = large_model()
         feats = rng.normal(size=(300, 64))
         before = feats.copy()
-        model_backward(p, feats, rng.integers(0, 8, 300), None, LossConfig(), normalize=True)
+        model_backward(p, feats, rng.integers(0, 8, 300), None, RunConfig(normalize_embeddings=True))
         assert np.array_equal(feats, before)
 
 

@@ -11,12 +11,12 @@ from oracles import EpochSums, accumulate_class_stats, commit_sums
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import ParseError
-from rankprompt.sms import VAR_FLOOR, KernelSpec, calibrate_rows, commit_epoch, kernel_weights
+from rankprompt.sms import VAR_FLOOR, calibrate_rows, commit_epoch, kernel_weights
 from rankprompt.model import forward_similarity, init_params
 from rankprompt.train import STATS_KEYS, TrainResult, calibrated_similarity, load_checkpoint, save_checkpoint
 
 
-UNIT = KernelSpec(sigma=1.0, include_self=False)
+UNIT = RunConfig(sms_sigma=1.0, sms_include_self=False)
 ROW_KEYS = ("mean", "var", "smoothed_mean", "smoothed_var")
 
 
@@ -28,7 +28,7 @@ def committed_from(rows, labels, kernel=UNIT):
 class TestKernelWeights:
     def test_flat_limit_excludes_self(self):
         """Huge sigma makes both neighbors weigh 1; the self weight stays 0."""
-        w = kernel_weights(KernelSpec(sigma=1e6, include_self=False), 1, 3)
+        w = kernel_weights(RunConfig(sms_sigma=1e6, sms_include_self=False), 1, 3)
         np.testing.assert_allclose(w, [1.0, 0.0, 1.0], atol=1e-9)
 
     def test_two_classes_single_neighbor(self):
@@ -39,7 +39,7 @@ class TestKernelWeights:
         np.testing.assert_allclose(w, [0.0, 0.6065306597126334, 0.1353352832366127], atol=1e-12)
 
     def test_raw_weights_symmetric(self):
-        spec = KernelSpec(sigma=1.7, include_self=True)
+        spec = RunConfig(sms_sigma=1.7, sms_include_self=True)
         k = 6
         for a in range(k):
             wa = kernel_weights(spec, a, k)
@@ -51,9 +51,9 @@ class TestKernelWeights:
         """One-hot rows, one per class, turn each smoothed-mean row into
         that class's weights as smoothing applies them."""
         for sigma in (0.3, 1.0, 4.0):
-            stats = committed_from(np.eye(5), np.arange(5), KernelSpec(sigma=sigma, include_self=False))
+            stats = committed_from(np.eye(5), np.arange(5), RunConfig(sms_sigma=sigma, sms_include_self=False))
             np.testing.assert_allclose(stats.smoothed_mean.sum(axis=1), 1.0, atol=1e-9)
-            raw = kernel_weights(KernelSpec(sigma=sigma, include_self=False), 0, 5)
+            raw = kernel_weights(RunConfig(sms_sigma=sigma, sms_include_self=False), 0, 5)
             np.testing.assert_allclose(stats.smoothed_mean[0], raw / raw.sum(), atol=1e-12)
 
     @pytest.mark.parametrize("include_self", [True, False])
@@ -61,8 +61,8 @@ class TestKernelWeights:
         """A sigma whose square underflows to 0 gives the delta kernel and one
         whose square overflows the flat kernel, with no NaN and no warning."""
         own = 1.0 if include_self else 0.0
-        delta = kernel_weights(KernelSpec(sigma=1e-200, include_self=include_self), 2, 5)
-        flat = kernel_weights(KernelSpec(sigma=1e200, include_self=include_self), 2, 5)
+        delta = kernel_weights(RunConfig(sms_sigma=1e-200, sms_include_self=include_self), 2, 5)
+        flat = kernel_weights(RunConfig(sms_sigma=1e200, sms_include_self=include_self), 2, 5)
         assert delta.tolist() == [0.0, 0.0, own, 0.0, 0.0]
         assert flat.tolist() == [1.0, 1.0, own, 1.0, 1.0]
 
@@ -72,15 +72,11 @@ class TestKernelWeights:
         d = np.arange(6, dtype=np.float64) - 2.0
         with np.errstate(over="ignore", divide="ignore"):
             want = np.exp(-(d * d) / (2.0 * sigma**2))
-        assert kernel_weights(KernelSpec(sigma=sigma, include_self=True), 2, 6).tobytes() == want.tobytes()
+        assert kernel_weights(RunConfig(sms_sigma=sigma, sms_include_self=True), 2, 6).tobytes() == want.tobytes()
 
     def test_rejects_single_class(self):
         with pytest.raises(InputError):
             kernel_weights(UNIT, 0, 1)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(InputError):
-            KernelSpec(sigma=0.0, include_self=False)
 
 
 class TestAccumulate:
@@ -159,9 +155,9 @@ class TestAccumulate:
         rows = rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
         rows[rng.random((m, k)) < 0.1] = -0.0
         cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(0, m)), replace=False))
-        kernel = KernelSpec(
-            sigma=data.draw(st.sampled_from([1e-3, 0.4, 1.0, 3.0]), label="sigma"),
-            include_self=data.draw(st.booleans(), label="include_self"),
+        kernel = RunConfig(
+            sms_sigma=data.draw(st.sampled_from([1e-3, 0.4, 1.0, 3.0]), label="sigma"),
+            sms_include_self=data.draw(st.booleans(), label="include_self"),
         )
         sums = EpochSums(k)
         for part_rows, part_labels in zip(np.split(rows, cuts), np.split(labels, cuts)):
@@ -180,7 +176,7 @@ class TestCommitSmoothing:
         """With flat weights the middle class lands on the neighbor mean.
         Smoothing is element-wise, so the scalar case rides in column 0."""
         rows = np.array([[0.0, 5.0, -1.0], [1.0, 7.0, 0.0], [2.0, 9.0, 1.0]])
-        smoothed = committed_from(rows, [0, 1, 2], KernelSpec(sigma=1e6, include_self=False))
+        smoothed = committed_from(rows, [0, 1, 2], RunConfig(sms_sigma=1e6, sms_include_self=False))
         np.testing.assert_allclose(smoothed.smoothed_mean[1], [1.0, 7.0, 0.0], atol=1e-9)
 
     def test_unit_sigma_value(self):
@@ -197,7 +193,7 @@ class TestCommitSmoothing:
         """When every neighbor weight underflows to 0 the class keeps its own statistics."""
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(12, 3))
-        smoothed = committed_from(rows, np.arange(12) % 3, KernelSpec(sigma=0.02, include_self=False))
+        smoothed = committed_from(rows, np.arange(12) % 3, RunConfig(sms_sigma=0.02, sms_include_self=False))
         assert np.array_equal(smoothed.smoothed_mean, smoothed.mean)
         assert np.array_equal(smoothed.smoothed_var, smoothed.var)
 
@@ -209,7 +205,7 @@ class TestCalibrateRows:
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(30, 5))
         labels = rng.integers(0, 5, 30)
-        stats = committed_from(rows, labels, KernelSpec(sigma=1e-3, include_self=True))
+        stats = committed_from(rows, labels, RunConfig(sms_sigma=1e-3, sms_include_self=True))
         fresh = rng.normal(size=(8, 5))
         fresh_labels = rng.integers(0, 5, 8)
         out = calibrate_rows(fresh, fresh_labels, stats)

@@ -18,7 +18,6 @@ from rankprompt import train as train_module
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import DatasetSpec, generate_synthetic
-from rankprompt.losses import LossConfig
 from rankprompt.train import STATS_KEYS, TrainResult, load_checkpoint, save_checkpoint, train
 
 TINY = RunConfig(
@@ -32,12 +31,6 @@ TINY = RunConfig(
     batch_size=8,
     learning_rate=0.01,
 )
-
-
-def dataset_for(cfg):
-    return generate_synthetic(
-        DatasetSpec(samples=cfg.samples, classes=cfg.classes, feature_dim=cfg.feature_dim, seed=cfg.seed)
-    )
 
 
 def train_rows(dataset):
@@ -61,7 +54,7 @@ class TestDivergenceGuard:
         training right after that step, and the message names the step
         and the tensor the NaN landed in."""
         cfg = replace(TINY, optimizer=optimizer)
-        dataset = dataset_for(cfg)
+        dataset = generate_synthetic(DatasetSpec.from_config(cfg))
         per_epoch = math.ceil(train_rows(dataset) / cfg.batch_size)
         poisoned_call = per_epoch * 1 + 4
         real = model.model_backward
@@ -87,7 +80,7 @@ class TestBoundaryChecks:
     def test_labels_checked_against_config_once(self):
         """A dataset with more grades than the config fails at the entry of
         train, before any step, and is not reported as divergence."""
-        dataset = dataset_for(replace(TINY, classes=4))
+        dataset = generate_synthetic(DatasetSpec.from_config(replace(TINY, classes=4)))
         with pytest.raises(InputError, match="^label 3 out of range for 3 classes$"):
             train(TINY, dataset)
 
@@ -98,7 +91,7 @@ class TestBoundaryChecks:
         steps = []
         monkeypatch.setattr(model, "model_backward", lambda *args, **kwargs: steps.append(1))
         with pytest.raises(InputError, match=r"^classes \[3\] have no train samples$"):
-            train(replace(TINY, classes=4), dataset_for(TINY))
+            train(replace(TINY, classes=4), generate_synthetic(DatasetSpec.from_config(TINY)))
         assert steps == []
 
     @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "K"])
@@ -107,15 +100,15 @@ class TestBoundaryChecks:
         ["Dataset", "train", "metrics_report", "class_mean_similarity", "calibrate_rows", "model_backward"],
     )
     def test_every_label_boundary_rejects_out_of_range(self, boundary, bad):
-        """Each entry point that takes labels rejects -1 and K = 3 with an
-        InputError; all but the training step's own check name the label."""
+        """Each entry point that takes labels rejects -1 and K = 3 with
+        ``check_labels``'s InputError, which names a label past K."""
         labels = np.array([0, 1, 2, 0, 1, bad])
         scores = np.zeros((6, 3))
-        stats = sms.commit_epoch(scores, np.array([0, 1, 2, 0, 1, 2]), sms.KernelSpec(sigma=1.0, include_self=True))
+        stats = sms.commit_epoch(scores, np.array([0, 1, 2, 0, 1, 2]), RunConfig(sms_sigma=1.0))
         split = np.array(["train"] * 6, dtype=object)
 
         def train_on(labels):
-            dataset = dataset_for(TINY)
+            dataset = generate_synthetic(DatasetSpec.from_config(TINY))
             object.__setattr__(dataset, "labels", labels[np.arange(dataset.n) % 6])  # past Dataset's own check
             train(TINY, dataset)
 
@@ -126,24 +119,23 @@ class TestBoundaryChecks:
             "class_mean_similarity": lambda: evaluation.class_mean_similarity(scores, labels, 3),
             "calibrate_rows": lambda: sms.calibrate_rows(scores, labels, stats),
             "model_backward": lambda: model.model_backward(
-                model.init_params(2, 4, 3, 3, 0), np.zeros((6, 2)), labels, None, LossConfig()
+                model.init_params(2, 4, 3, 3, 0), np.zeros((6, 2)), labels, None, RunConfig()
             ),
         }
         message = "^labels must be non-negative class indices$" if bad < 0 else "^label 3 out of range for 3 classes$"
-        if boundary == "model_backward":
-            message = r"^labels must lie in \[0, 3\)"
         with pytest.raises(InputError, match=message):
             calls[boundary]()
 
     def test_feature_width_checked_once(self):
-        dataset = dataset_for(replace(TINY, feature_dim=6))
+        dataset = generate_synthetic(DatasetSpec.from_config(replace(TINY, feature_dim=6)))
         with pytest.raises(InputError, match=r"^features must be M x 4, got shape"):
             train(TINY, dataset)
 
     def test_checks_do_not_grow_with_the_batch_count(self, monkeypatch):
-        """Batches of 8 and of 64 rows make the same number of label checks:
-        every one of them belongs to the entry of train or to an epoch's
-        ``metrics_report``.  The step still runs once per batch."""
+        """Beyond the one in each step, batches of 8 and of 64 rows make the
+        same number of label checks: every other one belongs to the entry of
+        train or to an epoch's ``metrics_report``.  The step runs once per
+        batch and checks its labels once."""
         calls = Counter()
 
         def count(owner, name, key):
@@ -157,14 +149,16 @@ class TestBoundaryChecks:
 
         for module in (data, sms, train_module, evaluation):  # each imported check_labels by name
             count(module, "check_labels", "check_labels")
+        count(model, "check_labels", "step check_labels")
         count(model, "model_backward", "model_backward")
-        dataset = dataset_for(TINY)
+        dataset = generate_synthetic(DatasetSpec.from_config(TINY))
         seen = {}
         for batch_size in (8, 64):
             calls.clear()
             train(replace(TINY, batch_size=batch_size), dataset)
             seen[batch_size] = dict(calls)
             assert calls["model_backward"] == TINY.epochs * math.ceil(train_rows(dataset) / batch_size)
+            assert calls["step check_labels"] == calls["model_backward"]
         assert seen[8]["model_backward"] > seen[64]["model_backward"]
         assert seen[8]["check_labels"] == seen[64]["check_labels"]
 
@@ -175,7 +169,7 @@ LARGE_SPLIT = replace(TINY, samples=6000, batch_size=1024, epochs=3)
 
 @pytest.fixture(scope="module")
 def large_split():
-    dataset = dataset_for(LARGE_SPLIT)
+    dataset = generate_synthetic(DatasetSpec.from_config(LARGE_SPLIT))
     assert train_rows(dataset) > model.FORWARD_TILE_ROWS
     return dataset
 
@@ -188,9 +182,8 @@ class TestTrainMetrics:
         over the ``similarity_raw`` rows that the epoch's ``model_backward``
         calls returned, in call order, each calibrated by the statistics that
         step received, and their labels; ``train`` never calls ``evaluate``."""
-        dataset = large_split if cfg is LARGE_SPLIT else dataset_for(cfg)
+        dataset = large_split if cfg is LARGE_SPLIT else generate_synthetic(DatasetSpec.from_config(cfg))
         cfg = replace(cfg, sms_enabled=sms_enabled)
-        kernel = sms.KernelSpec(sigma=cfg.sms_sigma, include_self=cfg.sms_include_self)
         per_epoch = math.ceil(train_rows(dataset) / cfg.batch_size)
         real = model.model_backward
         steps = []
@@ -224,7 +217,7 @@ class TestTrainMetrics:
             if stats is not None:
                 assert all(getattr(stats, key).tobytes() == getattr(previous, key).tobytes() for key in STATS_KEYS)
                 assert not np.array_equal(scores, raw)
-            previous = sms.commit_epoch(raw, labels, kernel)
+            previous = sms.commit_epoch(raw, labels, cfg)
 
     @pytest.mark.parametrize("sms_enabled", [True, False], ids=["sms-on", "sms-off"])
     def test_one_commit_per_epoch(self, monkeypatch, sms_enabled):
@@ -234,7 +227,7 @@ class TestTrainMetrics:
         real = sms.commit_epoch
         monkeypatch.setattr(sms, "commit_epoch", lambda *args: commits.append(1) or real(*args))
         cfg = replace(TINY, epochs=3, sms_enabled=sms_enabled)
-        train(cfg, dataset_for(cfg))
+        train(cfg, generate_synthetic(DatasetSpec.from_config(cfg)))
         assert len(commits) == (cfg.epochs if sms_enabled else 0)
 
 
@@ -263,7 +256,7 @@ class TestCommittedStatistics:
         """Training that commits no statistics returns None for them, and
         the checkpoint's ``sms`` object is all null."""
         cfg = replace(TINY, **change)
-        result = train(cfg, dataset_for(cfg))
+        result = train(cfg, generate_synthetic(DatasetSpec.from_config(cfg)))
         assert result.stats is None
         save_checkpoint(tmp_path / "checkpoint.json", result, cfg)
         doc = json.loads((tmp_path / "checkpoint.json").read_text())
@@ -276,7 +269,7 @@ class TestCheckpointRoundTrip:
         """Every value the reader keeps is written back exactly: parameters,
         statistics (or their absence), hyper sizes."""
         cfg = replace(TINY, sms_enabled=sms_enabled)
-        result = train(cfg, dataset_for(cfg))
+        result = train(cfg, generate_synthetic(DatasetSpec.from_config(cfg)))
         save_checkpoint(tmp_path / "trained.json", result, cfg)
         params, stats = load_checkpoint(tmp_path / "trained.json", cfg)
         assert (stats is None) == (not sms_enabled)
@@ -292,7 +285,7 @@ class TestSelfExcludedSmoothing:
         scales to 0.45-9.74, while the default self-inclusive kernel ends at
         0.214 with scales of 0.98-1.54."""
         cfg = replace(RunConfig(seed=7), epochs=100)
-        dataset = dataset_for(cfg)
+        dataset = generate_synthetic(DatasetSpec.from_config(cfg))
         ends = {}
         for include_self in (False, True):
             result = train(replace(cfg, sms_include_self=include_self), dataset)
@@ -302,6 +295,33 @@ class TestSelfExcludedSmoothing:
         assert loss > 50.0 and low < 0.7 and high > 5.0, ends
         loss, low, high = ends[True]
         assert loss < 1.0 and 0.9 < low and high < 2.0, ends
+
+
+class TestEachSettingReachesItsLayer:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tau": 0.5},
+            {"lambda_main": 0.5},
+            {"lambda_rank": 0.5},
+            {"sms_sigma": 1.0},
+            {"sms_include_self": False},
+            {"normalize_embeddings": True},
+            {"optimizer": "sgd"},
+            {"learning_rate": 0.02},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_changing_one_setting_changes_the_trained_parameters(self, change):
+        """The loss, smoothing, model and optimizer layers each read their
+        setting from the config ``train`` passes them: changing it alone,
+        away from both TINY's value and the default, changes the trained
+        bytes.  A layer that read a default ``RunConfig`` would not."""
+        (key, value), = change.items()
+        assert value not in (getattr(TINY, key), getattr(RunConfig(), key))
+        dataset = generate_synthetic(DatasetSpec.from_config(TINY))
+        base = train(TINY, dataset).params.flat.tobytes()
+        assert train(replace(TINY, **change), dataset).params.flat.tobytes() != base
 
 
 def test_readme_library_example_runs(capsys):
