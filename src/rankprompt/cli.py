@@ -20,6 +20,7 @@ from statistics import mean, stdev
 from .config import RunConfig, config_to_dict, load_config
 from .core import InputError
 from .data import Dataset, DatasetSpec, ParseError, class_counts, generate_synthetic, load_csv, write_csv
+from .evaluation import MetricsReport
 from .train import _write_json, evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
 
 SEED_ENV = "RANKPROMPT_SEED"
@@ -32,6 +33,20 @@ ABLATION_VARIANTS = {
 }
 ABLATION_SEEDS = 5
 ABLATION_METRICS = ("macro_f1", "macro_auc", "rank_monotonicity")
+
+
+def run_battery(cfg: RunConfig, variants: dict, seeds) -> dict[str, list[MetricsReport]]:
+    """Train every variant (name -> RunConfig overrides) of ``cfg`` once per seed, on the dataset
+    its own config describes, and score the test split; returns each variant's reports in seed order.
+    Variants that leave the dataset keys alone get the same dataset for a seed, so they compare paired."""
+    reports = {name: [] for name in variants}
+    for seed in seeds:
+        for name, overrides in variants.items():
+            vcfg = replace(cfg, seed=seed, **overrides)
+            dataset = generate_synthetic(DatasetSpec.from_config(vcfg))
+            result = train(vcfg, dataset)
+            reports[name].append(evaluate(result.params, result.stats, *dataset.subset("test"), vcfg))
+    return reports
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -113,17 +128,11 @@ def cmd_heatmap(cfg: RunConfig, args) -> int:
 def cmd_ablate(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     seeds = [cfg.seed + i for i in range(ABLATION_SEEDS)]
-    collected = {name: {metric: [] for metric in ABLATION_METRICS} for name in ABLATION_VARIANTS}
-    for seed in seeds:
-        dataset = generate_synthetic(replace(DatasetSpec.from_config(cfg), seed=seed))
-        feats, labels = dataset.subset("test")
-        for name, overrides in ABLATION_VARIANTS.items():
-            vcfg = replace(cfg, seed=seed, **overrides)
-            result = train(vcfg, dataset)
-            report = evaluate(result.params, result.stats, feats, labels, vcfg)
-            collected[name]["macro_f1"].append(report.macro_f1)
-            collected[name]["macro_auc"].append(report.macro_auc)
-            collected[name]["rank_monotonicity"].append(report.rank_monotonicity)
+    reports = run_battery(cfg, ABLATION_VARIANTS, seeds)
+    collected = {
+        name: {metric: [getattr(report, metric) for report in runs] for metric in ABLATION_METRICS}
+        for name, runs in reports.items()
+    }
     summary = {
         "seeds": seeds,
         "variants": {

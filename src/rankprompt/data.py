@@ -59,18 +59,8 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise InputError(f"classes must be >= 2, got {self.classes}")
-        if self.samples < self.classes:
-            raise InputError(f"samples must be >= classes, got {self.samples}")
-        if self.feature_dim < 1:
-            raise InputError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if not self.class_sep > 0:
-            raise InputError(f"class_sep must be positive, got {self.class_sep}")
-        if self.noise_sigma < 0:
-            raise InputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.imbalance_ratio < 1:
-            raise InputError(f"imbalance_ratio must be >= 1, got {self.imbalance_ratio}")
+        # the dataset keys obey RunConfig's rules: finite floats, int64 sizes, a seed >= 0
+        RunConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> DatasetSpec:

@@ -121,8 +121,9 @@ def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tup
     for an M x K array and M labels in [0, K): each row takes its true class's
     row of ``stats.calibration_table``.  Labels are not range-checked here (a
     negative one would wrap to a grade from the end); ``calibrate_rows`` and
-    ``model.model_backward`` check them.  The scale is also d(calibrated)/d(raw)
-    per entry.
+    ``model.model_backward`` check them, and ``train._train_epoch`` passes the
+    labels that ``commit_epoch`` checked earlier in the same epoch.  The scale
+    is also d(calibrated)/d(raw) per entry.
     """
     _check_rows(s, labels, stats.k)
     scale, offset = stats.calibration_table

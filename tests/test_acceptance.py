@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from oracles import kl_divergence_row, one_hot, rank_directional_loss
 
-from rankprompt.cli import ABLATION_VARIANTS, main
+from rankprompt.cli import ABLATION_VARIANTS, main, run_battery
 from rankprompt.config import RunConfig
 from rankprompt.data import TWIN_SUFFIX, DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import rank_term, total_loss
@@ -164,25 +164,14 @@ class TestA2RankLearnability:
 
 class TestA3AblationDirections:
     SEEDS = range(5)
-
-    def variant_config(self, name: str) -> RunConfig:
-        base = RunConfig(class_sep=0.75, noise_sigma=0.5, imbalance_ratio=20.0, epochs=10)
-        return replace(base, **ABLATION_VARIANTS[name])
+    BASE = RunConfig(class_sep=0.75, noise_sigma=0.5, imbalance_ratio=20.0, epochs=10)
 
     def test_a3(self):
         t0 = time.monotonic()
-        scores = {name: {"f1": [], "mono": []} for name in ("full", "no_rank", "no_sms")}
-        for seed in self.SEEDS:
-            dataset = generate_synthetic(DatasetSpec.from_config(replace(self.variant_config("full"), seed=seed)))
-            feats, labels = dataset.subset("test")
-            for name in scores:
-                cfg = replace(self.variant_config(name), seed=seed)
-                result = train(cfg, dataset)
-                rep = evaluate(result.params, result.stats, feats, labels, cfg)
-                scores[name]["f1"].append(rep.macro_f1)
-                scores[name]["mono"].append(rep.rank_monotonicity)
-        f1 = {name: mean(v["f1"]) for name, v in scores.items()}
-        mono = {name: mean(v["mono"]) for name, v in scores.items()}
+        variants = {name: ABLATION_VARIANTS[name] for name in ("full", "no_rank", "no_sms")}
+        reports = run_battery(self.BASE, variants, self.SEEDS)
+        f1 = {name: mean(rep.macro_f1 for rep in runs) for name, runs in reports.items()}
+        mono = {name: mean(rep.rank_monotonicity for rep in runs) for name, runs in reports.items()}
         elapsed = time.monotonic() - t0
         ok = (
             mono["full"] > mono["no_rank"]

@@ -22,10 +22,10 @@ from rankprompt import cli
 from rankprompt.cli import ABLATION_VARIANTS, main
 from rankprompt.config import RunConfig, config_to_dict, load_config, parse_config_text
 from rankprompt.core import InputError
-from rankprompt.data import DatasetSpec, ParseError, load_csv
+from rankprompt.data import DatasetSpec, ParseError, generate_synthetic, load_csv
 from rankprompt.evaluation import class_mean_similarity
 from rankprompt.model import PARAM_FIELDS, forward_similarity, init_params
-from rankprompt.train import load_checkpoint
+from rankprompt.train import evaluate, load_checkpoint, train
 
 
 TINY = """
@@ -829,13 +829,36 @@ class TestAblate:
     @pytest.mark.parametrize("name", ABLATION_VARIANTS)
     def test_variant_is_config_overrides(self, name):
         """Each variant is RunConfig overrides only, which build a valid config
-        and leave the dataset alone: ``ablate`` trains every variant of a seed
-        on the one dataset the base config describes."""
+        and leave the dataset alone: the four variants of a seed share one
+        dataset, which is what makes their comparison paired.  ``ablate`` no
+        longer depends on that to be correct (see the next test)."""
         overrides = ABLATION_VARIANTS[name]
         assert set(overrides) <= set(RunConfig.__dataclass_fields__)
         cfg = replace(RunConfig(), **overrides)  # __post_init__ checks every value
         assert {key: getattr(cfg, key) for key in overrides} == overrides
         assert DatasetSpec.from_config(cfg) == DatasetSpec.from_config(RunConfig())
+
+    @pytest.mark.parametrize("name", ["wide", "narrow"])
+    def test_variant_trains_on_its_own_dataset(self, tmp_path, monkeypatch, name):
+        """A variant that overrides a dataset key trains and scores on the
+        dataset its own config describes: its values are those of generating,
+        training and evaluating that config directly, seed by seed."""
+        monkeypatch.delenv("RANKPROMPT_SEED", raising=False)
+        monkeypatch.setitem(ABLATION_VARIANTS, "wide", {"class_sep": 3.0})
+        monkeypatch.setitem(ABLATION_VARIANTS, "narrow", {"feature_dim": 3})
+        text = TINY.replace("samples = 60", "samples = 40").replace("epochs = 2", "epochs = 1")
+        cfg_path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg_path, "--out", str(out)]) == 0
+        doc = json.loads((out / "ablation.json").read_text())
+        reports = []
+        for seed in doc["seeds"]:
+            vcfg = replace(load_config(cfg_path), seed=seed, **ABLATION_VARIANTS[name])
+            dataset = generate_synthetic(DatasetSpec.from_config(vcfg))
+            result = train(vcfg, dataset)
+            reports.append(evaluate(result.params, result.stats, *dataset.subset("test"), vcfg))
+        for metric, summary in doc["variants"][name].items():
+            assert summary["values"] == [getattr(report, metric) for report in reports]
 
     def test_summary_schema(self, tmp_path):
         text = TINY.replace("samples = 60", "samples = 40").replace("epochs = 2", "epochs = 1")

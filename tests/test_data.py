@@ -35,6 +35,15 @@ def spec(**kw):
     return DatasetSpec(**base)
 
 
+class TestDatasetSpec:
+    @pytest.mark.parametrize("key", ["imbalance_ratio", "noise_sigma"])
+    def test_rejects_nan(self, key):
+        """A NaN is rejected where the spec is built, by RunConfig's rule: generating
+        from an ``imbalance_ratio`` of NaN would never return."""
+        with pytest.raises(InputError, match=rf"^config: {key} must be finite, got nan$"):
+            spec(**{key: float("nan")})
+
+
 class TestClassCounts:
     def test_balanced(self):
         assert class_counts(spec(samples=1000, imbalance_ratio=1.0)) == [200] * 5
