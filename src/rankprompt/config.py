@@ -7,10 +7,14 @@ the filesystem when handed a bad config.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 from .core import InputError
+
+
+# The Python types each field type takes: a RunConfig built in code is held to them too.
+_ACCEPTED = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,11 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            # a bool is an int to isinstance, so it is told apart by its exact type
+            if not isinstance(value, _ACCEPTED[f.type]) or (type(value) is bool) != (f.type == "bool"):
+                raise InputError(f"config: {f.name} expects {f.type}, got {value!r}")
+            # false for NaN, the infinities and an int beyond float64, which math.isfinite raises on
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise InputError(f"config: {f.name} must be finite, got {value}")
             # numpy sizes and counts are int64; a seed of any size still seeds a generator
             if f.type == "int" and f.name != "seed" and not -(2**63) <= value < 2**63:

@@ -17,7 +17,7 @@ import numpy as np
 from . import losses as L
 from . import sms
 from .config import RunConfig
-from .core import InputError, check_labels, require_finite, similarity_matrix
+from .core import InputError, check_labels, similarity_matrix
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -161,9 +161,9 @@ def model_backward(
 
     ``labels`` are M class indices in [0, K), checked here by
     ``check_labels``; the other step functions trust them.  ``stats=None``
-    skips calibration entirely.  Committed statistics are treated as
-    constants: the gradient passes through the per-row affine map via its
-    frozen scale only.  Only two M x H arrays live: ``w2``'s gradient is taken
+    skips calibration; otherwise ``sms.calibrate`` maps a copy of the raw
+    rows, and the gradient passes through that frozen affine map via the
+    scale it returns.  Only two M x H arrays live: ``w2``'s gradient is taken
     first, then the activations' buffer becomes the tanh derivative in place.
     Each weight gradient stays one whole-batch matmul, so every bit matches the
     unfused order; ``features`` is only read.
@@ -171,11 +171,10 @@ def model_backward(
     check_labels(labels, params.classes)
     features, pre, x, t, x_norms, t_norms = _forward(params, features, cfg.normalize_embeddings)
     s_raw = similarity_matrix(x, t)
+    s_cal = s_raw
     if stats is not None:
-        scale, offset = sms.calibration_map(s_raw, labels, stats)
-        s_cal = require_finite(scale * s_raw + offset)
-    else:
-        s_cal = s_raw
+        s_cal = s_raw.copy()  # the raw rows go to the epoch's buffer
+        scale = sms.calibrate(s_cal, labels, stats)
 
     report = L.total_loss(s_cal, labels, cfg)
     # Through the frozen affine calibration: d(cal)/d(raw) is its scale.

@@ -6,7 +6,8 @@ per-grade mean/variance plus versions smoothed across neighboring grades
 with a Gaussian kernel over grade distance.  A commit covers every grade; an
 epoch in which some grade has no rows cannot commit.  Calibration reads only
 a ``ClassStats``, as a per-row affine map, throughout the following epoch;
-None (nothing committed yet) means no calibration.
+None (nothing committed yet) means no calibration.  ``calibrate`` is the one
+code that applies the map: for the training step, the epoch log and inference.
 """
 
 from __future__ import annotations
@@ -116,24 +117,17 @@ def commit_epoch(s_raw: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> Class
     return ClassStats(count=count, mean=mean, var=var, smoothed_mean=sm, smoothed_var=sv)
 
 
-def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset
-    for an M x K array and M labels in [0, K): each row takes its true class's
-    row of ``stats.calibration_table``.  Labels are not range-checked here (a
-    negative one would wrap to a grade from the end); ``calibrate_rows`` and
-    ``model.model_backward`` check them, and ``train._train_epoch`` passes the
-    labels that ``commit_epoch`` checked earlier in the same epoch.  The scale
-    is also d(calibrated)/d(raw) per entry.
+def calibrate(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> np.ndarray:
+    """Map each row of the M x K float64 array ``s`` in place by its true grade's
+    row of ``stats.calibration_table``, s -> scale*s + offset, finite-check the
+    result and return the M x K per-row scale, which is d(calibrated)/d(raw).
+    The M labels are trusted to lie in [0, K) (a negative one would wrap to a
+    grade from the end): every caller passes labels ``check_labels`` passed.
     """
     _check_rows(s, labels, stats.k)
     scale, offset = stats.calibration_table
-    return scale[labels], offset[labels]
-
-
-def calibrate_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> np.ndarray:
-    """Affine-map each row of an M x K array toward the smoothed statistics of
-    its true class through ``calibration_map``: out = scale * s + offset,
-    finite-checked.  The labels are checked to lie in [0, K)."""
-    check_labels(labels, stats.k)
-    scale, offset = calibration_map(s, labels, stats)
-    return require_finite(scale * s + offset)
+    row_scale = scale[labels]
+    s *= row_scale
+    s += offset[labels]
+    require_finite(s)
+    return row_scale

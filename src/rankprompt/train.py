@@ -51,7 +51,8 @@ def _train_epoch(
 ) -> tuple[dict, sms.ClassStats | None]:
     """Step ``params`` over one epoch's batches, calibrated by ``committed``; returns the epoch's log
     entry (its mean loss terms, and the metrics of the calibrated scores its steps computed, before
-    each step) and the statistics its raw similarity rows commit (None when ``sms_enabled`` is off)."""
+    each step) and the statistics its raw similarity rows commit (None when ``sms_enabled`` is off).
+    After the commit, ``sms.calibrate`` maps the raw rows in place by ``committed``, as each step did."""
     n = dataset.rows("train").size
     scores, truth = np.empty((n, cfg.classes)), np.empty(n, dtype=np.int64)
     seen = 0
@@ -75,11 +76,7 @@ def _train_epoch(
         sums["total"] += result.report.total * m
     fresh = sms.commit_epoch(scores, truth, cfg) if cfg.sms_enabled else None
     if committed is not None:
-        # model_backward's arithmetic, in place; the gathered maps go before metrics_report runs
-        scale, offset = sms.calibration_map(scores, truth, committed)
-        scores *= scale
-        scores += offset
-        del scale, offset
+        sms.calibrate(scores, truth, committed)
     rep = metrics_report(scores, truth, cfg.classes, cfg.tau)
     entry = {
         "epoch": epoch,
@@ -128,10 +125,11 @@ def calibrated_similarity(
 ) -> np.ndarray:
     """Inference pipeline: encode, inner products, then the frozen calibration
     unless ``cfg.sms_enabled`` is false or ``stats`` is None; an M x K finite
-    array."""
+    array; the labels, checked here, pick each row's calibration."""
     s_raw = M.forward_similarity(params, features, cfg.normalize_embeddings)
     if cfg.sms_enabled and stats is not None:
-        return sms.calibrate_rows(s_raw, labels, stats)
+        check_labels(labels, stats.k)
+        sms.calibrate(s_raw, labels, stats)
     return s_raw
 
 
@@ -236,7 +234,8 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
     section that is not a JSON object, a ``params.hyper`` size that is not
     an integer >= 1, an array ``_json_array`` rejects (every tensor in the
     shape the sizes give; ``sms.count`` of K and the other ``sms`` keys of
-    K x K, unless all five are null), or a ``config.normalize_embeddings``
+    K x K, unless all five are null), an ``sms.var`` or ``sms.smoothed_var``
+    entry that is not > 0, or a ``config.normalize_embeddings``
     that is not a JSON boolean.  One trained with another class count or
     ``normalize_embeddings`` than ``cfg`` raises InputError.
     """
@@ -267,6 +266,9 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[M.ModelParams, sms.ClassStats
                 _json_array(stats_doc["count"], "sms.count", (k,), np.int64),
                 *(_json_array(stats_doc[key], f"sms.{key}", (k, k)) for key in STATS_KEYS[1:]),
             )
+            for key in ("var", "smoothed_var"):  # a commit floors them at VAR_FLOOR, smoothing keeps them > 0
+                if not (getattr(stats, key) > 0).all():
+                    raise ValueError(f"sms.{key} must hold only variances > 0")
         trained_normalized = _json_object(doc["config"], "config")["normalize_embeddings"]
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint is missing key {exc}") from None

@@ -3,8 +3,10 @@
 Each one computes a quantity of the objective the slow, obvious way, one
 row or one sample at a time, so tests can check the vectorized code in
 ``rankprompt`` against it; the calibration statistics come one batch at a
-time instead of from the epoch's whole buffer.  ``traced_peak`` measures the
-memory bounds the tests hold ``rankprompt`` to.
+time instead of from the epoch's whole buffer, and calibration comes as a
+per-row map and a separate out-of-place apply.  ``calibrated`` is
+``sms.calibrate`` on a copy, for tests that want the calibrated rows, and
+``traced_peak`` measures the memory bounds the tests hold ``rankprompt`` to.
 """
 
 import csv
@@ -13,9 +15,9 @@ import tracemalloc
 import numpy as np
 
 from rankprompt.config import RunConfig
-from rankprompt.core import InputError, check_labels
+from rankprompt.core import InputError, check_labels, require_finite
 from rankprompt.data import SPLITS, TEST_FRACTION, Dataset, DatasetSpec, ParseError, class_counts
-from rankprompt.sms import VAR_FLOOR, ClassStats, kernel_weights
+from rankprompt.sms import VAR_FLOOR, ClassStats, calibrate, kernel_weights
 
 # Floor applied to the second argument of the KL divergence.
 KL_EPS = 1e-12
@@ -238,6 +240,33 @@ def commit_sums(sums: EpochSums, cfg: RunConfig) -> ClassStats:
         sm[j] = w @ mean
         sv[j] = w @ var
     return ClassStats(count=sums.count.copy(), mean=mean, var=var, smoothed_mean=sm, smoothed_var=sv)
+
+
+def calibration_map(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (scale, offset) of the frozen calibration map s -> scale*s + offset
+    for an M x K array and M labels in [0, K), not range-checked here: each row
+    takes its true class's row of ``stats.calibration_table``.  The scale is
+    also d(calibrated)/d(raw) per entry.
+    """
+    _check_rows(s, labels, stats.k)
+    scale, offset = stats.calibration_table
+    return scale[labels], offset[labels]
+
+
+def calibrate_rows(s: np.ndarray, labels: np.ndarray, stats: ClassStats) -> np.ndarray:
+    """Affine-map each row of an M x K array toward the smoothed statistics of
+    its true class through ``calibration_map``: out = scale * s + offset,
+    finite-checked, in a new array.  The labels are checked to lie in [0, K)."""
+    check_labels(labels, stats.k)
+    scale, offset = calibration_map(s, labels, stats)
+    return require_finite(scale * s + offset)
+
+
+def calibrated(s, labels, stats) -> np.ndarray:
+    """The rows of ``s`` as ``sms.calibrate`` maps them, in a new array; ``s`` is left alone."""
+    out = np.array(s, dtype=np.float64)
+    calibrate(out, labels, stats)
+    return out
 
 
 def traced_peak(fn):

@@ -17,14 +17,14 @@ from statistics import mean
 
 import numpy as np
 import pytest
-from oracles import kl_divergence_row, one_hot, rank_directional_loss
+from oracles import calibrated, kl_divergence_row, one_hot, rank_directional_loss
 
 from rankprompt.cli import ABLATION_VARIANTS, main, run_battery
 from rankprompt.config import RunConfig
 from rankprompt.data import TWIN_SUFFIX, DatasetSpec, generate_synthetic, load_csv, write_csv
 from rankprompt.losses import rank_term, total_loss
 from rankprompt.model import PARAM_FIELDS, init_params, model_backward
-from rankprompt.sms import calibrate_rows, commit_epoch, kernel_weights
+from rankprompt.sms import calibrate, commit_epoch, kernel_weights
 from rankprompt.train import evaluate, heatmap_matrix, train
 
 
@@ -237,7 +237,7 @@ class TestA5CalibrationProperties:
         *_, stats = self.committed(rng, kernel=RunConfig(sms_sigma=1e-3, sms_include_self=True))
         s = rng.normal(size=(12, 5))
         labels = rng.integers(0, 5, size=12)
-        out = calibrate_rows(s, labels, stats)
+        out = calibrated(s, labels, stats)
         identity_dev = float(np.max(np.abs(out - s)))
 
         # per-row affinity on 50 random cases
@@ -252,10 +252,10 @@ class TestA5CalibrationProperties:
             mu = np.asarray(cstats.mean[c])
             mu_s = np.asarray(cstats.smoothed_mean[c])
             lab = np.array([c])
-            blended = calibrate_rows(
+            blended = calibrated(
                 alpha * row + (1 - alpha) * mu, lab, cstats
             )[0]
-            direct = alpha * calibrate_rows(row, lab, cstats)[0]
+            direct = alpha * calibrated(row, lab, cstats)[0]
             expect = direct + (1 - alpha) * mu_s
             affinity_dev = max(affinity_dev, float(np.max(np.abs(blended - expect))))
 
@@ -275,11 +275,11 @@ class TestA5CalibrationProperties:
         # end does, and committing later epochs must not move the committed
         # stats, whose arrays are unwritable
         buffer, buffer_labels, frozen = self.committed(rng)
-        first = calibrate_rows(s, labels, frozen)
-        buffer[...] = calibrate_rows(buffer, buffer_labels, frozen)
+        first = calibrated(s, labels, frozen)
+        calibrate(buffer, buffer_labels, frozen)
         for later in (buffer, rng.normal(scale=2.0, size=buffer.shape)):
             commit_epoch(later, buffer_labels, RunConfig(sms_sigma=1.0, sms_include_self=False))
-        second = calibrate_rows(s, labels, frozen)
+        second = calibrated(s, labels, frozen)
         arrays = (frozen.count, frozen.mean, frozen.var, frozen.smoothed_mean, frozen.smoothed_var)
         freeze_ok = np.array_equal(first, second) and not any(a.flags.writeable for a in arrays)
 

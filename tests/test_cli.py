@@ -68,6 +68,19 @@ REJECTED_SETTINGS = [
 ]
 
 
+# (the type built in code, key, a value of the wrong type, the type its key expects)
+WRONG_TYPES = [
+    (RunConfig, "sms_enabled", "no", "bool"),  # a non-empty string is truthy
+    (RunConfig, "epochs", 2.5, "int"),
+    (RunConfig, "epochs", True, "int"),  # a bool is an int to isinstance
+    (RunConfig, "batch_size", 32.0, "int"),
+    (RunConfig, "seed", 1.5, "int"),
+    (RunConfig, "tau", "1", "float"),
+    (RunConfig, "tau", True, "float"),
+    (DatasetSpec, "samples", 100.5, "int"),
+]
+
+
 class TestConfigParsing:
     def test_defaults(self):
         cfg = parse_config_text("")
@@ -120,6 +133,21 @@ class TestConfigParsing:
         where the config is built, with a message that names its key."""
         with pytest.raises(InputError, match=f"^config: {message}$"):
             RunConfig(**{key: bad})
+
+    @pytest.mark.parametrize(
+        "built, key, bad, kind", WRONG_TYPES, ids=[f"{b.__name__}-{k}={v!r}" for b, k, v, _ in WRONG_TYPES]
+    )
+    def test_wrong_type_in_code_rejected_by_name(self, built, key, bad, kind):
+        """Settings built in code are held to their field's type where the
+        ``RunConfig`` is built, as a config file's parse holds them; a
+        ``DatasetSpec`` inherits the check."""
+        with pytest.raises(InputError, match=f"^config: {key} expects {kind}, got "):
+            built(**{key: bad})
+
+    def test_int_beyond_float64_in_a_float_field_rejected_by_name(self):
+        """A float field takes an int, but not one that float64 cannot hold."""
+        with pytest.raises(InputError, match=r"^config: tau must be finite, got 17976931348623159\d+$"):
+            RunConfig(tau=2**1024)
 
     def test_round_trip_dict(self):
         cfg = parse_config_text("seed = 9\ntau = 0.25\n")
@@ -529,6 +557,11 @@ class TestMalformedCheckpoint:
             pytest.param(("sms", "mean", 0, 0), 10**400, id="sms-int-beyond-float64"),
             pytest.param(("sms", "count", 0), 0, id="sms-zero-count"),  # every grade has rows in a commit
             pytest.param(("sms", "mean", 1), None, id="sms-null-row"),
+            # a commit floors every variance at VAR_FLOOR, so none is <= 0
+            pytest.param(("sms", "var", 2, 2), 0.0, id="sms-zero-var"),
+            pytest.param(("sms", "var", 2, 2), -0.5, id="sms-negative-var"),
+            pytest.param(("sms", "smoothed_var", 2, 2), 0.0, id="sms-zero-smoothed-var"),
+            pytest.param(("sms", "smoothed_var", 2, 2), -0.5, id="sms-negative-smoothed-var"),
         ],
     )
     def test_bad_value_is_3(self, tmp_path, capsys, path, value):
@@ -629,8 +662,9 @@ class TestCheckpointFuzz:
     @settings(max_examples=100, deadline=None)
     @given(mutation=SMS_MUTATIONS)
     def test_mutated_sms_loads_or_raises_parse_error(self, tiny_checkpoint, mutation):
-        """Only a finite number written over a calibration row entry leaves a
-        loadable checkpoint; every other edit raises ParseError, nothing else."""
+        """Only a finite number written over a calibration row entry, one > 0
+        in a variance, leaves a loadable checkpoint; every other edit raises
+        ParseError, nothing else."""
         out, doc = tiny_checkpoint
         op, key, grade, entry, value = mutation
         sms = copy.deepcopy(doc["sms"])
@@ -652,6 +686,7 @@ class TestCheckpointFuzz:
         except ParseError:
             return
         assert op == "cell" and key != "count" and isinstance(value, float) and np.isfinite(value), mutation
+        assert key not in ("var", "smoothed_var") or value > 0, mutation
 
 
 HYPER_KEYS = ("feature_dim", "hidden_dim", "embed_dim", "classes")

@@ -140,9 +140,9 @@ class TestForwardSimilarity:
 
 
 class TestBackwardSinglePass:
-    def test_each_term_and_the_calibration_map_run_once(self, monkeypatch):
+    def test_each_term_and_calibrate_run_once(self, monkeypatch):
         """One step evaluates every loss term once, value and gradient
-        together, and builds the frozen calibration map once."""
+        together, and applies the frozen calibration map once."""
         calls = Counter()
 
         def count(module, name):
@@ -164,14 +164,14 @@ class TestBackwardSinglePass:
 
         for name in ("image_to_text_term", "text_to_image_term", "rank_term", "total_loss"):
             count(losses, name)
-        count(sms, "calibration_map")
+        count(sms, "calibrate")
         model_backward(p, feats, labels, stats, RunConfig())
         assert calls == {
             "image_to_text_term": 1,
             "text_to_image_term": 1,
             "rank_term": 1,
             "total_loss": 1,
-            "calibration_map": 1,
+            "calibrate": 1,
         }
 
 

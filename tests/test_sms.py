@@ -4,14 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import EpochSums, accumulate_class_stats, commit_sums
+from oracles import EpochSums, accumulate_class_stats, calibrate_rows, calibrated, calibration_map, commit_sums
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import ParseError
-from rankprompt.sms import VAR_FLOOR, calibrate_rows, commit_epoch, kernel_weights
+from rankprompt.sms import VAR_FLOOR, calibrate, commit_epoch, kernel_weights
 from rankprompt.model import forward_similarity, init_params
 from rankprompt.train import STATS_KEYS, TrainResult, calibrated_similarity, load_checkpoint, save_checkpoint
 
@@ -208,7 +208,7 @@ class TestCalibrateRows:
         stats = committed_from(rows, labels, RunConfig(sms_sigma=1e-3, sms_include_self=True))
         fresh = rng.normal(size=(8, 5))
         fresh_labels = rng.integers(0, 5, 8)
-        out = calibrate_rows(fresh, fresh_labels, stats)
+        out = calibrated(fresh, fresh_labels, stats)
         np.testing.assert_allclose(out, fresh, atol=1e-12)
 
     def test_centered_input_maps_to_smoothed_mean(self):
@@ -218,7 +218,7 @@ class TestCalibrateRows:
         stats = committed_from(rows, labels)
         for c in range(4):
             s = stats.mean[c][None, :]
-            out = calibrate_rows(s, np.array([c]), stats)
+            out = calibrated(s, np.array([c]), stats)
             np.testing.assert_allclose(out[0], stats.smoothed_mean[c], atol=1e-12)
 
     def test_scalar_standard_case(self):
@@ -230,7 +230,7 @@ class TestCalibrateRows:
         # the only non-self neighbor of class 0 is class 1
         np.testing.assert_allclose(stats.smoothed_mean[0], [3.0, 3.0])
         np.testing.assert_allclose(stats.smoothed_var[0], [4.0, 4.0])
-        out = calibrate_rows(np.array([[2.0, 2.0]]), np.array([0]), stats)
+        out = calibrated(np.array([[2.0, 2.0]]), np.array([0]), stats)
         np.testing.assert_allclose(out, [[5.0, 5.0]], atol=1e-12)
 
     def test_affine_property(self):
@@ -244,10 +244,10 @@ class TestCalibrateRows:
             c = int(rng.integers(0, k))
             s = rng.normal(size=(1, k))
             alpha = float(rng.uniform(-1.5, 1.5))
-            lhs = calibrate_rows(
+            lhs = calibrated(
                 alpha * s + (1 - alpha) * stats.mean[c], np.array([c]), stats
             )[0]
-            rhs = alpha * calibrate_rows(s, np.array([c]), stats)[0] + (
+            rhs = alpha * calibrated(s, np.array([c]), stats)[0] + (
                 1 - alpha
             ) * stats.smoothed_mean[c]
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -261,6 +261,32 @@ class TestCalibrateRows:
         out = calibrated_similarity(params, None, feats, np.array([0, 1, 2, 0, 1, 2]), cfg)
         np.testing.assert_array_equal(out, forward_similarity(params, feats))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(2, 7),
+        rows=st.integers(1, 60),
+        absent=st.integers(0, 6),
+        sigma=st.sampled_from([1e-3, 0.4, 1.0, 3.0]),
+        include_self=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=2, rows=1, absent=1, sigma=0.4, include_self=True, seed=0)
+    def test_equals_the_two_step_oracle_bit_for_bit(self, k, rows, absent, sigma, include_self, seed):
+        """``calibrate`` maps the rows in place to the bits that the per-row
+        map and its out-of-place apply give, and returns that map's scale.
+        One grade has no rows; rows span magnitudes 1e-3 to 1e3, and some
+        entries are -0.0."""
+        rng = np.random.default_rng(seed)
+        buffer = rng.normal(size=(4 * k, k)) * 10.0 ** rng.uniform(-2, 2, size=(4 * k, 1))
+        stats = commit_epoch(buffer, np.arange(4 * k) % k, RunConfig(sms_sigma=sigma, sms_include_self=include_self))
+        labels = rng.choice(np.delete(np.arange(k), absent % k), rows)
+        s = rng.normal(size=(rows, k)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        s[rng.random((rows, k)) < 0.1] = -0.0
+        out = s.copy()
+        scale = calibrate(out, labels, stats)
+        assert out.tobytes() == calibrate_rows(s, labels, stats).tobytes()
+        assert scale.tobytes() == calibration_map(s, labels, stats)[0].tobytes()
+
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(25, 5))
@@ -268,8 +294,8 @@ class TestCalibrateRows:
         stats = committed_from(rows, labels)
         s = rng.normal(size=(6, 5))
         lab = rng.integers(0, 5, 6)
-        first = calibrate_rows(s, lab, stats)
-        second = calibrate_rows(s, lab, stats)
+        first = calibrated(s, lab, stats)
+        second = calibrated(s, lab, stats)
         assert np.array_equal(first, second)
 
 
@@ -311,10 +337,10 @@ class TestCommitEpoch:
         stats = commit_epoch(rows, labels, UNIT)
         s = rng.normal(size=(4, 3))
         lab = rng.integers(0, 3, 4)
-        before = calibrate_rows(s, lab, stats)
+        before = calibrated(s, lab, stats)
         rows[...] = rng.normal(size=(10, 3))
         commit_epoch(rows, labels, UNIT)
-        after = calibrate_rows(s, lab, stats)
+        after = calibrated(s, lab, stats)
         assert np.array_equal(before, after)
 
 
@@ -341,7 +367,7 @@ class TestSerialization:
         loaded = loaded_stats(tmp_path, saved_doc(tmp_path, stats, 5), 5)
         s = rng.normal(size=(7, 5))
         lab = rng.integers(0, 5, 7)
-        assert np.array_equal(calibrate_rows(s, lab, stats), calibrate_rows(s, lab, loaded))
+        assert np.array_equal(calibrated(s, lab, stats), calibrated(s, lab, loaded))
 
     def test_round_trip_pristine(self, tmp_path):
         """Nothing committed writes all-null statistics and reads back as None."""

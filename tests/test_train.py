@@ -13,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import calibrated
 from rankprompt import data, evaluation, model, sms
 from rankprompt import train as train_module
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
 from rankprompt.data import DatasetSpec, generate_synthetic
-from rankprompt.train import STATS_KEYS, TrainResult, load_checkpoint, save_checkpoint, train
+from rankprompt.train import STATS_KEYS, TrainResult, calibrated_similarity, load_checkpoint, save_checkpoint, train
 
 TINY = RunConfig(
     seed=5,
@@ -97,7 +98,7 @@ class TestBoundaryChecks:
     @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "K"])
     @pytest.mark.parametrize(
         "boundary",
-        ["Dataset", "train", "metrics_report", "class_mean_similarity", "calibrate_rows", "model_backward"],
+        ["Dataset", "train", "metrics_report", "class_mean_similarity", "calibrated_similarity", "model_backward"],
     )
     def test_every_label_boundary_rejects_out_of_range(self, boundary, bad):
         """Each entry point that takes labels rejects -1 and K = 3 with
@@ -117,7 +118,9 @@ class TestBoundaryChecks:
             "train": lambda: train_on(labels),
             "metrics_report": lambda: evaluation.metrics_report(scores, labels, 3),
             "class_mean_similarity": lambda: evaluation.class_mean_similarity(scores, labels, 3),
-            "calibrate_rows": lambda: sms.calibrate_rows(scores, labels, stats),
+            "calibrated_similarity": lambda: calibrated_similarity(
+                model.init_params(2, 4, 3, 3, 0), stats, np.zeros((6, 2)), labels, RunConfig(classes=3, feature_dim=2)
+            ),
             "model_backward": lambda: model.model_backward(
                 model.init_params(2, 4, 3, 3, 0), np.zeros((6, 2)), labels, None, RunConfig()
             ),
@@ -207,7 +210,7 @@ class TestTrainMetrics:
             assert all(step_stats is stats for step_stats in received)
             raw, labels = np.concatenate(raws), np.concatenate(batch_labels)
             scores = raw if stats is None else np.concatenate(
-                [sms.calibrate_rows(r, lab, stats) for r, lab in zip(raws, batch_labels)]
+                [calibrated(r, lab, stats) for r, lab in zip(raws, batch_labels)]
             )
             rep = evaluation.metrics_report(scores, labels, cfg.classes, cfg.tau)
             logged = (entry["train_macro_f1"], entry["train_macro_auc"], entry["train_rank_monotonicity"])
