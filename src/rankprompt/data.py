@@ -3,8 +3,8 @@
 Class c is a Gaussian blob centered at (c * class_sep, 0, ..., 0) so the
 label order is geometrically meaningful; per-class counts decay
 geometrically with one knob (imbalance_ratio).  Everything is seeded and
-byte-reproducible.  Generation and CSV formatting hold one block of
-BLOCK_ROWS rows beyond the dataset; the CSV's binary twin holds every row.
+byte-reproducible.  Generation, CSV formatting and the CSV's binary twin
+hold one block of BLOCK_ROWS rows beyond the dataset.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def write_csv(dataset: Dataset, path) -> None:
 
     Also writes the binary twin ``<path>.rows`` that ``load_csv`` reads in
     place of parsing the text: the sha256 of the CSV bytes written, then the
-    rows as one ``np.save`` record array (see ``_write_twin``).
+    rows as the bytes of one ``np.save`` record array (see ``_write_twin``).
     """
     width = dataset.feature_dim
     template = ",".join(["%d", "%d", "%s"] + ["%.17g"] * width) + "\n"
@@ -204,19 +204,27 @@ def _twin_dtype(width: int) -> np.dtype:
 
 def _write_twin(dataset: Dataset, path, digest: bytes) -> None:
     """Write ``digest`` and the dataset's rows to ``<path>.rows`` through a
-    temporary name.  Ids or features of a dtype that int64 or float64 cannot
-    hold exactly get no twin: only the CSV then says what they read as."""
+    temporary name: the bytes ``np.save`` writes for the record array of every
+    row, a header and then ``BLOCK_ROWS`` records at a time, so that array never
+    exists.  Ids or features of a dtype that int64 or float64 cannot hold exactly
+    get no twin: only the CSV then says what they read as."""
     if not (np.can_cast(dataset.ids.dtype, np.int64) and np.can_cast(dataset.features.dtype, np.float64)):
         return
-    rows = np.empty(dataset.n, dtype=_twin_dtype(dataset.feature_dim))
-    rows["id"], rows["label"], rows["f"] = dataset.ids, dataset.labels, dataset.features
-    rows["test"] = dataset.split == "test"
+    dtype = _twin_dtype(dataset.feature_dim)
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (dataset.n,)}
+    block = np.empty(min(dataset.n, BLOCK_ROWS), dtype=dtype)
     twin = os.fspath(path) + TWIN_SUFFIX
     tmp = f"{twin}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(digest)
-            np.save(fh, rows, allow_pickle=False)
+            np.lib.format.write_array_header_1_0(fh, header)  # np.save's header for this dtype
+            for start in range(0, dataset.n, BLOCK_ROWS):
+                part = slice(start, min(start + BLOCK_ROWS, dataset.n))
+                rows = block[: part.stop - start]
+                rows["id"], rows["label"], rows["f"] = dataset.ids[part], dataset.labels[part], dataset.features[part]
+                rows["test"] = dataset.split[part] == "test"
+                fh.write(rows.view(np.uint8))
         os.replace(tmp, twin)
     except BaseException:
         if os.path.exists(tmp):

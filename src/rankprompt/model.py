@@ -6,10 +6,19 @@ Backward chains the loss gradient through the frozen per-row calibration
 map, the inner product, optional unit-normalization, and the MLP, all by
 hand.  Parameters and gradients are flat vectors with named views; SGD and
 Adam update the parameter vector in place.
+
+From ``FORWARD_TILE_ROWS`` rows on, a training step and inference do their
+MLP work in two parts that the row count and the layer widths fix.  With
+two or more usable CPUs the second part runs on a worker thread, which
+writes only into buffers the caller allocated, calls only numpy and this
+module's private helpers, and is joined before the call returns; with one,
+the parts run in turn.  The bytes are the same either way.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +33,46 @@ PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 # Guard for unit-normalizing a (theoretically possible) zero embedding.
 NORM_FLOOR = 1e-12
 
-# Longer inference inputs run in row tiles of at least half this; 256-row tiles changed last bits.
+# Inputs of at least this many rows do their MLP work in two fixed parts (see ``_in_parts``), and
+# inference runs them in row tiles of at least half this many.  A cut between rows keeps every bit
+# at some layer widths (64 -> 256) and changes last bits at others (63 -> 255); 256-row tiles
+# changed last bits at 64 -> 256 too.
 FORWARD_TILE_ROWS = 4096
+
+# Rows of the hidden gradient a split step forms at a time, in the activations' buffer.
+GRAD_CHUNK_ROWS = 512
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_parts(work, first, second) -> None:
+    """``work(first)`` and ``work(second)``: the second on a worker thread when two CPUs are usable,
+    else after the first.  The caller fixes the parts, the CPU count does not, and each part writes
+    its own slice of buffers the caller allocated, so the bytes are the same either way.  The worker
+    is joined before this returns, and an exception raised in it is raised here."""
+    if _usable_cpus() < 2:
+        work(first)
+        work(second)
+        return
+    failed = []
+
+    def run():
+        try:
+            work(second)
+        except BaseException as exc:  # re-raised in the caller, after the join
+            failed.append(exc)
+
+    worker = threading.Thread(target=run, name="rankprompt-part")
+    worker.start()
+    try:
+        work(first)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def param_shapes(f: int, h: int, e: int, k: int) -> dict[str, tuple]:
@@ -94,9 +141,8 @@ def init_params(feature_dim: int, hidden_dim: int, embed_dim: int, classes: int,
     return ModelParams(flat, feature_dim, hidden_dim, embed_dim, classes)
 
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), NORM_FLOOR)
-    return x / norms, norms
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.maximum(np.linalg.norm(x, axis=1, keepdims=True), NORM_FLOOR)
 
 
 def _checked_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -106,39 +152,78 @@ def _checked_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return features
 
 
+def _encode(params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np.ndarray) -> None:
+    """Write tanh(features @ w1 + b1) into ``hidden`` and hidden @ w2 + b2 into ``x``;
+    the bias adds and tanh run in place."""
+    np.matmul(features, params.w1, out=hidden)
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, params.w2, out=x)
+    x += params.b2
+
+
 def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tuple:
     """The forward pass up to the inner product, for training and inference:
     (checked features, tanh activations, image rows, text rows, and the row
-    norms divided out when ``normalize``, else None).  Bias adds and tanh
-    run in place."""
+    norms divided out when ``normalize``, else None).  From ``FORWARD_TILE_ROWS``
+    rows on, the two row halves encode in parts."""
     features = _checked_features(params, features)
-    hidden = features @ params.w1
-    hidden += params.b1
-    np.tanh(hidden, out=hidden)
-    x = hidden @ params.w2
-    x += params.b2
+    m = features.shape[0]
+    hidden, x = np.empty((m, params.hidden_dim)), np.empty((m, params.embed_dim))
+    if m < FORWARD_TILE_ROWS:
+        _encode(params, features, hidden, x)
+    else:
+        halves = slice(0, m // 2), slice(m // 2, m)
+        _in_parts(lambda rows: _encode(params, features[rows], hidden[rows], x[rows]), *halves)
     t, x_norms, t_norms = params.text, None, None
     if normalize:
-        x, x_norms = _unit_rows(x)
-        t, t_norms = _unit_rows(t)
+        x_norms, t_norms = _row_norms(x), _row_norms(t)
+        x /= x_norms
+        t = t / t_norms
     return features, hidden, x, t, x_norms, t_norms
 
 
 def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Raw (uncalibrated) image-text inner products, as a training step computes
     them: the image rows are X = tanh(features @ w1 + b1) @ w2 + b2, unit-normalized
-    with the text rows when ``normalize``.  Over ``FORWARD_TILE_ROWS`` rows run in
-    balanced row tiles of at least half that many, so the M x H activations never
-    exist whole; every score matches the single pass bit for bit."""
+    with the text rows when ``normalize``.  From ``FORWARD_TILE_ROWS`` rows on, balanced
+    row tiles of 2,048 to 3,071 rows encode two at a time, in two parts, and the calling
+    thread scores each pair with ``similarity_matrix``, so the M x H activations never
+    exist whole.  The tiles depend on M alone, so the bytes are the same on one CPU or
+    two; they match the single pass bit for bit at some layer widths (64 -> 256), not
+    at all (63 -> 255)."""
     features = _checked_features(params, features)
     m = features.shape[0]
-    if m <= FORWARD_TILE_ROWS:
+    if m < FORWARD_TILE_ROWS:
         return similarity_matrix(*_forward(params, features, normalize)[2:4])
     tiles = m // (FORWARD_TILE_ROWS // 2)
-    out = np.empty((m, params.classes))
     bounds = [m * i // tiles for i in range(tiles + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        out[lo:hi] = similarity_matrix(*_forward(params, features[lo:hi], normalize)[2:4])
+    spans = list(zip(bounds, bounds[1:]))
+    longest = max(hi - lo for lo, hi in spans)
+    t = params.text / _row_norms(params.text) if normalize else params.text
+    out = np.empty((m, params.classes))
+
+    # One array per kind holds both parts' buffers, a tile long each: as separate arrays, they raised
+    # the train_large benchmark's peak RSS by 5 MB of heap that glibc malloc kept (2-vCPU x86-64 Linux).
+    hiddens, images = np.empty((2, longest, params.hidden_dim)), np.empty((2, longest, params.embed_dim))
+
+    def encode(part: tuple) -> None:
+        i, (lo, hi) = part
+        x = images[i, : hi - lo]
+        _encode(params, features[lo:hi], hiddens[i, : hi - lo], x)
+        if normalize:
+            x /= _row_norms(x)
+
+    # The worker only encodes: public callables such as ``similarity_matrix`` stay on the calling
+    # thread, where a tracer that wraps them (perfbench's) keeps one span stack.
+    for first in range(0, tiles, 2):
+        pair = list(enumerate(spans[first : first + 2]))
+        if len(pair) == 2:
+            _in_parts(encode, *pair)
+        else:
+            encode(pair[0])
+        for i, (lo, hi) in pair:
+            out[lo:hi] = similarity_matrix(images[i, : hi - lo], t)
     return out
 
 
@@ -164,9 +249,13 @@ def model_backward(
     skips calibration; otherwise ``sms.calibrate`` maps a copy of the raw
     rows, and the gradient passes through that frozen affine map via the
     scale it returns.  Only two M x H arrays live: ``w2``'s gradient is taken
-    first, then the activations' buffer becomes the tanh derivative in place.
-    Each weight gradient stays one whole-batch matmul, so every bit matches the
-    unfused order; ``features`` is only read.
+    first, then the activations' buffer becomes the hidden gradient in place;
+    ``features`` is only read.  From ``FORWARD_TILE_ROWS`` rows on, the forward
+    pass runs in two row halves (see ``_forward``), and the ``w2`` gradient,
+    the hidden gradient (``GRAD_CHUNK_ROWS`` rows at a time, so one M x H array
+    lives) and the ``w1`` gradient run in two halves of the hidden units: each
+    weight gradient still sums over the whole batch in one matmul.  The bits
+    match the unsplit step at 64 -> 256 and change at 63 -> 255.
     """
     check_labels(labels, params.classes)
     features, pre, x, t, x_norms, t_norms = _forward(params, features, cfg.normalize_embeddings)
@@ -188,12 +277,27 @@ def model_backward(
         g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
 
     grads = params.like(np.empty_like(params.flat))
-    np.matmul(pre.T, g_x, out=grads.w2)
+    m, h, w2 = features.shape[0], params.hidden_dim, params.w2
+
+    def backward(part: tuple) -> None:
+        # w2's gradient reads the activations; then, a chunk of rows at a time,
+        # they become the hidden gradient, g_pre * (1 - act * act), which w1's gradient reads
+        cols, g_chunk = part
+        rows = g_chunk.shape[0]
+        np.matmul(pre[:, cols].T, g_x, out=grads.w2[cols])
+        for lo in range(0, m, rows):
+            act = pre[lo : lo + rows, cols]
+            g_pre = np.matmul(g_x[lo : lo + rows], w2[cols].T, out=g_chunk[: len(act)])
+            np.multiply(g_pre, np.subtract(1.0, np.multiply(act, act, out=act), out=act), out=act)
+        np.matmul(features.T, pre[:, cols], out=grads.w1[:, cols])
+
+    if m < FORWARD_TILE_ROWS:
+        backward((slice(None), np.empty((m, h))))
+    else:
+        halves = slice(0, h // 2), slice(h // 2, h)
+        _in_parts(backward, *((cols, np.empty((GRAD_CHUNK_ROWS, cols.stop - cols.start))) for cols in halves))
     g_x.sum(axis=0, out=grads.b2)
-    g_pre = g_x @ params.w2.T
-    g_pre *= np.subtract(1.0, np.multiply(pre, pre, out=pre), out=pre)  # (1 - pre * pre), in pre
-    np.matmul(features.T, g_pre, out=grads.w1)
-    g_pre.sum(axis=0, out=grads.b1)
+    pre.sum(axis=0, out=grads.b1)
     grads.text[...] = g_t
     return BackwardResult(grads=grads, report=report, similarity_raw=s_raw)
 

@@ -5,8 +5,10 @@ row or one sample at a time, so tests can check the vectorized code in
 ``rankprompt`` against it; the calibration statistics come one batch at a
 time instead of from the epoch's whole buffer, and calibration comes as a
 per-row map and a separate out-of-place apply.  ``calibrated`` is
-``sms.calibrate`` on a copy, for tests that want the calibrated rows, and
-``traced_peak`` measures the memory bounds the tests hold ``rankprompt`` to.
+``sms.calibrate`` on a copy, for tests that want the calibrated rows.
+``one_pass_embeddings`` and ``one_pass_gradients`` run the MLP over the
+whole batch in one matmul per product, with no split into parts or tiles,
+and ``traced_peak`` measures the memory bounds the tests hold ``rankprompt`` to.
 """
 
 import csv
@@ -17,6 +19,8 @@ import numpy as np
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError, check_labels, require_finite
 from rankprompt.data import SPLITS, TEST_FRACTION, Dataset, DatasetSpec, ParseError, class_counts
+from rankprompt.losses import total_loss
+from rankprompt.model import NORM_FLOOR, ModelParams
 from rankprompt.sms import VAR_FLOOR, ClassStats, calibrate, kernel_weights
 
 # Floor applied to the second argument of the KL divergence.
@@ -267,6 +271,43 @@ def calibrated(s, labels, stats) -> np.ndarray:
     out = np.array(s, dtype=np.float64)
     calibrate(out, labels, stats)
     return out
+
+
+def _unit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.maximum(np.linalg.norm(a, axis=1, keepdims=True), NORM_FLOOR)
+    return a / norms, norms
+
+
+def one_pass_embeddings(params: ModelParams, features: np.ndarray, normalize: bool) -> tuple:
+    """(activations tanh(features @ w1 + b1), image rows activations @ w2 + b2,
+    text rows), the image and text rows unit-normalized when ``normalize``."""
+    hidden = np.tanh(features @ params.w1 + params.b1)
+    x, t = hidden @ params.w2 + params.b2, params.text
+    if normalize:
+        x, t = _unit(x)[0], _unit(t)[0]
+    return hidden, x, t
+
+
+def one_pass_gradients(params: ModelParams, features, labels, stats, cfg: RunConfig) -> tuple[dict, np.ndarray]:
+    """(each parameter's gradient of ``total_loss`` by field name, raw scores)
+    for one batch: scores through ``sms.calibrate`` when ``stats`` is given,
+    then the chain rule back through the normalization and the MLP."""
+    hidden = np.tanh(features @ params.w1 + params.b1)
+    x, t = hidden @ params.w2 + params.b2, params.text
+    if cfg.normalize_embeddings:
+        (x, x_norms), (t, t_norms) = _unit(x), _unit(t)
+    s = x @ t.T
+    s_cal, scale = s.copy(), 1.0
+    if stats is not None:
+        scale = calibrate(s_cal, labels, stats)
+    g_s = total_loss(s_cal, labels, cfg).grad_similarity * scale
+    g_x, g_t = g_s @ t, g_s.T @ x
+    if cfg.normalize_embeddings:
+        g_x = (g_x - (g_x * x).sum(axis=1, keepdims=True) * x) / x_norms
+        g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
+    g_pre = (g_x @ params.w2.T) * (1 - hidden * hidden)
+    grads = dict(w1=features.T @ g_pre, b1=g_pre.sum(axis=0), w2=hidden.T @ g_x, b2=g_x.sum(axis=0), text=g_t)
+    return grads, s
 
 
 def traced_peak(fn):

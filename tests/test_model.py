@@ -1,18 +1,20 @@
 """Encoder, initialization, determinism, serialization."""
 
 import re
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import traced_peak
-from rankprompt import losses, sms
+from oracles import one_pass_embeddings, one_pass_gradients, traced_peak
+from rankprompt import losses, model, sms
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError, similarity_matrix
 from rankprompt.model import (
     PARAM_FIELDS,
-    _forward,
+    _in_parts,
     forward_similarity,
     init_params,
     model_backward,
@@ -186,8 +188,26 @@ class TestTiledForward:
     def test_bit_identical_to_one_pass(self, rows, normalize):
         p = large_model(1)
         feats = np.random.default_rng(rows).normal(size=(rows, 64))
-        _, _, x, t, _, _ = _forward(p, feats, normalize)
+        _, x, t = one_pass_embeddings(p, feats, normalize)
         assert np.array_equal(forward_similarity(p, feats, normalize), similarity_matrix(x, t))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("rows", [4097, 8193, 32_004])
+    @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
+    def test_same_bits_on_every_call_on_one_cpu_or_two(self, monkeypatch, widths, rows, normalize):
+        """A tile cut changes last bits against the single pass at 63 -> 255, so
+        what holds at every width is this: the tiles depend on the row count alone,
+        and every call gives the same bytes, with one usable CPU or two."""
+        p = init_params(*widths, 64, 8, 1)
+        feats = np.random.default_rng(rows).normal(size=(rows, widths[0]))
+        runs = set()
+        for cpus in (1, 2, 2, 1):
+            monkeypatch.setattr(model, "_usable_cpus", lambda n=cpus: n)
+            got = forward_similarity(p, feats, normalize)
+            runs.add(got.tobytes())
+        assert len(runs) == 1
+        _, x, t = one_pass_embeddings(p, feats, normalize)
+        assert np.allclose(got, similarity_matrix(x, t), rtol=1e-12, atol=1e-12)
 
     def test_bad_shapes_raise_the_one_pass_error(self):
         p = large_model()
@@ -196,9 +216,98 @@ class TestTiledForward:
                 forward_similarity(p, bad)
 
 
+class TestParts:
+    """Inputs of ``FORWARD_TILE_ROWS`` rows or more run in two parts, the second
+    on a worker thread that the call joins before it returns."""
+
+    def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        done, threads = [], threading.active_count()
+
+        def work(part):
+            if part == "second":
+                raise RuntimeError("the worker's part failed")
+            done.append((part, threading.current_thread() is threading.main_thread()))
+
+        with pytest.raises(RuntimeError, match="^the worker's part failed$"):
+            _in_parts(work, "first", "second")
+        assert done == [("first", True)]
+        assert threading.active_count() == threads
+
+    def test_inference_worker_exception_is_raised_in_the_caller(self, monkeypatch):
+        """The worker's inference tiles raise through ``forward_similarity``."""
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        real, threads = model._encode, threading.active_count()
+
+        def encode(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("a worker tile failed")
+            return real(*args)
+
+        monkeypatch.setattr(model, "_encode", encode)
+        with pytest.raises(FloatingPointError, match="^a worker tile failed$"):
+            forward_similarity(large_model(), np.zeros((8193, 64)))
+        assert threading.active_count() == threads
+
+    def test_parts_under_constant_thread_switching(self, monkeypatch):
+        """With the interpreter switching threads every microsecond, a split
+        step on two CPUs writes the bytes it writes on one."""
+        rng = np.random.default_rng(6)
+        p = init_params(63, 255, 64, 8, 2)
+        feats, labels = rng.normal(size=(4096, 63)), rng.integers(0, 8, 4096)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 2, 2):
+                monkeypatch.setattr(model, "_usable_cpus", lambda n=cpus: n)
+                result = model_backward(p, feats, labels, None, RunConfig(normalize_embeddings=True))
+                runs.append((result.grads.flat.tobytes(), result.similarity_raw.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == runs[0] for run in runs)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("calibrate", [False, True], ids=["raw", "sms"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
+    def test_split_step_against_one_pass(self, monkeypatch, widths, normalize, calibrate, cpus):
+        """A 4,096-row step, split in parts, gives every bit of the one-pass
+        gradients and scores at 64 -> 256, and agrees to the last bits at 63 -> 255."""
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(9)
+        cfg = RunConfig(normalize_embeddings=normalize)
+        stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, cfg) if calibrate else None
+        p = init_params(*widths, 64, 8, 3)
+        feats, labels = rng.normal(size=(4096, widths[0])), rng.integers(0, 8, 4096)
+        got = model_backward(p, feats, labels, stats, cfg)
+        want, s = one_pass_gradients(p, feats, labels, stats, cfg)
+        same = np.array_equal if widths == (64, 256) else lambda a, b: np.allclose(a, b, rtol=1e-11, atol=1e-13)
+        assert same(got.similarity_raw, s)
+        for name in PARAM_FIELDS:
+            assert same(getattr(got.grads, name), want[name]), name
+
+    @pytest.mark.parametrize("cpus, started", [(1, 0), (2, 2), (8, 2)])
+    def test_one_worker_per_split_and_only_with_two_cpus(self, monkeypatch, cpus, started):
+        """A 4,096-row step starts one worker for its forward halves and one for
+        its gradient halves when two CPUs are usable, none on one CPU, and one
+        worker at most however many CPUs there are; 4,095 rows start none."""
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        names = []
+        real = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: names.append(self.name) or real(self))
+        rng = np.random.default_rng(5)
+        p = large_model()
+        model_backward(p, rng.normal(size=(4095, 64)), rng.integers(0, 8, 4095), None, RunConfig())
+        assert names == []
+        model_backward(p, rng.normal(size=(4096, 64)), rng.integers(0, 8, 4096), None, RunConfig())
+        assert names == ["rankprompt-part"] * started
+
+
 class TestMemoryBounds:
     def test_forward_peak_is_bounded_by_a_tile(self):
-        """32,004 rows: a single pass holds 62.5 MB of activations alone."""
+        """32,004 rows: a single pass holds 62.5 MB of activations alone.  The
+        traced peak counts the worker thread's tile too."""
         p = large_model()
         feats = np.random.default_rng(0).normal(size=(32_004, 64))
         assert traced_peak(lambda: forward_similarity(p, feats)) < 20e6

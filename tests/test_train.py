@@ -234,9 +234,13 @@ class TestTrainMetrics:
         assert len(commits) == (cfg.epochs if sms_enabled else 0)
 
 
+# One 4,096-row batch per epoch, and the rest: model.FORWARD_TILE_ROWS rows, a split step.
+LARGE_BATCH = replace(LARGE_SPLIT, batch_size=model.FORWARD_TILE_ROWS)
+
+
 class TestSerialEpochLog:
     """Each epoch logs its own steps, on a train split of any size: a longer run
-    logs the same first epochs, and no thread is started."""
+    logs the same first epochs, and no thread outlives the call that starts it."""
 
     def test_log_prefix_matches_a_shorter_run(self, large_split):
         """Epochs 0 and 1 log the same bits in a two-epoch and a three-epoch run."""
@@ -245,10 +249,43 @@ class TestSerialEpochLog:
         assert three[:2] == two
         assert len(three) == 3
 
-    def test_no_thread_outlives_train(self, large_split):
-        threads = threading.active_count()
-        train(LARGE_SPLIT, large_split)
-        assert threading.active_count() == threads
+    def test_no_thread_outlives_train(self, monkeypatch, large_split):
+        """With two usable CPUs, 4,096-row batches and inference start workers;
+        each is joined before the call that started it returns."""
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        started = []
+        real = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+        for cfg in (LARGE_SPLIT, LARGE_BATCH):
+            threads = threading.active_count()
+            result = train(cfg, large_split)
+            assert threading.active_count() == threads
+            calibrated_similarity(result.params, result.stats, large_split.features, large_split.labels, cfg)
+            assert threading.active_count() == threads
+        assert started and not any(thread.is_alive() for thread in started)
+
+
+class TestOneOrTwoCpus:
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("sms_enabled", [True, False], ids=["sms-on", "sms-off"])
+    @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
+    def test_same_bytes(self, monkeypatch, widths, sms_enabled, normalize):
+        """A split step's parts depend on the batch and the layer widths, not on
+        the machine: one usable CPU and two train the same parameters,
+        statistics and log, at widths where a cut keeps every bit and where it
+        does not."""
+        f, h = widths
+        cfg = replace(
+            LARGE_BATCH, feature_dim=f, hidden_dim=h, embed_dim=64, sms_enabled=sms_enabled, normalize_embeddings=normalize
+        )
+        dataset = generate_synthetic(DatasetSpec.from_config(cfg))
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(model, "_usable_cpus", lambda n=cpus: n)
+            result = train(cfg, dataset)
+            stats = [] if result.stats is None else [getattr(result.stats, key).tobytes() for key in STATS_KEYS]
+            runs.append((result.params.flat.tobytes(), stats, json.dumps(result.log)))
+        assert runs[0] == runs[1]
 
 
 class TestCommittedStatistics:
