@@ -19,7 +19,7 @@ from statistics import mean, stdev
 
 from .config import RunConfig, config_to_dict, load_config
 from .core import InputError
-from .data import Dataset, DatasetSpec, ParseError, class_counts, generate_synthetic, load_csv, write_csv
+from .data import Dataset, DatasetSpec, ParseError, _csv_lines, class_counts, generate_synthetic, load_csv, write_csv
 from .evaluation import MetricsReport
 from .train import _write_json, evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
 
@@ -117,10 +117,9 @@ def cmd_heatmap(cfg: RunConfig, args) -> int:
     params, stats, feats, labels = _inference_inputs(cfg, args, out)
     matrix = heatmap_matrix(params, stats, feats, labels, cfg)
     path = out / "heatmap.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("true_class," + ",".join(f"s{j}" for j in range(cfg.classes)) + "\n")
-        for c in range(cfg.classes):
-            fh.write(f"{c}," + ",".join(f"{v:.17g}" for v in matrix[c]) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("true_class," + ",".join(f"s{j}" for j in range(cfg.classes)) + "\n").encode("utf-8"))
+        fh.write(_csv_lines([str(c) for c in range(cfg.classes)], matrix))
     print(f"wrote {path}")
     return 0
 

@@ -3,8 +3,14 @@
 Class c is a Gaussian blob centered at (c * class_sep, 0, ..., 0) so the
 label order is geometrically meaningful; per-class counts decay
 geometrically with one knob (imbalance_ratio).  Everything is seeded and
-byte-reproducible.  Generation, CSV formatting and the CSV's binary twin
-hold one block of BLOCK_ROWS rows beyond the dataset.
+byte-reproducible.  Generation, CSV formatting and the CSV's binary twin,
+written and read, hold one block of BLOCK_ROWS rows beyond the dataset.
+
+CSV floats are the bytes of ``"%.17g" % v``.  ``_csv_lines`` lays out the
+cells with 1e-4 <= |v| < 1e16, where that is fixed notation, in numpy: the
+17 correctly rounded digits come from Dekker's exact product of |v| and a
+power of ten.  Zeros, subnormals, non-finite values and the other
+magnitudes go through ``%.17g`` itself, one cell at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
 MIN_PER_CLASS = 2
 BLOCK_ROWS = 1024
+# write_csv formats at most this many float cells at once, within one block of rows.
+FORMAT_CELLS = 8192
 # write_csv leaves the parsed form of the file beside it, at the CSV's path plus this suffix.
 TWIN_SUFFIX = ".rows"
 
@@ -167,6 +175,143 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
     )
 
 
+# The fast cells of _csv_lines: 1e-4 <= |v| < 1e16, with decimal exponents -4 to 15.
+_E_MIN = -4
+_POW10 = np.array([10.0**k for k in range(23)])  # each one exact
+_VELTKAMP = 2.0**27 + 1
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo == a exactly, each with at most 26 significant bits."""
+    t = a * _VELTKAMP
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+# "0000" to "9999" as little-endian ASCII, in uint64 to shift.  Every word of text here is
+# little-endian ("<u8"), so byte k of the text is bits 8k to 8k + 7 on any host.
+_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype="<u4").astype(np.uint64)
+_ASCII_ZEROS = np.uint64(np.frombuffer(b"00000000", dtype="<u8")[0])
+
+
+def _words(text: bytes) -> np.ndarray:
+    """``text`` (at most 24 bytes) as three little-endian uint64 words, NUL-padded."""
+    return np.frombuffer(text.ljust(24, b"\0"), dtype="<u8").astype(np.uint64)
+
+
+def _right_word(text: bytes) -> np.uint64:
+    """``text`` (at most 8 bytes) right-aligned in one little-endian uint64 word."""
+    return np.uint64(np.frombuffer(text.rjust(8, b"\0"), dtype="<u8")[0])
+
+
+# A fast cell is 32 bytes of a line buffer: the text before the significand digits (comma,
+# sign, "0." and leading zeros) right-aligned in bytes 0-7, then the 17 digits with the
+# decimal point among them from byte 8.  One run of bytes, picked from _RUNS by its start
+# and its length, is printed.  Per decimal exponent E: the bytes of the digits before the
+# point (all 17 when E < 0, where the point is in the text before them) and the point.
+_BEFORE_POINT = np.stack([_words(b"\xff" * (e + 1 if e >= 0 else 24)) for e in range(_E_MIN, 16)], axis=1)
+_POINT = np.stack([_words(b"\0" * (e + 1) + b"." if e >= 0 else b"") for e in range(_E_MIN, 16)], axis=1)
+# Per (E, sign): the text before the digits
+_LEADS = [b"," + b"-" * neg + (b"0." + b"0" * (-e - 1) if e < 0 else b"") for e in range(_E_MIN, 16) for neg in (0, 1)]
+_LEAD = np.array([_right_word(text) for text in _LEADS])
+_LEAD_LEN = np.array([len(text) for text in _LEADS])
+_COMMA = _right_word(b",")
+# row 25 * lead length + digits' length: the printed bytes of a cell
+_RUNS = (
+    (np.arange(32) >= 8 - np.arange(8)[:, None, None]) & (np.arange(32) < 8 + np.arange(25)[:, None])
+).view("V32").reshape(-1)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, l) with h + l == a * 10**(16 - e) exactly: Dekker's two-product."""
+    p = 16 - e
+    h = a * _POW10[p]
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    return h, a_lo * b_lo - (((h - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, D) for each a in [1e-4, 1e16): its decimal exponent and its 17 significant
+    digits, D = round-half-even(a * 10**(16 - E)) in [10**16, 10**17), as "%.17g" rounds."""
+    e = np.floor(np.log10(a)).astype(np.intp)
+    h, l = _scaled(a, e)
+    while True:
+        # h + l against 10**16 and 10**17, exactly: near a power of ten log10 can be one off
+        low = (h < 1e16) | ((h == 1e16) & (l < 0))
+        high = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        off = np.flatnonzero(low | high)
+        if not off.size:
+            break
+        e[off] += np.where(high[off], 1, -1)
+        h[off], l[off] = _scaled(a[off], e[off])
+    # h >= 2**53 is an even integer, so rounding l rounds h + l half to even.  The sum never
+    # rounds up to 10**17: below each power of ten in the range the nearest double is more
+    # than 8 units of the 17th digit away.
+    return e, h.astype(np.int64) + np.rint(l).astype(np.int64)
+
+
+def _ascii8(v: np.ndarray) -> np.ndarray:
+    """The numbers 0 <= v < 10**8 as eight zero-padded ASCII digits, one little-endian uint64 each."""
+    high = v // 10**4
+    return _QUADS[high] | (_QUADS[v - high * 10**4] << np.uint64(32))
+
+
+def _digits_to_last_nonzero(words: np.ndarray) -> np.ndarray:
+    """How many of each word's eight ASCII digits run up to its last nonzero one (0 for all zeros)."""
+    # each byte of words ^ "00000000" is a digit's value, at most 9, so the bit length is exact
+    return (np.frexp((words ^ _ASCII_ZEROS).astype(np.float64))[1] + 7) >> 3
+
+
+def _csv_lines(prefixes: list[str], values: np.ndarray) -> np.ndarray:
+    """One uint8 array of the lines ``prefix,v0,...\\n``, a prefix per row of ``values``,
+    each float cell ``"%.17g" % v``: the bytes ``write_csv`` and ``heatmap`` write."""
+    rows, width = values.shape
+    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    e, d = _significands(np.where(fast, a, 1.0))
+    tens = d // 10
+    first = d // 10**9
+    middle = tens - first * 10**8
+    last = d - tens * 10
+    digits = np.empty((3, d.size), dtype=np.uint64)  # d's 17 ASCII digits in bytes 0-16
+    digits[0], digits[1], digits[2] = _ascii8(first), _ascii8(middle), last + ord("0")
+    kept = np.where(
+        last > 0, 17, np.where(middle > 0, 8 + _digits_to_last_nonzero(digits[1]), _digits_to_last_nonzero(digits[0]))
+    )
+    kept = np.maximum(kept, e + 1)  # trailing zeros go, integer digits stay
+    row = e - _E_MIN
+    before = np.take(_BEFORE_POINT, row, axis=1)
+    after = digits & ~before
+    after[1:] = (after[1:] << np.uint64(8)) | (after[:-1] >> np.uint64(56))  # one byte up, for the point
+    after[0] <<= np.uint64(8)
+    lead = 2 * row + np.signbit(x)
+    run = np.take(_LEAD_LEN, lead) * 25 + kept + ((e >= 0) & (kept > e + 1))
+
+    text = np.array(prefixes, dtype=bytes)
+    prefix_width = -(-text.itemsize // 8) * 8
+    line = np.empty((rows, prefix_width // 8 + 4 * width + 1), dtype=np.uint64).view(np.uint8)
+    shown = np.zeros(line.shape, dtype=bool)
+    line[:, : text.itemsize] = text.view(np.uint8).reshape(rows, -1)
+    shown[:, :prefix_width] = np.arange(prefix_width) < np.char.str_len(text)[:, None]
+    cells = line[:, prefix_width:-8].view("<u8").reshape(rows, width, 4)
+    cells[..., 0] = np.take(_LEAD, lead).reshape(rows, width)
+    cells[..., 1:] = ((digits & before) | np.take(_POINT, row, axis=1) | after).T.reshape(rows, width, 3)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cell = np.divmod(slow, width)
+        texts = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype="S24")
+        cells[cell + (0,)] = _COMMA
+        cells[cell + (slice(1, None),)] = texts.view("<u8").reshape(-1, 3)
+        run[slow] = 25 + np.char.str_len(texts)
+    shown[:, prefix_width:-8].view("V32")[...] = np.take(_RUNS, run).reshape(rows, width)
+    line[:, -8] = ord("\n")
+    shown[:, -8] = True
+    return line[shown]
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Schema: id,label,split,f0..f{F-1}; floats at 17 significant digits, LF.
 
@@ -175,26 +320,20 @@ def write_csv(dataset: Dataset, path) -> None:
     rows as the bytes of one ``np.save`` record array (see ``_write_twin``).
     """
     width = dataset.feature_dim
-    template = ",".join(["%d", "%d", "%s"] + ["%.17g"] * width) + "\n"
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
-        def put(text: str) -> None:
-            data = text.encode("utf-8")
+        def put(data) -> None:
             digest.update(data)
             fh.write(data)
 
-        put(",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)]) + "\n")
-        # One block of rows at a time: the whole file's row strings would triple the peak memory.
-        for start in range(0, dataset.n, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            rows = zip(
-                dataset.ids[block].tolist(),
-                dataset.labels[block].tolist(),
-                dataset.split[block].tolist(),
-                dataset.features[block].tolist(),
-            )
-            put("".join([template % (i, label, tag, *feats) for i, label, tag, feats in rows]))
+        put((",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)]) + "\n").encode("utf-8"))
+        # At most a block of rows and FORMAT_CELLS cells at a time: the whole file's text would triple the peak memory.
+        step = max(1, min(BLOCK_ROWS, FORMAT_CELLS // max(width, 1)))
+        for start in range(0, dataset.n, step):
+            part = slice(start, start + step)
+            rows = zip(dataset.ids[part].tolist(), dataset.labels[part].tolist(), dataset.split[part].tolist())
+            put(_csv_lines(["%d,%d,%s" % row for row in rows], dataset.features[part]))
     _write_twin(dataset, path, digest.digest())
 
 
@@ -283,18 +422,20 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
     if rows is None or not _rows_pass(rows, expected_classes):
         _raise_first_error(path, expected_classes)
     try:
-        return _dataset(rows, rows["split"] == "test", expected_classes)
+        return _dataset(
+            np.ascontiguousarray(rows["f"]), rows["label"], rows["id"].copy(), rows["split"] == "test", expected_classes
+        )
     except InputError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _dataset(rows: np.ndarray, test: np.ndarray, expected_classes: int | None) -> Dataset:
+def _dataset(features, labels, ids, test: np.ndarray, expected_classes: int | None) -> Dataset:
     return Dataset(
-        features=np.ascontiguousarray(rows["f"]),
-        labels=rows["label"],
+        features=features,
+        labels=labels,
         split=np.array(SPLITS, dtype=object)[test.astype(np.intp)],
-        ids=rows["id"].copy(),
-        classes=expected_classes if expected_classes is not None else int(rows["label"].max()) + 1,
+        ids=ids,
+        classes=expected_classes if expected_classes is not None else int(labels.max()) + 1,
     )
 
 
@@ -316,20 +457,36 @@ def _twin_dataset(path, digest: bytes, width: int, expected_classes: int | None)
     """The Dataset of the twin ``write_csv`` left beside ``path``, or None
     when there is none, it was written for other bytes or another width, it
     is not a plain array (nothing is unpickled), or its rows fail a check
-    that parsing the file would fail too."""
+    that parsing the file would fail too.  The records are read ``BLOCK_ROWS``
+    at a time into the Dataset's arrays, so the record array of every row
+    never exists."""
+    dtype = _twin_dtype(width)
+    headers = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
     try:
         with open(os.fspath(path) + TWIN_SUFFIX, "rb") as fh:
             if fh.read(len(digest)) != digest:
                 return None
-            rows = np.lib.format.read_array(fh, allow_pickle=False)
+            read_header = headers.get(np.lib.format.read_magic(fh))
+            if read_header is None:
+                return None
+            shape, fortran_order, stored = read_header(fh)
+            if stored != dtype or fortran_order or len(shape) != 1 or shape[0] == 0:
+                return None
+            (n,) = shape
+            features, labels, ids, test = np.empty((n, width)), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, bool)
+            block = np.empty(min(n, BLOCK_ROWS), dtype=dtype)
+            for start in range(0, n, BLOCK_ROWS):
+                rows = block[: min(BLOCK_ROWS, n - start)]
+                if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
+                    return None
+                if not _values_pass(rows["label"], rows["f"], expected_classes):
+                    return None
+                part = slice(start, start + len(rows))
+                features[part], labels[part], ids[part], test[part] = rows["f"], rows["label"], rows["id"], rows["test"]
     except (OSError, ValueError, MemoryError):  # MemoryError: a header that claims more rows than fit
         return None
-    if rows.dtype != _twin_dtype(width) or rows.ndim != 1 or rows.size == 0:
-        return None
-    if not _values_pass(rows["label"], rows["f"], expected_classes):
-        return None
     try:
-        return _dataset(rows, rows["test"], expected_classes)
+        return _dataset(features, labels, ids, test, expected_classes)
     except InputError:
         return None
 

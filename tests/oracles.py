@@ -8,7 +8,8 @@ per-row map and a separate out-of-place apply.  ``calibrated`` is
 ``sms.calibrate`` on a copy, for tests that want the calibrated rows.
 ``one_pass_embeddings`` and ``one_pass_gradients`` run the MLP over the
 whole batch in one matmul per product, with no split into parts or tiles,
-and ``traced_peak`` measures the memory bounds the tests hold ``rankprompt`` to.
+``csv_text`` formats a dataset's CSV with Python's ``%.17g``, and
+``traced_peak`` measures the memory bounds the tests hold ``rankprompt`` to.
 """
 
 import csv
@@ -84,6 +85,16 @@ def rank_directional_loss(row, true_class: int, direction: str, tau: float) -> f
         gaps = row[1 : true_class + 1] - row[0:true_class]
     # -ln(sigmoid(z)) computed stably as ln(1 + exp(-z))
     return float(np.logaddexp(0.0, -gaps / tau).sum())
+
+
+def csv_text(dataset: Dataset) -> bytes:
+    """The bytes ``write_csv`` writes for ``dataset``: its header, then one
+    ``%``-template per row, floats as ``%.17g``."""
+    width = dataset.feature_dim
+    header = ",".join(["id", "label", "split"] + [f"f{i}" for i in range(width)]) + "\n"
+    template = ",".join(["%d", "%d", "%s"] + ["%.17g"] * width) + "\n"
+    rows = zip(dataset.ids.tolist(), dataset.labels.tolist(), dataset.split.tolist(), dataset.features.tolist())
+    return (header + "".join([template % (i, label, tag, *feats) for i, label, tag, feats in rows])).encode("utf-8")
 
 
 def load_csv_rows(path, expected_classes=None) -> Dataset:

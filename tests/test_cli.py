@@ -296,6 +296,16 @@ class TestTrainEval:
         assert row[0] == "0" and len(row) == 4
         float(row[1])
 
+    def test_heatmap_cells_are_17_digit_text(self, tmp_path, monkeypatch):
+        """heatmap.csv spells each cell ``f"{v:.17g}"`` does, the NaN row of a
+        grade with no rows in the split too."""
+        cfg, out = self.run_pipeline(tmp_path)
+        matrix = np.array([[0.1, -0.0, 5e-324], [np.nan] * 3, [1e22, -1.2345678901234567e-05, 0.73]])
+        monkeypatch.setattr(cli, "heatmap_matrix", lambda *args: matrix)
+        assert main(["heatmap", "--config", cfg, "--out", str(out)]) == 0
+        rows = [f"{c}," + ",".join(f"{v:.17g}" for v in matrix[c]) + "\n" for c in range(3)]
+        assert (out / "heatmap.csv").read_bytes() == ("true_class,s0,s1,s2\n" + "".join(rows)).encode()
+
     def test_eval_ignores_optimizer_key(self, tmp_path):
         """A checkpoint written with optimizer state, as older ones were, scores the same."""
         cfg, out = self.run_pipeline(tmp_path)

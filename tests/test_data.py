@@ -11,15 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_iter_subset, generate_synthetic_concat, load_csv_rows, traced_peak
+from oracles import batch_iter_subset, csv_text, generate_synthetic_concat, load_csv_rows, traced_peak
 from rankprompt.core import InputError
 from rankprompt.data import (
     BLOCK_ROWS,
+    FORMAT_CELLS,
     SPLITS,
     TWIN_SUFFIX,
     Dataset,
     DatasetSpec,
     ParseError,
+    _csv_lines,
     _twin_dtype,
     batch_iter,
     class_counts,
@@ -163,6 +165,66 @@ class TestMemoryBounds:
         assert traced_peak(lambda: write_csv(ds, tmp_path / "d.csv")) < 6 * 2**20
 
 
+    def test_twin_load_peak_is_the_features_array_and_a_block(self, tmp_path):
+        """Read from the twin, ``load_csv`` fills the Dataset's arrays a block of
+        records at a time: the peak is the features array (9.8 MiB at 20,000 x
+        64), a block and the per-row arrays, not the record array of every row
+        beside a copy of its features (20.6 MiB)."""
+        ds = generate_synthetic(DatasetSpec(samples=20_000, classes=5, feature_dim=64, imbalance_ratio=5.0))
+        write_csv(ds, tmp_path / "d.csv")
+        with mock.patch.object(np, "loadtxt") as parse:
+            peak = traced_peak(lambda: load_csv(tmp_path / "d.csv", expected_classes=5))
+        assert parse.call_count == 0
+        assert peak < 1.25 * ds.features.nbytes
+
+
+def text_of(values) -> bytes:
+    """``_csv_lines`` of one row of ``values`` with an empty prefix."""
+    return _csv_lines([""], np.array([values], dtype=np.float64)).tobytes()
+
+
+def python_text(values) -> bytes:
+    return b"".join(b",%.17g" % v for v in values) + b"\n"
+
+
+class TestCsvText:
+    """The float cells of ``_csv_lines`` are the bytes of Python's ``%.17g``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_floats(self, values):
+        assert text_of(values) == python_text(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+        assert text_of(values) == python_text(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True), min_size=1, max_size=40))
+    def test_fixed_notation_range(self, values):
+        assert text_of(values) == python_text(values)
+
+    def test_neighbours_of_powers_of_ten(self):
+        """A few doubles on each side of +-10**k, where log10 can put the
+        exponent one off; literals with more than 17 nines, which read as a
+        power of ten; half-way cases near 1e15."""
+        values = [0.99999999999999999, 9999999999999999.0, 1e15 + 0.25, 1e15 + 0.75, 2.0**53 + 2]
+        for k in range(-6, 18):
+            for power in (float(f"1e{k}"), -float(f"1e{k}")):
+                values.append(power)
+                below = above = power
+                for _ in range(4):
+                    below, above = float(np.nextafter(below, -np.inf)), float(np.nextafter(above, np.inf))
+                    values += [below, above]
+        assert text_of(values) == python_text(values)
+
+    def test_prefixes_and_rows(self):
+        values = np.array([[0.5, -2.0], [np.inf, 1e-5], [3.25, 0.0]])
+        assert _csv_lines(["a", "", "bc,d"], values).tobytes() == b"a,0.5,-2\n,inf,1.0000000000000001e-05\nbc,d,3.25,0\n"
+
+
 class TestCsvRoundTrip:
     def test_lossless(self, tmp_path):
         ds = generate_synthetic(spec(samples=60, noise_sigma=1.3, seed=9))
@@ -200,6 +262,44 @@ class TestCsvRoundTrip:
             b"10,0,train,0.10000000000000001,-0,4.9406564584124654e-324,1e+22,-1.2345678901234568e-05\n"
             b"11,0,test,-0.10000000000000001,0,-4.9406564584124654e-324,-1e+22,1.2345678901234568e-05\n"
         )
+
+    @pytest.mark.parametrize("feature_dim", [1, 2, 16, 64])
+    def test_generated_file_is_the_reference_text(self, tmp_path, feature_dim):
+        ds = generate_synthetic(spec(samples=300, feature_dim=feature_dim, noise_sigma=0.7, seed=5))
+        write_csv(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == csv_text(ds)
+
+    def test_chunk_edge_inside_a_block(self, tmp_path):
+        """BLOCK_ROWS + 1 rows of 16 features: a chunk ends inside the first
+        block, and the last row is a block of its own."""
+        assert BLOCK_ROWS % (FORMAT_CELLS // 16) == 0 and FORMAT_CELLS // 16 < BLOCK_ROWS
+        ds = generate_synthetic(spec(samples=BLOCK_ROWS + 1, feature_dim=16, seed=6))
+        write_csv(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == csv_text(ds)
+
+    @pytest.mark.parametrize("noise_sigma", [1e-6, 1e3])
+    def test_tiny_and_large_noise(self, tmp_path, noise_sigma):
+        """At noise_sigma 1e-6 most cells are below 1e-4, in exponent form."""
+        ds = generate_synthetic(spec(samples=300, feature_dim=8, noise_sigma=noise_sigma, seed=8))
+        write_csv(ds, tmp_path / "d.csv")
+        text = (tmp_path / "d.csv").read_bytes()
+        assert text == csv_text(ds)
+        assert (b"e-0" in text) == (noise_sigma < 1)
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.random.default_rng(3).normal(0.0, 30.0, (40, 3)).astype(np.float32),
+            np.array([[0, -1, 2**53 + 1], [2**62 + 1, -(2**63), 12345]] * 20, dtype=np.int64),
+        ],
+        ids=["float32", "int64"],
+    )
+    def test_features_of_other_dtypes(self, tmp_path, features):
+        """Cells of other dtypes read as float64 first, as ``%.17g`` reads them."""
+        n = len(features)
+        ds = Dataset(features, np.arange(n) // 2 % 2, np.array(["train", "test"] * (n // 2), dtype=object), np.arange(n), 2)
+        write_csv(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == csv_text(ds)
 
     def test_write_is_deterministic(self, tmp_path):
         ds = generate_synthetic(spec(samples=30))
