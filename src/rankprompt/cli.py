@@ -3,7 +3,9 @@
 Subcommands: generate, train, eval, heatmap, ablate.  Every command is a
 pure function of its config and input files; outputs are byte-identical
 across reruns.  Exit codes: 0 success, 2 bad config, 3 I/O or data-file
-problem.  RANKPROMPT_SEED overrides the config seed when set.
+problem.  RANKPROMPT_SEED overrides the config seed when set.  Where none
+of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set, BLAS
+runs on one thread.
 """
 
 from __future__ import annotations
@@ -17,11 +19,18 @@ from dataclasses import replace
 from pathlib import Path
 from statistics import mean, stdev
 
-from .config import RunConfig, config_to_dict, load_config
-from .core import InputError
-from .data import Dataset, DatasetSpec, ParseError, _csv_lines, class_counts, generate_synthetic, load_csv, write_csv
-from .evaluation import MetricsReport
-from .train import _write_json, evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train
+# BLAS reads its thread count when numpy loads, so this comes before the imports that load it.  Where
+# the user set none, run BLAS on one thread: ``model`` runs a large input's two parts on two Python
+# threads, and with a BLAS thread per CPU each (OpenBLAS's default) they oversubscribe the cores.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+from .config import RunConfig, config_to_dict, load_config  # noqa: E402
+from .core import InputError  # noqa: E402
+from .data import Dataset, DatasetSpec, ParseError, _csv_lines, class_counts, generate_synthetic, load_csv, write_csv  # noqa: E402
+from .evaluation import MetricsReport  # noqa: E402
+from .train import _write_json, evaluate, heatmap_matrix, load_checkpoint, save_checkpoint, train  # noqa: E402
 
 SEED_ENV = "RANKPROMPT_SEED"
 # name -> RunConfig overrides

@@ -7,12 +7,13 @@ map, the inner product, optional unit-normalization, and the MLP, all by
 hand.  Parameters and gradients are flat vectors with named views; SGD and
 Adam update the parameter vector in place.
 
-From ``FORWARD_TILE_ROWS`` rows on, a training step and inference do their
-MLP work in two parts that the row count and the layer widths fix.  With
-two or more usable CPUs the second part runs on a worker thread, which
-writes only into buffers the caller allocated, calls only numpy and this
-module's private helpers, and is joined before the call returns; with one,
-the parts run in turn.  The bytes are the same either way.
+From ``FORWARD_TILE_ROWS`` rows on, a training step and inference do all
+their MLP work in two parts that the row count and the layer widths fix:
+the step in row halves and hidden-unit halves, inference in pairs of row
+tiles.  With two or more usable CPUs the second part runs on a worker
+thread, which writes only into buffers the caller allocated, calls only
+numpy and this module's private helpers, and is joined before the call
+returns; with one, the parts run in turn.  The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -33,14 +34,24 @@ PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 # Guard for unit-normalizing a (theoretically possible) zero embedding.
 NORM_FLOOR = 1e-12
 
-# Inputs of at least this many rows do their MLP work in two fixed parts (see ``_in_parts``), and
-# inference runs them in row tiles of at least half this many.  A cut between rows keeps every bit
-# at some layer widths (64 -> 256) and changes last bits at others (63 -> 255); 256-row tiles
-# changed last bits at 64 -> 256 too.
-FORWARD_TILE_ROWS = 4096
+# Inputs of at least this many rows do their MLP work in two fixed parts (see ``_in_parts``).  The
+# training step and inference share it, so an epoch's short last batch splits too.  A cut between
+# rows keeps every bit at some layer widths (64 -> 256, 16 -> 64) and changes last bits at others
+# (63 -> 255); 256-row tiles changed last bits at 64 -> 256 too.
+FORWARD_TILE_ROWS = 2048
 
-# Rows of the hidden gradient a split step forms at a time, in the activations' buffer.
+# Inference cuts M rows into 2 * ceil(M / (2 * TILE_ROWS)) balanced tiles: an even count, so every
+# round encodes a pair, and from 2 * TILE_ROWS rows on each tile holds TILE_ROWS / 2 to TILE_ROWS rows.
+TILE_ROWS = 3072
+
+# A split step forms the hidden gradient in balanced chunks of at most this many rows, in the
+# activations' buffer; a one-row tail chunk changed the last bits of w1's and b1's gradients.
 GRAD_CHUNK_ROWS = 512
+
+
+def _bounds(m: int, n: int) -> list[int]:
+    """The edges of ``n`` balanced parts of ``m`` rows."""
+    return [m * i // n for i in range(n + 1)]
 
 
 def _usable_cpus() -> int:
@@ -186,44 +197,46 @@ def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tupl
 def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Raw (uncalibrated) image-text inner products, as a training step computes
     them: the image rows are X = tanh(features @ w1 + b1) @ w2 + b2, unit-normalized
-    with the text rows when ``normalize``.  From ``FORWARD_TILE_ROWS`` rows on, balanced
-    row tiles of 2,048 to 3,071 rows encode two at a time, in two parts, and the calling
-    thread scores each pair with ``similarity_matrix``, so the M x H activations never
-    exist whole.  The tiles depend on M alone, so the bytes are the same on one CPU or
-    two; they match the single pass bit for bit at some layer widths (64 -> 256), not
-    at all (63 -> 255)."""
+    with the text rows when ``normalize``.  From ``FORWARD_TILE_ROWS`` rows on, the rows
+    are cut into an even number of balanced tiles (see ``TILE_ROWS``; 7,996 rows make four
+    of 1,999), which encode two at a time, one in each part, and the calling thread
+    scores each pair with ``similarity_matrix``, so the M x H activations never exist
+    whole.  The tiles depend on M alone, so the bytes are the same on one CPU or two;
+    they match the single pass bit for bit at some layer widths (64 -> 256), not at all
+    (63 -> 255)."""
     features = _checked_features(params, features)
     m = features.shape[0]
     if m < FORWARD_TILE_ROWS:
         return similarity_matrix(*_forward(params, features, normalize)[2:4])
-    tiles = m // (FORWARD_TILE_ROWS // 2)
-    bounds = [m * i // tiles for i in range(tiles + 1)]
+    tiles = 2 * -(-m // (2 * TILE_ROWS))
+    bounds = _bounds(m, tiles)
     spans = list(zip(bounds, bounds[1:]))
-    longest = max(hi - lo for lo, hi in spans)
+    longest, h = -(-m // tiles), params.hidden_dim
     t = params.text / _row_norms(params.text) if normalize else params.text
     out = np.empty((m, params.classes))
 
-    # One array per kind holds both parts' buffers, a tile long each: as separate arrays, they raised
-    # the train_large benchmark's peak RSS by 5 MB of heap that glibc malloc kept (2-vCPU x86-64 Linux).
-    hiddens, images = np.empty((2, longest, params.hidden_dim)), np.empty((2, longest, params.embed_dim))
+    # One allocation holds both parts' activations and image rows, a tile long each.  glibc malloc
+    # maps a block afresh, and unmaps it when it is freed, only from a threshold that freeing a mapped
+    # block raises to that block's size (8.4 MB after a 4,096-row train_large step); smaller blocks come
+    # from the heap, which keeps their pages.  As one array per kind, the 8.2 MB of activations of two
+    # 1,999-row tiles fell under it and raised train_large's peak RSS by 2.4 MB (2-vCPU x86-64 Linux).
+    buffers = np.empty((2, longest * (h + params.embed_dim)))
+    hiddens = [part[: longest * h].reshape(longest, h) for part in buffers]
+    images = [part[longest * h :].reshape(longest, params.embed_dim) for part in buffers]
 
     def encode(part: tuple) -> None:
         i, (lo, hi) = part
-        x = images[i, : hi - lo]
-        _encode(params, features[lo:hi], hiddens[i, : hi - lo], x)
+        x = images[i][: hi - lo]
+        _encode(params, features[lo:hi], hiddens[i][: hi - lo], x)
         if normalize:
             x /= _row_norms(x)
 
     # The worker only encodes: public callables such as ``similarity_matrix`` stay on the calling
     # thread, where a tracer that wraps them (perfbench's) keeps one span stack.
-    for first in range(0, tiles, 2):
-        pair = list(enumerate(spans[first : first + 2]))
-        if len(pair) == 2:
-            _in_parts(encode, *pair)
-        else:
-            encode(pair[0])
-        for i, (lo, hi) in pair:
-            out[lo:hi] = similarity_matrix(images[i, : hi - lo], t)
+    for pair in zip(spans[::2], spans[1::2]):
+        _in_parts(encode, *enumerate(pair))
+        for i, (lo, hi) in enumerate(pair):
+            out[lo:hi] = similarity_matrix(images[i][: hi - lo], t)
     return out
 
 
@@ -252,10 +265,10 @@ def model_backward(
     first, then the activations' buffer becomes the hidden gradient in place;
     ``features`` is only read.  From ``FORWARD_TILE_ROWS`` rows on, the forward
     pass runs in two row halves (see ``_forward``), and the ``w2`` gradient,
-    the hidden gradient (``GRAD_CHUNK_ROWS`` rows at a time, so one M x H array
-    lives) and the ``w1`` gradient run in two halves of the hidden units: each
-    weight gradient still sums over the whole batch in one matmul.  The bits
-    match the unsplit step at 64 -> 256 and change at 63 -> 255.
+    the hidden gradient (in balanced chunks of at most ``GRAD_CHUNK_ROWS`` rows,
+    so one M x H array lives) and the ``w1`` gradient run in two halves of the
+    hidden units: each weight gradient still sums over the whole batch in one
+    matmul.  The bits match the unsplit step at 64 -> 256 and change at 63 -> 255.
     """
     check_labels(labels, params.classes)
     features, pre, x, t, x_norms, t_norms = _forward(params, features, cfg.normalize_embeddings)
@@ -278,16 +291,17 @@ def model_backward(
 
     grads = params.like(np.empty_like(params.flat))
     m, h, w2 = features.shape[0], params.hidden_dim, params.w2
+    chunks = 1 if m < FORWARD_TILE_ROWS else -(-m // GRAD_CHUNK_ROWS)
+    bounds = _bounds(m, chunks)
 
     def backward(part: tuple) -> None:
         # w2's gradient reads the activations; then, a chunk of rows at a time,
         # they become the hidden gradient, g_pre * (1 - act * act), which w1's gradient reads
         cols, g_chunk = part
-        rows = g_chunk.shape[0]
         np.matmul(pre[:, cols].T, g_x, out=grads.w2[cols])
-        for lo in range(0, m, rows):
-            act = pre[lo : lo + rows, cols]
-            g_pre = np.matmul(g_x[lo : lo + rows], w2[cols].T, out=g_chunk[: len(act)])
+        for lo, hi in zip(bounds, bounds[1:]):
+            act = pre[lo:hi, cols]
+            g_pre = np.matmul(g_x[lo:hi], w2[cols].T, out=g_chunk[: hi - lo])
             np.multiply(g_pre, np.subtract(1.0, np.multiply(act, act, out=act), out=act), out=act)
         np.matmul(features.T, pre[:, cols], out=grads.w1[:, cols])
 
@@ -295,7 +309,7 @@ def model_backward(
         backward((slice(None), np.empty((m, h))))
     else:
         halves = slice(0, h // 2), slice(h // 2, h)
-        _in_parts(backward, *((cols, np.empty((GRAD_CHUNK_ROWS, cols.stop - cols.start))) for cols in halves))
+        _in_parts(backward, *((cols, np.empty((-(-m // chunks), cols.stop - cols.start))) for cols in halves))
     g_x.sum(axis=0, out=grads.b2)
     pre.sum(axis=0, out=grads.b1)
     grads.text[...] = g_t

@@ -17,7 +17,9 @@ and inference encodes in row tiles.  After the commit the buffer is calibrated i
 statistics the epoch's steps read, which gives the scores each step's loss saw, and its
 ``metrics_report`` fills the ``train_*`` fields of the log; there is no second pass over the split.
 The one thread besides the caller's is ``model``'s worker for a batch or an inference input of
-``model.FORWARD_TILE_ROWS`` rows or more, which the call that starts it also joins.
+``model.FORWARD_TILE_ROWS`` rows or more, which the call that starts it also joins.  Every batch and
+inference tile pair of that size splits, an epoch's short last batch too, so with two usable CPUs
+no large MLP pass leaves one idle.
 """
 
 from __future__ import annotations

@@ -851,6 +851,49 @@ print(*[run("eval") for _ in range(3)])
 """
 
 
+# In a fresh interpreter: import the CLI (after numpy when argv[1] says so), load numpy, and print
+# the BLAS thread variables and, where /proc has it, the number of threads the process runs.
+BLAS_THREADS = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import rankprompt.cli
+import numpy
+threads = None
+if os.path.exists("/proc/self/status"):
+    threads = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("Threads:"))
+print(json.dumps({"env": {var: os.environ.get(var) for var in rankprompt.cli.BLAS_THREAD_VARS}, "threads": threads}))
+"""
+
+
+class TestBlasThreads:
+    @staticmethod
+    def run(order, preset):
+        env = {key: value for key, value in os.environ.items() if key not in cli.BLAS_THREAD_VARS}
+        env.update(preset, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS, order], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        return json.loads(done.stdout)
+
+    def test_one_blas_thread_where_none_is_set(self):
+        """With none of the three variables set, importing the CLI before numpy
+        sets each to 1, and BLAS starts no thread of its own."""
+        got = self.run("cli-first", {})
+        assert got["env"] == dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+        assert got["threads"] in (None, 1)
+
+    @pytest.mark.parametrize("preset", [{"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}, {"MKL_NUM_THREADS": "4"}])
+    def test_a_set_variable_is_kept(self, preset):
+        """Any one of them set leaves all three as they are."""
+        got = self.run("cli-first", preset)
+        assert got["env"] == {var: preset.get(var) for var in cli.BLAS_THREAD_VARS}
+
+    def test_nothing_is_set_once_numpy_is_loaded(self):
+        """Imported after numpy, the CLI leaves the environment alone: BLAS has read it already."""
+        assert self.run("numpy-first", {})["env"] == dict.fromkeys(cli.BLAS_THREAD_VARS)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
 class TestMallocThresholds:
     def test_main_pins_them(self):

@@ -184,7 +184,7 @@ def large_model(seed=0):
 
 class TestTiledForward:
     @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("rows", [4096, 4097, 8193, 32_004])
+    @pytest.mark.parametrize("rows", [2048, 4096, 4097, 7996, 8193, 32_004])
     def test_bit_identical_to_one_pass(self, rows, normalize):
         p = large_model(1)
         feats = np.random.default_rng(rows).normal(size=(rows, 64))
@@ -192,7 +192,7 @@ class TestTiledForward:
         assert np.array_equal(forward_similarity(p, feats, normalize), similarity_matrix(x, t))
 
     @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("rows", [4097, 8193, 32_004])
+    @pytest.mark.parametrize("rows", [2048, 3332, 4097, 7996, 8193, 32_004])
     @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
     def test_same_bits_on_every_call_on_one_cpu_or_two(self, monkeypatch, widths, rows, normalize):
         """A tile cut changes last bits against the single pass at 63 -> 255, so
@@ -208,6 +208,26 @@ class TestTiledForward:
         assert len(runs) == 1
         _, x, t = one_pass_embeddings(p, feats, normalize)
         assert np.allclose(got, similarity_matrix(x, t), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [6145, 7996, 32_004])
+    def test_tiles_run_in_pairs(self, monkeypatch, rows):
+        """On two CPUs every tile is encoded beside another, one on the calling
+        thread and one on the worker, and every tile has 1,536 to 3,072 rows."""
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        pairs, tiles = [], []
+        real_parts, real_encode = model._in_parts, model._encode
+        monkeypatch.setattr(model, "_in_parts", lambda *args: pairs.append(1) or real_parts(*args))
+
+        def encode(params, features, *out):
+            tiles.append((len(features), threading.current_thread() is threading.main_thread()))
+            real_encode(params, features, *out)
+
+        monkeypatch.setattr(model, "_encode", encode)
+        forward_similarity(large_model(), np.zeros((rows, 64)))
+        assert len(tiles) == 2 * len(pairs)
+        assert sum(n for n, _ in tiles) == rows
+        assert all(1536 <= n <= 3072 for n, _ in tiles)
+        assert Counter(on_caller for _, on_caller in tiles) == {True: len(pairs), False: len(pairs)}
 
     def test_bad_shapes_raise_the_one_pass_error(self):
         p = large_model()
@@ -249,12 +269,13 @@ class TestParts:
             forward_similarity(large_model(), np.zeros((8193, 64)))
         assert threading.active_count() == threads
 
-    def test_parts_under_constant_thread_switching(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [2048, 3332, 4096, 7996])
+    def test_parts_under_constant_thread_switching(self, monkeypatch, rows):
         """With the interpreter switching threads every microsecond, a split
         step on two CPUs writes the bytes it writes on one."""
         rng = np.random.default_rng(6)
         p = init_params(63, 255, 64, 8, 2)
-        feats, labels = rng.normal(size=(4096, 63)), rng.integers(0, 8, 4096)
+        feats, labels = rng.normal(size=(rows, 63)), rng.integers(0, 8, rows)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -271,15 +292,17 @@ class TestParts:
     @pytest.mark.parametrize("calibrate", [False, True], ids=["raw", "sms"])
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
-    def test_split_step_against_one_pass(self, monkeypatch, widths, normalize, calibrate, cpus):
-        """A 4,096-row step, split in parts, gives every bit of the one-pass
-        gradients and scores at 64 -> 256, and agrees to the last bits at 63 -> 255."""
+    @pytest.mark.parametrize("rows", [3332, 4096, 4097])
+    def test_split_step_against_one_pass(self, monkeypatch, rows, widths, normalize, calibrate, cpus):
+        """A step split in parts gives every bit of the one-pass gradients and
+        scores at 64 -> 256, and agrees to the last bits at 63 -> 255.  At 4,097
+        rows its hidden-gradient chunks are balanced, with no one-row tail."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(9)
         cfg = RunConfig(normalize_embeddings=normalize)
         stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, cfg) if calibrate else None
         p = init_params(*widths, 64, 8, 3)
-        feats, labels = rng.normal(size=(4096, widths[0])), rng.integers(0, 8, 4096)
+        feats, labels = rng.normal(size=(rows, widths[0])), rng.integers(0, 8, rows)
         got = model_backward(p, feats, labels, stats, cfg)
         want, s = one_pass_gradients(p, feats, labels, stats, cfg)
         same = np.array_equal if widths == (64, 256) else lambda a, b: np.allclose(a, b, rtol=1e-11, atol=1e-13)
@@ -289,18 +312,18 @@ class TestParts:
 
     @pytest.mark.parametrize("cpus, started", [(1, 0), (2, 2), (8, 2)])
     def test_one_worker_per_split_and_only_with_two_cpus(self, monkeypatch, cpus, started):
-        """A 4,096-row step starts one worker for its forward halves and one for
+        """A 2,048-row step starts one worker for its forward halves and one for
         its gradient halves when two CPUs are usable, none on one CPU, and one
-        worker at most however many CPUs there are; 4,095 rows start none."""
+        worker at most however many CPUs there are; 2,047 rows start none."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         names = []
         real = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda self: names.append(self.name) or real(self))
         rng = np.random.default_rng(5)
         p = large_model()
-        model_backward(p, rng.normal(size=(4095, 64)), rng.integers(0, 8, 4095), None, RunConfig())
+        model_backward(p, rng.normal(size=(2047, 64)), rng.integers(0, 8, 2047), None, RunConfig())
         assert names == []
-        model_backward(p, rng.normal(size=(4096, 64)), rng.integers(0, 8, 4096), None, RunConfig())
+        model_backward(p, rng.normal(size=(2048, 64)), rng.integers(0, 8, 2048), None, RunConfig())
         assert names == ["rankprompt-part"] * started
 
 
@@ -312,9 +335,10 @@ class TestMemoryBounds:
         feats = np.random.default_rng(0).normal(size=(32_004, 64))
         assert traced_peak(lambda: forward_similarity(p, feats)) < 20e6
 
-    def test_backward_holds_two_batch_by_hidden_arrays(self):
+    @pytest.mark.parametrize("m", [3332, 4096])
+    def test_backward_holds_two_batch_by_hidden_arrays(self, m):
         rng = np.random.default_rng(1)
-        m, h = 4096, 256
+        h = 256
         kernel = RunConfig(sms_sigma=0.4, sms_include_self=True)
         stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, kernel)
         p = large_model()

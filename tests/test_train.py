@@ -234,7 +234,7 @@ class TestTrainMetrics:
         assert len(commits) == (cfg.epochs if sms_enabled else 0)
 
 
-# One 4,096-row batch per epoch, and the rest: model.FORWARD_TILE_ROWS rows, a split step.
+# Two batches of model.FORWARD_TILE_ROWS rows per epoch, split steps, and the 704 rows left.
 LARGE_BATCH = replace(LARGE_SPLIT, batch_size=model.FORWARD_TILE_ROWS)
 
 
@@ -250,7 +250,7 @@ class TestSerialEpochLog:
         assert len(three) == 3
 
     def test_no_thread_outlives_train(self, monkeypatch, large_split):
-        """With two usable CPUs, 4,096-row batches and inference start workers;
+        """With two usable CPUs, split batches and inference start workers;
         each is joined before the call that started it returns."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
         started = []
