@@ -7,10 +7,11 @@ map, the inner product, optional unit-normalization, and the MLP, all by
 hand.  Parameters and gradients are flat vectors with named views; SGD and
 Adam update the parameter vector in place.
 
-From ``FORWARD_TILE_ROWS`` rows on, a training step and inference do all
-their MLP work in two parts that the row count and the layer widths fix:
-the step in row halves and hidden-unit halves, inference in pairs of row
-tiles.  With two or more usable CPUs the second part runs on a worker
+Training and inference share one forward pass, ``_forward``; inference runs
+it on row chunks of at most ``CHUNK_ROWS``.  From ``FORWARD_TILE_ROWS`` rows
+on, it encodes in two row halves, and a training step takes its gradients in
+two halves of the hidden units: two parts that the row count and the layer
+widths fix.  With two or more usable CPUs the second part runs on a worker
 thread, which writes only into buffers the caller allocated, calls only
 numpy and this module's private helpers, and is joined before the call
 returns; with one, the parts run in turn.  The bytes are the same either way.
@@ -34,15 +35,15 @@ PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 # Guard for unit-normalizing a (theoretically possible) zero embedding.
 NORM_FLOOR = 1e-12
 
-# Inputs of at least this many rows do their MLP work in two fixed parts (see ``_in_parts``).  The
-# training step and inference share it, so an epoch's short last batch splits too.  A cut between
-# rows keeps every bit at some layer widths (64 -> 256, 16 -> 64) and changes last bits at others
-# (63 -> 255); 256-row tiles changed last bits at 64 -> 256 too.
+# Inputs of at least this many rows do their MLP work in two fixed parts (see ``_in_parts``), an
+# epoch's short last batch and an inference chunk too.  A cut between rows keeps every bit at some
+# layer widths (64 -> 256, 16 -> 64) and changes last bits at others (63 -> 255); 256-row tiles
+# changed last bits at 64 -> 256 too.
 FORWARD_TILE_ROWS = 2048
 
-# Inference cuts M rows into 2 * ceil(M / (2 * TILE_ROWS)) balanced tiles: an even count, so every
-# round encodes a pair, and from 2 * TILE_ROWS rows on each tile holds TILE_ROWS / 2 to TILE_ROWS rows.
-TILE_ROWS = 3072
+# Inference cuts M rows into ceil(M / CHUNK_ROWS) balanced chunks, one forward pass each; from
+# CHUNK_ROWS rows on a chunk holds CHUNK_ROWS / 2 to CHUNK_ROWS rows, two halves of 1,536 to 3,072.
+CHUNK_ROWS = 6144
 
 # A split step forms the hidden gradient in balanced chunks of at most this many rows, in the
 # activations' buffer; a one-row tail chunk changed the last bits of w1's and b1's gradients.
@@ -173,14 +174,14 @@ def _encode(params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np
     x += params.b2
 
 
-def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tuple:
-    """The forward pass up to the inner product, for training and inference:
-    (checked features, tanh activations, image rows, text rows, and the row
-    norms divided out when ``normalize``, else None).  From ``FORWARD_TILE_ROWS``
-    rows on, the two row halves encode in parts."""
-    features = _checked_features(params, features)
+def _forward(params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np.ndarray, normalize: bool) -> tuple:
+    """The one forward pass up to the inner product, for training and inference: write
+    tanh(features @ w1 + b1) into ``hidden`` and the image rows into ``x``, buffers the caller
+    allocated, and return (text rows, and the row norms divided out when ``normalize``, else
+    None).  From ``FORWARD_TILE_ROWS`` rows on, the two row halves encode in parts.  The worker only
+    encodes: the rest, and public callables such as ``similarity_matrix``, stay on the calling
+    thread, where a tracer that wraps them (perfbench's) keeps one span stack."""
     m = features.shape[0]
-    hidden, x = np.empty((m, params.hidden_dim)), np.empty((m, params.embed_dim))
     if m < FORWARD_TILE_ROWS:
         _encode(params, features, hidden, x)
     else:
@@ -191,52 +192,35 @@ def _forward(params: ModelParams, features: np.ndarray, normalize: bool) -> tupl
         x_norms, t_norms = _row_norms(x), _row_norms(t)
         x /= x_norms
         t = t / t_norms
-    return features, hidden, x, t, x_norms, t_norms
+    return t, x_norms, t_norms
 
 
 def forward_similarity(params: ModelParams, features: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Raw (uncalibrated) image-text inner products, as a training step computes
     them: the image rows are X = tanh(features @ w1 + b1) @ w2 + b2, unit-normalized
-    with the text rows when ``normalize``.  From ``FORWARD_TILE_ROWS`` rows on, the rows
-    are cut into an even number of balanced tiles (see ``TILE_ROWS``; 7,996 rows make four
-    of 1,999), which encode two at a time, one in each part, and the calling thread
-    scores each pair with ``similarity_matrix``, so the M x H activations never exist
-    whole.  The tiles depend on M alone, so the bytes are the same on one CPU or two;
-    they match the single pass bit for bit at some layer widths (64 -> 256), not at all
-    (63 -> 255)."""
+    with the text rows when ``normalize``.  The rows are cut into ceil(M / ``CHUNK_ROWS``)
+    balanced chunks (7,996 rows make two of 3,998), each run through the training step's
+    forward pass, ``_forward``, which encodes it in two row halves from ``FORWARD_TILE_ROWS``
+    rows on; the calling thread scores each chunk with ``similarity_matrix``, so the M x H
+    activations never exist whole.  A chunk of at most ``CHUNK_ROWS`` rows gives the bytes
+    of a training step on the same rows, on one CPU or two."""
     features = _checked_features(params, features)
-    m = features.shape[0]
-    if m < FORWARD_TILE_ROWS:
-        return similarity_matrix(*_forward(params, features, normalize)[2:4])
-    tiles = 2 * -(-m // (2 * TILE_ROWS))
-    bounds = _bounds(m, tiles)
-    spans = list(zip(bounds, bounds[1:]))
-    longest, h = -(-m // tiles), params.hidden_dim
-    t = params.text / _row_norms(params.text) if normalize else params.text
+    m, h, e = features.shape[0], params.hidden_dim, params.embed_dim
+    chunks = max(1, -(-m // CHUNK_ROWS))
+    bounds, longest = _bounds(m, chunks), -(-m // chunks)
     out = np.empty((m, params.classes))
 
-    # One allocation holds both parts' activations and image rows, a tile long each.  glibc malloc
-    # maps a block afresh, and unmaps it when it is freed, only from a threshold that freeing a mapped
-    # block raises to that block's size (8.4 MB after a 4,096-row train_large step); smaller blocks come
-    # from the heap, which keeps their pages.  As one array per kind, the 8.2 MB of activations of two
-    # 1,999-row tiles fell under it and raised train_large's peak RSS by 2.4 MB (2-vCPU x86-64 Linux).
-    buffers = np.empty((2, longest * (h + params.embed_dim)))
-    hiddens = [part[: longest * h].reshape(longest, h) for part in buffers]
-    images = [part[longest * h :].reshape(longest, params.embed_dim) for part in buffers]
-
-    def encode(part: tuple) -> None:
-        i, (lo, hi) = part
-        x = images[i][: hi - lo]
-        _encode(params, features[lo:hi], hiddens[i][: hi - lo], x)
-        if normalize:
-            x /= _row_norms(x)
-
-    # The worker only encodes: public callables such as ``similarity_matrix`` stay on the calling
-    # thread, where a tracer that wraps them (perfbench's) keeps one span stack.
-    for pair in zip(spans[::2], spans[1::2]):
-        _in_parts(encode, *enumerate(pair))
-        for i, (lo, hi) in enumerate(pair):
-            out[lo:hi] = similarity_matrix(images[i][: hi - lo], t)
+    # Every chunk reuses one allocation of activations and image rows.  glibc malloc maps a block afresh,
+    # and unmaps it when it is freed, only from a threshold that freeing a mapped block raises to that
+    # block's size (8.4 MB after a 4,096-row train_large step); smaller blocks come from the heap, which
+    # keeps their pages.  Allocated per chunk, as two arrays or as one block, they raised train_large's
+    # peak RSS from 90.2-90.5 MB to 97.8 and 91.2-91.4 MB (2-vCPU x86-64 Linux).
+    buffer = np.empty(longest * (h + e))
+    for lo, hi in zip(bounds, bounds[1:]):
+        n = hi - lo
+        hidden, x = buffer[: n * h].reshape(n, h), buffer[longest * h : longest * h + n * e].reshape(n, e)
+        t = _forward(params, features[lo:hi], hidden, x, normalize)[0]
+        out[lo:hi] = similarity_matrix(x, t)
     return out
 
 
@@ -271,7 +255,10 @@ def model_backward(
     matmul.  The bits match the unsplit step at 64 -> 256 and change at 63 -> 255.
     """
     check_labels(labels, params.classes)
-    features, pre, x, t, x_norms, t_norms = _forward(params, features, cfg.normalize_embeddings)
+    features = _checked_features(params, features)
+    m, h, w2 = features.shape[0], params.hidden_dim, params.w2
+    pre, x = np.empty((m, h)), np.empty((m, params.embed_dim))
+    t, x_norms, t_norms = _forward(params, features, pre, x, cfg.normalize_embeddings)
     s_raw = similarity_matrix(x, t)
     s_cal = s_raw
     if stats is not None:
@@ -290,7 +277,6 @@ def model_backward(
         g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
 
     grads = params.like(np.empty_like(params.flat))
-    m, h, w2 = features.shape[0], params.hidden_dim, params.w2
     chunks = 1 if m < FORWARD_TILE_ROWS else -(-m // GRAD_CHUNK_ROWS)
     bounds = _bounds(m, chunks)
 

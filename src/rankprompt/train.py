@@ -10,15 +10,15 @@ train split, and every epoch visits all of it.  The statistics are None (raw
 similarities) until the first commit, and throughout with ``sms_enabled =
 false``, the one calibration switch; inference reuses the last committed ones.
 
-Beyond the dataset, memory is bounded by a batch, two tiles or a block of ``data.BLOCK_ROWS`` rows
-(generation, CSV text, the CSV's binary twin), except for the epoch's n_train x K buffer: batches
+Beyond the dataset, memory is bounded by a batch, an inference chunk or a block of ``data.BLOCK_ROWS``
+rows (generation, CSV text, the CSV's binary twin), except for the epoch's n_train x K buffer: batches
 gather through row indices, the backward turns its activations into the hidden gradient in place,
-and inference encodes in row tiles.  After the commit the buffer is calibrated in place with the
+and inference encodes in row chunks of at most ``model.CHUNK_ROWS``.  After the commit the buffer is calibrated in place with the
 statistics the epoch's steps read, which gives the scores each step's loss saw, and its
 ``metrics_report`` fills the ``train_*`` fields of the log; there is no second pass over the split.
-The one thread besides the caller's is ``model``'s worker for a batch or an inference input of
+The one thread besides the caller's is ``model``'s worker for a batch or an inference chunk of
 ``model.FORWARD_TILE_ROWS`` rows or more, which the call that starts it also joins.  Every batch and
-inference tile pair of that size splits, an epoch's short last batch too, so with two usable CPUs
+inference chunk of that size splits, an epoch's short last batch too, so with two usable CPUs
 no large MLP pass leaves one idle.
 """
 

@@ -7,7 +7,7 @@ time instead of from the epoch's whole buffer, and calibration comes as a
 per-row map and a separate out-of-place apply.  ``calibrated`` is
 ``sms.calibrate`` on a copy, for tests that want the calibrated rows.
 ``one_pass_embeddings`` and ``one_pass_gradients`` run the MLP over the
-whole batch in one matmul per product, with no split into parts or tiles,
+whole batch in one matmul per product, with no split into parts or chunks,
 ``csv_text`` formats a dataset's CSV with Python's ``%.17g``, and
 ``traced_peak`` measures the memory bounds the tests hold ``rankprompt`` to.
 """

@@ -183,6 +183,10 @@ def large_model(seed=0):
 
 
 class TestTiledForward:
+    """Inference cuts its rows into chunks of at most ``CHUNK_ROWS`` and runs each
+    through the training step's forward pass, in two row halves from
+    ``FORWARD_TILE_ROWS`` rows on."""
+
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("rows", [2048, 4096, 4097, 7996, 8193, 32_004])
     def test_bit_identical_to_one_pass(self, rows, normalize):
@@ -195,9 +199,10 @@ class TestTiledForward:
     @pytest.mark.parametrize("rows", [2048, 3332, 4097, 7996, 8193, 32_004])
     @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
     def test_same_bits_on_every_call_on_one_cpu_or_two(self, monkeypatch, widths, rows, normalize):
-        """A tile cut changes last bits against the single pass at 63 -> 255, so
-        what holds at every width is this: the tiles depend on the row count alone,
-        and every call gives the same bytes, with one usable CPU or two."""
+        """A row cut changes last bits against the single pass at 63 -> 255, so
+        what holds at every width is this: the chunks and their halves depend on
+        the row count alone, and every call gives the same bytes, with one usable
+        CPU or two."""
         p = init_params(*widths, 64, 8, 1)
         feats = np.random.default_rng(rows).normal(size=(rows, widths[0]))
         runs = set()
@@ -209,25 +214,39 @@ class TestTiledForward:
         _, x, t = one_pass_embeddings(p, feats, normalize)
         assert np.allclose(got, similarity_matrix(x, t), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("rows", [6145, 7996, 32_004])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
+    @pytest.mark.parametrize("rows", [2048, 3332, 4097, 6144])
+    def test_one_chunk_is_the_training_forward_pass(self, widths, rows, normalize):
+        """Up to ``CHUNK_ROWS`` rows inference is one chunk through the training
+        step's forward pass: the bytes of the step's raw scores at every width."""
+        rng = np.random.default_rng(rows)
+        p = init_params(*widths, 64, 8, 4)
+        feats, labels = rng.normal(size=(rows, widths[0])), rng.integers(0, 8, rows)
+        step = model_backward(p, feats, labels, None, RunConfig(normalize_embeddings=normalize))
+        assert forward_similarity(p, feats, normalize).tobytes() == step.similarity_raw.tobytes()
+
+    @pytest.mark.parametrize("rows", [6144, 6145, 7996, 32_004])
     def test_tiles_run_in_pairs(self, monkeypatch, rows):
-        """On two CPUs every tile is encoded beside another, one on the calling
-        thread and one on the worker, and every tile has 1,536 to 3,072 rows."""
+        """On two CPUs inference runs ceil(M / ``CHUNK_ROWS``) chunks, each encoded in
+        two row halves, one on the calling thread and one on the worker, and every
+        half has 1,536 to 3,072 rows."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        pairs, tiles = [], []
+        pairs, halves = [], []
         real_parts, real_encode = model._in_parts, model._encode
         monkeypatch.setattr(model, "_in_parts", lambda *args: pairs.append(1) or real_parts(*args))
 
         def encode(params, features, *out):
-            tiles.append((len(features), threading.current_thread() is threading.main_thread()))
+            halves.append((len(features), threading.current_thread() is threading.main_thread()))
             real_encode(params, features, *out)
 
         monkeypatch.setattr(model, "_encode", encode)
         forward_similarity(large_model(), np.zeros((rows, 64)))
-        assert len(tiles) == 2 * len(pairs)
-        assert sum(n for n, _ in tiles) == rows
-        assert all(1536 <= n <= 3072 for n, _ in tiles)
-        assert Counter(on_caller for _, on_caller in tiles) == {True: len(pairs), False: len(pairs)}
+        assert len(pairs) == -(-rows // model.CHUNK_ROWS)
+        assert len(halves) == 2 * len(pairs)
+        assert sum(n for n, _ in halves) == rows
+        assert all(1536 <= n <= 3072 for n, _ in halves)
+        assert Counter(on_caller for _, on_caller in halves) == {True: len(pairs), False: len(pairs)}
 
     def test_bad_shapes_raise_the_one_pass_error(self):
         p = large_model()
@@ -255,19 +274,53 @@ class TestParts:
         assert threading.active_count() == threads
 
     def test_inference_worker_exception_is_raised_in_the_caller(self, monkeypatch):
-        """The worker's inference tiles raise through ``forward_similarity``."""
+        """The worker's half of an inference chunk raises through ``forward_similarity``."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
         real, threads = model._encode, threading.active_count()
 
         def encode(*args):
             if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("a worker tile failed")
+                raise FloatingPointError("a worker half failed")
             return real(*args)
 
         monkeypatch.setattr(model, "_encode", encode)
-        with pytest.raises(FloatingPointError, match="^a worker tile failed$"):
+        with pytest.raises(FloatingPointError, match="^a worker half failed$"):
             forward_similarity(large_model(), np.zeros((8193, 64)))
         assert threading.active_count() == threads
+
+    def test_public_callables_stay_on_the_calling_thread(self, monkeypatch):
+        """The worker only encodes: ``similarity_matrix``, ``check_labels`` and
+        ``sms.calibrate`` run on the calling thread, where a tracer that wraps them
+        (perfbench's) keeps one span stack."""
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        calls = []
+
+        def record(module, name):
+            inner = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        for name in ("similarity_matrix", "check_labels", "_encode"):
+            record(model, name)
+        record(sms, "calibrate")
+        rng = np.random.default_rng(8)
+        p = large_model()
+        forward_similarity(p, rng.normal(size=(7996, 64)))
+        assert Counter(calls) == {("similarity_matrix", True): 2, ("_encode", True): 2, ("_encode", False): 2}
+        calls.clear()
+        stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, RunConfig())
+        model_backward(p, rng.normal(size=(4096, 64)), rng.integers(0, 8, 4096), stats, RunConfig())
+        assert Counter(calls) == {
+            ("check_labels", True): 1,
+            ("similarity_matrix", True): 1,
+            ("calibrate", True): 1,
+            ("_encode", True): 1,
+            ("_encode", False): 1,
+        }
 
     @pytest.mark.parametrize("rows", [2048, 3332, 4096, 7996])
     def test_parts_under_constant_thread_switching(self, monkeypatch, rows):
@@ -329,8 +382,9 @@ class TestParts:
 
 class TestMemoryBounds:
     def test_forward_peak_is_bounded_by_a_tile(self):
-        """32,004 rows: a single pass holds 62.5 MB of activations alone.  The
-        traced peak counts the worker thread's tile too."""
+        """32,004 rows: a single pass holds 62.5 MB of activations alone; six
+        chunks of 5,334 rows share one 13.7 MB buffer.  The traced peak counts the
+        worker thread's half too."""
         p = large_model()
         feats = np.random.default_rng(0).normal(size=(32_004, 64))
         assert traced_peak(lambda: forward_similarity(p, feats)) < 20e6

@@ -166,7 +166,7 @@ class TestBoundaryChecks:
         assert seen[8]["check_labels"] == seen[64]["check_labels"]
 
 
-# A train split of 4,800 rows, over model.FORWARD_TILE_ROWS: more than one inference tile.
+# A train split of 4,800 rows, over model.FORWARD_TILE_ROWS: one inference chunk in two halves.
 LARGE_SPLIT = replace(TINY, samples=6000, batch_size=1024, epochs=3)
 
 
