@@ -80,29 +80,52 @@ def rank_term(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> tuple[fl
     """
     _check_length(s_cal, labels)
     m, k = s_cal.shape
-    d = s_cal[:, :-1] - s_cal[:, 1:]
-    sign = np.where(np.arange(k - 1)[None, :] >= labels[:, None], 1.0, -1.0)
-    z = sign * d / cfg.tau
+    return _rank(s_cal, labels, cfg.tau, np.empty((m, k - 1)), np.zeros_like(s_cal))
+
+
+def _rank(s_cal: np.ndarray, labels: np.ndarray, tau: float, z: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """``rank_term`` on checked arrays, in numpy alone, so that it may run on a worker thread.
+    The caller allocates ``z``, M x (K - 1), which every step writes into with the arithmetic of
+    fresh arrays, and ``g``, M x K zeros that become the gradient.  Arrays a worker thread allocates
+    come from its own malloc arena, which keeps their pages: allocated here, they raised
+    ``train_large``'s peak RSS from 90.2-90.5 MB to 90.8-91.0 MB (2-vCPU x86-64 Linux)."""
+    m, k = s_cal.shape
+    sign = np.where(np.arange(k - 1) >= labels[:, None], 1.0, -1.0)
+    np.subtract(s_cal[:, :-1], s_cal[:, 1:], out=z)
+    z *= sign
+    z /= tau  # z = sign * gap / tau
+    np.negative(z, out=z)  # -z from here on
     # -ln(sigmoid(z)) computed stably as ln(1 + exp(-z))
-    value = float(np.logaddexp(0.0, -z).sum() / m)
+    value = float(np.logaddexp(0.0, z).sum() / m)
     # d/dz of -ln(sigmoid(z)) is sigmoid(z) - 1, chained through z = sign*gap/tau
     with np.errstate(over="ignore"):  # exp(-z) = inf gives sigmoid(z) = 0
-        sigmoid = 1.0 / (1.0 + np.exp(-z))
-    dz = (sigmoid - 1.0) * sign / (cfg.tau * m)
-    g = np.zeros_like(s_cal)
-    g[:, :-1] += dz
-    g[:, 1:] -= dz
+        np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    z -= 1.0
+    z *= sign
+    z /= tau * m
+    g[:, :-1] += z
+    g[:, 1:] -= z
     return value, g
 
 
-def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig) -> LossReport:
+def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig, *, worker=None) -> LossReport:
     """main = mean of the two alignment directions; total = lambda_main * main
     + lambda_rank * rank, and the gradient is that of total.  A term of weight
     0 adds nothing to the gradient; its value is still reported.
+
+    ``worker`` is the calling step's ``model`` worker, or None: with one, the rank
+    term runs on it while this thread takes the two alignment terms, and no public
+    callable runs on the worker.  The sums are the same either way.
     """
+    if worker is not None:
+        _check_length(s_cal, labels)
+        m, k = s_cal.shape
+        worker.start(_rank, s_cal, labels, cfg.tau, np.empty((m, k - 1)), np.zeros_like(s_cal))
     i2t, g_i2t = image_to_text_term(s_cal, labels, cfg)
     t2i, g_t2i = text_to_image_term(s_cal, labels, cfg)
-    rank, g_rank = rank_term(s_cal, labels, cfg)
+    rank, g_rank = rank_term(s_cal, labels, cfg) if worker is None else worker.result()
     main = 0.5 * (t2i + i2t)
     g = cfg.lambda_main * 0.5 * (g_t2i + g_i2t) if cfg.lambda_main != 0.0 else np.zeros_like(s_cal)
     if cfg.lambda_rank != 0.0:

@@ -9,18 +9,23 @@ Adam update the parameter vector in place.
 
 Training and inference share one forward pass, ``_forward``; inference runs
 it on row chunks of at most ``CHUNK_ROWS``.  From ``FORWARD_TILE_ROWS`` rows
-on, it encodes in two row halves, and a training step takes its gradients in
-two halves of the hidden units: two parts that the row count and the layer
-widths fix.  With two or more usable CPUs the second part runs on a worker
-thread, which writes only into buffers the caller allocated, calls only
-numpy and this module's private helpers, and is joined before the call
-returns; with one, the parts run in turn.  The bytes are the same either way.
+on, it encodes in two row halves, and a training step takes its rank term
+beside its two alignment terms, its weight gradients in two halves of the
+hidden units and its hidden gradient in two halves of the rows: parts that
+the row count and the layer widths fix.  With two or more usable CPUs,
+``model_backward`` and ``forward_similarity`` each start one worker thread
+for the whole call (``_worker``) and hand it the second part of each pair in
+turn.  It calls only numpy and private helpers, writes its results into
+arrays the calling thread allocated, and is joined before the call returns;
+with one CPU, the parts run in turn.  The bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +50,10 @@ FORWARD_TILE_ROWS = 2048
 # CHUNK_ROWS rows on a chunk holds CHUNK_ROWS / 2 to CHUNK_ROWS rows, two halves of 1,536 to 3,072.
 CHUNK_ROWS = 6144
 
-# A split step forms the hidden gradient in balanced chunks of at most this many rows, in the
-# activations' buffer; a one-row tail chunk changed the last bits of w1's and b1's gradients.
+# A split step forms the hidden gradient in balanced chunks of at most this many whole rows, in the
+# activations' buffer, floor(n / 2) chunks in one part and the rest in the other; a one-row tail
+# chunk changed the last bits of w1's and b1's gradients.  On a column half of a 512-row chunk, a
+# view with the stride of whole rows, one np.multiply took 166 us against 22 us on a contiguous copy.
 GRAD_CHUNK_ROWS = 512
 
 
@@ -60,31 +67,59 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _in_parts(work, first, second) -> None:
-    """``work(first)`` and ``work(second)``: the second on a worker thread when two CPUs are usable,
-    else after the first.  The caller fixes the parts, the CPU count does not, and each part writes
-    its own slice of buffers the caller allocated, so the bytes are the same either way.  The worker
-    is joined before this returns, and an exception raised in it is raised here."""
-    if _usable_cpus() < 2:
+class _Worker:
+    """One thread that runs the jobs handed to it, in turn, for the length of one public call."""
+
+    def __init__(self):
+        self._jobs, self._results = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="rankprompt-part")
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for job, args in iter(self._jobs.get, None):
+            try:
+                self._results.put((job(*args), None))
+            except BaseException as exc:  # re-raised in the caller by ``result``
+                self._results.put((None, exc))
+
+    def start(self, job, *args) -> None:
+        """Hand ``job(*args)`` to the thread; ``result`` waits for it."""
+        self._jobs.put((job, args))
+
+    def result(self):
+        """The value of the job started first of those not yet waited for, or its exception raised here."""
+        value, exc = self._results.get()
+        if exc is not None:
+            raise exc
+        return value
+
+    def __enter__(self) -> _Worker:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Let the thread finish what it was handed, then join it, on an exception too."""
+        self._jobs.put(None)
+        self._thread.join()
+
+
+def _worker(m: int):
+    """The worker of one public call on ``m`` rows, to enter with ``with``: a ``_Worker`` from
+    ``FORWARD_TILE_ROWS`` rows on when two CPUs are usable, else a context that gives None."""
+    return _Worker() if m >= FORWARD_TILE_ROWS and _usable_cpus() >= 2 else nullcontext()
+
+
+def _in_parts(worker: _Worker | None, work, first, second) -> None:
+    """``work(first)`` and ``work(second)``: the second on ``worker``, else after the first.  The
+    caller fixes the parts, the CPU count does not, and each part writes its own slice of buffers
+    the caller allocated, so the bytes are the same either way.  The second part is done before this
+    returns, and an exception raised in it is raised here."""
+    if worker is None:
         work(first)
         work(second)
         return
-    failed = []
-
-    def run():
-        try:
-            work(second)
-        except BaseException as exc:  # re-raised in the caller, after the join
-            failed.append(exc)
-
-    worker = threading.Thread(target=run, name="rankprompt-part")
-    worker.start()
-    try:
-        work(first)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    worker.start(work, second)
+    work(first)
+    worker.result()
 
 
 def param_shapes(f: int, h: int, e: int, k: int) -> dict[str, tuple]:
@@ -174,19 +209,22 @@ def _encode(params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np
     x += params.b2
 
 
-def _forward(params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np.ndarray, normalize: bool) -> tuple:
+def _forward(
+    params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np.ndarray, normalize: bool, worker: _Worker | None
+) -> tuple:
     """The one forward pass up to the inner product, for training and inference: write
     tanh(features @ w1 + b1) into ``hidden`` and the image rows into ``x``, buffers the caller
     allocated, and return (text rows, and the row norms divided out when ``normalize``, else
-    None).  From ``FORWARD_TILE_ROWS`` rows on, the two row halves encode in parts.  The worker only
-    encodes: the rest, and public callables such as ``similarity_matrix``, stay on the calling
-    thread, where a tracer that wraps them (perfbench's) keeps one span stack."""
+    None).  From ``FORWARD_TILE_ROWS`` rows on, the two row halves encode in parts, the second on
+    the call's ``worker`` when it has one.  Here the worker only encodes: the rest, and public
+    callables such as ``similarity_matrix``, stay on the calling thread, where a tracer that wraps them
+    (perfbench's) keeps one span stack."""
     m = features.shape[0]
     if m < FORWARD_TILE_ROWS:
         _encode(params, features, hidden, x)
     else:
         halves = slice(0, m // 2), slice(m // 2, m)
-        _in_parts(lambda rows: _encode(params, features[rows], hidden[rows], x[rows]), *halves)
+        _in_parts(worker, lambda rows: _encode(params, features[rows], hidden[rows], x[rows]), *halves)
     t, x_norms, t_norms = params.text, None, None
     if normalize:
         x_norms, t_norms = _row_norms(x), _row_norms(t)
@@ -201,9 +239,9 @@ def forward_similarity(params: ModelParams, features: np.ndarray, normalize: boo
     with the text rows when ``normalize``.  The rows are cut into ceil(M / ``CHUNK_ROWS``)
     balanced chunks (7,996 rows make two of 3,998), each run through the training step's
     forward pass, ``_forward``, which encodes it in two row halves from ``FORWARD_TILE_ROWS``
-    rows on; the calling thread scores each chunk with ``similarity_matrix``, so the M x H
-    activations never exist whole.  A chunk of at most ``CHUNK_ROWS`` rows gives the bytes
-    of a training step on the same rows, on one CPU or two."""
+    rows on, on one worker for the whole call; the calling thread scores each chunk with
+    ``similarity_matrix``, so the M x H activations never exist whole.  A chunk of at most
+    ``CHUNK_ROWS`` rows gives the bytes of a training step on the same rows, on one CPU or two."""
     features = _checked_features(params, features)
     m, h, e = features.shape[0], params.hidden_dim, params.embed_dim
     chunks = max(1, -(-m // CHUNK_ROWS))
@@ -216,11 +254,12 @@ def forward_similarity(params: ModelParams, features: np.ndarray, normalize: boo
     # keeps their pages.  Allocated per chunk, as two arrays or as one block, they raised train_large's
     # peak RSS from 90.2-90.5 MB to 97.8 and 91.2-91.4 MB (2-vCPU x86-64 Linux).
     buffer = np.empty(longest * (h + e))
-    for lo, hi in zip(bounds, bounds[1:]):
-        n = hi - lo
-        hidden, x = buffer[: n * h].reshape(n, h), buffer[longest * h : longest * h + n * e].reshape(n, e)
-        t = _forward(params, features[lo:hi], hidden, x, normalize)[0]
-        out[lo:hi] = similarity_matrix(x, t)
+    with _worker(m) as worker:
+        for lo, hi in zip(bounds, bounds[1:]):
+            n = hi - lo
+            hidden, x = buffer[: n * h].reshape(n, h), buffer[longest * h : longest * h + n * e].reshape(n, e)
+            t = _forward(params, features[lo:hi], hidden, x, normalize, worker)[0]
+            out[lo:hi] = similarity_matrix(x, t)
     return out
 
 
@@ -247,55 +286,68 @@ def model_backward(
     rows, and the gradient passes through that frozen affine map via the
     scale it returns.  Only two M x H arrays live: ``w2``'s gradient is taken
     first, then the activations' buffer becomes the hidden gradient in place;
-    ``features`` is only read.  From ``FORWARD_TILE_ROWS`` rows on, the forward
-    pass runs in two row halves (see ``_forward``), and the ``w2`` gradient,
-    the hidden gradient (in balanced chunks of at most ``GRAD_CHUNK_ROWS`` rows,
-    so one M x H array lives) and the ``w1`` gradient run in two halves of the
-    hidden units: each weight gradient still sums over the whole batch in one
+    ``features`` is only read.  From ``FORWARD_TILE_ROWS`` rows on, the step
+    runs in parts, the second on one worker for the whole call when two CPUs
+    are usable: the forward pass in two row halves (see ``_forward``), the rank
+    term beside the alignment terms (see ``losses.total_loss``), then three
+    rounds, each done before the next starts.  The ``w2`` gradient runs in two
+    halves of the hidden units; the hidden gradient in two halves of the rows,
+    each a run of whole-row chunks of at most ``GRAD_CHUNK_ROWS`` rows, so
+    one M x H array lives; the ``w1`` gradient in two halves of the hidden
+    units again.  Each weight gradient still sums over the whole batch in one
     matmul.  The bits match the unsplit step at 64 -> 256 and change at 63 -> 255.
     """
     check_labels(labels, params.classes)
     features = _checked_features(params, features)
     m, h, w2 = features.shape[0], params.hidden_dim, params.w2
-    pre, x = np.empty((m, h)), np.empty((m, params.embed_dim))
-    t, x_norms, t_norms = _forward(params, features, pre, x, cfg.normalize_embeddings)
-    s_raw = similarity_matrix(x, t)
-    s_cal = s_raw
-    if stats is not None:
-        s_cal = s_raw.copy()  # the raw rows go to the epoch's buffer
-        scale = sms.calibrate(s_cal, labels, stats)
+    with _worker(m) as worker:
+        pre, x = np.empty((m, h)), np.empty((m, params.embed_dim))
+        t, x_norms, t_norms = _forward(params, features, pre, x, cfg.normalize_embeddings, worker)
+        s_raw = similarity_matrix(x, t)
+        s_cal = s_raw
+        if stats is not None:
+            s_cal = s_raw.copy()  # the raw rows go to the epoch's buffer
+            scale = sms.calibrate(s_cal, labels, stats)
 
-    report = L.total_loss(s_cal, labels, cfg)
-    # Through the frozen affine calibration: d(cal)/d(raw) is its scale.
-    g_s = report.grad_similarity * scale if stats is not None else report.grad_similarity
+        report = L.total_loss(s_cal, labels, cfg, worker=worker)
+        # Through the frozen affine calibration: d(cal)/d(raw) is its scale.
+        g_s = report.grad_similarity * scale if stats is not None else report.grad_similarity
 
-    g_x = g_s @ t
-    g_t = g_s.T @ x
-    if cfg.normalize_embeddings:
-        # d(x/|x|) pulls out the radial component and rescales by the norm
-        g_x = (g_x - (g_x * x).sum(axis=1, keepdims=True) * x) / x_norms
-        g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
+        g_x = g_s @ t
+        g_t = g_s.T @ x
+        if cfg.normalize_embeddings:
+            # d(x/|x|) pulls out the radial component and rescales by the norm
+            g_x = (g_x - (g_x * x).sum(axis=1, keepdims=True) * x) / x_norms
+            g_t = (g_t - (g_t * t).sum(axis=1, keepdims=True) * t) / t_norms
 
-    grads = params.like(np.empty_like(params.flat))
-    chunks = 1 if m < FORWARD_TILE_ROWS else -(-m // GRAD_CHUNK_ROWS)
-    bounds = _bounds(m, chunks)
+        grads = params.like(np.empty_like(params.flat))
 
-    def backward(part: tuple) -> None:
-        # w2's gradient reads the activations; then, a chunk of rows at a time,
-        # they become the hidden gradient, g_pre * (1 - act * act), which w1's gradient reads
-        cols, g_chunk = part
-        np.matmul(pre[:, cols].T, g_x, out=grads.w2[cols])
-        for lo, hi in zip(bounds, bounds[1:]):
-            act = pre[lo:hi, cols]
-            g_pre = np.matmul(g_x[lo:hi], w2[cols].T, out=g_chunk[: hi - lo])
-            np.multiply(g_pre, np.subtract(1.0, np.multiply(act, act, out=act), out=act), out=act)
-        np.matmul(features.T, pre[:, cols], out=grads.w1[:, cols])
+        def w2_gradient(cols: slice) -> None:
+            np.matmul(pre[:, cols].T, g_x, out=grads.w2[cols])
 
-    if m < FORWARD_TILE_ROWS:
-        backward((slice(None), np.empty((m, h))))
-    else:
-        halves = slice(0, h // 2), slice(h // 2, h)
-        _in_parts(backward, *((cols, np.empty((-(-m // chunks), cols.stop - cols.start))) for cols in halves))
+        def hidden_gradient(part: tuple) -> None:
+            # a chunk of whole rows at a time, the activations become g_pre * (1 - act * act)
+            edges, g_chunk = part
+            for lo, hi in zip(edges, edges[1:]):
+                act = pre[lo:hi]
+                g_pre = np.matmul(g_x[lo:hi], w2.T, out=g_chunk[: hi - lo])
+                np.multiply(g_pre, np.subtract(1.0, np.multiply(act, act, out=act), out=act), out=act)
+
+        def w1_gradient(cols: slice) -> None:
+            np.matmul(features.T, pre[:, cols], out=grads.w1[:, cols])
+
+        if m < FORWARD_TILE_ROWS:
+            w2_gradient(slice(None))
+            hidden_gradient(([0, m], np.empty((m, h))))
+            w1_gradient(slice(None))
+        else:
+            cols = slice(0, h // 2), slice(h // 2, h)
+            chunks = -(-m // GRAD_CHUNK_ROWS)
+            edges, longest = _bounds(m, chunks), -(-m // chunks)
+            rows = [(part, np.empty((longest, h))) for part in (edges[: chunks // 2 + 1], edges[chunks // 2 :])]
+            _in_parts(worker, w2_gradient, *cols)
+            _in_parts(worker, hidden_gradient, *rows)
+            _in_parts(worker, w1_gradient, *cols)
     g_x.sum(axis=0, out=grads.b2)
     pre.sum(axis=0, out=grads.b1)
     grads.text[...] = g_t

@@ -16,10 +16,10 @@ gather through row indices, the backward turns its activations into the hidden g
 and inference encodes in row chunks of at most ``model.CHUNK_ROWS``.  After the commit the buffer is calibrated in place with the
 statistics the epoch's steps read, which gives the scores each step's loss saw, and its
 ``metrics_report`` fills the ``train_*`` fields of the log; there is no second pass over the split.
-The one thread besides the caller's is ``model``'s worker for a batch or an inference chunk of
-``model.FORWARD_TILE_ROWS`` rows or more, which the call that starts it also joins.  Every batch and
-inference chunk of that size splits, an epoch's short last batch too, so with two usable CPUs
-no large MLP pass leaves one idle.
+The one thread besides the caller's is ``model``'s worker: ``model_backward`` on a batch, and
+``forward_similarity`` on an inference input, of ``model.FORWARD_TILE_ROWS`` rows or more each start one
+for the whole call and join it before they return.  Every batch and inference chunk of that size
+splits, an epoch's short last batch too, so with two usable CPUs no large MLP pass leaves one idle.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import one_pass_embeddings, one_pass_gradients, traced_peak
 from rankprompt import losses, model, sms
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError, similarity_matrix
+from rankprompt.data import DatasetSpec, generate_synthetic
 from rankprompt.model import (
     PARAM_FIELDS,
     _in_parts,
@@ -19,7 +21,7 @@ from rankprompt.model import (
     init_params,
     model_backward,
 )
-from rankprompt.train import TrainResult, load_checkpoint, save_checkpoint
+from rankprompt.train import TrainResult, load_checkpoint, save_checkpoint, train
 
 
 class TestInitParams:
@@ -229,24 +231,35 @@ class TestTiledForward:
     @pytest.mark.parametrize("rows", [6144, 6145, 7996, 32_004])
     def test_tiles_run_in_pairs(self, monkeypatch, rows):
         """On two CPUs inference runs ceil(M / ``CHUNK_ROWS``) chunks, each encoded in
-        two row halves, one on the calling thread and one on the worker, and every
-        half has 1,536 to 3,072 rows."""
+        two row halves, one on the calling thread and one on the call's one worker,
+        and every half has 1,536 to 3,072 rows."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        pairs, halves = [], []
-        real_parts, real_encode = model._in_parts, model._encode
-        monkeypatch.setattr(model, "_in_parts", lambda *args: pairs.append(1) or real_parts(*args))
+        workers, pairs, halves = [], [], []
+        real_worker, real_parts, real_encode = model._worker, model._in_parts, model._encode
+
+        def worker(m):
+            workers.append(m)
+            return real_worker(m)
+
+        def in_parts(worker, *args):
+            pairs.append(worker)
+            real_parts(worker, *args)
 
         def encode(params, features, *out):
-            halves.append((len(features), threading.current_thread() is threading.main_thread()))
+            halves.append((len(features), threading.get_ident()))
             real_encode(params, features, *out)
 
+        monkeypatch.setattr(model, "_worker", worker)
+        monkeypatch.setattr(model, "_in_parts", in_parts)
         monkeypatch.setattr(model, "_encode", encode)
         forward_similarity(large_model(), np.zeros((rows, 64)))
+        assert workers == [rows]
         assert len(pairs) == -(-rows // model.CHUNK_ROWS)
+        assert pairs[0] is not None and all(w is pairs[0] for w in pairs)
         assert len(halves) == 2 * len(pairs)
         assert sum(n for n, _ in halves) == rows
         assert all(1536 <= n <= 3072 for n, _ in halves)
-        assert Counter(on_caller for _, on_caller in halves) == {True: len(pairs), False: len(pairs)}
+        assert Counter(ident for _, ident in halves) == {threading.get_ident(): len(pairs), pairs[0]._thread.ident: len(pairs)}
 
     def test_bad_shapes_raise_the_one_pass_error(self):
         p = large_model()
@@ -255,9 +268,13 @@ class TestTiledForward:
                 forward_similarity(p, bad)
 
 
+def part_threads() -> list:
+    return [thread for thread in threading.enumerate() if thread.name == "rankprompt-part"]
+
+
 class TestParts:
     """Inputs of ``FORWARD_TILE_ROWS`` rows or more run in two parts, the second
-    on a worker thread that the call joins before it returns."""
+    on one worker thread per public call, which the call joins before it returns."""
 
     def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
@@ -269,7 +286,8 @@ class TestParts:
             done.append((part, threading.current_thread() is threading.main_thread()))
 
         with pytest.raises(RuntimeError, match="^the worker's part failed$"):
-            _in_parts(work, "first", "second")
+            with model._worker(model.FORWARD_TILE_ROWS) as worker:
+                _in_parts(worker, work, "first", "second")
         assert done == [("first", True)]
         assert threading.active_count() == threads
 
@@ -289,9 +307,12 @@ class TestParts:
         assert threading.active_count() == threads
 
     def test_public_callables_stay_on_the_calling_thread(self, monkeypatch):
-        """The worker only encodes: ``similarity_matrix``, ``check_labels`` and
-        ``sms.calibrate`` run on the calling thread, where a tracer that wraps them
-        (perfbench's) keeps one span stack."""
+        """The worker runs private helpers alone: ``similarity_matrix``,
+        ``check_labels``, ``sms.calibrate``, the loss terms and ``optimizer_step``
+        run on the calling thread, where a tracer that wraps them (perfbench's)
+        keeps one span stack.  A large step's rank term runs on the worker through
+        ``losses._rank``, so the public ``rank_term`` is seen only in a train run's
+        small last batch."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
         calls = []
 
@@ -304,8 +325,10 @@ class TestParts:
 
             monkeypatch.setattr(module, name, recorded)
 
-        for name in ("similarity_matrix", "check_labels", "_encode"):
+        for name in ("similarity_matrix", "check_labels", "_encode", "optimizer_step"):
             record(model, name)
+        for name in ("total_loss", "image_to_text_term", "text_to_image_term", "rank_term"):
+            record(losses, name)
         record(sms, "calibrate")
         rng = np.random.default_rng(8)
         p = large_model()
@@ -313,14 +336,34 @@ class TestParts:
         assert Counter(calls) == {("similarity_matrix", True): 2, ("_encode", True): 2, ("_encode", False): 2}
         calls.clear()
         stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, RunConfig())
-        model_backward(p, rng.normal(size=(4096, 64)), rng.integers(0, 8, 4096), stats, RunConfig())
+        cfg = RunConfig(classes=8, feature_dim=64, hidden_dim=256, embed_dim=64)
+        model_backward(p, rng.normal(size=(4096, 64)), rng.integers(0, 8, 4096), stats, cfg)
         assert Counter(calls) == {
             ("check_labels", True): 1,
             ("similarity_matrix", True): 1,
             ("calibrate", True): 1,
             ("_encode", True): 1,
             ("_encode", False): 1,
+            ("total_loss", True): 1,
+            ("image_to_text_term", True): 1,
+            ("text_to_image_term", True): 1,
         }
+        calls.clear()
+        cfg = replace(cfg, samples=2600, batch_size=model.FORWARD_TILE_ROWS, epochs=2)
+        train(cfg, generate_synthetic(DatasetSpec.from_config(cfg)))
+        assert {name for name, _ in calls} == {
+            "check_labels",
+            "similarity_matrix",
+            "calibrate",
+            "_encode",
+            "total_loss",
+            "image_to_text_term",
+            "text_to_image_term",
+            "rank_term",
+            "optimizer_step",
+        }
+        assert ("_encode", False) in calls
+        assert all(on_caller for name, on_caller in calls if name != "_encode")
 
     @pytest.mark.parametrize("rows", [2048, 3332, 4096, 7996])
     def test_parts_under_constant_thread_switching(self, monkeypatch, rows):
@@ -345,11 +388,13 @@ class TestParts:
     @pytest.mark.parametrize("calibrate", [False, True], ids=["raw", "sms"])
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("widths", [(64, 256), (63, 255)], ids=["64-256", "63-255"])
-    @pytest.mark.parametrize("rows", [3332, 4096, 4097])
+    @pytest.mark.parametrize("rows", [2049, 3332, 4096, 4097, 6145])
     def test_split_step_against_one_pass(self, monkeypatch, rows, widths, normalize, calibrate, cpus):
         """A step split in parts gives every bit of the one-pass gradients and
         scores at 64 -> 256, and agrees to the last bits at 63 -> 255.  At 4,097
-        rows its hidden-gradient chunks are balanced, with no one-row tail."""
+        rows its hidden-gradient chunks are balanced, with no one-row tail; 2,049
+        and 6,145 rows have odd row halves, and 3,332 rows give the two halves of
+        the hidden gradient 3 and 4 chunks."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(9)
         cfg = RunConfig(normalize_embeddings=normalize)
@@ -363,21 +408,64 @@ class TestParts:
         for name in PARAM_FIELDS:
             assert same(getattr(got.grads, name), want[name]), name
 
-    @pytest.mark.parametrize("cpus, started", [(1, 0), (2, 2), (8, 2)])
-    def test_one_worker_per_split_and_only_with_two_cpus(self, monkeypatch, cpus, started):
-        """A 2,048-row step starts one worker for its forward halves and one for
-        its gradient halves when two CPUs are usable, none on one CPU, and one
-        worker at most however many CPUs there are; 2,047 rows start none."""
+    @pytest.mark.parametrize("cpus, started", [(1, 0), (2, 1), (8, 1)])
+    def test_one_worker_per_call_and_only_with_two_cpus(self, monkeypatch, cpus, started):
+        """A step or an inference of 2,048 rows or more starts one worker for the
+        whole call when two CPUs are usable, however many there are, and none on
+        one CPU; below 2,048 rows none starts.  No worker outlives its call."""
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
-        names = []
+        threads = []
         real = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda self: names.append(self.name) or real(self))
+        monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self) or real(self))
         rng = np.random.default_rng(5)
         p = large_model()
-        model_backward(p, rng.normal(size=(2047, 64)), rng.integers(0, 8, 2047), None, RunConfig())
-        assert names == []
-        model_backward(p, rng.normal(size=(2048, 64)), rng.integers(0, 8, 2048), None, RunConfig())
-        assert names == ["rankprompt-part"] * started
+        calls = [
+            (2047, lambda m: model_backward(p, rng.normal(size=(m, 64)), rng.integers(0, 8, m), None, RunConfig())),
+            (2047, lambda m: forward_similarity(p, rng.normal(size=(m, 64)))),
+            (2048, lambda m: model_backward(p, rng.normal(size=(m, 64)), rng.integers(0, 8, m), None, RunConfig())),
+            (4096, lambda m: model_backward(p, rng.normal(size=(m, 64)), rng.integers(0, 8, m), None, RunConfig())),
+            (2048, lambda m: forward_similarity(p, rng.normal(size=(m, 64)))),
+            (7996, lambda m: forward_similarity(p, rng.normal(size=(m, 64)))),
+        ]
+        for m, call in calls:
+            threads.clear()
+            call(m)
+            assert [thread.name for thread in threads] == ["rankprompt-part"] * (started if m >= 2048 else 0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert part_threads() == []
+
+    @pytest.mark.parametrize(
+        "call, module, name, on_worker",
+        [
+            ("step", model, "_encode", True),
+            ("step", model, "_encode", False),
+            ("step", losses, "_rank", True),
+            ("step", losses, "image_to_text_term", False),
+            ("inference", model, "_encode", True),
+            ("inference", model, "_encode", False),
+        ],
+        ids=["step-encode-worker", "step-encode-caller", "step-rank-worker", "step-alignment-caller", "inference-worker", "inference-caller"],
+    )
+    def test_no_worker_outlives_a_failed_part(self, monkeypatch, call, module, name, on_worker):
+        """Whichever part raises, on the worker or on the calling thread while the
+        worker holds the other part, the call raises it and leaves no worker alive."""
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        real = getattr(module, name)
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is not threading.main_thread()) == on_worker:
+                raise FloatingPointError("a part failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+        rng = np.random.default_rng(3)
+        p, m = large_model(), 4096
+        with pytest.raises(FloatingPointError, match="^a part failed$"):
+            if call == "step":
+                model_backward(p, rng.normal(size=(m, 64)), rng.integers(0, 8, m), None, RunConfig())
+            else:
+                forward_similarity(p, rng.normal(size=(m, 64)))
+        assert part_threads() == []
 
 
 class TestMemoryBounds:
