@@ -4,11 +4,19 @@ The image-text inner product, the label check and the row softmax.  A
 similarity matrix is a plain M x K float64 array, finite-checked where
 ``similarity_matrix`` computes it; labels are a plain int64 array, checked by
 ``check_labels`` where they enter.
+
+Also the one worker primitive, ``_Worker``, that ``model`` and ``data`` start
+for the length of one public call when ``_usable_cpus`` counts two or more.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+
 import numpy as np
+
 
 class InputError(ValueError):
     """An operation rejected its input."""
@@ -61,3 +69,43 @@ def softmax_rows(s: np.ndarray, tau: float) -> np.ndarray:
     if not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
     return np.exp(_log_softmax(s / tau))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Worker:
+    """One thread that runs the jobs handed to it, in turn, for the length of one public call."""
+
+    def __init__(self):
+        self._jobs, self._results = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="rankprompt-part")
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for job, args in iter(self._jobs.get, None):
+            try:
+                self._results.put((job(*args), None))
+            except BaseException as exc:  # re-raised in the caller by ``result``
+                self._results.put((None, exc))
+
+    def start(self, job, *args) -> None:
+        """Hand ``job(*args)`` to the thread; ``result`` waits for it."""
+        self._jobs.put((job, args))
+
+    def result(self):
+        """The value of the job started first of those not yet waited for, or its exception raised here."""
+        value, exc = self._results.get()
+        if exc is not None:
+            raise exc
+        return value
+
+    def __enter__(self) -> _Worker:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Let the thread finish what it was handed, then join it, on an exception too."""
+        self._jobs.put(None)
+        self._thread.join()

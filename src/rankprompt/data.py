@@ -5,6 +5,10 @@ label order is geometrically meaningful; per-class counts decay
 geometrically with one knob (imbalance_ratio).  Everything is seeded and
 byte-reproducible.  Generation, CSV formatting and the CSV's binary twin,
 written and read, hold one block of BLOCK_ROWS rows beyond the dataset.
+``load_csv`` reads the twin in place of the text when it holds the sha256 of
+the CSV's bytes; with two usable CPUs one worker thread (a ``core._Worker``)
+hashes the CSV, two CHUNK_BYTES chunks at most in flight, while the calling
+thread scans those bytes and reads the twin (see ``_twin_or_scan``).
 
 CSV floats are the bytes of ``"%.17g" % v``.  ``_csv_lines`` lays out the
 cells with 1e-4 <= |v| < 1e16, where that is fixed notation, in numpy: the
@@ -22,13 +26,14 @@ import math
 import os
 import re
 import warnings
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, fields
 from typing import NoReturn
 
 import numpy as np
 
 from .config import RunConfig
-from .core import InputError, check_labels
+from .core import InputError, _usable_cpus, _Worker, check_labels
 
 SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
@@ -38,6 +43,9 @@ BLOCK_ROWS = 1024
 FORMAT_CELLS = 8192
 # write_csv leaves the parsed form of the file beside it, at the CSV's path plus this suffix.
 TWIN_SUFFIX = ".rows"
+# load_csv reads the CSV this many bytes at a time, to scan it and hash it (see _twin_or_scan).
+CHUNK_BYTES = 1 << 18
+_TWIN_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 # Bytes numpy's reader reads more loosely than Python: its number reader strips the
 # separators 0x1c-0x1f as whitespace where float() rejects them, and its fixed-width
@@ -98,8 +106,7 @@ class Dataset:
         if unknown.any():
             raise InputError(f"unknown split tags {sorted(set(self.split[unknown].tolist()))}")
         object.__setattr__(self, "_masks", masks)
-        train_classes = set(labels[masks["train"]].tolist())
-        missing = [c for c in range(self.classes) if c not in train_classes]
+        missing = np.flatnonzero(np.bincount(labels[masks["train"]], minlength=self.classes) == 0).tolist()
         if missing:
             raise InputError(f"classes {missing} have no train samples")
 
@@ -376,10 +383,10 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
 
     When the twin ``write_csv`` left beside the file holds the sha256 of the
     file's bytes, and its rows have the header's width and pass the label,
-    finiteness and ``Dataset`` checks, the rows come from the twin.  Otherwise
-    numpy's C reader parses the body in one call.  Only a file it rejects,
-    or whose rows fail the split, label or finiteness check, is read again
-    row by row, to name its first bad line.
+    finiteness and ``Dataset`` checks, the rows come from the twin (see
+    ``_twin_or_scan``).  Otherwise numpy's C reader parses the body in one
+    call.  Only a file it rejects, or whose rows fail the split, label or
+    finiteness check, is read again row by row, to name its first bad line.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         _, header = next(_csv_rows(path, fh), (1, None))
@@ -394,11 +401,10 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
         if first is None:
             raise ParseError(f"{path}: line 2: no data rows")
         rows = None
-        digest = _strict_digest(path)
-        if digest is not None:
-            dataset = _twin_dataset(path, digest, len(header) - 3, expected_classes)
-            if dataset is not None:
-                return dataset
+        dataset, strict = _twin_or_scan(path, len(header) - 3, expected_classes)
+        if dataset is not None:
+            return dataset
+        if strict:
             try:
                 with warnings.catch_warnings():
                     # numpy versions that read an integer cell such as "1.5" through
@@ -439,56 +445,102 @@ def _dataset(features, labels, ids, test: np.ndarray, expected_classes: int | No
     )
 
 
-def _strict_digest(path) -> bytes | None:
-    """The sha256 of the file's bytes, or None when the file holds a byte that
-    numpy's reader reads more loosely than the row-by-row checks: a non-ASCII
-    byte (numpy's integer reader takes "1\\u01fe" for a number) or one of
-    _NUMPY_LOOSE_BYTES."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+def _twin_or_scan(path, width: int, expected_classes: int | None) -> tuple[Dataset | None, bool]:
+    """(the Dataset of the twin beside ``path``, or None; whether the file passed the byte scan).
+
+    The calling thread reads the file ``CHUNK_BYTES`` at a time and scans each
+    chunk for a byte that numpy's reader reads more loosely than the row-by-row
+    checks: a non-ASCII byte (numpy's integer reader takes "1\\u01fe" for a number)
+    or one of _NUMPY_LOOSE_BYTES.  Only while a usable twin is open is the file
+    hashed too: with two usable CPUs and more than one chunk, a worker hashes each
+    chunk while the calling thread reads and scans the next one and the twin's
+    next records, so one chunk hashes while one is read; else the chunk is hashed
+    in turn.  The twin's rows are used only when the scan passed, the sha256
+    equals the one the twin stores, and the rows pass the checks parsing makes."""
+    with ExitStack() as files:
+        fh = files.enter_context(open(path, "rb"))
+        twin = _Twin.open(files, path, width, expected_classes)
+        chunks = max(1, -(-os.fstat(fh.fileno()).st_size // CHUNK_BYTES))
+        digest = hashlib.sha256() if twin is not None else None
+        worker = files.enter_context(_Worker() if twin is not None and chunks > 1 and _usable_cpus() >= 2 else nullcontext())
+        waiting = 0  # hashes handed to the worker and not yet waited for
+        for i, chunk in enumerate(iter(lambda: fh.read(CHUNK_BYTES), b""), start=1):
             if not chunk.isascii() or any(byte in chunk for byte in _NUMPY_LOOSE_BYTES):
-                return None
-            digest.update(chunk)
-    return digest.digest()
+                return None, False
+            if twin is None:
+                continue
+            if worker is None:
+                digest.update(chunk)
+            else:
+                worker.start(digest.update, chunk)
+                waiting += 1
+            # the twin's blocks spread over the chunks, so the calling thread reads them while the worker hashes
+            if not twin.read_blocks(-(-i * twin.blocks // chunks)):
+                twin = None
+            elif waiting > 1:
+                worker.result()
+                waiting -= 1
+        if twin is None or not twin.read_blocks(twin.blocks):
+            return None, True
+        try:  # while the worker hashes the last chunks
+            dataset = _dataset(twin.features, twin.labels, twin.ids, twin.test, expected_classes)
+        except InputError:
+            return None, True
+        for _ in range(waiting):
+            worker.result()
+    return (dataset if digest.digest() == twin.digest else None), True
 
 
-def _twin_dataset(path, digest: bytes, width: int, expected_classes: int | None) -> Dataset | None:
-    """The Dataset of the twin ``write_csv`` left beside ``path``, or None
-    when there is none, it was written for other bytes or another width, it
-    is not a plain array (nothing is unpickled), or its rows fail a check
-    that parsing the file would fail too.  The records are read ``BLOCK_ROWS``
-    at a time into the Dataset's arrays, so the record array of every row
-    never exists."""
-    dtype = _twin_dtype(width)
-    headers = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
-    try:
-        with open(os.fspath(path) + TWIN_SUFFIX, "rb") as fh:
-            if fh.read(len(digest)) != digest:
-                return None
-            read_header = headers.get(np.lib.format.read_magic(fh))
-            if read_header is None:
-                return None
-            shape, fortran_order, stored = read_header(fh)
-            if stored != dtype or fortran_order or len(shape) != 1 or shape[0] == 0:
-                return None
-            (n,) = shape
-            features, labels, ids, test = np.empty((n, width)), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, bool)
-            block = np.empty(min(n, BLOCK_ROWS), dtype=dtype)
-            for start in range(0, n, BLOCK_ROWS):
-                rows = block[: min(BLOCK_ROWS, n - start)]
-                if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
-                    return None
-                if not _values_pass(rows["label"], rows["f"], expected_classes):
-                    return None
+class _Twin:
+    """The twin ``write_csv`` left beside a CSV, its header read: ``read_blocks``
+    reads its records ``BLOCK_ROWS`` at a time into the Dataset's arrays, so the
+    record array of every row never exists."""
+
+    def __init__(self, fh, width: int, expected_classes: int | None):
+        """Read the stored sha256 and np.save's header; ValueError unless the header
+        is that of a plain array (nothing is unpickled) of at least one record of
+        the type for ``width`` features, and the file holds every record."""
+        dtype = _twin_dtype(width)
+        self.fh, self.expected_classes = fh, expected_classes
+        self.digest = fh.read(32)  # a sha256
+        read_header = _TWIN_HEADERS.get(np.lib.format.read_magic(fh))
+        if read_header is None:
+            raise ValueError("not an np.save header")
+        shape, fortran_order, stored = read_header(fh)
+        if stored != dtype or fortran_order or len(shape) != 1 or shape[0] == 0:
+            raise ValueError("not the record array of this width")
+        (n,) = shape
+        if os.fstat(fh.fileno()).st_size - fh.tell() < n * dtype.itemsize:
+            raise ValueError("fewer records than the header claims")
+        self.features, self.labels, self.ids, self.test = np.empty((n, width)), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, bool)
+        self.block = np.empty(min(n, BLOCK_ROWS), dtype=dtype)
+        self.blocks, self.read = -(-n // BLOCK_ROWS), 0
+
+    @classmethod
+    def open(cls, files: ExitStack, path, width: int, expected_classes: int | None) -> _Twin | None:
+        """The usable twin of ``path``, kept open by ``files``, or None when there is none."""
+        try:
+            return cls(files.enter_context(open(os.fspath(path) + TWIN_SUFFIX, "rb")), width, expected_classes)
+        except (OSError, ValueError, MemoryError):  # MemoryError: more records than fit
+            return None
+
+    def read_blocks(self, end: int) -> bool:
+        """Read the blocks up to block ``end``; False when the file ends early, or a
+        block's rows fail a check that parsing the CSV would fail too."""
+        n = len(self.labels)
+        try:
+            for start in range(self.read * BLOCK_ROWS, min(end, self.blocks) * BLOCK_ROWS, BLOCK_ROWS):
+                rows = self.block[: min(BLOCK_ROWS, n - start)]
+                if self.fh.readinto(rows.view(np.uint8)) != rows.nbytes:
+                    return False
+                if not _values_pass(rows["label"], rows["f"], self.expected_classes):
+                    return False
                 part = slice(start, start + len(rows))
-                features[part], labels[part], ids[part], test[part] = rows["f"], rows["label"], rows["id"], rows["test"]
-    except (OSError, ValueError, MemoryError):  # MemoryError: a header that claims more rows than fit
-        return None
-    try:
-        return _dataset(features, labels, ids, test, expected_classes)
-    except InputError:
-        return None
+                self.features[part], self.labels[part], self.ids[part], self.test[part] = rows["f"], rows["label"], rows["id"], rows["test"]
+                self.read += 1
+        except OSError:
+            return False
+        return True
 
 
 def _rows_pass(rows: np.ndarray, expected_classes: int | None) -> bool:

@@ -14,17 +14,15 @@ beside its two alignment terms, its weight gradients in two halves of the
 hidden units and its hidden gradient in two halves of the rows: parts that
 the row count and the layer widths fix.  With two or more usable CPUs,
 ``model_backward`` and ``forward_similarity`` each start one worker thread
-for the whole call (``_worker``) and hand it the second part of each pair in
-turn.  It calls only numpy and private helpers, writes its results into
-arrays the calling thread allocated, and is joined before the call returns;
-with one CPU, the parts run in turn.  The bytes are the same either way.
+for the whole call (``_worker``: a ``core._Worker``, the primitive ``data``
+shares) and hand it the second part of each pair in turn.  It calls only
+numpy and private helpers, writes its results into arrays the calling thread
+allocated, and is joined before the call returns; with one CPU, the parts
+run in turn.  The bytes are the same either way.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -33,7 +31,7 @@ import numpy as np
 from . import losses as L
 from . import sms
 from .config import RunConfig
-from .core import InputError, check_labels, similarity_matrix
+from .core import InputError, _usable_cpus, _Worker, check_labels, similarity_matrix
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -60,46 +58,6 @@ GRAD_CHUNK_ROWS = 512
 def _bounds(m: int, n: int) -> list[int]:
     """The edges of ``n`` balanced parts of ``m`` rows."""
     return [m * i // n for i in range(n + 1)]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-class _Worker:
-    """One thread that runs the jobs handed to it, in turn, for the length of one public call."""
-
-    def __init__(self):
-        self._jobs, self._results = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="rankprompt-part")
-        self._thread.start()
-
-    def _serve(self) -> None:
-        for job, args in iter(self._jobs.get, None):
-            try:
-                self._results.put((job(*args), None))
-            except BaseException as exc:  # re-raised in the caller by ``result``
-                self._results.put((None, exc))
-
-    def start(self, job, *args) -> None:
-        """Hand ``job(*args)`` to the thread; ``result`` waits for it."""
-        self._jobs.put((job, args))
-
-    def result(self):
-        """The value of the job started first of those not yet waited for, or its exception raised here."""
-        value, exc = self._results.get()
-        if exc is not None:
-            raise exc
-        return value
-
-    def __enter__(self) -> _Worker:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Let the thread finish what it was handed, then join it, on an exception too."""
-        self._jobs.put(None)
-        self._thread.join()
 
 
 def _worker(m: int):

@@ -1,9 +1,15 @@
 """Synthetic generation, CSV round trips, batch iteration."""
 
 import hashlib
+import inspect
+import io
+import os
 import pathlib
 import pickle
 import re
+import sys
+import threading
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,8 +19,10 @@ from hypothesis import strategies as st
 
 from oracles import batch_iter_subset, csv_text, generate_synthetic_concat, load_csv_rows, traced_peak
 from rankprompt.core import InputError
+from rankprompt import data
 from rankprompt.data import (
     BLOCK_ROWS,
+    CHUNK_BYTES,
     FORMAT_CELLS,
     SPLITS,
     TWIN_SUFFIX,
@@ -603,6 +611,11 @@ class Unpickled:
         return pathlib.Path.touch, (pathlib.Path(self.sentinel),)
 
 
+ONE_CHUNK = {"samples": 40}
+# 2,500 rows at 16 features: a CSV of three or more CHUNK_BYTES chunks
+SEVERAL_CHUNKS = {"samples": 2500, "feature_dim": 16}
+
+
 class TestCsvTwin:
     """``write_csv``'s binary twin: ``load_csv`` reads it only when it matches
     the CSV bytes, and then returns what parsing the text returns."""
@@ -662,20 +675,10 @@ class TestCsvTwin:
         assert twin.read_bytes() == hashlib.sha256(path.read_bytes()).digest() + saved.read_bytes()
 
     def test_changed_csv_byte_takes_the_parse_path(self, tmp_path):
-        path, twin = self.write(tmp_path)
-        text = path.read_bytes()
-        cut = text.index(b"\n", text.index(b"\n") + 1) - 1  # the last digit of the first row
-        path.write_bytes(text[:cut] + (b"1" if text[cut : cut + 1] != b"1" else b"2") + text[cut + 1 :])
-        got, parses = load_counting_parses(path)
-        assert parses == 1
-        assert_bit_identical(got[0], self.parsed(path, twin)[0])
+        self.changed_csv_byte(tmp_path, ONE_CHUNK, row=0)
 
     def test_truncated_twin_takes_the_parse_path(self, tmp_path):
-        path, twin = self.write(tmp_path)
-        twin.write_bytes(twin.read_bytes()[:-1])
-        got, parses = load_counting_parses(path, 5)
-        assert parses == 1
-        assert_bit_identical(got[0], self.parsed(path, twin, 5)[0])
+        self.truncated_twin(tmp_path, ONE_CHUNK)
 
     def test_twin_of_another_width_takes_the_parse_path(self, tmp_path):
         path, twin = self.write(tmp_path)
@@ -699,22 +702,64 @@ class TestCsvTwin:
         assert_bit_identical(got[0], self.parsed(path, twin, 5)[0])
 
     def test_matching_twin_with_label_out_of_range_raises_like_the_parse(self, tmp_path):
-        path, twin = self.write(tmp_path)
+        self.label_out_of_range(tmp_path, ONE_CHUNK)
+
+    def test_matching_twin_with_non_finite_feature_raises_like_the_parse(self, tmp_path):
+        self.non_finite_feature(tmp_path, ONE_CHUNK, row=7)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "case, kwargs",
+        [
+            ("changed_csv_byte", {"row": 0}),
+            ("changed_csv_byte", {"row": -1}),
+            ("truncated_twin", {}),
+            ("label_out_of_range", {}),
+            ("non_finite_feature", {"row": 1500}),
+        ],
+        ids=["changed-first-row", "changed-last-row", "truncated-twin", "label-out-of-range", "non-finite-feature"],
+    )
+    def test_file_of_several_chunks_takes_the_path_of_one(self, tmp_path, monkeypatch, case, kwargs, cpus):
+        """The cases above on a file of at least three ``CHUNK_BYTES`` chunks, whose
+        twin load hashes on a worker at two CPUs: the same path, bits and errors."""
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        getattr(self, case)(tmp_path, SEVERAL_CHUNKS, **kwargs)
+        assert (tmp_path / "d.csv").stat().st_size > 2 * CHUNK_BYTES
+
+    def changed_csv_byte(self, tmp_path, size, row):
+        """The last digit of data row ``row`` changed: the twin no longer matches."""
+        path, twin = self.write(tmp_path, generate_synthetic(spec(seed=4, **size)))
+        text = path.read_bytes()
+        cut = [m.start() for m in re.finditer(b"\n", text)][1:][row] - 1
+        path.write_bytes(text[:cut] + (b"1" if text[cut : cut + 1] != b"1" else b"2") + text[cut + 1 :])
+        got, parses = load_counting_parses(path)
+        assert parses == 1
+        assert_bit_identical(got[0], self.parsed(path, twin)[0])
+
+    def truncated_twin(self, tmp_path, size):
+        path, twin = self.write(tmp_path, generate_synthetic(spec(seed=4, **size)))
+        twin.write_bytes(twin.read_bytes()[:-1])
+        got, parses = load_counting_parses(path, 5)
+        assert parses == 1
+        assert_bit_identical(got[0], self.parsed(path, twin, 5)[0])
+
+    def label_out_of_range(self, tmp_path, size):
+        path, twin = self.write(tmp_path, generate_synthetic(spec(seed=4, **size)))
         (_, error), parses = load_counting_parses(path, 4)
         assert parses == 1
         assert error == self.parsed(path, twin, 4)[1]
         assert re.search(r": line \d+: label 4 out of range$", error)
 
-    def test_matching_twin_with_non_finite_feature_raises_like_the_parse(self, tmp_path):
-        dataset = generate_synthetic(spec(samples=40, seed=4))
+    def non_finite_feature(self, tmp_path, size, row):
+        dataset = generate_synthetic(spec(seed=4, **size))
         features = dataset.features.copy()
-        features[7, 2] = np.inf
+        features[row, 2] = np.inf
         path, twin = self.write(tmp_path, Dataset(features, dataset.labels, dataset.split, dataset.ids, 5))
         assert twin.exists()
         (_, error), parses = load_counting_parses(path, 5)
         assert parses == 1
         assert error == self.parsed(path, twin, 5)[1]
-        assert error.endswith("line 9: non-finite feature cell")
+        assert error.endswith(f"line {row + 2}: non-finite feature cell")
 
     def test_ids_int64_cannot_hold_get_no_twin(self, tmp_path):
         dataset = generate_synthetic(spec(samples=40, seed=4))
@@ -723,6 +768,203 @@ class TestCsvTwin:
         assert not twin.exists()
         (_, error), _ = load_counting_parses(path, 5)
         assert error.endswith("line 2: id or label outside the int64 range")
+
+
+def part_threads() -> list:
+    return [thread for thread in threading.enumerate() if thread.name == "rankprompt-part"]
+
+
+class FailingReader(io.BufferedReader):
+    """A binary file whose call of ``method`` number ``after`` (counted from 0) raises OSError."""
+
+    def __init__(self, path, method, after):
+        super().__init__(io.FileIO(path, "rb"))
+        self.method, self.calls_left = method, after
+
+    def count(self, method):
+        if method == self.method:
+            self.calls_left -= 1
+            if self.calls_left < 0:
+                raise OSError(f"{method} failed")
+
+    def read(self, *args):
+        self.count("read")
+        return super().read(*args)
+
+    def readinto(self, buffer):
+        self.count("readinto")
+        return super().readinto(buffer)
+
+
+class TestLoadWorker:
+    """A twin load of a file of several ``CHUNK_BYTES`` chunks hashes them on one
+    worker thread when two CPUs are usable, and joins it before ``load_csv``
+    returns or raises.  No other load starts a thread."""
+
+    def write(self, directory, samples=SEVERAL_CHUNKS["samples"]):
+        directory.mkdir(exist_ok=True)
+        path = directory / "d.csv"
+        write_csv(generate_synthetic(spec(samples=samples, seed=4, feature_dim=16)), path)
+        return path, pathlib.Path(f"{path}{TWIN_SUFFIX}")
+
+    def load(self, monkeypatch, cpus, path, expected_classes=5):
+        """(outcome of load_csv, np.loadtxt calls, names of the threads it started); no thread
+        it started is alive after it returns or raises."""
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        threads = []
+        real = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: threads.append(thread) or real(thread))
+        try:
+            result, parses = load_counting_parses(path, expected_classes)
+        except OSError as exc:
+            result, parses = (None, f"OSError: {exc}"), None
+        finally:
+            monkeypatch.setattr(threading.Thread, "start", real)
+        assert not any(thread.is_alive() for thread in threads)
+        assert part_threads() == []
+        return result, parses, [thread.name for thread in threads]
+
+    @pytest.mark.parametrize("cpus, started", [(1, 0), (2, 1), (8, 1)])
+    def test_one_worker_per_twin_load_of_several_chunks_and_only_with_two_cpus(self, tmp_path, monkeypatch, cpus, started):
+        several, _ = self.write(tmp_path / "several")
+        one, _ = self.write(tmp_path / "one", samples=40)
+        twinless, twin = self.write(tmp_path / "twinless")
+        twin.unlink()
+        assert several.stat().st_size > 2 * CHUNK_BYTES and one.stat().st_size < CHUNK_BYTES
+        for path, parse_count, workers in [(several, 0, started), (one, 0, 0), (twinless, 1, 0)]:
+            (_, error), parses, threads = self.load(monkeypatch, cpus, path)
+            assert error is None and parses == parse_count
+            assert threads == ["rankprompt-part"] * workers
+
+    @pytest.mark.parametrize(
+        "failure, started, parse_count",
+        [
+            ("separator-in-a-middle-chunk", 1, 0),
+            ("changed-byte-in-the-last-chunk", 1, 1),
+            ("truncated-twin", 0, 1),
+            ("twin-rows-fail-a-check", 1, 1),
+            ("csv-read-error", 1, None),
+            ("twin-read-error", 1, 1),
+        ],
+    )
+    def test_no_worker_outlives_a_failed_load(self, tmp_path, monkeypatch, failure, started, parse_count):
+        """Whatever fails, the load at two CPUs joins its worker and returns or raises
+        what it does at one CPU, where no thread starts."""
+        path, twin = self.write(tmp_path)
+        text, classes = path.read_bytes(), 5
+        if failure == "separator-in-a-middle-chunk":
+            cut = text.index(b"\n", 3 * CHUNK_BYTES // 2)
+            path.write_bytes(text[:cut] + b"\x1c" + text[cut:])
+        elif failure == "changed-byte-in-the-last-chunk":
+            cut = len(text) - 2
+            path.write_bytes(text[:cut] + (b"1" if text[cut : cut + 1] != b"1" else b"2") + text[cut + 1 :])
+        elif failure == "truncated-twin":
+            twin.write_bytes(twin.read_bytes()[:-1])
+        elif failure == "twin-rows-fail-a-check":
+            classes = 4
+        else:
+            target, method = (path, "read") if failure == "csv-read-error" else (twin, "readinto")
+
+            def failing_open(file, mode="r", *args, **kwargs):
+                if mode == "rb" and os.fspath(file) == os.fspath(target):
+                    return FailingReader(file, method, after=1)
+                return open(file, mode, *args, **kwargs)
+
+            monkeypatch.setattr(data, "open", failing_open, raising=False)
+        one_cpu, parses, threads = self.load(monkeypatch, 1, path, classes)
+        assert threads == []
+        two_cpus, two_cpu_parses, threads = self.load(monkeypatch, 2, path, classes)
+        assert threads == ["rankprompt-part"] * started
+        assert parses == two_cpu_parses == parse_count
+        assert two_cpus[1] == one_cpu[1]
+        error = {
+            "separator-in-a-middle-chunk": "non-numeric feature cell",
+            "twin-rows-fail-a-check": "label 4 out of range",
+            "csv-read-error": "OSError: read failed",
+        }.get(failure)
+        if error is None:
+            assert one_cpu[1] is None
+            assert_bit_identical(two_cpus[0], one_cpu[0])
+        else:
+            assert one_cpu[1].endswith(error)
+
+    def test_loads_under_constant_thread_switching(self, tmp_path, monkeypatch):
+        """With the interpreter switching threads every microsecond, each two-CPU load
+        still hashes the chunks in file order: the digest matches and the twin is read."""
+        path, _ = self.write(tmp_path)
+        want = load_csv(path, 5)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [load_counting_parses(path, 5) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for (got, error), parses in runs:
+            assert error is None and parses == 0
+            assert_bit_identical(got, want)
+
+    def test_public_callables_stay_on_the_calling_thread(self, tmp_path, monkeypatch):
+        """The worker runs only the sha256 updates, one per chunk: ``Dataset`` and
+        every other public callable of ``rankprompt.data`` run on the calling
+        thread, where a tracer that wraps them (perfbench's) keeps one span stack."""
+        path, _ = self.write(tmp_path)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        calls, jobs = [], []
+
+        def record(owner, attribute, name):
+            inner = getattr(owner, attribute)
+
+            def recorded(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, recorded)
+
+        public = [name for name, value in vars(data).items() if not name.startswith("_") and getattr(value, "__module__", None) == data.__name__]
+        for name in public:
+            value = getattr(data, name)
+            if not isinstance(value, type):
+                record(data, name, name)
+                continue
+            record(value, "__init__", name)
+            for method, fn in vars(value).items():
+                if not method.startswith("_") and inspect.isfunction(fn):
+                    record(value, method, f"{name}.{method}")
+        assert {"load_csv", "write_csv", "batch_iter", "Dataset"} <= set(public)
+        start = data._Worker.start
+        monkeypatch.setattr(data._Worker, "start", lambda worker, job, *args: jobs.append(job) or start(worker, job, *args))
+        data.load_csv(path, 5)
+        assert Counter(calls) == {("load_csv", True): 1, ("Dataset", True): 1}
+        assert len(jobs) == -(-path.stat().st_size // CHUNK_BYTES)
+        assert all(job.__name__ == "update" and job.__self__.name == "sha256" for job in jobs)
+
+    @pytest.mark.parametrize("state", ["deleted", "truncated", "another-width", "not-np-save"])
+    def test_no_sha256_without_a_usable_twin(self, tmp_path, state):
+        """A load whose twin is absent or unusable only scans the file's bytes, and
+        returns the bits and errors of the row-by-row reference."""
+        path, twin = self.write(tmp_path)
+        via_twin = load_csv(path, 5)
+        digest = twin.read_bytes()[:32]
+        if state == "deleted":
+            twin.unlink()
+        elif state == "truncated":
+            twin.write_bytes(twin.read_bytes()[:-1])
+        elif state == "another-width":
+            with open(twin, "wb") as fh:
+                fh.write(digest)
+                np.save(fh, np.zeros(3, dtype=_twin_dtype(15)), allow_pickle=False)
+        else:
+            twin.write_bytes(digest + b"not np.save's bytes")
+        with mock.patch.object(hashlib, "sha256", wraps=hashlib.sha256) as sha256:
+            (got, error), parses = load_counting_parses(path, 5)
+            (_, out_of_range), _ = load_counting_parses(path, 4)
+        assert sha256.call_count == 0
+        assert error is None and parses == 1
+        assert_bit_identical(got, via_twin)
+        assert_bit_identical(got, load_csv_rows(path, 5))
+        assert out_of_range == outcome(load_csv_rows, path, 4)[1]
+        assert re.search(r": line \d+: label 4 out of range$", out_of_range)
 
 
 class TestBatchIter:
@@ -782,7 +1024,7 @@ class TestBatchIter:
 
 class TestDatasetInvariants:
     def test_rejects_missing_train_class(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^classes \[1\] have no train samples$"):
             Dataset(
                 features=np.zeros((2, 2)),
                 labels=np.array([0, 1]),
@@ -790,6 +1032,13 @@ class TestDatasetInvariants:
                 ids=np.arange(2),
                 classes=2,
             )
+
+    @pytest.mark.parametrize(
+        "split, missing", [(["train", "test", "train", "test"], "[1, 3, 4]"), (["test"] * 4, "[0, 1, 2, 3, 4]")]
+    )
+    def test_names_every_missing_train_class(self, split, missing):
+        with pytest.raises(InputError, match=f"^{re.escape(f'classes {missing} have no train samples')}$"):
+            Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 3]), np.array(split, dtype=object), np.arange(4), 5)
 
     def test_rejects_unknown_split(self):
         with pytest.raises(InputError, match=r"^unknown split tags \['dev', 'val'\]$"):
