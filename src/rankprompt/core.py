@@ -5,15 +5,15 @@ similarity matrix is a plain M x K float64 array, finite-checked where
 ``similarity_matrix`` computes it; labels are a plain int64 array, checked by
 ``check_labels`` where they enter.
 
-Also the one worker primitive, ``_Worker``, that ``model`` and ``data`` start
-for the length of one public call when ``_usable_cpus`` counts two or more.
+Also the one worker primitive, ``_worker``, that ``model`` and ``data`` open
+for the length of one public call.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -76,36 +76,14 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class _Worker:
-    """One thread that runs the jobs handed to it, in turn, for the length of one public call."""
-
-    def __init__(self):
-        self._jobs, self._results = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="rankprompt-part")
-        self._thread.start()
-
-    def _serve(self) -> None:
-        for job, args in iter(self._jobs.get, None):
-            try:
-                self._results.put((job(*args), None))
-            except BaseException as exc:  # re-raised in the caller by ``result``
-                self._results.put((None, exc))
-
-    def start(self, job, *args) -> None:
-        """Hand ``job(*args)`` to the thread; ``result`` waits for it."""
-        self._jobs.put((job, args))
-
-    def result(self):
-        """The value of the job started first of those not yet waited for, or its exception raised here."""
-        value, exc = self._results.get()
-        if exc is not None:
-            raise exc
-        return value
-
-    def __enter__(self) -> _Worker:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Let the thread finish what it was handed, then join it, on an exception too."""
-        self._jobs.put(None)
-        self._thread.join()
+def _worker(wanted: bool):
+    """The worker of one public call, to enter with ``with``: when ``wanted`` and two CPUs are
+    usable, a pool of one thread named ``rankprompt-part…``, else a context that gives None.
+    The thread runs the jobs submitted to it in order, ``Future.result()`` raises a job's exception
+    again, and leaving the block, on an exception too, joins the thread.  Callers hand it private
+    numpy helpers that write into arrays they allocated, in parts that the input fixes, so the bytes
+    do not depend on the CPU count, and every public callable stays on the calling thread, where a
+    tracer that wraps them (perfbench's) keeps one span stack."""
+    if wanted and _usable_cpus() >= 2:
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix="rankprompt-part")
+    return nullcontext()

@@ -6,9 +6,9 @@ geometrically with one knob (imbalance_ratio).  Everything is seeded and
 byte-reproducible.  Generation, CSV formatting and the CSV's binary twin,
 written and read, hold one block of BLOCK_ROWS rows beyond the dataset.
 ``load_csv`` reads the twin in place of the text when it holds the sha256 of
-the CSV's bytes; with two usable CPUs one worker thread (a ``core._Worker``)
-hashes the CSV, two CHUNK_BYTES chunks at most in flight, while the calling
-thread scans those bytes and reads the twin (see ``_twin_or_scan``).
+the CSV's bytes; a ``core._worker`` hashes the CSV, two CHUNK_BYTES chunks at
+most in flight, while the calling thread scans those bytes and reads the twin
+(see ``_twin_or_scan``).
 
 CSV floats are the bytes of ``"%.17g" % v``.  ``_csv_lines`` lays out the
 cells with 1e-4 <= |v| < 1e16, where that is fixed notation, in numpy: the
@@ -26,14 +26,14 @@ import math
 import os
 import re
 import warnings
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from typing import NoReturn
 
 import numpy as np
 
 from .config import RunConfig
-from .core import InputError, _usable_cpus, _Worker, check_labels
+from .core import InputError, _worker, check_labels
 
 SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
@@ -452,42 +452,40 @@ def _twin_or_scan(path, width: int, expected_classes: int | None) -> tuple[Datas
     chunk for a byte that numpy's reader reads more loosely than the row-by-row
     checks: a non-ASCII byte (numpy's integer reader takes "1\\u01fe" for a number)
     or one of _NUMPY_LOOSE_BYTES.  Only while a usable twin is open is the file
-    hashed too: with two usable CPUs and more than one chunk, a worker hashes each
-    chunk while the calling thread reads and scans the next one and the twin's
-    next records, so one chunk hashes while one is read; else the chunk is hashed
-    in turn.  The twin's rows are used only when the scan passed, the sha256
-    equals the one the twin stores, and the rows pass the checks parsing makes."""
+    hashed too: with more than one chunk, a ``core._worker`` hashes each chunk
+    while the calling thread reads and scans the next one and the twin's next
+    records; without one, each chunk is hashed in turn.  The twin's rows are used
+    only when the scan passed, the sha256 equals the one the twin stores, and the
+    rows pass the checks parsing makes."""
     with ExitStack() as files:
         fh = files.enter_context(open(path, "rb"))
         twin = _Twin.open(files, path, width, expected_classes)
         chunks = max(1, -(-os.fstat(fh.fileno()).st_size // CHUNK_BYTES))
         digest = hashlib.sha256() if twin is not None else None
-        worker = files.enter_context(_Worker() if twin is not None and chunks > 1 and _usable_cpus() >= 2 else nullcontext())
-        waiting = 0  # hashes handed to the worker and not yet waited for
+        worker = files.enter_context(_worker(twin is not None and chunks > 1))
+        previous = None  # the hash of the chunk before, handed to the worker and not yet waited for
         for i, chunk in enumerate(iter(lambda: fh.read(CHUNK_BYTES), b""), start=1):
             if not chunk.isascii() or any(byte in chunk for byte in _NUMPY_LOOSE_BYTES):
                 return None, False
             if twin is None:
                 continue
-            if worker is None:
+            hashing = None if worker is None else worker.submit(digest.update, chunk)
+            if hashing is None:
                 digest.update(chunk)
-            else:
-                worker.start(digest.update, chunk)
-                waiting += 1
             # the twin's blocks spread over the chunks, so the calling thread reads them while the worker hashes
             if not twin.read_blocks(-(-i * twin.blocks // chunks)):
                 twin = None
-            elif waiting > 1:
-                worker.result()
-                waiting -= 1
+            elif previous is not None:
+                previous.result()
+            previous = hashing
         if twin is None or not twin.read_blocks(twin.blocks):
             return None, True
-        try:  # while the worker hashes the last chunks
+        try:  # while the worker hashes the last chunk
             dataset = _dataset(twin.features, twin.labels, twin.ids, twin.test, expected_classes)
         except InputError:
             return None, True
-        for _ in range(waiting):
-            worker.result()
+        if previous is not None:
+            previous.result()
     return (dataset if digest.digest() == twin.digest else None), True
 
 

@@ -115,17 +115,18 @@ def total_loss(s_cal: np.ndarray, labels: np.ndarray, cfg: RunConfig, *, worker=
     + lambda_rank * rank, and the gradient is that of total.  A term of weight
     0 adds nothing to the gradient; its value is still reported.
 
-    ``worker`` is the calling step's ``model`` worker, or None: with one, the rank
-    term runs on it while this thread takes the two alignment terms, and no public
-    callable runs on the worker.  The sums are the same either way.
+    ``worker`` is the calling step's ``core._worker``, or None: with one, the rank
+    term runs on it while this thread takes the two alignment terms.  The sums are
+    the same either way.
     """
+    rank_part = None
     if worker is not None:
         _check_length(s_cal, labels)
         m, k = s_cal.shape
-        worker.start(_rank, s_cal, labels, cfg.tau, np.empty((m, k - 1)), np.zeros_like(s_cal))
+        rank_part = worker.submit(_rank, s_cal, labels, cfg.tau, np.empty((m, k - 1)), np.zeros_like(s_cal))
     i2t, g_i2t = image_to_text_term(s_cal, labels, cfg)
     t2i, g_t2i = text_to_image_term(s_cal, labels, cfg)
-    rank, g_rank = rank_term(s_cal, labels, cfg) if worker is None else worker.result()
+    rank, g_rank = rank_term(s_cal, labels, cfg) if rank_part is None else rank_part.result()
     main = 0.5 * (t2i + i2t)
     g = cfg.lambda_main * 0.5 * (g_t2i + g_i2t) if cfg.lambda_main != 0.0 else np.zeros_like(s_cal)
     if cfg.lambda_rank != 0.0:

@@ -12,18 +12,14 @@ it on row chunks of at most ``CHUNK_ROWS``.  From ``FORWARD_TILE_ROWS`` rows
 on, it encodes in two row halves, and a training step takes its rank term
 beside its two alignment terms, its weight gradients in two halves of the
 hidden units and its hidden gradient in two halves of the rows: parts that
-the row count and the layer widths fix.  With two or more usable CPUs,
-``model_backward`` and ``forward_similarity`` each start one worker thread
-for the whole call (``_worker``: a ``core._Worker``, the primitive ``data``
-shares) and hand it the second part of each pair in turn.  It calls only
-numpy and private helpers, writes its results into arrays the calling thread
-allocated, and is joined before the call returns; with one CPU, the parts
-run in turn.  The bytes are the same either way.
+the row count and the layer widths fix.  ``model_backward`` and
+``forward_similarity`` hand the second part of each pair to one
+``core._worker`` for the whole call, whose contract keeps the bytes the same
+on one CPU or two.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +27,7 @@ import numpy as np
 from . import losses as L
 from . import sms
 from .config import RunConfig
-from .core import InputError, _usable_cpus, _Worker, check_labels, similarity_matrix
+from .core import InputError, _worker, check_labels, similarity_matrix
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "text")
 
@@ -60,24 +56,17 @@ def _bounds(m: int, n: int) -> list[int]:
     return [m * i // n for i in range(n + 1)]
 
 
-def _worker(m: int):
-    """The worker of one public call on ``m`` rows, to enter with ``with``: a ``_Worker`` from
-    ``FORWARD_TILE_ROWS`` rows on when two CPUs are usable, else a context that gives None."""
-    return _Worker() if m >= FORWARD_TILE_ROWS and _usable_cpus() >= 2 else nullcontext()
-
-
-def _in_parts(worker: _Worker | None, work, first, second) -> None:
-    """``work(first)`` and ``work(second)``: the second on ``worker``, else after the first.  The
-    caller fixes the parts, the CPU count does not, and each part writes its own slice of buffers
-    the caller allocated, so the bytes are the same either way.  The second part is done before this
+def _in_parts(worker, work, first, second) -> None:
+    """``work(first)`` and ``work(second)``: the second on ``worker``, else after the first.  Each
+    part writes its own slice of buffers the caller allocated.  The second part is done before this
     returns, and an exception raised in it is raised here."""
     if worker is None:
         work(first)
         work(second)
         return
-    worker.start(work, second)
+    second_part = worker.submit(work, second)
     work(first)
-    worker.result()
+    second_part.result()
 
 
 def param_shapes(f: int, h: int, e: int, k: int) -> dict[str, tuple]:
@@ -167,16 +156,12 @@ def _encode(params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np
     x += params.b2
 
 
-def _forward(
-    params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np.ndarray, normalize: bool, worker: _Worker | None
-) -> tuple:
+def _forward(params: ModelParams, features: np.ndarray, hidden: np.ndarray, x: np.ndarray, normalize: bool, worker) -> tuple:
     """The one forward pass up to the inner product, for training and inference: write
     tanh(features @ w1 + b1) into ``hidden`` and the image rows into ``x``, buffers the caller
     allocated, and return (text rows, and the row norms divided out when ``normalize``, else
     None).  From ``FORWARD_TILE_ROWS`` rows on, the two row halves encode in parts, the second on
-    the call's ``worker`` when it has one.  Here the worker only encodes: the rest, and public
-    callables such as ``similarity_matrix``, stay on the calling thread, where a tracer that wraps them
-    (perfbench's) keeps one span stack."""
+    the call's ``worker`` when it has one; the rest stays on the calling thread."""
     m = features.shape[0]
     if m < FORWARD_TILE_ROWS:
         _encode(params, features, hidden, x)
@@ -212,7 +197,7 @@ def forward_similarity(params: ModelParams, features: np.ndarray, normalize: boo
     # keeps their pages.  Allocated per chunk, as two arrays or as one block, they raised train_large's
     # peak RSS from 90.2-90.5 MB to 97.8 and 91.2-91.4 MB (2-vCPU x86-64 Linux).
     buffer = np.empty(longest * (h + e))
-    with _worker(m) as worker:
+    with _worker(m >= FORWARD_TILE_ROWS) as worker:
         for lo, hi in zip(bounds, bounds[1:]):
             n = hi - lo
             hidden, x = buffer[: n * h].reshape(n, h), buffer[longest * h : longest * h + n * e].reshape(n, e)
@@ -245,8 +230,8 @@ def model_backward(
     scale it returns.  Only two M x H arrays live: ``w2``'s gradient is taken
     first, then the activations' buffer becomes the hidden gradient in place;
     ``features`` is only read.  From ``FORWARD_TILE_ROWS`` rows on, the step
-    runs in parts, the second on one worker for the whole call when two CPUs
-    are usable: the forward pass in two row halves (see ``_forward``), the rank
+    runs in parts, the second on the call's ``core._worker`` when it has one:
+    the forward pass in two row halves (see ``_forward``), the rank
     term beside the alignment terms (see ``losses.total_loss``), then three
     rounds, each done before the next starts.  The ``w2`` gradient runs in two
     halves of the hidden units; the hidden gradient in two halves of the rows,
@@ -258,7 +243,7 @@ def model_backward(
     check_labels(labels, params.classes)
     features = _checked_features(params, features)
     m, h, w2 = features.shape[0], params.hidden_dim, params.w2
-    with _worker(m) as worker:
+    with _worker(m >= FORWARD_TILE_ROWS) as worker:
         pre, x = np.empty((m, h)), np.empty((m, params.embed_dim))
         t, x_norms, t_norms = _forward(params, features, pre, x, cfg.normalize_embeddings, worker)
         s_raw = similarity_matrix(x, t)

@@ -16,11 +16,10 @@ gather through row indices, the backward turns its activations into the hidden g
 and inference encodes in row chunks of at most ``model.CHUNK_ROWS``.  After the commit the buffer is calibrated in place with the
 statistics the epoch's steps read, which gives the scores each step's loss saw, and its
 ``metrics_report`` fills the ``train_*`` fields of the log; there is no second pass over the split.
-The threads besides the caller's are ``core._Worker``s, each started for one call and joined before it
-returns, and only with two usable CPUs: ``model_backward`` on a batch, and ``forward_similarity`` on an
-inference input, of ``model.FORWARD_TILE_ROWS`` rows or more each start one, and ``data.load_csv`` starts
-one to hash a CSV of more than one ``data.CHUNK_BYTES`` chunk that has a usable twin.  Every batch and
-inference chunk of that size splits, an epoch's short last batch too, so no large MLP pass leaves a CPU idle.
+The threads besides the caller's are ``core._worker``s, each opened for one call: ``model_backward`` on a
+batch, and ``forward_similarity`` on an inference input, of ``model.FORWARD_TILE_ROWS`` rows or more, and
+``data.load_csv`` on a CSV of more than one ``data.CHUNK_BYTES`` chunk that has a usable twin.  Every batch
+and inference chunk of that size splits, an epoch's short last batch too, so no large MLP pass leaves a CPU idle.
 """
 
 from __future__ import annotations

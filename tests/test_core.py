@@ -1,9 +1,16 @@
-"""Numeric primitives: similarity, softmax, and the KL and one-hot oracles."""
+"""Numeric primitives: similarity, softmax, and the KL and one-hot oracles; the worker primitive."""
+
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from conftest import is_part, part_threads
 from oracles import kl_divergence_row, one_hot
 
+from rankprompt import core
 from rankprompt.core import (
     InputError,
     _log_softmax,
@@ -169,3 +176,79 @@ class TestOneHot:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             one_hot(np.array([3]), 3)
+
+
+def record_started_threads(monkeypatch) -> list:
+    """The threads started from now on, in a list that fills as they start."""
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real(thread))
+    return started
+
+
+class TestWorker:
+    """``_worker`` starts every thread besides the caller's: one per ``with`` block,
+    and only when wanted with two usable CPUs."""
+
+    @pytest.mark.parametrize("wanted, cpus", [(False, 2), (False, 8), (True, 1)])
+    def test_gives_none_and_starts_no_thread(self, monkeypatch, wanted, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        started = record_started_threads(monkeypatch)
+        with core._worker(wanted) as worker:
+            assert worker is None
+        assert started == [] and part_threads() == []
+
+    def test_the_affinity_mask_decides_when_nothing_is_patched(self):
+        """Under ``taskset -c 0`` this is the one-CPU path, unpatched."""
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with core._worker(True) as worker:
+            assert (worker is not None) == (cpus >= 2)
+        assert part_threads() == []
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_one_thread_runs_the_jobs_in_submission_order(self, monkeypatch, cpus):
+        """The order is what ``load_csv``'s chunked sha256 relies on; the interpreter
+        switches threads every microsecond to shake it."""
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        started, ran = record_started_threads(monkeypatch), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with core._worker(True) as worker:
+                jobs = [worker.submit(lambda i=i: ran.append((i, threading.current_thread()))) for i in range(50)]
+                assert [job.result(timeout=10) for job in jobs] == [None] * 50
+                assert part_threads() == started
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 1 and is_part(started[0])
+        assert ran == [(i, started[0]) for i in range(50)]
+        assert not started[0].is_alive() and part_threads() == []
+
+    def test_result_raises_the_jobs_exception_again(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        error = FloatingPointError("a job failed")
+
+        def fail():
+            raise error
+
+        with core._worker(True) as worker:
+            failed = worker.submit(fail)
+            with pytest.raises(FloatingPointError) as caught:
+                failed.result(timeout=10)
+            assert caught.value is error
+            assert worker.submit(abs, -3).result(timeout=10) == 3  # the thread still serves the next job
+        assert part_threads() == []
+
+    def test_no_part_thread_outlives_a_block_that_raises(self, monkeypatch):
+        """Leaving the block on an exception lets the thread finish the jobs it holds,
+        then joins it."""
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        started, done = record_started_threads(monkeypatch), []
+        with pytest.raises(RuntimeError, match="^the caller failed$"):
+            with core._worker(True) as worker:
+                worker.submit(time.sleep, 0.05)
+                worker.submit(done.append, "after the sleep")
+                raise RuntimeError("the caller failed")
+        assert done == ["after the sleep"]
+        assert len(started) == 1 and not started[0].is_alive()
+        assert part_threads() == []

@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import is_part, part_threads
 from oracles import batch_iter_subset, csv_text, generate_synthetic_concat, load_csv_rows, traced_peak
 from rankprompt.core import InputError
-from rankprompt import data
+from rankprompt import core, data
 from rankprompt.data import (
     BLOCK_ROWS,
     CHUNK_BYTES,
@@ -722,7 +724,7 @@ class TestCsvTwin:
     def test_file_of_several_chunks_takes_the_path_of_one(self, tmp_path, monkeypatch, case, kwargs, cpus):
         """The cases above on a file of at least three ``CHUNK_BYTES`` chunks, whose
         twin load hashes on a worker at two CPUs: the same path, bits and errors."""
-        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         getattr(self, case)(tmp_path, SEVERAL_CHUNKS, **kwargs)
         assert (tmp_path / "d.csv").stat().st_size > 2 * CHUNK_BYTES
 
@@ -770,10 +772,6 @@ class TestCsvTwin:
         assert error.endswith("line 2: id or label outside the int64 range")
 
 
-def part_threads() -> list:
-    return [thread for thread in threading.enumerate() if thread.name == "rankprompt-part"]
-
-
 class FailingReader(io.BufferedReader):
     """A binary file whose call of ``method`` number ``after`` (counted from 0) raises OSError."""
 
@@ -808,9 +806,9 @@ class TestLoadWorker:
         return path, pathlib.Path(f"{path}{TWIN_SUFFIX}")
 
     def load(self, monkeypatch, cpus, path, expected_classes=5):
-        """(outcome of load_csv, np.loadtxt calls, names of the threads it started); no thread
-        it started is alive after it returns or raises."""
-        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        """(outcome of load_csv, np.loadtxt calls, whether each thread it started is a part
+        thread); no thread it started is alive after it returns or raises."""
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         threads = []
         real = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: threads.append(thread) or real(thread))
@@ -822,7 +820,7 @@ class TestLoadWorker:
             monkeypatch.setattr(threading.Thread, "start", real)
         assert not any(thread.is_alive() for thread in threads)
         assert part_threads() == []
-        return result, parses, [thread.name for thread in threads]
+        return result, parses, [is_part(thread) for thread in threads]
 
     @pytest.mark.parametrize("cpus, started", [(1, 0), (2, 1), (8, 1)])
     def test_one_worker_per_twin_load_of_several_chunks_and_only_with_two_cpus(self, tmp_path, monkeypatch, cpus, started):
@@ -834,7 +832,7 @@ class TestLoadWorker:
         for path, parse_count, workers in [(several, 0, started), (one, 0, 0), (twinless, 1, 0)]:
             (_, error), parses, threads = self.load(monkeypatch, cpus, path)
             assert error is None and parses == parse_count
-            assert threads == ["rankprompt-part"] * workers
+            assert threads == [True] * workers
 
     @pytest.mark.parametrize(
         "failure, started, parse_count",
@@ -874,7 +872,7 @@ class TestLoadWorker:
         one_cpu, parses, threads = self.load(monkeypatch, 1, path, classes)
         assert threads == []
         two_cpus, two_cpu_parses, threads = self.load(monkeypatch, 2, path, classes)
-        assert threads == ["rankprompt-part"] * started
+        assert threads == [True] * started
         assert parses == two_cpu_parses == parse_count
         assert two_cpus[1] == one_cpu[1]
         error = {
@@ -893,7 +891,7 @@ class TestLoadWorker:
         still hashes the chunks in file order: the digest matches and the twin is read."""
         path, _ = self.write(tmp_path)
         want = load_csv(path, 5)
-        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -909,7 +907,7 @@ class TestLoadWorker:
         every other public callable of ``rankprompt.data`` run on the calling
         thread, where a tracer that wraps them (perfbench's) keeps one span stack."""
         path, _ = self.write(tmp_path)
-        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         calls, jobs = [], []
 
         def record(owner, attribute, name):
@@ -932,8 +930,8 @@ class TestLoadWorker:
                 if not method.startswith("_") and inspect.isfunction(fn):
                     record(value, method, f"{name}.{method}")
         assert {"load_csv", "write_csv", "batch_iter", "Dataset"} <= set(public)
-        start = data._Worker.start
-        monkeypatch.setattr(data._Worker, "start", lambda worker, job, *args: jobs.append(job) or start(worker, job, *args))
+        submit = ThreadPoolExecutor.submit
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda pool, job, *args: jobs.append(job) or submit(pool, job, *args))
         data.load_csv(path, 5)
         assert Counter(calls) == {("load_csv", True): 1, ("Dataset", True): 1}
         assert len(jobs) == -(-path.stat().st_size // CHUNK_BYTES)

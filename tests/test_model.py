@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import is_part, part_threads
 from oracles import one_pass_embeddings, one_pass_gradients, traced_peak
-from rankprompt import losses, model, sms
+from rankprompt import core, losses, model, sms
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError, similarity_matrix
 from rankprompt.data import DatasetSpec, generate_synthetic
@@ -209,7 +210,7 @@ class TestTiledForward:
         feats = np.random.default_rng(rows).normal(size=(rows, widths[0]))
         runs = set()
         for cpus in (1, 2, 2, 1):
-            monkeypatch.setattr(model, "_usable_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(core, "_usable_cpus", lambda n=cpus: n)
             got = forward_similarity(p, feats, normalize)
             runs.add(got.tobytes())
         assert len(runs) == 1
@@ -233,33 +234,35 @@ class TestTiledForward:
         """On two CPUs inference runs ceil(M / ``CHUNK_ROWS``) chunks, each encoded in
         two row halves, one on the calling thread and one on the call's one worker,
         and every half has 1,536 to 3,072 rows."""
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        workers, pairs, halves = [], [], []
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        wanted, pairs, halves = [], [], []
         real_worker, real_parts, real_encode = model._worker, model._in_parts, model._encode
 
-        def worker(m):
-            workers.append(m)
-            return real_worker(m)
+        def worker(want):
+            wanted.append(want)
+            return real_worker(want)
 
         def in_parts(worker, *args):
             pairs.append(worker)
             real_parts(worker, *args)
 
         def encode(params, features, *out):
-            halves.append((len(features), threading.get_ident()))
+            halves.append((len(features), threading.current_thread()))
             real_encode(params, features, *out)
 
         monkeypatch.setattr(model, "_worker", worker)
         monkeypatch.setattr(model, "_in_parts", in_parts)
         monkeypatch.setattr(model, "_encode", encode)
         forward_similarity(large_model(), np.zeros((rows, 64)))
-        assert workers == [rows]
+        assert wanted == [True]
         assert len(pairs) == -(-rows // model.CHUNK_ROWS)
         assert pairs[0] is not None and all(w is pairs[0] for w in pairs)
         assert len(halves) == 2 * len(pairs)
         assert sum(n for n, _ in halves) == rows
         assert all(1536 <= n <= 3072 for n, _ in halves)
-        assert Counter(ident for _, ident in halves) == {threading.get_ident(): len(pairs), pairs[0]._thread.ident: len(pairs)}
+        part = next(thread for _, thread in halves if thread is not threading.current_thread())
+        assert is_part(part)
+        assert Counter(thread.ident for _, thread in halves) == {threading.get_ident(): len(pairs), part.ident: len(pairs)}
 
     def test_bad_shapes_raise_the_one_pass_error(self):
         p = large_model()
@@ -268,16 +271,12 @@ class TestTiledForward:
                 forward_similarity(p, bad)
 
 
-def part_threads() -> list:
-    return [thread for thread in threading.enumerate() if thread.name == "rankprompt-part"]
-
-
 class TestParts:
     """Inputs of ``FORWARD_TILE_ROWS`` rows or more run in two parts, the second
     on one worker thread per public call, which the call joins before it returns."""
 
     def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         done, threads = [], threading.active_count()
 
         def work(part):
@@ -286,14 +285,14 @@ class TestParts:
             done.append((part, threading.current_thread() is threading.main_thread()))
 
         with pytest.raises(RuntimeError, match="^the worker's part failed$"):
-            with model._worker(model.FORWARD_TILE_ROWS) as worker:
+            with core._worker(True) as worker:
                 _in_parts(worker, work, "first", "second")
         assert done == [("first", True)]
         assert threading.active_count() == threads
 
     def test_inference_worker_exception_is_raised_in_the_caller(self, monkeypatch):
         """The worker's half of an inference chunk raises through ``forward_similarity``."""
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         real, threads = model._encode, threading.active_count()
 
         def encode(*args):
@@ -313,7 +312,7 @@ class TestParts:
         keeps one span stack.  A large step's rank term runs on the worker through
         ``losses._rank``, so the public ``rank_term`` is seen only in a train run's
         small last batch."""
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         calls = []
 
         def record(module, name):
@@ -377,7 +376,7 @@ class TestParts:
         sys.setswitchinterval(1e-6)
         try:
             for cpus in (1, 2, 2, 2):
-                monkeypatch.setattr(model, "_usable_cpus", lambda n=cpus: n)
+                monkeypatch.setattr(core, "_usable_cpus", lambda n=cpus: n)
                 result = model_backward(p, feats, labels, None, RunConfig(normalize_embeddings=True))
                 runs.append((result.grads.flat.tobytes(), result.similarity_raw.tobytes()))
         finally:
@@ -395,7 +394,7 @@ class TestParts:
         rows its hidden-gradient chunks are balanced, with no one-row tail; 2,049
         and 6,145 rows have odd row halves, and 3,332 rows give the two halves of
         the hidden gradient 3 and 4 chunks."""
-        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(9)
         cfg = RunConfig(normalize_embeddings=normalize)
         stats = sms.commit_epoch(rng.normal(size=(80, 8)), np.arange(80) % 8, cfg) if calibrate else None
@@ -413,7 +412,7 @@ class TestParts:
         """A step or an inference of 2,048 rows or more starts one worker for the
         whole call when two CPUs are usable, however many there are, and none on
         one CPU; below 2,048 rows none starts.  No worker outlives its call."""
-        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         threads = []
         real = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self) or real(self))
@@ -430,7 +429,7 @@ class TestParts:
         for m, call in calls:
             threads.clear()
             call(m)
-            assert [thread.name for thread in threads] == ["rankprompt-part"] * (started if m >= 2048 else 0)
+            assert [is_part(thread) for thread in threads] == [True] * (started if m >= 2048 else 0)
             assert not any(thread.is_alive() for thread in threads)
             assert part_threads() == []
 
@@ -449,7 +448,7 @@ class TestParts:
     def test_no_worker_outlives_a_failed_part(self, monkeypatch, call, module, name, on_worker):
         """Whichever part raises, on the worker or on the calling thread while the
         worker holds the other part, the call raises it and leaves no worker alive."""
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         real = getattr(module, name)
 
         def failing(*args, **kwargs):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import calibrated
-from rankprompt import data, evaluation, model, sms
+from rankprompt import core, data, evaluation, model, sms
 from rankprompt import train as train_module
 from rankprompt.config import RunConfig
 from rankprompt.core import InputError
@@ -252,7 +252,7 @@ class TestSerialEpochLog:
     def test_no_thread_outlives_train(self, monkeypatch, large_split):
         """With two usable CPUs, split batches and inference start workers;
         each is joined before the call that started it returns."""
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         started = []
         real = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
@@ -281,7 +281,7 @@ class TestOneOrTwoCpus:
         dataset = generate_synthetic(DatasetSpec.from_config(cfg))
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(model, "_usable_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(core, "_usable_cpus", lambda n=cpus: n)
             result = train(cfg, dataset)
             stats = [] if result.stats is None else [getattr(result.stats, key).tobytes() for key in STATS_KEYS]
             runs.append((result.params.flat.tobytes(), stats, json.dumps(result.log)))
