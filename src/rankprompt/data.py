@@ -6,9 +6,9 @@ geometrically with one knob (imbalance_ratio).  Everything is seeded and
 byte-reproducible.  Generation, CSV formatting and the CSV's binary twin,
 written and read, hold one block of BLOCK_ROWS rows beyond the dataset.
 ``load_csv`` reads the twin in place of the text when it holds the sha256 of
-the CSV's bytes; a ``core._worker`` hashes the CSV, two CHUNK_BYTES chunks at
-most in flight, while the calling thread scans those bytes and reads the twin
-(see ``_twin_or_scan``).
+the CSV's bytes; one ``core._worker`` job hashes the CSV while the calling
+thread reads the twin (see ``_load_twin``).  Only without a matching twin does
+``_scan`` check the bytes, for the ``np.loadtxt`` parse that it gates.
 
 CSV floats are the bytes of ``"%.17g" % v``.  ``_csv_lines`` lays out the
 cells with 1e-4 <= |v| < 1e16, where that is fixed notation, in numpy: the
@@ -43,7 +43,7 @@ BLOCK_ROWS = 1024
 FORMAT_CELLS = 8192
 # write_csv leaves the parsed form of the file beside it, at the CSV's path plus this suffix.
 TWIN_SUFFIX = ".rows"
-# load_csv reads the CSV this many bytes at a time, to scan it and hash it (see _twin_or_scan).
+# load_csv reads the CSV this many bytes at a time, to hash it (see _load_twin) or to scan it (see _scan).
 CHUNK_BYTES = 1 << 18
 _TWIN_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
@@ -384,9 +384,10 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
     When the twin ``write_csv`` left beside the file holds the sha256 of the
     file's bytes, and its rows have the header's width and pass the label,
     finiteness and ``Dataset`` checks, the rows come from the twin (see
-    ``_twin_or_scan``).  Otherwise numpy's C reader parses the body in one
-    call.  Only a file it rejects, or whose rows fail the split, label or
-    finiteness check, is read again row by row, to name its first bad line.
+    ``_load_twin``).  Otherwise numpy's C reader parses the body in one call,
+    once ``_scan`` has found no byte that it reads more loosely than Python.
+    Only a file that fails the scan or the parse, or whose rows fail the split,
+    label or finiteness check, is read again row by row, to name its first bad line.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         _, header = next(_csv_rows(path, fh), (1, None))
@@ -400,11 +401,11 @@ def load_csv(path, expected_classes: int | None = None) -> Dataset:
         first = next((line for line in fh if line.strip("\r\n")), None)
         if first is None:
             raise ParseError(f"{path}: line 2: no data rows")
-        rows = None
-        dataset, strict = _twin_or_scan(path, len(header) - 3, expected_classes)
+        dataset = _load_twin(path, len(header) - 3, expected_classes)
         if dataset is not None:
             return dataset
-        if strict:
+        rows = None
+        if _scan(path):
             try:
                 with warnings.catch_warnings():
                     # numpy versions that read an integer cell such as "1.5" through
@@ -445,100 +446,66 @@ def _dataset(features, labels, ids, test: np.ndarray, expected_classes: int | No
     )
 
 
-def _twin_or_scan(path, width: int, expected_classes: int | None) -> tuple[Dataset | None, bool]:
-    """(the Dataset of the twin beside ``path``, or None; whether the file passed the byte scan).
+def _load_twin(path, width: int, expected_classes: int | None) -> Dataset | None:
+    """The Dataset of the twin ``write_csv`` left beside ``path``, or None.
 
-    The calling thread reads the file ``CHUNK_BYTES`` at a time and scans each
-    chunk for a byte that numpy's reader reads more loosely than the row-by-row
-    checks: a non-ASCII byte (numpy's integer reader takes "1\\u01fe" for a number)
-    or one of _NUMPY_LOOSE_BYTES.  Only while a usable twin is open is the file
-    hashed too: with more than one chunk, a ``core._worker`` hashes each chunk
-    while the calling thread reads and scans the next one and the twin's next
-    records; without one, each chunk is hashed in turn.  The twin's rows are used
-    only when the scan passed, the sha256 equals the one the twin stores, and the
-    rows pass the checks parsing makes."""
+    The twin's stored sha256 and np.save header are read first: unless the header
+    is that of a plain array (nothing is unpickled) of at least one record of the
+    type for ``width`` features, and the file holds every record, nothing is hashed.
+    Else the calling thread reads the records ``BLOCK_ROWS`` at a time into the
+    Dataset's arrays, so the record array of every row never exists, and then hashes
+    the CSV, unless one ``core._worker`` job hashes it meanwhile (a file of more
+    than one ``CHUNK_BYTES`` chunk).  The rows are used only when they pass the
+    checks parsing makes and the CSV's sha256 equals the stored one."""
+    dtype = _twin_dtype(width)
     with ExitStack() as files:
-        fh = files.enter_context(open(path, "rb"))
-        twin = _Twin.open(files, path, width, expected_classes)
-        chunks = max(1, -(-os.fstat(fh.fileno()).st_size // CHUNK_BYTES))
-        digest = hashlib.sha256() if twin is not None else None
-        worker = files.enter_context(_worker(twin is not None and chunks > 1))
-        previous = None  # the hash of the chunk before, handed to the worker and not yet waited for
-        for i, chunk in enumerate(iter(lambda: fh.read(CHUNK_BYTES), b""), start=1):
-            if not chunk.isascii() or any(byte in chunk for byte in _NUMPY_LOOSE_BYTES):
-                return None, False
-            if twin is None:
-                continue
-            hashing = None if worker is None else worker.submit(digest.update, chunk)
-            if hashing is None:
-                digest.update(chunk)
-            # the twin's blocks spread over the chunks, so the calling thread reads them while the worker hashes
-            if not twin.read_blocks(-(-i * twin.blocks // chunks)):
-                twin = None
-            elif previous is not None:
-                previous.result()
-            previous = hashing
-        if twin is None or not twin.read_blocks(twin.blocks):
-            return None, True
-        try:  # while the worker hashes the last chunk
-            dataset = _dataset(twin.features, twin.labels, twin.ids, twin.test, expected_classes)
-        except InputError:
-            return None, True
-        if previous is not None:
-            previous.result()
-    return (dataset if digest.digest() == twin.digest else None), True
-
-
-class _Twin:
-    """The twin ``write_csv`` left beside a CSV, its header read: ``read_blocks``
-    reads its records ``BLOCK_ROWS`` at a time into the Dataset's arrays, so the
-    record array of every row never exists."""
-
-    def __init__(self, fh, width: int, expected_classes: int | None):
-        """Read the stored sha256 and np.save's header; ValueError unless the header
-        is that of a plain array (nothing is unpickled) of at least one record of
-        the type for ``width`` features, and the file holds every record."""
-        dtype = _twin_dtype(width)
-        self.fh, self.expected_classes = fh, expected_classes
-        self.digest = fh.read(32)  # a sha256
-        read_header = _TWIN_HEADERS.get(np.lib.format.read_magic(fh))
-        if read_header is None:
-            raise ValueError("not an np.save header")
-        shape, fortran_order, stored = read_header(fh)
-        if stored != dtype or fortran_order or len(shape) != 1 or shape[0] == 0:
-            raise ValueError("not the record array of this width")
-        (n,) = shape
-        if os.fstat(fh.fileno()).st_size - fh.tell() < n * dtype.itemsize:
-            raise ValueError("fewer records than the header claims")
-        self.features, self.labels, self.ids, self.test = np.empty((n, width)), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, bool)
-        self.block = np.empty(min(n, BLOCK_ROWS), dtype=dtype)
-        self.blocks, self.read = -(-n // BLOCK_ROWS), 0
-
-    @classmethod
-    def open(cls, files: ExitStack, path, width: int, expected_classes: int | None) -> _Twin | None:
-        """The usable twin of ``path``, kept open by ``files``, or None when there is none."""
         try:
-            return cls(files.enter_context(open(os.fspath(path) + TWIN_SUFFIX, "rb")), width, expected_classes)
-        except (OSError, ValueError, MemoryError):  # MemoryError: more records than fit
+            twin = files.enter_context(open(os.fspath(path) + TWIN_SUFFIX, "rb"))
+            digest = twin.read(32)
+            shape, fortran_order, stored = _TWIN_HEADERS[np.lib.format.read_magic(twin)](twin)
+        except (OSError, ValueError, KeyError):
             return None
-
-    def read_blocks(self, end: int) -> bool:
-        """Read the blocks up to block ``end``; False when the file ends early, or a
-        block's rows fail a check that parsing the CSV would fail too."""
-        n = len(self.labels)
-        try:
-            for start in range(self.read * BLOCK_ROWS, min(end, self.blocks) * BLOCK_ROWS, BLOCK_ROWS):
-                rows = self.block[: min(BLOCK_ROWS, n - start)]
-                if self.fh.readinto(rows.view(np.uint8)) != rows.nbytes:
-                    return False
-                if not _values_pass(rows["label"], rows["f"], self.expected_classes):
-                    return False
+        n = shape[0] if len(shape) == 1 else 0
+        if stored != dtype or fortran_order or n == 0 or os.fstat(twin.fileno()).st_size - twin.tell() < n * dtype.itemsize:
+            return None
+        fh = files.enter_context(open(path, "rb"))
+        buffer = bytearray(CHUNK_BYTES)  # allocated on the calling thread, like every helper's output
+        worker = files.enter_context(_worker(os.fstat(fh.fileno()).st_size > CHUNK_BYTES))
+        hashing = None if worker is None else worker.submit(_sha256, fh, buffer)
+        try:  # MemoryError: more records than fit
+            block = np.empty(min(n, BLOCK_ROWS), dtype=dtype)
+            features, labels, ids, test = np.empty((n, width)), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, bool)
+            for start in range(0, n, BLOCK_ROWS):
+                rows = block[: min(BLOCK_ROWS, n - start)]
+                if twin.readinto(rows.view(np.uint8)) != rows.nbytes:
+                    return None
                 part = slice(start, start + len(rows))
-                self.features[part], self.labels[part], self.ids[part], self.test[part] = rows["f"], rows["label"], rows["id"], rows["test"]
-                self.read += 1
-        except OSError:
-            return False
-        return True
+                features[part], labels[part], ids[part], test[part] = rows["f"], rows["label"], rows["id"], rows["test"]
+                if not _values_pass(labels[part], features[part], expected_classes):
+                    return None
+            dataset = _dataset(features, labels, ids, test, expected_classes)
+        except (OSError, MemoryError, InputError):
+            return None
+        return dataset if (_sha256(fh, buffer) if hashing is None else hashing.result()) == digest else None
+
+
+def _sha256(fh, buffer: bytearray) -> bytes:
+    """The sha256 of the rest of ``fh``, read into ``buffer`` a chunk at a time."""
+    digest, view = hashlib.sha256(), memoryview(buffer)
+    while size := fh.readinto(buffer):
+        digest.update(view[:size])
+    return digest.digest()
+
+
+def _scan(path) -> bool:
+    """Whether the file holds no byte that numpy's reader reads more loosely than the
+    row-by-row checks: a non-ASCII byte (numpy's integer reader takes "1\\u01fe" for a
+    number) or one of _NUMPY_LOOSE_BYTES.  It gates ``np.loadtxt``."""
+    with open(path, "rb") as fh:
+        return all(
+            chunk.isascii() and not any(byte in chunk for byte in _NUMPY_LOOSE_BYTES)
+            for chunk in iter(lambda: fh.read(CHUNK_BYTES), b"")
+        )
 
 
 def _rows_pass(rows: np.ndarray, expected_classes: int | None) -> bool:

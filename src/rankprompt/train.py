@@ -18,8 +18,9 @@ statistics the epoch's steps read, which gives the scores each step's loss saw, 
 ``metrics_report`` fills the ``train_*`` fields of the log; there is no second pass over the split.
 The threads besides the caller's are ``core._worker``s, each opened for one call: ``model_backward`` on a
 batch, and ``forward_similarity`` on an inference input, of ``model.FORWARD_TILE_ROWS`` rows or more, and
-``data.load_csv`` on a CSV of more than one ``data.CHUNK_BYTES`` chunk that has a usable twin.  Every batch
-and inference chunk of that size splits, an epoch's short last batch too, so no large MLP pass leaves a CPU idle.
+``data.load_csv``, whose one job hashes a CSV of more than one ``data.CHUNK_BYTES`` chunk that has a usable
+twin while the calling thread reads the twin.  Every batch and inference chunk of that size splits, an
+epoch's short last batch too, so no large MLP pass leaves a CPU idle.
 """
 
 from __future__ import annotations

@@ -207,8 +207,8 @@ class TestWorker:
 
     @pytest.mark.parametrize("cpus", [2, 8])
     def test_one_thread_runs_the_jobs_in_submission_order(self, monkeypatch, cpus):
-        """The order is what ``load_csv``'s chunked sha256 relies on; the interpreter
-        switches threads every microsecond to shake it."""
+        """Submission order is part of ``_worker``'s contract, whatever a caller submits;
+        the interpreter switches threads every microsecond to shake it."""
         monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         started, ran = record_started_threads(monkeypatch), []
         interval = sys.getswitchinterval()

@@ -649,6 +649,7 @@ class TestCsvTwin:
     def test_twin_load_equals_parse_and_reference(self, tmp_path_factory, drawn):
         dataset, expected_classes = drawn
         path, twin = self.write(tmp_path_factory.mktemp("twin"), dataset)
+        assert data._scan(path)  # so a CSV that matches its twin's sha256 needs no scan
         (via_twin, error), parses = load_counting_parses(path, expected_classes)
         assert error is None and parses == 0
         assert_bit_identical(via_twin, dataset)
@@ -708,6 +709,15 @@ class TestCsvTwin:
 
     def test_matching_twin_with_non_finite_feature_raises_like_the_parse(self, tmp_path):
         self.non_finite_feature(tmp_path, ONE_CHUNK, row=7)
+
+    def test_matching_twin_that_dataset_rejects_raises_like_the_parse(self, tmp_path):
+        """Rows that pass the label and finiteness checks and fail ``Dataset``'s:
+        grade 5 of 6 has no train row."""
+        path, twin = self.write(tmp_path)
+        (_, error), parses = load_counting_parses(path, 6)
+        assert parses == 1
+        assert error == self.parsed(path, twin, 6)[1]
+        assert error.endswith(": classes [5] have no train samples")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
@@ -795,8 +805,8 @@ class FailingReader(io.BufferedReader):
 
 
 class TestLoadWorker:
-    """A twin load of a file of several ``CHUNK_BYTES`` chunks hashes them on one
-    worker thread when two CPUs are usable, and joins it before ``load_csv``
+    """A twin load of a file of several ``CHUNK_BYTES`` chunks hashes it in one job
+    on one worker thread when two CPUs are usable, and joins it before ``load_csv``
     returns or raises.  No other load starts a thread."""
 
     def write(self, directory, samples=SEVERAL_CHUNKS["samples"]):
@@ -861,11 +871,11 @@ class TestLoadWorker:
         elif failure == "twin-rows-fail-a-check":
             classes = 4
         else:
-            target, method = (path, "read") if failure == "csv-read-error" else (twin, "readinto")
+            target = path if failure == "csv-read-error" else twin
 
             def failing_open(file, mode="r", *args, **kwargs):
                 if mode == "rb" and os.fspath(file) == os.fspath(target):
-                    return FailingReader(file, method, after=1)
+                    return FailingReader(file, "readinto", after=1)
                 return open(file, mode, *args, **kwargs)
 
             monkeypatch.setattr(data, "open", failing_open, raising=False)
@@ -878,7 +888,7 @@ class TestLoadWorker:
         error = {
             "separator-in-a-middle-chunk": "non-numeric feature cell",
             "twin-rows-fail-a-check": "label 4 out of range",
-            "csv-read-error": "OSError: read failed",
+            "csv-read-error": "OSError: readinto failed",
         }.get(failure)
         if error is None:
             assert one_cpu[1] is None
@@ -888,7 +898,8 @@ class TestLoadWorker:
 
     def test_loads_under_constant_thread_switching(self, tmp_path, monkeypatch):
         """With the interpreter switching threads every microsecond, each two-CPU load
-        still hashes the chunks in file order: the digest matches and the twin is read."""
+        still hashes the file while it reads the twin: the digest matches and the twin's
+        rows are taken."""
         path, _ = self.write(tmp_path)
         want = load_csv(path, 5)
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
@@ -903,7 +914,7 @@ class TestLoadWorker:
             assert_bit_identical(got, want)
 
     def test_public_callables_stay_on_the_calling_thread(self, tmp_path, monkeypatch):
-        """The worker runs only the sha256 updates, one per chunk: ``Dataset`` and
+        """The worker runs one job, the private hash of the whole CSV: ``Dataset`` and
         every other public callable of ``rankprompt.data`` run on the calling
         thread, where a tracer that wraps them (perfbench's) keeps one span stack."""
         path, _ = self.write(tmp_path)
@@ -934,8 +945,23 @@ class TestLoadWorker:
         monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda pool, job, *args: jobs.append(job) or submit(pool, job, *args))
         data.load_csv(path, 5)
         assert Counter(calls) == {("load_csv", True): 1, ("Dataset", True): 1}
-        assert len(jobs) == -(-path.stat().st_size // CHUNK_BYTES)
-        assert all(job.__name__ == "update" and job.__self__.name == "sha256" for job in jobs)
+        assert path.stat().st_size > 2 * CHUNK_BYTES
+        assert jobs == [data._sha256]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scan_runs_only_on_the_parse_path(self, tmp_path, monkeypatch, cpus):
+        """``_scan`` gates ``np.loadtxt`` alone: a twin load never calls it, and a load
+        without the twin calls it once and parses once."""
+        path, twin = self.write(tmp_path)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        scans, scan = [], data._scan
+        monkeypatch.setattr(data, "_scan", lambda file: scans.append(file) or scan(file))
+        (via_twin, error), parses = load_counting_parses(path, 5)
+        assert error is None and parses == 0 and scans == []
+        twin.unlink()
+        (parsed, error), parses = load_counting_parses(path, 5)
+        assert error is None and parses == 1 and scans == [path]
+        assert_bit_identical(parsed, via_twin)
 
     @pytest.mark.parametrize("state", ["deleted", "truncated", "another-width", "not-np-save"])
     def test_no_sha256_without_a_usable_twin(self, tmp_path, state):
